@@ -41,8 +41,6 @@ instantrestart:
 walreplay:
 	python -m pytest -x -q tests/wal \
 		tests/recovery/test_recrash_during_replay.py
-	python -m repro.bench.logvolume --matrix --smoke --json \
-		> BENCH_wal_replay.json
 
 test:
 	python -m pytest -x -q

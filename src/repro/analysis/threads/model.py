@@ -542,7 +542,7 @@ class _MethodScanner:
         #: identity and R018 root tracking)
         self.origin: dict[str, str] = {}
         #: local name -> method qualnames it aliases
-        #: (`recover_one = self._admit_one if fast else self._recover_one`)
+        #: (`step = self._fast_step if fast else self._slow_step`)
         self.fn_aliases: dict[str, list[str]] = {}
         self.locks: list[str] = []
         self.while_depth = 0

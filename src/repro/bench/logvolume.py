@@ -13,53 +13,26 @@ Two measurements:
 * the corruption-propagation probe: a poisoned key planted on a page
   shows up verbatim in the physical log, never in the logical log.
 
-The ``--matrix`` mode extends the ablation into a **recovery-time vs
-log-volume matrix** over a crashed shard group: the same committed
-workload plus a committed-but-unsynced tail transaction is recovered
-under the four modes the repo supports —
-
-* ``repair``            — no WAL at all: the paper's first-use repair
-  sweep (the tail is *lost*: nothing re-creates it);
-* ``serial-physical``   — ARIES/IM-style key-granularity log, replayed
-  serially with no redo test (no per-page LSN to test against);
-* ``serial-logical``    — operation log, serial replay, sync-token
-  redo elision;
-* ``parallel-logical``  — the same log, partitions replayed on the
-  shard owner threads.
-
-Simulated per-page I/O latency is applied during the measured phase
-only, so the timings have the shape real disks would give them.
+Physical logging exists for this volume comparison only: nothing in
+the repo replays a physical log (recovery time against log volume is
+the ``wal_replay`` workload of ``python -m perf``).
 
 Usage::
 
     python -m repro.bench.logvolume [--n 10000] [--page-size 4096]
-    python -m repro.bench.logvolume --matrix --smoke --json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
-import sys
-import time
-from dataclasses import asdict, dataclass, field
 
 from ..core.keys import TID
-from ..errors import CrashError
-from ..shard import RecoveryOrchestrator, ShardedEngine
 from ..storage import StorageEngine
-from ..storage.crash import CrashOnNthSync
 from ..wal import (
-    GroupLogicalLoggingTree,
-    GroupPhysicalLoggingTree,
     LogicalLoggingTree,
     PhysicalLoggingTree,
     physical_records_containing,
 )
-from .shardrecovery import _restore, _set_latency, _snapshot
-
-INDEX = "ix"
 
 
 def run(*, n: int = 10000, page_size: int = 4096) -> dict:
@@ -138,267 +111,12 @@ def print_report(data: dict) -> None:
           "(logical logging never copies index bytes into the log)")
 
 
-# ----------------------------------------------------------------------
-# recovery-time vs log-volume matrix (four recovery modes)
-# ----------------------------------------------------------------------
-
-@dataclass
-class WalModeResult:
-    """One recovery mode over one crashed-group snapshot."""
-
-    mode: str
-    seconds: float = 0.0                 # best-of-reps recovery wall time
-    reps_seconds: list[float] = field(default_factory=list)
-    log_bytes: int = 0
-    log_records: int = 0
-    applied: int = 0
-    elided: int = 0
-    out_of_order: int = 0
-    touched: int = 0
-    replay_seconds: float = 0.0          # sum of partition redo times
-    recovered_tail: bool = False         # committed-but-unsynced txn back?
-
-
-@dataclass
-class WalScalePoint:
-    n_shards: int
-    committed_keys: int
-    tail_keys: int
-    modes: dict = field(default_factory=dict)   # name -> WalModeResult
-
-    @property
-    def logical_speedup(self) -> float:
-        serial = self.modes.get("serial-logical")
-        par = self.modes.get("parallel-logical")
-        if not serial or not par or not par.seconds:
-            return 0.0
-        return serial.seconds / par.seconds
-
-
-def build_wal_group(n_shards: int, *, committed_keys: int, tail_keys: int,
-                    page_size: int = 512, seed: int = 0,
-                    physical: bool = False,
-                    commit_every: int = 200):
-    """A crashed group whose log holds the full recovery recipe.
-
-    Even values ``0, 2, 4, ...`` are loaded in chunked transactions that
-    commit cleanly — each commit syncs every shard and appends its
-    SYNC_MARK, so these records are durably covered and elidable.  Then
-    one big tail transaction inserts *odd* values spread across the
-    whole key space (so its redo touches cold leaves everywhere), its
-    COMMIT is forced to the log, and every shard's commit sync crashes
-    keeping nothing: the tail is committed-but-unsynced — exactly the
-    work log-based recovery owes, and exactly what the log-less repair
-    sweep cannot get back.
-    """
-    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed)
-    if physical:
-        wal = GroupPhysicalLoggingTree.create(group, INDEX)
-    else:
-        wal = GroupLogicalLoggingTree.create(group, INDEX, kind="shadow")
-
-    committed = [2 * i for i in range(committed_keys)]
-    xid = 0
-    for start in range(0, len(committed), commit_every):
-        xid += 1
-        wal.current_xid = xid
-        for value in committed[start: start + commit_every]:
-            wal.insert(value, TID(1 + (value >> 9), value & 0xFF))
-        crashed = wal.commit()
-        assert not crashed, f"load-phase commit crashed shards {crashed}"
-
-    rng = random.Random(seed * 31 + n_shards)
-    tail = [2 * j + 1
-            for j in rng.sample(range(committed_keys), tail_keys)]
-    xid += 1
-    wal.current_xid = xid
-    for value in tail:
-        wal.insert(value, TID(7, value & 0xFF))
-    for index in range(n_shards):
-        group.shard(index).crash_policy = CrashOnNthSync(1, keep=0)
-    crashed = wal.commit()
-    assert sorted(crashed) == list(range(n_shards)), \
-        f"every shard should crash its commit sync, got {crashed}"
-    return group, wal, committed, tail
-
-
-def measure_wal_mode(group, wal, snaps, *, mode: str,
-                     committed: list[int], tail: list[int],
-                     reps: int, subparts: int = 1) -> WalModeResult:
-    """Recover the same crashed snapshot *reps* times under *mode*."""
-    out = WalModeResult(mode=mode, log_bytes=wal.log.bytes_written,
-                        log_records=len(wal.log))
-    for _rep in range(reps):
-        _restore(group, snaps)
-        if mode == "repair":
-            orchestrator = RecoveryOrchestrator(max_workers=None)
-        else:
-            parallel = mode.startswith("parallel")
-            orchestrator = RecoveryOrchestrator(
-                max_workers=None if parallel else 1,
-                wal=wal.log, wal_mode=mode, wal_subparts=subparts)
-        start = time.perf_counter()
-        recovered, report = orchestrator.recover(group, INDEX)
-        wall = time.perf_counter() - start
-        if not report.ok:  # pragma: no cover - guard
-            raise SystemExit(
-                f"{mode} recovery failed: {report.failed_shards()}")
-        out.reps_seconds.append(wall)
-        best = len(out.reps_seconds) == 1 or wall < out.seconds
-        if best:
-            out.seconds = wall
-            if report.redo is not None:
-                out.applied = report.redo.applied
-                out.elided = report.redo.elided
-                out.out_of_order = report.redo.out_of_order
-                out.touched = report.redo.touched
-                out.replay_seconds = sum(r.replay_seconds
-                                         for r in report.shards)
-        # correctness: committed chunks always come back; the tail only
-        # when a log replays it
-        tree = recovered.open_tree(INDEX)
-        seen = {k for k, _ in tree.range_scan()}
-        missing = [k for k in committed if k not in seen]
-        if missing:  # pragma: no cover - guard
-            raise SystemExit(f"{mode} recovery lost committed keys "
-                             f"{missing[:5]}")
-        out.recovered_tail = all(k in seen for k in tail)
-        if mode != "repair" and not out.recovered_tail:
-            # pragma: no cover - guard
-            raise SystemExit(f"{mode} recovery lost the committed tail")
-    return out
-
-
-WAL_MATRIX_MODES = ("repair", "serial-physical", "serial-logical",
-                    "parallel-logical")
-
-
-def run_matrix(shard_counts, *, committed_keys: int, tail_keys: int,
-               page_size: int, seed: int, read_latency: float,
-               write_latency: float, reps: int, subparts: int = 1,
-               verbose: bool = True) -> list[WalScalePoint]:
-    points = []
-    for n in shard_counts:
-        point = WalScalePoint(n_shards=n, committed_keys=committed_keys,
-                              tail_keys=tail_keys)
-        for physical in (False, True):
-            group, wal, committed, tail = build_wal_group(
-                n, committed_keys=committed_keys, tail_keys=tail_keys,
-                page_size=page_size, seed=seed, physical=physical)
-            _set_latency(group, read_latency, write_latency)
-            snaps = _snapshot(group)
-            modes = (("serial-physical",) if physical
-                     else ("repair", "serial-logical", "parallel-logical"))
-            for mode in modes:
-                point.modes[mode] = measure_wal_mode(
-                    group, wal, snaps, mode=mode, committed=committed,
-                    tail=tail, reps=reps, subparts=subparts)
-        points.append(point)
-        if verbose:
-            cells = "  ".join(
-                f"{mode} {point.modes[mode].seconds:7.4f}s"
-                for mode in WAL_MATRIX_MODES)
-            print(f"{n:>2} shard(s): {cells}  "
-                  f"logical speedup {point.logical_speedup:5.2f}x",
-                  file=sys.stderr)
-    return points
-
-
-def matrix_document(points: list[WalScalePoint], config: dict) -> dict:
-    beats_at_4 = [
-        p.modes["parallel-logical"].seconds
-        < p.modes["serial-logical"].seconds
-        for p in points if p.n_shards >= 4
-    ]
-    elisions = [p.modes[m].elided for p in points
-                for m in ("serial-logical", "parallel-logical")
-                if m in p.modes]
-    return {
-        "bench": "wal_replay_matrix",
-        "config": config,
-        "results": [
-            {
-                "n_shards": p.n_shards,
-                "committed_keys": p.committed_keys,
-                "tail_keys": p.tail_keys,
-                "logical_speedup": p.logical_speedup,
-                "modes": {name: asdict(result)
-                          for name, result in p.modes.items()},
-            }
-            for p in points
-        ],
-        "parallel_beats_serial_logical_at_4":
-            bool(beats_at_4) and all(beats_at_4),
-        "elision_nonzero": bool(elisions) and all(e > 0 for e in elisions),
-    }
-
-
-def run_matrix_main(args) -> int:
-    shard_counts = [int(s) for s in
-                    (args.shards or ("1,2,4" if args.smoke
-                                     else "1,2,4,8")).split(",")]
-    committed_keys = args.keys or (600 if args.smoke else 3000)
-    tail_keys = args.tail or max(committed_keys // 3, 8)
-    reps = args.reps or (2 if args.smoke else 3)
-    read_latency = (args.read_latency if args.read_latency is not None
-                    else (0.0005 if args.smoke else 0.001))
-    write_latency = (args.write_latency if args.write_latency is not None
-                     else read_latency / 2)
-    config = {
-        "smoke": args.smoke, "shard_counts": shard_counts,
-        "committed_keys": committed_keys, "tail_keys": tail_keys,
-        "page_size": args.page_size, "seed": args.seed, "reps": reps,
-        "subparts": args.subparts,
-        "read_latency": read_latency, "write_latency": write_latency,
-    }
-    points = run_matrix(shard_counts, committed_keys=committed_keys,
-                        tail_keys=tail_keys, page_size=args.page_size,
-                        seed=args.seed, read_latency=read_latency,
-                        write_latency=write_latency, reps=reps,
-                        subparts=args.subparts)
-    doc = matrix_document(points, config)
-    if args.json:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(f"\nparallel-logical beats serial-logical at >=4 shards: "
-              f"{doc['parallel_beats_serial_logical_at_4']}  "
-              f"(elisions nonzero: {doc['elision_nonzero']})")
-    return 0 if (doc["parallel_beats_serial_logical_at_4"]
-                 and doc["elision_nonzero"]) else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=10000)
-    parser.add_argument("--page-size", type=int, default=None)
-    parser.add_argument("--matrix", action="store_true",
-                        help="run the four-mode recovery-time vs "
-                             "log-volume matrix over a crashed group")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized matrix (fewer keys, shard counts "
-                             "1,2,4, lower simulated latency)")
-    parser.add_argument("--json", action="store_true",
-                        help="matrix: emit one JSON document on stdout")
-    parser.add_argument("--shards", default=None,
-                        help="matrix: comma-separated shard counts")
-    parser.add_argument("--keys", type=int, default=None,
-                        help="matrix: committed keys per scale point")
-    parser.add_argument("--tail", type=int, default=None,
-                        help="matrix: committed-but-unsynced tail size")
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--subparts", type=int, default=2,
-                        help="matrix: key-range sub-partitions per shard")
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--read-latency", type=float, default=None)
-    parser.add_argument("--write-latency", type=float, default=None)
+    parser.add_argument("--page-size", type=int, default=4096)
     args = parser.parse_args(argv)
-    if args.matrix:
-        if args.page_size is None:
-            args.page_size = 512
-        return run_matrix_main(args)
-    print_report(run(n=args.n,
-                     page_size=args.page_size or 4096))
+    print_report(run(n=args.n, page_size=args.page_size))
     return 0
 
 

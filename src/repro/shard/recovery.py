@@ -3,41 +3,53 @@
 The paper's restart story is "reopen, then repair lazily on first use".
 For a group, that story parallelizes perfectly: each shard's repairs
 depend only on its own durable state and its own sync tokens, so the
-orchestrator reopens every dead shard concurrently in a thread pool and
-drives each one's first-use repairs to completion:
+orchestrator runs one **stage function** per dead shard, concurrently in
+a thread pool:
 
 1. ``StorageEngine.reopen`` over the shard's durable state (a crashed
-   shard re-seeds its counter; a cleanly stopped one keeps it);
-2. optionally an ``on_reopen`` hook — the test seam where crash policies
-   are installed to simulate a shard failing *again* mid-recovery;
-3. open the tree by meta-page kind, optionally fsck it read-only;
-4. **drive** the lazy repairs: a full range scan plus a structural check
-   touch every page the first-use detectors would examine, so the shard
-   is hot and verified rather than nominally open;
-5. sync, making the repairs durable.
+   shard re-seeds its counter; a cleanly stopped one keeps it), then the
+   optional ``on_reopen`` hook — the seam where tests install crash
+   policies to simulate a shard failing *again* mid-recovery, or run a
+   read-only ``fsck_tree`` before any repair — then open the tree by
+   meta-page kind;
+2. unless admitting: **drive** the lazy repairs — a descent into every
+   child slot plus a structural check touch every page the first-use
+   detectors would examine, so the shard is hot and verified rather
+   than nominally open;
+3. unless a log replay owns the durability point: sync, making the
+   repairs durable.
 
-Step 4 is the stop-the-world sweep — and the paper's whole point is that
-it is optional.  With ``admit_immediately=True`` the orchestrator stops
-after step 3: the shard rejoins the group *cold* (time-to-first-query is
-the reopen cost, independent of index size) and the sweep is handed to a
-background :class:`~repro.shard.heal.HealQueue` that steps it between
-foreground operations, hottest subtrees first.
+Which steps run is one row of the stage table:
 
-A group that logged through ``repro.wal.group`` has a third option:
-pass its :class:`~repro.wal.log.StableLog` as ``wal`` and the
-orchestrator reopens each dead shard cold, then runs the partitioned
-redo of :func:`repro.wal.parallel.replay_group` over exactly the
-reopened shards — serially or on the shard owner threads, with the
-sync-token redo test eliding records a completed sync already covered.
-Together with the log-less sweep that gives the four recovery modes the
-``repro.bench.logvolume`` matrix compares.
+======  ======================  ====================  =====================
+row     repair source           admission point       durability point
+======  ======================  ====================  =====================
+sweep   first-use sweep, now    after the sweep       the stage's own sync
+admit   ``HealQueue``, later    before any repair     the heal's last sync
+log     sweep, then log redo    after replay          replay's last sync
+======  ======================  ====================  =====================
 
-A shard that crashes again during its own recovery is isolated: its
-report carries the error, the orchestrator's pool finishes every sibling,
-and the returned group keeps the dead engine so a later pass can retry.
-Per-shard repair latency lands in the ``shard.recovery.*`` metrics (the
-``python -m repro.tools.stats --shards N`` view) and each completion
-emits a ``shard_recovery`` trace event.
+Step 2 is the stop-the-world sweep — and the paper's whole point is that
+it is optional.  With ``admit_immediately=True`` the shard rejoins the
+group *cold* (time-to-first-query is the reopen cost, independent of
+index size) and the sweep is handed to a background
+:class:`~repro.shard.heal.HealQueue` that steps it between foreground
+operations, hottest subtrees first.
+
+A group that logged through ``repro.wal.group`` passes its
+:class:`~repro.wal.log.StableLog` as ``wal``: each dead shard is swept
+without syncing, then :func:`repro.wal.parallel.replay_group` redoes the
+committed tail over exactly the reopened shards on the shard owner
+threads, the sync-token redo test eliding records a completed sync
+already covered.
+
+A shard that fails during its own recovery — crashing again, a refused
+open, a raising hook — is isolated: its report carries the error, the
+orchestrator's pool finishes every sibling, and the returned group keeps
+a dead engine for it so a later pass can retry.  Per-shard sweep latency
+lands in the ``shard.recovery.*`` metrics (the ``python -m
+repro.tools.stats --shards N`` view) and each shard's outcome emits a
+``shard_recovery`` trace event.
 """
 
 from __future__ import annotations
@@ -45,12 +57,26 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from ..errors import CrashError, ReproError
+from ..errors import CrashError
 from ..obs import get_registry, get_trace
 from ..storage.engine import StorageEngine
 from .engine import ShardedEngine, ShardedTree
+from .heal import HealQueue
+
+
+class _Stage(NamedTuple):
+    """One row of the stage table in the module docstring."""
+
+    mode: str       # ShardRecoveryReport.mode
+    sweep: bool     # drive the first-use repairs before returning
+    sync: bool      # the stage syncs them itself
+
+
+_SWEEP = _Stage("sweep", sweep=True, sync=True)
+_ADMIT = _Stage("admit", sweep=False, sync=False)
+_LOG = _Stage("log", sweep=True, sync=False)
 
 
 @dataclass
@@ -66,9 +92,8 @@ class ShardRecoveryReport:
     repairs: dict = field(default_factory=dict)
     repair_seconds: dict = field(default_factory=dict)
     keys_seen: int = 0
-    fsck_errors: int | None = None    # None when fsck was skipped
-    mode: str = "sweep"               # "sweep", "admit", or "wal:<mode>"
-    replay_seconds: float = 0.0       # WAL modes: this shard's redo time
+    mode: str = "sweep"               # "sweep", "admit", or "log"
+    replay_seconds: float = 0.0       # log row: this shard's redo time
 
 
 @dataclass
@@ -84,9 +109,9 @@ class GroupRecoveryReport:
     #: heal priorities and the repair log the heal drives is the one the
     #: serving handles observe.
     heal: object | None = field(default=None, repr=False)
-    #: WAL modes: the :class:`~repro.wal.parallel.GroupRedoStats` of the
+    #: log row: the :class:`~repro.wal.parallel.GroupRedoStats` of the
     #: replay pass (partition counts, elisions, redo wall time); None
-    #: for the log-less modes.
+    #: for the log-less rows.
     redo: object | None = field(default=None, repr=False)
 
     @property
@@ -119,15 +144,12 @@ class RecoveryOrchestrator:
         Thread-pool width; ``1`` degenerates to serial recovery (the
         baseline the scaling bench compares against), ``None`` uses one
         worker per shard.
-    fsck_first:
-        Run the read-only verifier on each reopened shard before driving
-        repairs, recording its error count in the report.  Ignored under
-        ``admit_immediately`` — a full read-only scan before admission
-        would reintroduce exactly the restart stall admission avoids.
     on_reopen:
         Optional ``(shard_index, engine) -> None`` hook called right
         after a shard's engine is reopened, before any repair work — the
-        seam tests use to install crash policies on recovering shards.
+        seam tests use to install crash policies on recovering shards,
+        and where a caller wanting a pre-repair verdict runs
+        ``fsck_tree(open_tree(engine, name))``.
     admit_immediately:
         Instant restart: reopen each crashed shard cold and put it back
         in service without driving a single repair — the first-use
@@ -137,29 +159,19 @@ class RecoveryOrchestrator:
     wal:
         A :class:`~repro.wal.log.StableLog` the group logged through
         (see ``repro.wal.group``).  When given, recovery is log-based:
-        each dead shard is reopened cold and then *replayed* from the
-        log instead of swept — ``wal_mode`` picks the discipline.
-        Incompatible with ``admit_immediately`` (replay must complete
-        before the shard's state answers queries correctly).
+        each dead shard is swept, then the log's committed tail is
+        *replayed* onto it.  Incompatible with ``admit_immediately``
+        (replay must complete before the shard's state answers queries
+        correctly).
     wal_mode:
-        ``"serial-physical"`` | ``"serial-logical"`` |
-        ``"parallel-logical"`` — which redo discipline
-        :func:`~repro.wal.parallel.replay_group` runs.  Together with
-        the log-less sweep these are the four recovery modes the
-        ``repro.bench.logvolume`` matrix compares.
+        Fixed at ``"parallel-logical"``, the one redo discipline there
+        is; kept as a keyword only because the frozen benchmark passes
+        it, until the next benchmark revision.
     wal_subparts:
-        Key-range sub-partitions per shard for the WAL modes.
+        Key-range sub-partitions per shard for the log replay.
     """
 
-    #: wal_mode -> (parallel, physical) for replay_group
-    WAL_MODES = {
-        "serial-physical": (False, True),
-        "serial-logical": (False, False),
-        "parallel-logical": (True, False),
-    }
-
     def __init__(self, *, max_workers: int | None = None,
-                 fsck_first: bool = False,
                  on_reopen: Callable[[int, StorageEngine], None]
                  | None = None,
                  admit_immediately: bool = False,
@@ -169,17 +181,16 @@ class RecoveryOrchestrator:
             raise ValueError(
                 "wal replay and admit_immediately are incompatible: a "
                 "shard must finish redo before it can serve queries")
-        if wal is not None and wal_mode not in self.WAL_MODES:
+        if wal_mode != "parallel-logical":
             raise ValueError(
-                f"unknown wal_mode {wal_mode!r}; expected one of "
-                f"{sorted(self.WAL_MODES)}")
+                f"unknown wal_mode {wal_mode!r}; the only redo "
+                f"discipline is 'parallel-logical'")
         self.max_workers = max_workers
-        self.fsck_first = fsck_first
         self.on_reopen = on_reopen
-        self.admit_immediately = admit_immediately
         self.wal = wal
-        self.wal_mode = wal_mode
         self.wal_subparts = wal_subparts
+        self._stage = (_ADMIT if admit_immediately
+                       else _LOG if wal is not None else _SWEEP)
         reg = get_registry()
         self._m_recovered = reg.counter("shard.recovery.recovered")
         self._m_failed = reg.counter("shard.recovery.failed")
@@ -202,155 +213,70 @@ class RecoveryOrchestrator:
         the repairs, and ``report.heal.tree`` is the serving handle
         whose accesses feed the heal priorities.
         """
+        stage = self._stage
         workers = self.max_workers or max(len(group), 1)
         started = perf_counter()
         engines: list[StorageEngine] = list(group.shards)
-        reports: list[ShardRecoveryReport | None] = [None] * len(group)
-        admitted_trees: dict[int, object] = {}
-        if self.admit_immediately:
-            mode = "admit"
-        elif self.wal is not None:
-            mode = f"wal:{self.wal_mode}"
-        else:
-            mode = "sweep"
-        recover_one = (self._admit_one if self.admit_immediately
-                       else self._reopen_for_replay
-                       if self.wal is not None
-                       else self._recover_one)
+        reports = [ShardRecoveryReport(shard=i, ok=True, mode=stage.mode)
+                   for i in range(len(group))]
+        reopened: dict[int, object] = {}
 
         targets = [i for i, e in enumerate(group.shards) if e.dead]
         if targets:
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="shard-rec") as pool:
                 futures = {
-                    i: pool.submit(recover_one, i, group.shard(i), name)
+                    i: pool.submit(self._recover_shard, i, group.shard(i),
+                                   name)
                     for i in targets
                 }
                 for i, future in futures.items():
-                    try:
-                        result = future.result()
-                    # a raising on_reopen hook (or any other
-                    # non-ReproError escape from one worker) must not
-                    # abort the pass and silently discard every sibling
-                    # already recovered: record a failed report, keep
-                    # the shard's dead engine, move on
-                    except Exception as exc:  # lint: disable=R005
-                        reports[i] = ShardRecoveryReport(
-                            shard=i, ok=False, mode=mode,
-                            error=f"{type(exc).__name__}: {exc}")
-                        self._m_failed.inc()
-                        get_trace().emit("shard_recovery", shard=i,
-                                         ok=False, repairs=0)
-                        continue
-                    if self.admit_immediately or self.wal is not None:
-                        engine, report, tree = result
-                        admitted_trees[i] = tree
-                    else:
-                        engine, report = result
-                    engines[i] = engine
-                    reports[i] = report
-        for i in range(len(group)):
-            if reports[i] is None:
-                reports[i] = ShardRecoveryReport(shard=i, ok=True,
-                                                 mode=mode)
+                    engines[i], reports[i], reopened[i] = future.result()
 
         out_group = ShardedEngine(engines)
-        redo = None
-        if self.wal is not None and targets:
-            redo = self._replay_targets(out_group, name, targets,
-                                        admitted_trees, reports)
-        out = GroupRecoveryReport(
-            shards=[r for r in reports if r is not None],
-            wall_seconds=perf_counter() - started,
-            max_workers=workers,
-        )
-        out.redo = redo
-        if self.admit_immediately:
-            out.heal = self._build_heal(out_group, name, admitted_trees,
-                                        admitted_at=started)
+        out = GroupRecoveryReport(shards=reports, max_workers=workers)
+        recovered = [i for i in targets if reports[i].ok]
+        if stage is _LOG and recovered:
+            out.redo = self._replay(
+                _serving_tree(out_group, name, reopened), recovered,
+                reports)
+        for i in targets:
+            self._publish(reports[i])
+        out.wall_seconds = perf_counter() - started
+        if stage is _ADMIT:
+            serving = _serving_tree(out_group, name, reopened)
+            if serving is not None:
+                out.heal = HealQueue(out_group, serving, recovered,
+                                     admitted_at=started)
         return out_group, out
 
     # -- one shard ---------------------------------------------------------
 
-    def _recover_one(self, index: int, dead_engine: StorageEngine,
-                     name: str) -> tuple[StorageEngine,
-                                         ShardRecoveryReport]:
-        report = ShardRecoveryReport(shard=index)
-        reg = get_registry()
-        label = str(index)
-        h_drive = reg.histogram("shard.recovery.seconds", shard=label)
-        m_repairs = reg.counter("shard.recovery.repairs", shard=label)
-        started = perf_counter()
-        engine = dead_engine
-        try:
-            engine = StorageEngine.reopen(dead_engine)
-            if self.on_reopen is not None:
-                self.on_reopen(index, engine)
-            tree = _open_member_tree(engine, name)
-            report.restart_seconds = perf_counter() - started
-            self._h_restart.observe(report.restart_seconds)
+    def _recover_shard(self, index: int, dead_engine: StorageEngine,
+                       name: str) -> tuple[StorageEngine,
+                                           ShardRecoveryReport,
+                                           object | None]:
+        """The stage function: reopen, then whatever this pass's row of
+        the stage table asks for.  Returns the engine the group should
+        hold, the shard's report, and its open tree (None on failure).
 
-            if self.fsck_first:
-                from ..tools.fsck import fsck_tree
-                report.fsck_errors = fsck_tree(tree).errors
+        Under the admit row the restart cost is the paper's claim —
+        control page plus meta page, independent of index size — and
+        first-use checks keep the shard safe to serve while the heal
+        queue drives the deferred sweep.
 
-            drive_start = perf_counter()
-            report.keys_seen = _drive_repairs(tree)
-            engine.sync()
-            report.drive_seconds = perf_counter() - drive_start
-
-            report.repairs = {
-                kind.value if hasattr(kind, "value") else str(kind): count
-                for kind, count in _repair_counts(tree).items()
-            }
-            report.repair_seconds = {
-                kind: summary["sum"]
-                for kind, summary in tree.repair_log.latency_summary().items()
-            }
-            report.ok = True
-            h_drive.observe(report.drive_seconds)
-            m_repairs.inc(sum(report.repairs.values()))
-            self._m_recovered.inc()
-        except CrashError as exc:
-            # the recovery incarnation itself crashed: the reopened
-            # engine is dead, so returning it keeps the shard gated
-            # exactly like the original dead engine did (if the error
-            # arrived without the engine actually dying — a raising
-            # hook — fall back to the dead engine so the shard cannot
-            # serve while reported failed)
-            report.error = f"crashed during recovery: {exc}"
-            if not engine.dead:
-                engine = dead_engine
-            self._m_failed.inc()
-        except ReproError as exc:
-            # non-crash failure after reopen (a raising verifier, a
-            # refused open): the reopened engine is *live but
-            # unverified* — returning it would let ``live_shards()``
-            # route traffic to a shard marked ok=False.  Keep the dead
-            # engine, as the docstring promises, so the shard stays
-            # gated until a retry pass heals it.
-            report.error = f"{type(exc).__name__}: {exc}"
-            engine = dead_engine
-            self._m_failed.inc()
-        get_trace().emit("shard_recovery", shard=index, ok=report.ok,
-                         duration=report.restart_seconds
-                         + report.drive_seconds,
-                         repairs=sum(report.repairs.values()))
-        return engine, report
-
-    # -- one shard, instant restart ----------------------------------------
-
-    def _admit_one(self, index: int, dead_engine: StorageEngine,
-                   name: str) -> tuple[StorageEngine,
-                                       ShardRecoveryReport, object | None]:
-        """Cold admission: reopen + open tree, nothing else.
-
-        The restart cost is the paper's claim — control page plus meta
-        page, independent of index size.  Every repair the sweep mode
-        would have driven is deferred to the heal queue; first-use
-        checks keep the shard safe to serve meanwhile.
+        The log row sweeps too: logical redo assumes a structurally
+        sound tree.  A torn sync can leave keys reachable only through a
+        first-use repair (a zeroed child slot, a stale dual path), and
+        replay only descends the paths its own records name — it would
+        sail past the damage and then *elide* the covered records that
+        should have resurfaced those keys.  The sweep's fixes stay in
+        the buffer pool — the replay completion sync is the single
+        durability point, so a re-crash there simply repeats repair +
+        redo (both idempotent).
         """
-        report = ShardRecoveryReport(shard=index, mode="admit")
+        stage = self._stage
+        report = ShardRecoveryReport(shard=index, mode=stage.mode)
         started = perf_counter()
         engine = dead_engine
         tree = None
@@ -360,171 +286,70 @@ class RecoveryOrchestrator:
                 self.on_reopen(index, engine)
             tree = _open_member_tree(engine, name)
             report.restart_seconds = perf_counter() - started
-            report.ok = True
             self._h_restart.observe(report.restart_seconds)
-            self._h_ttfq.observe(report.restart_seconds)
-            self._m_recovered.inc()
-        except CrashError as exc:
-            report.error = f"crashed during admission: {exc}"
-            if not engine.dead:
-                engine = dead_engine
-            tree = None
-            self._m_failed.inc()
-        except ReproError as exc:
-            # same contract as the sweep path: a non-crash failure keeps
-            # the dead engine so the shard stays gated
-            report.error = f"{type(exc).__name__}: {exc}"
-            engine = dead_engine
-            tree = None
-            self._m_failed.inc()
-        get_trace().emit("shard_recovery", shard=index, ok=report.ok,
-                         duration=report.restart_seconds, repairs=0)
-        return engine, report, tree
-
-    # -- one shard, log-based recovery ---------------------------------------
-
-    def _reopen_for_replay(self, index: int, dead_engine: StorageEngine,
-                           name: str) -> tuple[StorageEngine,
-                                               ShardRecoveryReport,
-                                               object | None]:
-        """Reopen and structurally repair a shard ahead of WAL replay.
-
-        Logical redo assumes a structurally sound tree: a torn sync can
-        leave keys reachable only through a first-use repair (a zeroed
-        child slot, a stale dual path), and replay only descends the
-        paths its own records name — it would sail past the damage and
-        then *elide* the covered records that should have resurfaced
-        those keys.  So replay mode pays the same repair sweep the
-        no-WAL path drives, then owes only the committed tail.  The
-        sweep's fixes stay in the buffer pool — the replay completion
-        sync is the single durability point, so a re-crash there simply
-        repeats repair + redo (both idempotent).
-
-        Success metrics and the ``shard_recovery`` trace are deferred to
-        :meth:`_replay_targets`, which knows whether redo survived.
-        """
-        report = ShardRecoveryReport(shard=index,
-                                     mode=f"wal:{self.wal_mode}")
-        started = perf_counter()
-        engine = dead_engine
-        tree = None
-        try:
-            engine = StorageEngine.reopen(dead_engine)
-            if self.on_reopen is not None:
-                self.on_reopen(index, engine)
-            tree = _open_member_tree(engine, name)
-            report.restart_seconds = perf_counter() - started
-            if self.fsck_first:
-                from ..tools.fsck import fsck_tree
-                report.fsck_errors = fsck_tree(tree).errors
-            drive_start = perf_counter()
-            report.keys_seen = _drive_repairs(tree)
-            report.drive_seconds = perf_counter() - drive_start
-            report.repairs = {
-                kind.value if hasattr(kind, "value") else str(kind): count
-                for kind, count in _repair_counts(tree).items()
-            }
-            report.ok = True
-            self._h_restart.observe(report.restart_seconds)
-        except CrashError as exc:
-            report.error = f"crashed during reopen for replay: {exc}"
-            if not engine.dead:
-                engine = dead_engine
-            tree = None
-            self._m_failed.inc()
-            get_trace().emit("shard_recovery", shard=index, ok=False,
-                             repairs=0)
-        except ReproError as exc:
-            # same contract as the sweep path: a non-crash failure keeps
-            # the dead engine so the shard stays gated
-            report.error = f"{type(exc).__name__}: {exc}"
-            engine = dead_engine
-            tree = None
-            self._m_failed.inc()
-            get_trace().emit("shard_recovery", shard=index, ok=False,
-                             repairs=0)
-        return engine, report, tree
-
-    def _replay_targets(self, group: ShardedEngine, name: str,
-                        targets: list[int],
-                        reopened_trees: dict[int, object],
-                        reports: list[ShardRecoveryReport | None]):
-        """Run the partitioned redo pass over the reopened shards and
-        fold the per-partition outcomes back into the shard reports.
-
-        Only the *targets* replay — shards that never died are current
-        already and never see a redo record.  A shard that crashes again
-        mid-replay keeps its (now dead) engine, so it stays gated for a
-        retry pass exactly like a sweep-mode failure."""
-        from ..wal.parallel import replay_group
-
-        parallel, physical = self.WAL_MODES[self.wal_mode]
-        trees: list[object | None] = []
-        codec = None
-        for i, engine in enumerate(group.shards):
-            tree = reopened_trees.get(i)
-            if tree is None and not engine.dead:
-                tree = _open_member_tree(engine, name)
-            trees.append(tree)
-            if tree is not None and codec is None:
-                codec = tree.codec
-        if codec is None:
-            return None     # every shard is dead: nothing to replay into
-        sharded = ShardedTree(group, name, trees, codec)
-        replayable = [i for i in targets
-                      if trees[i] is not None and not group.shard(i).dead]
-        redo = replay_group(self.wal, sharded, parallel=parallel,
-                            physical=physical, subparts=self.wal_subparts,
-                            shards=replayable)
-        for i in replayable:
-            report = reports[i]
-            if report is None:
-                continue
-            parts = redo.for_shard(i)
-            replay_seconds = sum(p.seconds for p in parts)
-            errors = [p.error for p in parts if p.error is not None]
-            if i in redo.crashed_shards or errors:
-                # fold the redo outcome in via a replacement report (a
-                # fresh instance, like the failed-report fallback in
-                # ``recover``) rather than mutating the one the reopen
-                # worker published
-                report = replace(
-                    report, ok=False, replay_seconds=replay_seconds,
-                    error=(errors[0] if errors
-                           else "crashed during replay sync"))
-                self._m_failed.inc()
+            if stage.sweep:
+                _sweep(tree, report, sync=stage.sync)
             else:
-                report = replace(report, replay_seconds=replay_seconds)
-                self._m_recovered.inc()
-            reports[i] = report
-            get_trace().emit("shard_recovery", shard=i, ok=report.ok,
-                             duration=report.restart_seconds
-                             + replay_seconds,
-                             repairs=0)
+                # admitted cold: the shard answers from here on
+                self._h_ttfq.observe(report.restart_seconds)
+            report.ok = True
+        # one shard's failure must not abort the pass and discard every
+        # sibling already recovered, whatever it raised (a hook bug
+        # included): record it, keep the shard gated, move on
+        except Exception as exc:  # lint: disable=R005
+            if isinstance(exc, CrashError):
+                # the recovery incarnation itself crashed: the reopened
+                # engine is dead, so returning it keeps the shard gated
+                # exactly like the original dead engine did
+                report.error = f"crashed during recovery: {exc}"
+            else:
+                report.error = f"{type(exc).__name__}: {exc}"
+            if not engine.dead:
+                # a refused open, a raising hook or verifier: the
+                # reopened engine is *live but unverified* — returning
+                # it would let ``live_shards()`` route traffic to a
+                # shard marked ok=False
+                engine = dead_engine
+            tree = None
+        return engine, report, tree
+
+    def _replay(self, serving: ShardedTree, recovered: list[int],
+                reports: list[ShardRecoveryReport]):
+        """Run the partitioned redo pass over the shards this pass
+        reopened and fold the per-partition outcomes back into their
+        reports.
+
+        Shards that never died are current already and never see a redo
+        record.  A shard that crashes again mid-replay keeps its (now
+        dead) engine, so it stays gated for a retry pass exactly like a
+        sweep failure."""
+        # call-time, through the module: ``repro.wal`` imports this
+        # package, and span recorders patch ``replay_group`` there
+        from ..wal import parallel
+
+        redo = parallel.replay_group(self.wal, serving,
+                                     subparts=self.wal_subparts,
+                                     shards=recovered)
+        for i in recovered:
+            parts = redo.for_shard(i)
+            errors = [p.error for p in parts if p.error is not None]
+            if i in redo.crashed_shards and not errors:
+                errors = ["crashed during replay sync"]
+            # a fresh instance rather than mutating the one the stage
+            # worker published
+            reports[i] = replace(
+                reports[i], ok=not errors,
+                error=errors[0] if errors else None,
+                replay_seconds=sum(p.seconds for p in parts))
         return redo
 
-    def _build_heal(self, group: ShardedEngine, name: str,
-                    admitted_trees: dict[int, object], *,
-                    admitted_at: float):
-        """One serving :class:`ShardedTree` over the admitted group plus
-        the heal queue driving its deferred repairs."""
-        from .heal import HealQueue
-
-        healing = sorted(i for i, t in admitted_trees.items()
-                         if t is not None)
-        trees: list[object | None] = []
-        codec = None
-        for i, engine in enumerate(group.shards):
-            tree = admitted_trees.get(i)
-            if tree is None and not engine.dead:
-                tree = _open_member_tree(engine, name)
-            trees.append(tree)
-            if tree is not None and codec is None:
-                codec = tree.codec
-        if codec is None:
-            return None     # every shard is dead: nothing serves or heals
-        sharded = ShardedTree(group, name, trees, codec)
-        return HealQueue(group, sharded, healing, admitted_at=admitted_at)
+    def _publish(self, report: ShardRecoveryReport) -> None:
+        (self._m_recovered if report.ok else self._m_failed).inc()
+        get_trace().emit("shard_recovery", shard=report.shard,
+                         ok=report.ok,
+                         duration=report.restart_seconds
+                         + report.drive_seconds + report.replay_seconds,
+                         repairs=sum(report.repairs.values()))
 
 
 def _open_member_tree(engine: StorageEngine, name: str):
@@ -532,29 +357,58 @@ def _open_member_tree(engine: StorageEngine, name: str):
     return open_tree(engine, name)
 
 
-def _drive_repairs(tree) -> int:
-    """Force every lazy first-use repair to run now, then validate.
+def _serving_tree(group: ShardedEngine, name: str,
+                  reopened: dict[int, object]) -> ShardedTree | None:
+    """One :class:`ShardedTree` over the post-recovery group: the member
+    trees this pass reopened (so the repair log a heal or replay drives
+    is the one the serving handles observe), fresh handles for shards
+    that never died, ``None`` for shards still dead.  Returns ``None``
+    when every shard is dead — nothing serves, heals or replays."""
+    trees: list[object | None] = []
+    for i, engine in enumerate(group.shards):
+        tree = reopened.get(i)
+        if tree is None and not engine.dead:
+            tree = _open_member_tree(engine, name)
+        trees.append(tree)
+    codec = next((t.codec for t in trees if t is not None), None)
+    if codec is None:
+        return None
+    return ShardedTree(group, name, trees, codec)
+
+
+def _sweep(tree, report: ShardRecoveryReport, *, sync: bool) -> None:
+    """Force every lazy first-use repair of *tree* to run now, validate,
+    and account for it in *report* and the per-shard
+    ``shard.recovery.*`` series.
 
     A scan alone is not enough: it walks the leaf peer chain, while the
     zeroed-child and range-mismatch repairs only fire on a parent→child
     *descent* — so ``drive_repairs`` descends into every child slot
     before scanning.  The validator runs last with the post-crash
     relaxations (stale dual paths may legally survive)."""
-    keys_seen = tree.drive_repairs()
+    drive_start = perf_counter()
+    report.keys_seen = tree.drive_repairs()
     tree.check(strict_tokens=False, require_peer_chain=False)
-    return keys_seen
-
-
-def _repair_counts(tree) -> dict:
-    counts: dict = {}
+    if sync:
+        tree.engine.sync()
+    report.drive_seconds = perf_counter() - drive_start
     for entry in tree.repair_log:
-        counts[entry.kind] = counts.get(entry.kind, 0) + 1
-    return counts
+        kind = getattr(entry.kind, "value", str(entry.kind))
+        report.repairs[kind] = report.repairs.get(kind, 0) + 1
+    report.repair_seconds = {
+        kind: summary["sum"]
+        for kind, summary in tree.repair_log.latency_summary().items()
+    }
+    reg = get_registry()
+    label = str(report.shard)
+    reg.histogram("shard.recovery.seconds",
+                  shard=label).observe(report.drive_seconds)
+    reg.counter("shard.recovery.repairs",
+                shard=label).inc(sum(report.repairs.values()))
 
 
 def recover_group(group: ShardedEngine, name: str, *,
                   parallel: bool = True,
-                  fsck_first: bool = False,
                   admit_immediately: bool = False,
                   wal=None, wal_mode: str = "parallel-logical",
                   wal_subparts: int = 1) \
@@ -563,10 +417,10 @@ def recover_group(group: ShardedEngine, name: str, *,
     crashed group in one call.  ``admit_immediately=True`` returns the
     group serving cold with ``report.heal`` still draining repairs.
     Passing ``wal`` (the group's :class:`~repro.wal.log.StableLog`)
-    switches to log-based recovery: reopen cold, then redo under
-    ``wal_mode`` (``report.redo`` carries the partition stats)."""
+    switches to log-based recovery: sweep, then redo the committed tail
+    (``report.redo`` carries the partition stats)."""
     orchestrator = RecoveryOrchestrator(
-        max_workers=None if parallel else 1, fsck_first=fsck_first,
+        max_workers=None if parallel else 1,
         admit_immediately=admit_immediately,
         wal=wal, wal_mode=wal_mode, wal_subparts=wal_subparts)
     return orchestrator.recover(group, name)

@@ -234,9 +234,7 @@ def run_wal_demo_workload(*, n_shards: int = 4, keys: int = 240,
         group.shard(index).crash_policy = CrashOnNthSync(1, keep=0)
     wal.commit()
 
-    orchestrator = RecoveryOrchestrator(wal=wal.log,
-                                        wal_mode="parallel-logical",
-                                        wal_subparts=2)
+    orchestrator = RecoveryOrchestrator(wal=wal.log, wal_subparts=2)
     group, recovery = orchestrator.recover(group, "ix")
     if not recovery.ok:  # pragma: no cover - guard
         raise SystemExit(

@@ -16,45 +16,28 @@ dirty page), so replay elides it.  A shard that *crashes* during the
 commit sync gets no mark: its post-mark records are exactly the redo
 work recovery owes it.
 
-Two disciplines share the shape:
-
-* :class:`GroupLogicalLoggingTree` — operation-level records over the
-  self-recovering trees (shadow/reorg/hybrid), the Section 4 proposal;
-* :class:`GroupPhysicalLoggingTree` — ARIES/IM-style key-granularity
-  records over the baseline trees, where every split additionally logs
-  one remove + one add per moved key (the volume baseline).
+The records are operation-level, over the self-recovering trees
+(shadow/reorg/hybrid) — the Section 4 proposal.  The physical
+(ARIES/IM-style) discipline it is compared against exists only per
+tree, in :mod:`repro.wal.physical`, as the log-volume baseline.
 """
 
 from __future__ import annotations
 
-from ..core.keys import CODECS, KeyCodec, TID
+from ..core.keys import KeyCodec, TID
 from ..errors import CrashError
 from ..shard.engine import ShardedEngine, ShardedTree
 from .log import RecordKind, StableLog
 from .logical import encode_op
-from .physical import PhysicalLoggingTree
 
 
-class _ShardLogView:
-    """Adapter a per-shard physical wrapper appends through: stamps each
-    record with the shard index and the shard engine's current sync
-    token before forwarding to the shared group log."""
+class GroupLogicalLoggingTree:
+    """Logical operation logging over a sharded self-recovering index.
 
-    def __init__(self, log: StableLog, shard: int, engine):
-        self._log = log
-        self._shard = shard
-        self._engine = engine
-
-    def append(self, xid: int, kind: RecordKind, payload: bytes) -> int:
-        return self._log.append(xid, kind, payload, shard=self._shard,
-                                token=self._engine.sync_state.token())
-
-    def force(self) -> None:
-        self._log.force()
-
-
-class _GroupWalBase:
-    """Shared commit/sync-mark discipline of both group disciplines."""
+    Only the user-level operation is logged — the payload comes from the
+    caller's arguments, never from page bytes — and splits log nothing:
+    the shadow/reorg machinery makes them self-repairing (Section 4).
+    """
 
     def __init__(self, group: ShardedEngine, tree: ShardedTree,
                  log: StableLog):
@@ -62,6 +45,13 @@ class _GroupWalBase:
         self.tree = tree
         self.log = log
         self.current_xid = 0
+
+    @classmethod
+    def create(cls, group: ShardedEngine, name: str, *,
+               kind: str = "shadow", codec: str | KeyCodec = "uint32",
+               log: StableLog | None = None) -> "GroupLogicalLoggingTree":
+        tree = group.create_tree(kind, name, codec=codec)
+        return cls(group, tree, log if log is not None else StableLog())
 
     def lookup(self, value):
         return self.tree.lookup(value)
@@ -90,22 +80,6 @@ class _GroupWalBase:
                             token=engine.sync_state.token())
         return crashed
 
-
-class GroupLogicalLoggingTree(_GroupWalBase):
-    """Logical operation logging over a sharded self-recovering index.
-
-    Only the user-level operation is logged — the payload comes from the
-    caller's arguments, never from page bytes — and splits log nothing:
-    the shadow/reorg machinery makes them self-repairing (Section 4).
-    """
-
-    @classmethod
-    def create(cls, group: ShardedEngine, name: str, *,
-               kind: str = "shadow", codec: str | KeyCodec = "uint32",
-               log: StableLog | None = None) -> "GroupLogicalLoggingTree":
-        tree = group.create_tree(kind, name, codec=codec)
-        return cls(group, tree, log if log is not None else StableLog())
-
     def insert(self, value, tid: TID) -> None:
         key = self.tree.codec.encode(value)
         shard = self.tree.router.shard_of(key)
@@ -121,48 +95,3 @@ class GroupLogicalLoggingTree(_GroupWalBase):
                         encode_op(key), shard=shard,
                         token=self.group.shard(shard).sync_state.token())
         self.tree.delete(value)
-
-
-class GroupPhysicalLoggingTree(_GroupWalBase):
-    """Physical key-granularity logging over a sharded baseline index.
-
-    Each shard's :class:`~repro.core.normal.NormalBLinkTree` is adopted
-    by a :class:`~repro.wal.physical.PhysicalLoggingTree` whose log is a
-    shard-tagging view of the shared group log, so split instrumentation
-    (one KEY_REMOVE + KEY_ADD per moved key, reading bytes off the page)
-    lands in the right partition automatically.
-    """
-
-    def __init__(self, group: ShardedEngine, tree: ShardedTree,
-                 log: StableLog,
-                 wrappers: list[PhysicalLoggingTree]):
-        super().__init__(group, tree, log)
-        self._wrappers = wrappers
-
-    @classmethod
-    def create(cls, group: ShardedEngine, name: str, *,
-               codec: str | KeyCodec = "uint32",
-               log: StableLog | None = None) -> "GroupPhysicalLoggingTree":
-        log = log if log is not None else StableLog()
-        codec_obj = CODECS[codec] if isinstance(codec, str) else codec
-        wrappers = [
-            PhysicalLoggingTree.create(
-                engine, name, codec=codec_obj,
-                log=_ShardLogView(log, index, engine))
-            for index, engine in enumerate(group.shards)
-        ]
-        tree = ShardedTree(group, name, [w.tree for w in wrappers],
-                           codec_obj)
-        return cls(group, tree, log, wrappers)
-
-    def _wrapper_for(self, value) -> PhysicalLoggingTree:
-        shard = self.tree.shard_of(value)
-        wrapper = self._wrappers[shard]
-        wrapper.current_xid = self.current_xid
-        return wrapper
-
-    def insert(self, value, tid: TID) -> None:
-        self._wrapper_for(value).insert(value, tid)
-
-    def delete(self, value) -> None:
-        self._wrapper_for(value).delete(value)

@@ -32,12 +32,9 @@ same shape over this repo's machinery:
   detected and counted as ``out_of_order``), so replay converges under
   repeated partial redo.
 
-The physical discipline replays the same way minus the redo test: the
-baseline substrate has no per-page LSN to test against, so an ARIES/IM
-log pays a full scan — user-level records re-apply idempotently and
-split-move records cost a page touch each, which is exactly how log
-volume turns into recovery time (the Section 4 argument the
-``repro.bench.logvolume`` matrix measures).
+Only logical records replay.  Physical (ARIES/IM-style) logging
+survives in :mod:`repro.wal.physical` as the Section 4 *volume*
+comparison; nothing redoes its records.
 """
 
 from __future__ import annotations
@@ -49,14 +46,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
-from ..core.keys import TID
 from ..errors import CrashError, WALError
 from ..errors import DuplicateKeyError, KeyNotFoundError
 from ..obs import get_registry, get_trace
 from ..storage.sync import token_older, tokens_match
 from .log import LogRecord, RecordKind, StableLog
 from .logical import decode_op
-from .physical import _KEYREC
 
 _OPREC = struct.Struct("<H")
 
@@ -77,7 +72,6 @@ class PartitionStats:
     out_of_order: int = 0          # state already ahead of the record
                                    # (duplicate insert / missing delete)
     skipped_uncommitted: int = 0   # xid never committed (redo losers)
-    touched: int = 0               # physical split records: page touches
     seconds: float = 0.0
     error: str | None = None
 
@@ -115,10 +109,6 @@ class GroupRedoStats:
         return self._sum("out_of_order")
 
     @property
-    def touched(self) -> int:
-        return self._sum("touched")
-
-    @property
     def ok(self) -> bool:
         return not self.crashed_shards and all(p.ok for p in self.partitions)
 
@@ -134,14 +124,11 @@ class GroupRedoStats:
 # ----------------------------------------------------------------------
 
 def record_key(record: LogRecord) -> bytes | None:
-    """The index key a record operates on (``None`` for PAGE_FORMAT)."""
+    """The index key a logical record operates on (``None`` for any
+    other kind)."""
     if record.kind in (RecordKind.OP_INSERT, RecordKind.OP_DELETE):
         (klen,) = _OPREC.unpack_from(record.payload, 0)
         return record.payload[2: 2 + klen]
-    if record.kind in (RecordKind.KEY_ADD, RecordKind.KEY_REMOVE):
-        _page, klen = _KEYREC.unpack_from(record.payload, 0)
-        start = _KEYREC.size
-        return record.payload[start: start + klen]
     return None
 
 
@@ -175,7 +162,7 @@ def subpart_of(key: bytes | None, subparts: int,
     given the split points of :func:`key_range_bounds`.  Key-stable by
     construction — the bounds are fixed for the whole plan, so every
     record of one key lands in the same sub-list and per-key LSN order
-    survives.  Keyless records (PAGE_FORMAT) go to range 0."""
+    survives.  Keyless records go to range 0."""
     if subparts <= 1 or key is None or bounds is None:
         return 0
     return bisect_right(bounds, _key_int(key))
@@ -222,20 +209,6 @@ def covered_by_mark(record: LogRecord, mark: LogRecord | None) -> bool:
 # one partition's redo
 # ----------------------------------------------------------------------
 
-def _touch_page(tree, page_no: int) -> bool:
-    """Physical split-record redo: visit the named page (a pin/unpin
-    read), bounded by the file's current extent."""
-    file = tree.file
-    if page_no <= 0 or page_no >= file.n_pages:
-        return False
-    buf = file.pin(page_no)
-    try:
-        pass
-    finally:
-        file.unpin(buf)
-    return True
-
-
 def _redo_logical(tree, record: LogRecord, stats: PartitionStats) -> None:
     if record.kind == RecordKind.OP_INSERT:
         key, tid = decode_op(record.payload, with_tid=True)
@@ -269,60 +242,21 @@ def _redo_logical(tree, record: LogRecord, stats: PartitionStats) -> None:
             stats.out_of_order += 1
 
 
-def _redo_physical(tree, record: LogRecord, stats: PartitionStats) -> None:
-    if record.kind == RecordKind.PAGE_FORMAT:
-        (page_no,) = struct.unpack_from("<I", record.payload, 0)
-        if _touch_page(tree, page_no):
-            stats.touched += 1
-        return
-    page_no, klen = _KEYREC.unpack_from(record.payload, 0)
-    if page_no != 0:
-        # a split-moved key: key-granularity page change records are
-        # re-verified against their page — the cost every extra
-        # physical record charges recovery with
-        if _touch_page(tree, page_no):
-            stats.touched += 1
-        return
-    start = _KEYREC.size
-    key = record.payload[start: start + klen]
-    extra = record.payload[start + klen:]
-    value = tree.codec.decode(key)
-    if record.kind == RecordKind.KEY_ADD:
-        tid = TID.unpack(record.payload, start + klen) if extra else None
-        existing = tree.lookup(value)
-        if existing is not None:
-            if tid is None or existing == tid:
-                stats.out_of_order += 1
-                return
-            raise WALError(
-                f"physical redo of {key.hex()} conflicts: index maps it "
-                f"to {existing}, log says {tid}")
-        tree.insert(value, tid)
-        stats.applied += 1
-    else:
-        try:
-            tree.delete(value)
-            stats.applied += 1
-        except KeyNotFoundError:
-            stats.out_of_order += 1
-
-
 def replay_partition(tree, records: Sequence[LogRecord],
                      committed: set[int], mark: LogRecord | None,
-                     stats: PartitionStats, *,
-                     committed_only: bool = True,
-                     physical: bool = False) -> None:
-    """Redo one LSN-ordered partition against one shard's member tree."""
-    redo = _redo_physical if physical else _redo_logical
+                     stats: PartitionStats) -> None:
+    """Redo one LSN-ordered partition against one shard's member tree:
+    losers (xid not in *committed*) are skipped, records *mark* covers
+    are elided, the rest re-execute."""
     for record in records:
         stats.records += 1
-        if committed_only and record.xid not in committed:
+        if record.xid not in committed:
             stats.skipped_uncommitted += 1
             continue
-        if not physical and covered_by_mark(record, mark):
+        if covered_by_mark(record, mark):
             stats.elided += 1
             continue
-        redo(tree, record, stats)
+        _redo_logical(tree, record, stats)
 
 
 # ----------------------------------------------------------------------
@@ -330,18 +264,18 @@ def replay_partition(tree, records: Sequence[LogRecord],
 # ----------------------------------------------------------------------
 
 def replay_group(log: StableLog, tree, *, parallel: bool = True,
-                 physical: bool = False, subparts: int = 1,
-                 committed_only: bool = True,
-                 shards: Sequence[int] | None = None,
-                 pool=None, sync_after: bool = True) -> GroupRedoStats:
+                 subparts: int = 1,
+                 shards: Sequence[int] | None = None) -> GroupRedoStats:
     """Partitioned redo of *log* against the sharded index *tree*.
 
     Scans the log once (through its append-time partition index),
     builds per-shard key-range partitions, and replays them — on the
-    shard owner threads of a :class:`~repro.shard.workers.ShardWorkerPool`
-    when *parallel* (a borrowed *pool*, or a temporary one), inline in
-    shard order when not (the serial baseline: identical partitioning
-    and redo test, no overlap).
+    shard owner threads of a temporary
+    :class:`~repro.shard.workers.ShardWorkerPool` when *parallel*,
+    inline in shard order when not (the serial reference the
+    equivalence tests compare against: identical partitioning and redo
+    test, no overlap).  Each shard ends with a completion sync, the
+    single durability point of its replayed state.
 
     Failure semantics mirror the group's everywhere else: a shard that
     crashes mid-replay stops its own partitions (recorded in
@@ -350,8 +284,7 @@ def replay_group(log: StableLog, tree, *, parallel: bool = True,
     subset converges — the redo test plus idempotent re-execution make
     repeated partial redo safe.
     """
-    mode = (f"{'parallel' if parallel else 'serial'}-"
-            f"{'physical' if physical else 'logical'}")
+    mode = "parallel" if parallel else "serial"
     started = perf_counter()
     group = tree.group
     targets = list(shards) if shards is not None \
@@ -380,7 +313,7 @@ def replay_group(log: StableLog, tree, *, parallel: bool = True,
         def job() -> None:
             member = tree.trees[shard]
             engine = group.shard(shard)
-            mark = None if physical else log.last_sync_mark(shard)
+            mark = log.last_sync_mark(shard)
             dead_reason: str | None = None
             if member is None or engine.dead:
                 dead_reason = f"shard {shard} is dead (unrecovered)"
@@ -391,8 +324,7 @@ def replay_group(log: StableLog, tree, *, parallel: bool = True,
                 part_started = perf_counter()
                 try:
                     replay_partition(member, records, committed, mark,
-                                     stats, committed_only=committed_only,
-                                     physical=physical)
+                                     stats)
                 except CrashError as exc:
                     stats.error = f"shard crashed mid-replay: {exc}"
                     dead_reason = f"shard {shard} crashed mid-replay"
@@ -411,7 +343,7 @@ def replay_group(log: StableLog, tree, *, parallel: bool = True,
                     shard=shard, subpart=stats.subpart,
                     applied=stats.applied, elided=stats.elided,
                     out_of_order=stats.out_of_order, ok=stats.ok)
-            if dead_reason is None and sync_after:
+            if dead_reason is None:
                 # the completion sync: make this shard's replayed state
                 # durable (and append-able as a future SYNC_MARK point)
                 try:
@@ -424,20 +356,14 @@ def replay_group(log: StableLog, tree, *, parallel: bool = True,
 
     jobs = {shard: make_job(shard) for shard in targets}
     if parallel and targets:
-        own_pool = pool is None
-        if own_pool:
-            from ..shard.workers import ShardWorkerPool
-            pool = ShardWorkerPool(tree)
-        try:
+        from ..shard.workers import ShardWorkerPool
+        with ShardWorkerPool(tree) as pool:
             waits = [(shard, *pool.submit(shard, jobs[shard]))
                      for shard in targets]
             for shard, done, errbox in waits:
                 done.wait()
                 if "error" in errbox:
                     raise errbox["error"]
-        finally:
-            if own_pool:
-                pool.close()
     else:
         for shard in targets:
             jobs[shard]()

@@ -1,83 +1,36 @@
-"""Redo drivers for the two logging disciplines (Section 4).
+"""Single-tree redo driver and the log-corruption probe (Section 4).
 
 Logical redo re-executes the logged operations against the (self-
 repairing) index; "recovery-time insertion of a second key which points to
 the same record is detected and prevented" — an insert whose key already
-maps to the same TID is skipped, an insert whose key maps elsewhere is an
-error.  Physical redo re-applies key-level page changes; it restores
-whatever bytes the log holds, including any corruption that was copied in.
+maps to the same TID counts as ``out_of_order``, an insert whose key maps
+elsewhere is an error.  The record-level work is
+:func:`repro.wal.parallel.replay_partition`, the same code the group
+replay runs per shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..core.btree_base import BLinkTree
-from ..errors import DuplicateKeyError, KeyNotFoundError, WALError
 from .log import LogRecord, RecordKind, StableLog
-from .logical import decode_op
-
-
-@dataclass
-class RedoStats:
-    applied: int = 0
-    skipped_duplicates: int = 0
-    skipped_missing: int = 0
-    elided: int = 0
-    conflicts: list[bytes] = field(default_factory=list)
+from .parallel import PartitionStats, replay_partition
 
 
 def logical_redo(log: StableLog, tree: BLinkTree, *,
                  from_lsn: int = 1,
-                 committed_only: bool = True,
-                 mark: LogRecord | None = None) -> RedoStats:
-    """Re-execute logical records against *tree*.
+                 mark: LogRecord | None = None) -> PartitionStats:
+    """Re-execute the log's committed logical records against *tree*.
 
-    With ``committed_only`` (default) only operations of transactions
-    whose COMMIT record made it into the log are replayed — the standard
-    redo-winners pass.  With *mark* (a durable SYNC_MARK record), the
-    Lomet-style redo test of :func:`repro.wal.parallel.covered_by_mark`
-    elides records a completed sync already made durable.
+    Only operations of transactions whose COMMIT record made it into the
+    log are replayed — the standard redo-winners pass.  With *mark* (a
+    durable SYNC_MARK record), the Lomet-style redo test of
+    :func:`repro.wal.parallel.covered_by_mark` elides records a
+    completed sync already made durable.
     """
-    from .parallel import covered_by_mark
-
-    stats = RedoStats()
-    committed = {
-        record.xid for record in log.records(from_lsn)
-        if record.kind == RecordKind.COMMIT
-    }
-    for record in log.records(from_lsn):
-        if committed_only and record.xid not in committed:
-            continue
-        if mark is not None and covered_by_mark(record, mark):
-            if record.kind in (RecordKind.OP_INSERT, RecordKind.OP_DELETE):
-                stats.elided += 1
-            continue
-        if record.kind == RecordKind.OP_INSERT:
-            key, tid = decode_op(record.payload, with_tid=True)
-            value = tree.codec.decode(key)
-            existing = tree.lookup(value)
-            if existing is not None:
-                if existing == tid:
-                    stats.skipped_duplicates += 1
-                    continue
-                stats.conflicts.append(key)
-                raise WALError(
-                    f"redo insert of {key.hex()} conflicts: index maps it "
-                    f"to {existing}, log says {tid}")
-            try:
-                tree.insert(value, tid)
-                stats.applied += 1
-            except DuplicateKeyError:  # pragma: no cover - raced above
-                stats.skipped_duplicates += 1
-        elif record.kind == RecordKind.OP_DELETE:
-            key, _ = decode_op(record.payload, with_tid=False)
-            value = tree.codec.decode(key)
-            try:
-                tree.delete(value)
-                stats.applied += 1
-            except KeyNotFoundError:
-                stats.skipped_missing += 1
+    stats = PartitionStats(shard=0, subpart=0)
+    ops = [record for record in log.records(from_lsn)
+           if record.kind in (RecordKind.OP_INSERT, RecordKind.OP_DELETE)]
+    replay_partition(tree, ops, log.committed_xids(), mark, stats)
     return stats
 
 

@@ -38,8 +38,7 @@ def test_heal_step_reachable_from_both_roles():
 def test_recovery_workers_run_as_shard_rec():
     model = package_model(SRC / "shard" / "recovery.py")
     roles = infer_roles(model)
-    assert "shard-rec" in roles.of("RecoveryOrchestrator._recover_one")
-    assert "shard-rec" in roles.of("RecoveryOrchestrator._admit_one")
+    assert "shard-rec" in roles.of("RecoveryOrchestrator._recover_shard")
 
 
 def test_role_witness_chain_starts_at_the_spawn():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro import (
     CrashError,
     CrashOnceKeepingPages,
@@ -10,7 +12,10 @@ from repro import (
     TREE_CLASSES,
 )
 from repro.core.nodeview import NodeView
+from repro.shard import ShardedEngine
+from repro.storage.crash import CrashOnNthSync
 from repro.storage.sync import tokens_match
+from repro.wal import GroupLogicalLoggingTree
 
 PAGE = 512
 
@@ -132,3 +137,48 @@ def verify_recovered(kind: str, engine, committed, *,
     assert committed <= found
     assert set(range(insert_from, insert_from + inserts)) <= found
     return tree2
+
+
+def build_wal_group(n_shards: int, *, committed_keys: int, tail_keys: int,
+                    page_size: int = PAGE, seed: int = 0,
+                    commit_every: int = 200):
+    """A crashed group whose log holds the full recovery recipe.
+
+    Even values ``0, 2, 4, ...`` are loaded in chunked transactions that
+    commit cleanly — each commit syncs every shard and appends its
+    SYNC_MARK, so these records are durably covered and elidable.  Then
+    one big tail transaction inserts *odd* values spread across the
+    whole key space (so its redo touches cold leaves everywhere), its
+    COMMIT is forced to the log, and every shard's commit sync crashes
+    keeping nothing: the tail is committed-but-unsynced — exactly the
+    work log-based recovery owes, and exactly what the log-less repair
+    sweep cannot get back.
+
+    Returns ``(group, wal, committed, tail)``; the index is ``"ix"``.
+    """
+    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed)
+    wal = GroupLogicalLoggingTree.create(group, "ix", kind="shadow")
+
+    committed = [2 * i for i in range(committed_keys)]
+    xid = 0
+    for start in range(0, len(committed), commit_every):
+        xid += 1
+        wal.current_xid = xid
+        for value in committed[start: start + commit_every]:
+            wal.insert(value, TID(1 + (value >> 9), value & 0xFF))
+        crashed = wal.commit()
+        assert not crashed, f"load-phase commit crashed shards {crashed}"
+
+    rng = random.Random(seed * 31 + n_shards)
+    tail = [2 * j + 1
+            for j in rng.sample(range(committed_keys), tail_keys)]
+    xid += 1
+    wal.current_xid = xid
+    for value in tail:
+        wal.insert(value, TID(7, value & 0xFF))
+    for index in range(n_shards):
+        group.shard(index).crash_policy = CrashOnNthSync(1, keep=0)
+    crashed = wal.commit()
+    assert sorted(crashed) == list(range(n_shards)), \
+        f"every shard should crash its commit sync, got {crashed}"
+    return group, wal, committed, tail

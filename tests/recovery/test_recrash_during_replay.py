@@ -17,10 +17,11 @@ campaign in ``test_recrash_during_heal.py``.
 
 import pytest
 
-from repro.bench.logvolume import build_wal_group
 from repro.shard import RecoveryOrchestrator, ShardedEngine
 from repro.storage import CrashOnNthSync, RecordingPolicy, SubsetEnumerator
 from repro.tools.fsck import fsck_group
+
+from .helpers import build_wal_group
 
 PAGE = 512
 N_SHARDS = 3
@@ -35,9 +36,7 @@ def build(seed):
 
 
 def recover(group, log, *, on_reopen=None):
-    orchestrator = RecoveryOrchestrator(wal=log,
-                                        wal_mode="parallel-logical",
-                                        wal_subparts=2,
+    orchestrator = RecoveryOrchestrator(wal=log, wal_subparts=2,
                                         on_reopen=on_reopen)
     return orchestrator.recover(group, "ix")
 

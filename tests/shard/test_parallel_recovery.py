@@ -3,10 +3,16 @@
 import pytest
 
 from repro import TID, CrashError
+from repro.core import open_tree
+from repro.errors import ReproError
 from repro.obs import get_registry, get_trace, metric_key
 from repro.shard import (RecoveryOrchestrator, ShardedEngine,
                          recover_group)
 from repro.storage import RandomSubsetCrash
+from repro.tools.fsck import fsck_tree
+from repro.wal import GroupLogicalLoggingTree
+
+from ..recovery.helpers import build_wal_group
 
 PAGE = 512
 KEYS = 240
@@ -98,14 +104,18 @@ def test_serial_and_parallel_recover_identical_state():
     assert parallel_report.max_workers == 4
 
 
-def test_fsck_first_reports_clean_after_reopen():
+def test_fsck_before_repair_is_an_on_reopen_hook():
     group, tree = build_group()
     crash_shards(group, tree, [3])
-    group2, report = RecoveryOrchestrator(fsck_first=True).recover(
+    fsck_errors = {}
+
+    def fsck_first(index, engine):
+        fsck_errors[index] = fsck_tree(open_tree(engine, "ix")).errors
+
+    group2, report = RecoveryOrchestrator(on_reopen=fsck_first).recover(
         group, "ix")
-    by_shard = {r.shard: r for r in report.shards}
-    assert by_shard[3].fsck_errors == 0
-    assert by_shard[0].fsck_errors is None  # live shard: fsck not run
+    assert report.ok
+    assert fsck_errors == {3: 0}    # live shards: hook never runs
 
 
 def test_recover_group_convenience_wrapper():
@@ -134,58 +144,95 @@ def test_recovery_emits_per_shard_metrics_and_traces():
     assert recovered == {1, 3}
 
 
-def test_raising_on_reopen_hook_does_not_discard_siblings():
-    # a hook bug (or any non-ReproError escape from one worker) must be
-    # contained to its shard: siblings recovered in the same pass stay
-    # recovered, the pass returns instead of raising
+def stage_case(stage):
+    """A crashed group with shards 0 and 2 (at least) dead, the
+    orchestrator keywords selecting *stage*'s row of the stage table,
+    and the keys a full recovery must bring back."""
+    if stage == "log":
+        group, wal, committed, tail = build_wal_group(
+            4, committed_keys=KEYS // 2, tail_keys=40, page_size=PAGE,
+            seed=17)
+        return group, {"wal": wal.log}, set(committed) | set(tail)
     group, tree = build_group()
     crash_shards(group, tree, [0, 2])
+    return group, {"admit_immediately": stage == "admit"}, set(range(KEYS))
+
+
+@pytest.mark.parametrize("error", [ValueError("hook bug on shard 0"),
+                                   ReproError("verifier refused shard 0")],
+                         ids=["hook-bug", "repro-error"])
+@pytest.mark.parametrize("stage", ["sweep", "admit", "log"])
+def test_failure_after_reopen_is_contained_and_keeps_the_shard_gated(
+        stage, error):
+    # whatever one shard's stage raises after its reopen — a hook bug, a
+    # refused open, a raising verifier — the reopened engine is live but
+    # unverified: the orchestrator must hand back the *dead* engine so
+    # live_shards() never routes traffic to a shard whose report says
+    # ok=False, and siblings recovered in the same pass stay recovered
+    # (the pass returns instead of raising)
+    group, kwargs, expected = stage_case(stage)
 
     def bad_hook(index, engine):
         if index == 0:
-            raise ValueError("hook bug on shard 0")
+            raise error
 
-    group2, report = RecoveryOrchestrator(on_reopen=bad_hook).recover(
-        group, "ix")
+    group2, report = RecoveryOrchestrator(on_reopen=bad_hook,
+                                          **kwargs).recover(group, "ix")
     assert not report.ok
     assert report.failed_shards() == [0]
     by_shard = {r.shard: r for r in report.shards}
-    assert "ValueError" in by_shard[0].error
-    assert by_shard[2].ok and by_shard[2].keys_seen > 0
+    assert type(error).__name__ in by_shard[0].error
+    assert by_shard[2].ok
+    assert (by_shard[2].keys_seen > 0) == (stage != "admit")
     # the victim keeps its dead engine; the sibling serves
-    assert group2.shard(0) is group.shard(0)
+    assert group2.shard(0) is group.shard(0), \
+        "failed shard must keep its dead engine, not the reopened one"
     assert set(group2.live_shards()) == {1, 2, 3}
     # a retry pass (hook fixed) heals the victim with siblings untouched
-    group3, retry = RecoveryOrchestrator().recover(group2, "ix")
+    group3, retry = RecoveryOrchestrator(**kwargs).recover(group2, "ix")
     assert retry.ok
     assert group3.shard(2) is group2.shard(2)
+    for heal in (report.heal, retry.heal):
+        if heal is not None:
+            heal.drain()
     scanned = {k for k, _ in group3.open_tree("ix").range_scan()}
-    assert set(range(KEYS)) <= scanned
+    assert expected <= scanned
 
 
-def test_non_crash_failure_keeps_the_shard_gated():
-    # a ReproError after reopen (a refused open, a raising verifier)
-    # leaves the reopened engine live but unverified — the orchestrator
-    # must hand back the *dead* engine so live_shards() never routes
-    # traffic to a shard whose report says ok=False
-    group, tree = build_group()
-    crash_shards(group, tree, [1])
+def test_log_recovery_reports_its_sweep_like_the_sweep_row():
+    # the log row runs the same repair sweep: its repairs must reach the
+    # report, the per-shard series and the trace event, not just the tree
+    group = ShardedEngine.create(2, page_size=PAGE, seed=17)
+    wal = GroupLogicalLoggingTree.create(group, "ix", kind="shadow")
+    for xid, start in enumerate(range(0, KEYS, 80), start=1):
+        wal.current_xid = xid
+        for k in range(start, start + 80):
+            wal.insert(2 * k, TID(1 + (k >> 8), k & 0xFF))
+        if start + 80 < KEYS:
+            assert wal.commit() == []
+    for index in range(2):
+        group.shard(index).crash_policy = RandomSubsetCrash(
+            p=1.0, seed=23 + index)
+    assert sorted(wal.commit()) == [0, 1]
 
-    from repro.errors import ReproError
-
-    def refuse(index, engine):
-        raise ReproError("verifier refused this shard")
-
-    group2, report = RecoveryOrchestrator(on_reopen=refuse).recover(
+    before = get_registry().snapshot()["histograms"]
+    recovered, report = RecoveryOrchestrator(wal=wal.log).recover(
         group, "ix")
-    assert report.failed_shards() == [1]
-    assert group2.shard(1) is group.shard(1), \
-        "failed shard must keep its dead engine, not the reopened one"
-    assert 1 not in group2.live_shards()
-    group3, retry = RecoveryOrchestrator().recover(group2, "ix")
-    assert retry.ok
-    scanned = {k for k, _ in group3.open_tree("ix").range_scan()}
-    assert set(range(KEYS)) <= scanned
+    assert report.ok
+    assert report.total_repairs > 0, "scenario must damage a page"
+    hists = get_registry().snapshot()["histograms"]
+    events = {e.detail["shard"]: e
+              for e in get_trace().events("shard_recovery")[-2:]}
+    for shard_report in report.shards:
+        index = shard_report.shard
+        key = metric_key("shard.recovery.seconds", {"shard": str(index)})
+        assert hists[key]["count"] > before.get(key, {}).get("count", 0)
+        assert events[index].detail["repairs"] == \
+            sum(shard_report.repairs.values())
+        assert set(shard_report.repair_seconds) == \
+            set(shard_report.repairs)
+    scanned = {k for k, _ in recovered.open_tree("ix").range_scan()}
+    assert {2 * k for k in range(KEYS)} <= scanned
 
 
 def test_recovery_of_a_clean_group_is_a_no_op():

@@ -13,7 +13,6 @@ seeds and shard counts.
 import pytest
 
 from repro import TID
-from repro.bench.logvolume import build_wal_group
 from repro.shard import RecoveryOrchestrator, ShardedEngine
 from repro.tools.fsck import fsck_group
 from repro.wal import (
@@ -26,6 +25,8 @@ from repro.wal import (
     replay_group,
     subpart_of,
 )
+
+from ..recovery.helpers import build_wal_group
 
 PAGE = 512
 
@@ -114,17 +115,17 @@ def test_partition_plan_covers_every_op_record_exactly_once():
 # serial/parallel equivalence (the property)
 # ----------------------------------------------------------------------
 
-def _recover(mode, subparts, *, n_shards, seed, physical=False):
+def _recover(mode, subparts, *, n_shards, seed):
     """Build the deterministic crashed group and recover it under one
     replay configuration; returns (group, stats, scan, committed, tail).
     """
     group, wal, committed, tail = build_wal_group(
         n_shards, committed_keys=180, tail_keys=60, page_size=PAGE,
-        seed=seed, physical=physical)
+        seed=seed)
     reopened = ShardedEngine.reopen(group)
     tree = reopened.open_tree("ix")
     stats = replay_group(wal.log, tree, parallel=(mode == "parallel"),
-                         physical=physical, subparts=subparts)
+                         subparts=subparts)
     assert stats.ok, stats.errors()
     scan = list(tree.range_scan())
     return reopened, stats, scan, committed, tail
@@ -150,21 +151,6 @@ def test_parallel_replay_equals_serial_replay(seed, n_shards):
         assert stats.applied == ref_stats.applied
         assert stats.elided == ref_stats.elided
         assert stats.elided > 0
-
-
-def test_parallel_physical_replay_equals_serial_physical():
-    ref_group, _stats, ref_scan, committed, tail = _recover(
-        "serial", 1, n_shards=3, seed=5, physical=True)
-    assert fsck_group(ref_group).errors == 0
-    group, stats, scan, _, _ = _recover(
-        "parallel", 2, n_shards=3, seed=5, physical=True)
-    assert scan == ref_scan
-    assert fsck_group(group).errors == 0
-    # no per-page LSN to test against: physical redo never elides, it
-    # re-verifies (idempotent skips) and pays a touch per split record
-    assert stats.elided == 0
-    assert stats.out_of_order > 0
-    assert stats.touched > 0
 
 
 def test_uncommitted_tail_is_skipped():
@@ -210,16 +196,14 @@ def test_replay_reports_dead_shards_instead_of_raising():
 # through the orchestrator
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("wal_mode", ["serial-logical", "parallel-logical"])
-def test_orchestrator_wal_modes_recover_the_committed_tail(wal_mode):
+def test_orchestrator_log_replay_recovers_the_committed_tail():
     group, wal, committed, tail = build_wal_group(
         4, committed_keys=160, tail_keys=60, page_size=PAGE, seed=21)
-    orchestrator = RecoveryOrchestrator(wal=wal.log, wal_mode=wal_mode,
-                                        wal_subparts=2)
+    orchestrator = RecoveryOrchestrator(wal=wal.log, wal_subparts=2)
     recovered, report = orchestrator.recover(group, "ix")
     assert report.ok, [(r.shard, r.error) for r in report.shards]
     assert report.redo is not None and report.redo.elided > 0
-    assert all(r.mode == f"wal:{wal_mode}" for r in report.shards)
+    assert all(r.mode == "log" for r in report.shards)
     assert all(r.replay_seconds >= 0.0 for r in report.shards)
     tree = recovered.open_tree("ix")
     values = {v for v, _ in tree.range_scan()}
@@ -231,5 +215,9 @@ def test_orchestrator_rejects_wal_with_instant_restart():
     from repro.wal import StableLog
     with pytest.raises(ValueError):
         RecoveryOrchestrator(wal=StableLog(), admit_immediately=True)
+    # one redo discipline: the removed modes are rejected, logged or not
+    for wal_mode in ("bogus", "serial-logical", "serial-physical"):
+        with pytest.raises(ValueError):
+            RecoveryOrchestrator(wal=StableLog(), wal_mode=wal_mode)
     with pytest.raises(ValueError):
-        RecoveryOrchestrator(wal=StableLog(), wal_mode="bogus")
+        RecoveryOrchestrator(wal_mode="serial-logical")

@@ -1,9 +1,13 @@
 """The WAL comparison layer: log substrate, both disciplines, redo."""
 
+import random
+
 import pytest
 
-from repro import StorageEngine, ShadowBLinkTree, TID
+from repro import CrashError, StorageEngine, ShadowBLinkTree, TID
+from repro.core import open_tree
 from repro.errors import WALError
+from repro.storage import RandomSubsetCrash
 from repro.wal import (
     LogicalLoggingTree,
     PhysicalLoggingTree,
@@ -123,7 +127,7 @@ def test_redo_is_idempotent():
     logical_redo(logi.log, fresh)
     stats = logical_redo(logi.log, fresh)
     assert stats.applied == 0
-    assert stats.skipped_duplicates == 300
+    assert stats.out_of_order == 300
 
 
 def test_redo_conflicting_tid_is_an_error():
@@ -173,8 +177,41 @@ def test_redo_deletes_replay_and_tolerate_missing():
     # replaying in order re-inserts key 3 and re-deletes it; the other
     # nine inserts are recognized as duplicates
     assert stats2.applied == 2
-    assert stats2.skipped_duplicates == 9
+    assert stats2.out_of_order == 9
     assert fresh.lookup(3) is None
+
+
+@pytest.mark.parametrize("seed", [8, 45, 60])
+def test_redo_onto_a_torn_sync_heals_the_peer_path(seed):
+    """Redo must *attempt* each insert, not probe with a lookup first:
+    reads skip the Section 3.5.1 first-insert check, so a probe finds a
+    key a torn sync already persisted and skips the record without
+    healing the leaf's peer path — the key answers ``lookup`` but is
+    missing from ``range_scan``."""
+    engine = StorageEngine.create(page_size=512, seed=seed)
+    logi = LogicalLoggingTree.create(engine, "ix", kind="shadow")
+    for start in range(0, 300, 50):
+        logi.current_xid += 1
+        for i in range(start, start + 50):
+            logi.insert(2 * i, tid_for(2 * i))
+        logi.commit()
+    tail = [2 * j + 1
+            for j in random.Random(seed).sample(range(300), 120)]
+    logi.current_xid += 1
+    for value in tail:
+        logi.insert(value, tid_for(value))
+    engine.crash_policy = RandomSubsetCrash(0.5, seed=seed)
+    with pytest.raises(CrashError):
+        logi.commit()     # the COMMIT record is forced; the sync tears
+
+    tree = open_tree(StorageEngine.reopen(engine), "ix")
+    logical_redo(logi.log, tree)
+    scanned = {k for k, _ in tree.range_scan()}
+    missing = sorted((set(range(0, 600, 2)) | set(tail)) - scanned)
+    assert not missing, f"logged committed keys lost from scan: {missing}"
+    tree.check(strict_tokens=False, require_peer_chain=False)
+    # idempotent on the crashed tree too, not only on a fresh one
+    assert logical_redo(logi.log, tree).applied == 0
 
 
 # -- corruption propagation (Section 4) ----------------------------------------
