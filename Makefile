@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check flow hotpath instantrestart lint races serving shard \
+.PHONY: check flow instantrestart lint races serving shard \
 	test test-sanitized threads walreplay
 
 check:
@@ -28,10 +28,6 @@ shard:
 		tests/recovery/test_shard_crash_during_recovery.py
 	python -m repro.bench.shardrecovery --smoke --json \
 		> BENCH_shard_recovery.json
-
-hotpath:
-	python -m pytest -x -q tests/fastpath
-	python -m repro.bench.hotpath --smoke --json > BENCH_hotpath.json
 
 instantrestart:
 	python -m pytest -x -q tests/shard/test_instant_restart.py

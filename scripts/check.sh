@@ -90,19 +90,6 @@ print(f\"4-shard parallel recovery speedup {four['speedup']:.2f}x \"
       f\"over serial ({four['parallel']['keys_verified']} keys verified)\")
 "
 
-echo "==> hot-path bench smoke (python -m repro.bench.hotpath)"
-python -m repro.bench.hotpath --smoke --json > BENCH_hotpath.json
-python -c "
-import json
-doc = json.load(open('BENCH_hotpath.json'))
-assert doc['ok'], doc['gate']
-gate = doc['gate']
-print(f\"hot-path gate at {gate['n_keys']} keys: \"
-      f\"lookup x{gate['lookup_ratio']:.2f} \"
-      f\"batched insert x{gate['batch_insert_ratio']:.2f} \"
-      f\"(recovery spot check ok)\")
-"
-
 echo "==> instant-restart bench smoke (python -m repro.bench.instantrestart)"
 python -m repro.bench.instantrestart --smoke --json \
     > BENCH_instant_restart.json

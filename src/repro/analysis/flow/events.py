@@ -88,7 +88,7 @@ class Event:
 
 
 #: Call targets that produce a derived view sharing the buffer's fact.
-VIEW_MAKERS = {"_view", "NodeView", "MetaView"}
+VIEW_MAKERS = {"node_of", "NodeView", "MetaView"}
 #: Wrappers that bundle a pinned buffer but leave custody with the
 #: caller's scope (``PathEntry(page_no, buf, view, bounds)``): the
 #: target aliases the buffer's fact instead of the buffer escaping.

@@ -51,6 +51,7 @@ PIN_RETURNERS: dict[str, tuple[tuple[int, ...] | None, bool]] = {
     "pin_meta": (None, False),
     "allocate_virtual": (None, False),
     "_pin": ((0,), False),          # (buf, view)
+    "_pin_node": ((0,), False),     # (buf, node)
     "_read_meta": ((0,), False),    # (buf, meta)
     "_alloc": ((1,), False),        # (page_no, buf, view) — born dirty
     "_finger_entry": (None, True),  # PathEntry or None
@@ -60,8 +61,9 @@ PIN_RETURNERS: dict[str, tuple[tuple[int, ...] | None, bool]] = {
 #: caller keeps the pin obligation, so the fact does not escape.
 BORROW_NAMES: set[str] = BORROWING_CALLEES | {
     # page/view constructors and validators
-    "_view", "NodeView", "MetaView", "valid_magic", "is_zeroed",
-    "try_read_header", "tokens_match", "token_older", "copy_page",
+    "node_of", "NodeView", "MetaView", "valid_magic",
+    "is_zeroed", "try_read_header", "tokens_match", "token_older",
+    "copy_page",
     # repo-wide read-only hooks on descent paths
     "_check_child", "_vet_intra_page", "_before_page_update",
     "_finger_usable", "schedule_point",

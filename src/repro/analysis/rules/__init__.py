@@ -26,8 +26,7 @@ R008      no blocking call (sync, sleep, join, bare acquire, write-latch
 R009      every latch / split-lock acquisition has a release reachable on
           every exception edge — ``try/finally``, a re-raising handler, or
           release as the immediately following statement
-R010      frame-content mutations invalidate the fastpath decoded-key
-          cache: NodeView key-set mutators drop ``cached_keys``,
+R010      frame-content mutations invalidate the frame's decoded node:
           buffer-pool content events show a ``Buffer.version`` bump, and
           ``note_insert``/``note_delete`` run after the dirty-marking
           that bumps the version

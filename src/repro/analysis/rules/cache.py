@@ -1,20 +1,22 @@
-"""R010 — frame-content mutations must invalidate the fastpath caches.
+"""R010 — frame-content mutations must invalidate the decoded node.
 
-The decoded-key directory (:mod:`repro.fastpath`) is keyed on
-``(page_no, Buffer.version)``: it stays correct only because
+A frame's decoded node (``Buffer.node``, :class:`repro.core.nodeview.
+DecodedNode`) is current exactly while its stamp equals
+``Buffer.version``: it stays correct only because
 
-* every :class:`NodeView` mutator that changes a page's key set drops the
-  view's attached ``cached_keys`` list, and
 * every buffer-pool event that changes (or rebinds) a frame's content
   bumps ``Buffer.version``, and
 * incremental maintenance (``note_insert`` / ``note_delete``) runs
   *after* the dirty-marking that bumps the version, so the restamped
-  entry carries the post-mutation version.
+  node carries the post-mutation version.
 
-A mutation path that forgets any of those re-serves stale keys: searches
+A mutation path that forgets either re-serves stale keys: searches
 bisect a list that no longer matches the page bytes — silent wrong
 results, invisible to tests that never interleave the exact mutation
-with a cached read.  R010 makes each leg structurally checkable.
+with a decoded read.  R010 makes each leg structurally checkable (the
+byte-level :class:`NodeView` carries no decoded state, so its mutators
+have nothing to drop; the runtime sanitizer compares node and bytes on
+every unpin).
 """
 
 from __future__ import annotations
@@ -31,19 +33,12 @@ from ..lint import (
     walk_function_scope,
 )
 
-#: NodeView methods that change the page's *key set* (not just header
-#: fields) and therefore must drop the attached decoded-key list.
-KEYSET_MUTATOR_DEFS = {
-    "init_page", "insert_item", "delete_item", "replace_items",
-    "restore_backup",
-}
-
 #: Buffer-pool events that change or rebind a frame's content; the scope
 #: must show version evidence (a ``.version`` store, a ``_next_version``
 #: call, or constructing a fresh ``Buffer``, which self-versions).
 VERSION_EVIDENCE_CALLEES = {"_next_version", "Buffer"}
 
-#: Incremental cache-maintenance calls that restamp a directory entry to
+#: Incremental maintenance calls that restamp a decoded node to
 #: ``buf.version`` and therefore must follow the version bump.
 NOTE_CALLEES = {"note_insert", "note_delete"}
 
@@ -55,53 +50,25 @@ def _normalized(ctx: FileContext) -> str:
     return ctx.rel_path.replace("\\", "/")
 
 
-def _assigns_attr(node: ast.AST, attr: str, *,
-                  self_only: bool = False) -> bool:
-    if not isinstance(node, ast.Assign):
-        return False
-    for target in node.targets:
-        if isinstance(target, ast.Attribute) and target.attr == attr:
-            if not self_only:
-                return True
-            if isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                return True
-    return False
+def _assigns_attr(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Attribute) and target.attr == attr
+        for target in node.targets)
 
 
 class StaleCacheInvalidationRule(Rule):
     rule_id = "R010"
-    summary = "frame mutation without decoded-key cache invalidation"
+    summary = "frame mutation without decoded-node invalidation"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         path = _normalized(ctx)
-        if path.endswith("core/nodeview.py"):
-            yield from self._check_nodeview(ctx)
-        elif path.endswith("storage/buffer_pool.py"):
+        if path.endswith("storage/buffer_pool.py"):
             yield from self._check_buffer_pool(ctx)
         elif "/core/" in path or "/storage/" in path \
                 or path.startswith(("core/", "storage/")):
             yield from self._check_note_ordering(ctx)
 
-    # -- leg 1: NodeView key-set mutators drop cached_keys -----------------
-
-    def _check_nodeview(self, ctx: FileContext) -> Iterator[Violation]:
-        for fn in iter_functions(ctx.tree):
-            if fn.name not in KEYSET_MUTATOR_DEFS:
-                continue
-            drops = any(
-                _assigns_attr(node, "cached_keys", self_only=True)
-                for node in walk_function_scope(fn)
-            )
-            if not drops:
-                yield self.violation(
-                    ctx, fn,
-                    f"{fn.name}() changes the page's key set but never "
-                    "assigns self.cached_keys — a fastpath search over "
-                    "the stale decoded list returns wrong slots",
-                )
-
-    # -- leg 2: buffer-pool content events carry version evidence ----------
+    # -- buffer-pool content events carry version evidence ----------
 
     def _check_buffer_pool(self, ctx: FileContext) -> Iterator[Violation]:
         for fn in iter_functions(ctx.tree):
@@ -133,11 +100,11 @@ class StaleCacheInvalidationRule(Rule):
                     ctx, node,
                     f"{what} changes/rebinds frame content but this scope "
                     "shows no version evidence (.version store, "
-                    "_next_version(), or Buffer(...)) — cache entries "
-                    "keyed on the old version would keep matching",
+                    "_next_version(), or Buffer(...)) — a node decoded "
+                    "at the old version would keep matching",
                 )
 
-    # -- leg 3: note_* maintenance runs after the version bump -------------
+    # -- note_* maintenance runs after the version bump -------------
 
     def _check_note_ordering(self, ctx: FileContext) -> Iterator[Violation]:
         for fn in iter_functions(ctx.tree):
@@ -157,16 +124,16 @@ class StaleCacheInvalidationRule(Rule):
                 if first_dirty_line is None:
                     yield self.violation(
                         ctx, call,
-                        f"{callee_name(call)}() restamps a cache entry to "
+                        f"{callee_name(call)}() restamps a decoded node to "
                         "buf.version but this scope never marks the "
-                        "buffer dirty — the entry keeps the pre-mutation "
+                        "buffer dirty — the node keeps the pre-mutation "
                         "version and serves stale keys",
                     )
                 elif getattr(call, "lineno", 0) < first_dirty_line:
                     yield self.violation(
                         ctx, call,
                         f"{callee_name(call)}() runs before the scope's "
-                        "mark_dirty — the restamped entry captures the "
+                        "mark_dirty — the restamped node captures the "
                         "pre-bump version, so the updated list is "
                         "discarded by the next version check",
                     )

@@ -26,6 +26,11 @@ Checks (each mapped to the paper section it guards):
   root only via the deferred (post-sync) path, and a page referenced by a
   cached prevPtr is never freed immediately without the key-range
   protection of Section 3.3.3.
+* **stale decoded nodes** (read path) — a frame's decoded node
+  (``Buffer.node``) that carries the frame's current ``version`` must
+  equal a fresh decode of the bytes.  Checked on every ``unpin``; it
+  catches a mutation without ``mark_dirty``, a header setter racing a
+  decoded field, and a wrong incremental ``note_insert``/``note_delete``.
 """
 
 from __future__ import annotations
@@ -139,6 +144,20 @@ class SanitizedBufferPool(BufferPool):
         sites = self._pin_sites.get(buf.page_no)
         if sites:
             sites.pop()
+        node = buf.node
+        # not while an exception unwinds through this unpin: the operation
+        # is being abandoned mid-write (a repair that gave up on garbage),
+        # and the error in flight is the one to report
+        if node is not None and node.version == buf.version \
+                and _checks_active() and sys.exc_info()[1] is None:
+            problem = node.mismatch()
+            if problem is not None:
+                raise SanitizerError(
+                    f"page {buf.page_no} of {self._disk.name!r} was "
+                    f"unpinned with a decoded node that claims the "
+                    f"frame's current version but not its bytes "
+                    f"({problem}) — a mutation skipped its version bump "
+                    f"or a note_* update went wrong")
 
     def dirty_batch(self) -> dict[int, bytes]:
         if _checks_active():

@@ -32,11 +32,11 @@ actually found on the child.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Iterator
 
-from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF
+from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
 from ..obs import get_registry, get_trace
 from ..errors import (
     DuplicateKeyError,
@@ -52,7 +52,7 @@ from ..storage import (
     try_read_header,
     valid_magic,
 )
-from ..fastpath import FastPath, fastpath_enabled
+from ..fastpath import FastPath
 from ..storage.buffer_pool import Buffer
 from ..storage.engine import StorageEngine
 from ..storage.pagefile import PageFile
@@ -61,18 +61,35 @@ from .concurrency import schedule_point
 from .detect import Action, DetectionReport, Kind, RepairLog
 from .keys import CODECS, FULL_BOUNDS, MIN_KEY, TID, KeyBounds, KeyCodec
 from .meta import MetaView
-from .nodeview import NodeView
+from .nodeview import DecodedNode, NodeView, node_of
 
 
-@dataclass
 class PathEntry:
-    """One pinned page on the root-to-leaf path of an update descent."""
+    """One pinned page on the root-to-leaf path of a descent.
 
-    page_no: int
-    buffer: Buffer
-    view: NodeView
-    bounds: KeyBounds
-    slot: int = -1  # routing slot taken toward the child (internal pages)
+    Both faces of the page derive from the pinned buffer, so neither can
+    outlive a remap or go stale across a version bump: ``node`` is the
+    frame's decoded node (what reads use), ``view`` a byte-level
+    :class:`NodeView` (what writers and repairs use).
+    """
+
+    __slots__ = ("page_no", "buffer", "bounds", "slot")
+
+    def __init__(self, page_no: int, buffer: Buffer, bounds: KeyBounds,
+                 slot: int = -1):
+        self.page_no = page_no
+        self.buffer = buffer
+        self.bounds = bounds
+        #: routing slot taken toward the child (internal pages)
+        self.slot = slot
+
+    @property
+    def node(self) -> DecodedNode:
+        return node_of(self.buffer)
+
+    @property
+    def view(self) -> NodeView:
+        return NodeView(self.buffer.data)
 
 
 class BLinkTree:
@@ -121,12 +138,10 @@ class BLinkTree:
         # only be discovered at restart, and restarts build a new tree
         # object
         self._root_cache: int | None = None
-        # hot-path layer (decoded-key directory + leaf finger); None when
-        # disabled.  Fingers die with the tree object, so a crash reopen
-        # (which builds a new tree) flushes them by construction.
-        self._fastpath: FastPath | None = (
-            FastPath(kind=self.KIND, file_name=file.name)
-            if fastpath_enabled() else None)
+        # hot-path layer (search counters + leaf finger).  Fingers die
+        # with the tree object, so a crash reopen (which builds a new
+        # tree) flushes them by construction.
+        self._fastpath = FastPath(kind=self.KIND, file_name=file.name)
         # structure epoch: bumped on root changes and page reclamation;
         # together with the split counter and the repair-log length it
         # forms the finger's invalidation stamp (splits and repairs/heals
@@ -149,19 +164,19 @@ class BLinkTree:
 
     @property
     def stats_cache_hits(self) -> int:
-        return 0 if self._fastpath is None else self._fastpath.cache_hits
+        return self._fastpath.cache_hits
 
     @property
     def stats_cache_misses(self) -> int:
-        return 0 if self._fastpath is None else self._fastpath.cache_misses
+        return self._fastpath.cache_misses
 
     @property
     def stats_finger_hits(self) -> int:
-        return 0 if self._fastpath is None else self._fastpath.finger_hits
+        return self._fastpath.finger_hits
 
     @property
     def stats_finger_flushes(self) -> int:
-        return 0 if self._fastpath is None else self._fastpath.finger_flushes
+        return self._fastpath.finger_flushes
 
     # ------------------------------------------------------------------
     # construction
@@ -240,18 +255,14 @@ class BLinkTree:
         return self.engine.sync_state.last_crash_token
 
     def _pin(self, page_no: int) -> tuple[Buffer, NodeView]:
+        """Pin a page for byte-level work (writers, repairs)."""
         buf = self.file.pin(page_no)
-        return buf, self._view(buf)
+        return buf, NodeView(buf.data, self.page_size)
 
-    def _view(self, buf: Buffer) -> NodeView:
-        """A :class:`NodeView` over *buf* with the decoded-key directory
-        attached when the fastpath is on (searches bisect the cached list
-        instead of unpacking per probe)."""
-        view = NodeView(buf.data, self.page_size)
-        fp = self._fastpath
-        if fp is not None and buf.page_no is not None:
-            view.cached_keys = fp.keys_for(buf, view)
-        return view
+    def _pin_node(self, page_no: int) -> tuple[Buffer, DecodedNode]:
+        """Pin a page for reading."""
+        buf = self.file.pin(page_no)
+        return buf, node_of(buf)
 
     def _unpin(self, buf: Buffer) -> None:
         self.file.unpin(buf)
@@ -430,16 +441,10 @@ class BLinkTree:
     # descent
     # ------------------------------------------------------------------
 
-    def _child_bounds(self, view: NodeView, slot: int,
+    def _child_bounds(self, node: DecodedNode | NodeView, slot: int,
                       bounds: KeyBounds) -> KeyBounds:
-        keys = view.cached_keys
-        if keys is not None:
-            lo = keys[slot]
-            hi = keys[slot + 1] if slot + 1 < len(keys) else None
-        else:
-            lo = view.key_at(slot)
-            hi = view.key_at(slot + 1) if slot + 1 < view.n_keys else None
-        return bounds.child(lo, hi)
+        hi = node.key_at(slot + 1) if slot + 1 < node.n_keys else None
+        return bounds.child(node.key_at(slot), hi)
 
     def _descend(self, key: bytes, *, stop_level: int = 0) -> list[PathEntry]:
         """Descend from the root toward *key*, verifying and repairing each
@@ -452,26 +457,27 @@ class BLinkTree:
         path: list[PathEntry] = []
         page_no = root
         bounds = FULL_BOUNDS
-        buf, view = self._pin(page_no)
+        fp = self._fastpath
+        buf = self.file.pin(page_no)
         try:
             while True:
-                page_no, buf, view, bounds = self._follow_moves(
-                    page_no, buf, view, bounds, key)
-                entry = PathEntry(page_no, buf, view, bounds)
-                if view.level == stop_level:
+                page_no, buf, node, bounds = self._follow_moves(
+                    page_no, buf, bounds, key)
+                entry = PathEntry(page_no, buf, bounds)
+                level = node.level
+                if level == stop_level:
                     path.append(entry)
                     return path
-                slot = view.route(key)
+                slot = node.route(key, fp)
                 entry.slot = slot
-                child_no = view.child_at(slot)
-                child_bounds = self._child_bounds(view, slot, bounds)
+                child_no = node.child_at(slot)
+                child_bounds = self._child_bounds(node, slot, bounds)
                 child_buf = self.file.pin(child_no)
                 try:
                     schedule_point("pin_child", page=child_no)
-                    child_view = self._view(child_buf)
                     if self.VERIFIES:
                         self._check_child(entry, child_no, child_buf,
-                                          child_view, child_bounds)
+                                          child_bounds, level - 1)
                     path.append(entry)
                 except BaseException:
                     # the handler below only releases buf and path —
@@ -479,8 +485,7 @@ class BLinkTree:
                     # fails, if at all, without mutating the list)
                     self._unpin(child_buf)
                     raise
-                page_no, buf, view = child_no, child_buf, child_view
-                bounds = child_bounds
+                page_no, buf, bounds = child_no, child_buf, child_bounds
         except BaseException:
             self._unpin(buf)
             self._unpin_path(path)
@@ -492,16 +497,19 @@ class BLinkTree:
 
     # hooks ---------------------------------------------------------------
 
-    def _follow_moves(self, page_no: int, buf: Buffer, view: NodeView,
-                      bounds: KeyBounds, key: bytes
-                      ) -> tuple[int, Buffer, NodeView, KeyBounds]:
-        """Follow ``newPage``/peer right-moves.  Default: stay put."""
-        return page_no, buf, view, bounds
+    def _follow_moves(self, page_no: int, buf: Buffer, bounds: KeyBounds,
+                      key: bytes
+                      ) -> tuple[int, Buffer, DecodedNode, KeyBounds]:
+        """Follow ``newPage``/peer right-moves from the pinned *buf*;
+        returns where the descent ended up and that frame's current node.
+        Default: stay put."""
+        return page_no, buf, node_of(buf), bounds
 
     def _check_child(self, parent: PathEntry, child_no: int,
-                     child_buf: Buffer, child_view: NodeView,
-                     bounds: KeyBounds) -> None:
-        """Inter-page inconsistency detection + repair.  Default: none."""
+                     child_buf: Buffer, bounds: KeyBounds,
+                     level: int) -> None:
+        """Inter-page inconsistency detection + repair of the child the
+        parent expects at *level* with keys in *bounds*.  Default: none."""
 
     def _before_page_update(self, path: list[PathEntry], idx: int) -> None:
         """Pre-update hook (the reorg reclamation check).  Default: none."""
@@ -520,12 +528,12 @@ class BLinkTree:
         page reclamation (the explicit epoch) changes it."""
         return (self._fp_epoch, self._m_splits.value, len(self.repair_log))
 
-    def _fp_remember(self, leaf: PathEntry) -> None:
+    def _fp_remember(self, leaf: PathEntry, node: DecodedNode) -> None:
         """Remember *leaf* (just reached by a fully verified descent, or
         just served in place) as the finger for the next in-bounds op."""
-        fp = self._fastpath
-        if fp is not None and leaf.view.is_leaf:
-            fp.finger_remember(leaf.page_no, leaf.bounds, self._fp_stamp())
+        if node.page_type == PAGE_LEAF:
+            self._fastpath.finger_remember(leaf.page_no, leaf.bounds,
+                                           self._fp_stamp())
 
     def _finger_entry(self, key: bytes) -> PathEntry | None:
         """Serve *key*'s leaf from the finger, or None to take the full
@@ -540,7 +548,7 @@ class BLinkTree:
         full repairing descent.
         """
         fp = self._fastpath
-        if fp is None or fp.finger_page is None:
+        if fp.finger_page is None:
             return None
         if fp.finger_stamp != self._fp_stamp():
             fp.finger_flush()
@@ -551,42 +559,39 @@ class BLinkTree:
             return None
         page_no = fp.finger_page
         buf = self.file.pin(page_no)
-        view = self._view(buf)
-        if not self._finger_usable(buf, view, bounds, key):
+        if not self._finger_usable(node_of(buf), bounds, key):
             self._unpin(buf)
             fp.finger_flush()
             return None
         fp.finger_hits += 1
-        return PathEntry(page_no, buf, view, bounds)
+        return PathEntry(page_no, buf, bounds)
 
-    def _finger_usable(self, buf: Buffer, view: NodeView,
-                       bounds: KeyBounds, key: bytes) -> bool:
+    def _finger_usable(self, node: DecodedNode, bounds: KeyBounds,
+                       key: bytes) -> bool:
         """The ``_check_child``-equivalent content test on a finger hit:
         valid header, still a leaf, keys inside the remembered bounds, no
         pending reorg backup, and no replacement advertisement from the
         current sync window (which a descent's ``_follow_moves`` would
         have to resolve)."""
-        data = buf.data
-        if not valid_magic(data):
+        if node.magic != PAGE_MAGIC:
             return False
-        if not view.is_leaf or view.level != 0:
+        if node.page_type != PAGE_LEAF or node.level != 0:
             return False
-        if view.prev_n_keys or view.backup_count:
+        if node.prev_n_keys or node.backup_count:
             # a reorg backup needs the Section 3.4 reclamation check,
             # which wants the descent's context
             return False
-        if (view.new_page != INVALID_PAGE
-                and self.engine.sync_state.is_current(view.sync_token)):
+        if (node.new_page != INVALID_PAGE
+                and self.engine.sync_state.is_current(node.sync_token)):
             return False
-        n = view.n_keys
-        if n:
-            lo = view.min_key()
+        if node.n_keys:
+            lo = node.min_key()
             if lo and lo < bounds.lo:
                 return False
-            hi_key = view.max_key()
+            hi_key = node.max_key()
             if bounds.hi is not None and hi_key >= bounds.hi:
                 return False
-            if key > hi_key and view.right_peer != INVALID_PAGE:
+            if key > hi_key and node.right_peer != INVALID_PAGE:
                 # beyond this page's live span with a right sibling that a
                 # descent's move-right might prove responsible — only the
                 # rightmost leaf may serve past its max key
@@ -597,10 +602,10 @@ class BLinkTree:
     # public API
     # ------------------------------------------------------------------
 
-    def _page_can_fit(self, view: NodeView, size: int) -> bool:
+    def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
         """Insert-time fullness test; the reorg tree overrides it to keep
         headroom for the backup record a future split will need."""
-        return view.can_fit(size)
+        return node.can_fit(size)
 
     def insert(self, value, tid: TID | tuple[int, int]) -> None:
         """Insert ``value -> tid``.  Duplicate keys raise
@@ -617,21 +622,20 @@ class BLinkTree:
             leaf = path[-1]
             self._ensure_peer_path(leaf)
             self._before_page_update(path, len(path) - 1)
-            slot, found = leaf.view.search(key)
+            node = node_of(leaf.buffer)
+            node.for_writer()
+            slot, found = node.search(key, self._fastpath)
             if found:
                 raise DuplicateKeyError(
                     f"key {value!r} already present; POSTGRES would have "
                     "made it unique with make_unique()"
                 )
             item = I.pack_leaf_item(key, tid)
-            if self._page_can_fit(leaf.view, len(item)):
-                keys = leaf.view.cached_keys
+            if self._page_can_fit(node, len(item)):
                 leaf.view.insert_item(slot, item)
                 self._dirty(leaf.buffer)
-                fp = self._fastpath
-                if fp is not None and keys is not None:
-                    fp.note_insert(leaf.buffer, slot, key, keys)
-                self._fp_remember(leaf)
+                node.note_insert(leaf.buffer, slot, key)
+                self._fp_remember(leaf, node)
             else:
                 started = perf_counter()
                 splits_before = self._m_splits.value
@@ -653,22 +657,22 @@ class BLinkTree:
             return False
         try:
             self._ensure_peer_path(entry)
-            keys = entry.view.cached_keys
-            slot, found = entry.view.search(key)
+            node = node_of(entry.buffer)
+            node.for_writer()
+            slot, found = node.search(key, self._fastpath)
             if found:
                 raise DuplicateKeyError(
                     f"key {value!r} already present; POSTGRES would have "
                     "made it unique with make_unique()"
                 )
             item = I.pack_leaf_item(key, tid)
-            if not self._page_can_fit(entry.view, len(item)):
+            if not self._page_can_fit(node, len(item)):
                 # a split needs the parent path — take the descent
                 self._fastpath.finger_flush()
                 return False
             entry.view.insert_item(slot, item)
             self._dirty(entry.buffer)
-            if keys is not None:
-                self._fastpath.note_insert(entry.buffer, slot, key, keys)
+            node.note_insert(entry.buffer, slot, key)
             return True
         finally:
             self._unpin(entry.buffer)
@@ -679,8 +683,9 @@ class BLinkTree:
         entry = self._finger_entry(key)
         if entry is not None:
             try:
-                slot, found = entry.view.search(key)
-                return entry.view.tid_at(slot) if found else None
+                node = node_of(entry.buffer)
+                slot, found = node.search(key, self._fastpath)
+                return node.tid_of(slot, key) if found else None
             finally:
                 self._unpin(entry.buffer)
         path = self._descend(key)
@@ -688,11 +693,10 @@ class BLinkTree:
             return None
         try:
             leaf = path[-1]
-            slot, found = leaf.view.search(key)
-            self._fp_remember(leaf)
-            if not found:
-                return None
-            return leaf.view.tid_at(slot)
+            node = node_of(leaf.buffer)
+            slot, found = node.search(key, self._fastpath)
+            self._fp_remember(leaf, node)
+            return node.tid_of(slot, key) if found else None
         finally:
             self._unpin_path(path)
 
@@ -709,19 +713,18 @@ class BLinkTree:
             leaf = path[-1]
             self._ensure_peer_path(leaf)
             self._before_page_update(path, len(path) - 1)
-            slot, found = leaf.view.search(key)
+            node = node_of(leaf.buffer)
+            node.for_writer()
+            slot, found = node.search(key, self._fastpath)
             if not found:
                 raise KeyNotFoundError(f"key {value!r} not in index")
-            keys = leaf.view.cached_keys
             leaf.view.delete_item(slot)
             self._dirty(leaf.buffer)
-            fp = self._fastpath
-            if fp is not None and keys is not None:
-                fp.note_delete(leaf.buffer, slot, keys)
-            if leaf.view.n_keys == 0 and len(path) > 1:
+            node.note_delete(leaf.buffer, slot)
+            if node.n_keys == 0 and len(path) > 1:
                 self._reclaim_empty_page(path, len(path) - 1)
             else:
-                self._fp_remember(leaf)
+                self._fp_remember(leaf, node)
         finally:
             self._unpin_path(path)
 
@@ -731,19 +734,19 @@ class BLinkTree:
         if entry is None:
             return False
         try:
-            if entry.view.n_keys <= 1:
+            if entry.node.n_keys <= 1:
                 # deleting the last key triggers reclamation, which needs
                 # the parent path — take the descent
                 return False
             self._ensure_peer_path(entry)
-            keys = entry.view.cached_keys
-            slot, found = entry.view.search(key)
+            node = node_of(entry.buffer)
+            node.for_writer()
+            slot, found = node.search(key, self._fastpath)
             if not found:
                 raise KeyNotFoundError(f"key {value!r} not in index")
             entry.view.delete_item(slot)
             self._dirty(entry.buffer)
-            if keys is not None:
-                self._fastpath.note_delete(entry.buffer, slot, keys)
+            node.note_delete(entry.buffer, slot)
             return True
         finally:
             self._unpin(entry.buffer)
@@ -784,39 +787,37 @@ class BLinkTree:
             try:
                 self._ensure_peer_path(leaf)
                 self._before_page_update(path, len(path) - 1)
-                view = leaf.view
+                buf, view = leaf.buffer, leaf.view
+                node = node_of(buf)
+                node.for_writer()
                 bounds = leaf.bounds
-                rightmost = view.right_peer == INVALID_PAGE
+                rightmost = node.right_peer == INVALID_PAGE
                 while i < n:
                     key, value, tid = batch[i]
                     if not bounds.contains(key):
                         break
-                    if (not rightmost and view.n_keys
-                            and key > view.max_key()):
+                    if (not rightmost and node.n_keys
+                            and key > node.max_key()):
                         # move-right territory; let the descent decide
                         break
-                    keys = view.cached_keys
-                    slot, found = view.search(key)
+                    slot, found = node.search(key, fp)
                     if found:
                         raise DuplicateKeyError(
                             f"key {value!r} already present; POSTGRES "
                             "would have made it unique with make_unique()")
                     item = I.pack_leaf_item(key, tid)
-                    if not self._page_can_fit(view, len(item)):
+                    if not self._page_can_fit(node, len(item)):
                         break
                     view.insert_item(slot, item)
-                    self._dirty(leaf.buffer)
-                    if (fp is not None and keys is not None
-                            and fp.note_insert(leaf.buffer, slot, key,
-                                               keys)):
-                        view.cached_keys = keys
-                    if advanced and fp is not None:
+                    self._dirty(buf)
+                    node.note_insert(buf, slot, key)
+                    if advanced:
                         fp.batched_amortized += 1
                     i += 1
                     done += 1
                     advanced = True
                 if advanced:
-                    self._fp_remember(leaf)
+                    self._fp_remember(leaf, node)
             finally:
                 self._unpin_path(path)
             if not advanced:
@@ -850,36 +851,35 @@ class BLinkTree:
             try:
                 self._ensure_peer_path(leaf)
                 self._before_page_update(path, len(path) - 1)
-                view = leaf.view
+                buf, view = leaf.buffer, leaf.view
+                node = node_of(buf)
+                node.for_writer()
                 bounds = leaf.bounds
-                rightmost = view.right_peer == INVALID_PAGE
+                rightmost = node.right_peer == INVALID_PAGE
                 while i < n:
                     key, value = batch[i]
                     if not bounds.contains(key):
                         break
-                    if (not rightmost and view.n_keys
-                            and key > view.max_key()):
+                    if (not rightmost and node.n_keys
+                            and key > node.max_key()):
                         break
-                    if view.n_keys <= 1:
+                    if node.n_keys <= 1:
                         # emptying the page reclaims it; descent handles it
                         break
-                    keys = view.cached_keys
-                    slot, found = view.search(key)
+                    slot, found = node.search(key, fp)
                     if not found:
                         raise KeyNotFoundError(
                             f"key {value!r} not in index")
                     view.delete_item(slot)
-                    self._dirty(leaf.buffer)
-                    if (fp is not None and keys is not None
-                            and fp.note_delete(leaf.buffer, slot, keys)):
-                        view.cached_keys = keys
-                    if advanced and fp is not None:
+                    self._dirty(buf)
+                    node.note_delete(buf, slot)
+                    if advanced:
                         fp.batched_amortized += 1
                     i += 1
                     done += 1
                     advanced = True
                 if advanced:
-                    self._fp_remember(leaf)
+                    self._fp_remember(leaf, node)
             finally:
                 self._unpin_path(path)
             if not advanced:
@@ -901,56 +901,63 @@ class BLinkTree:
         # release the internal pages; keep only the leaf pinned
         for entry in path[:-1]:
             self._unpin(entry.buffer)
-        buf, view = leaf.buffer, leaf.view
+        buf = leaf.buffer
+        decode = self.codec.decode
         try:
-            slot, _found = view.search(lo_key)
+            node = node_of(buf)
+            slot, _found = node.search(lo_key, self._fastpath)
             last_key = None
             while True:
-                while slot < view.n_keys:
-                    key = view.key_at(slot)
-                    if hi_key is not None and key >= hi_key:
-                        return
+                # one bulk decode of the slots this leaf contributes; the
+                # lists are this scan's own copies, so a consumer that
+                # writes to the leaf between two yields cannot shift them
+                # under the loop
+                n_keys = node.n_keys
+                stop = (n_keys if hi_key is None
+                        else max(slot, node.lower_bound(hi_key)))
+                for key, tid in zip(*node.leaf_slice(slot, stop)):
                     if last_key is None or key > last_key:
                         # a post-crash healed link can land on a leaf that
                         # overlaps what a stale dual-path page already
                         # yielded (Figure 3); resume strictly after it
-                        yield self.codec.decode(key), view.tid_at(slot)
+                        yield decode(key), tid
                         last_key = key
-                    slot += 1
-                nxt = self._next_leaf(page_no, buf, view)
+                if stop < n_keys:
+                    return
+                nxt = self._next_leaf(page_no, buf)
                 if nxt is None:
                     return
                 self._unpin(buf)
                 buf = None
                 page_no = nxt
                 buf = self.file.pin(page_no)
-                view = self._view(buf)
+                node = node_of(buf)
                 slot = 0
         finally:
             if buf is not None:
                 self._unpin(buf)
 
-    def _next_leaf(self, page_no: int, buf: Buffer,
-                   view: NodeView) -> int | None:
+    def _next_leaf(self, page_no: int, buf: Buffer) -> int | None:
         """The next leaf in the scan.  Verifying trees compare the sync
         tokens on the two sides of the link (Section 3.5.1) and heal a
         broken link through the root-to-leaf path."""
-        nxt = view.right_peer
+        node = node_of(buf)
+        nxt = node.right_peer
         if nxt == INVALID_PAGE:
             return None
         if not self.VERIFIES:
             return nxt
-        nbuf = self.file.pin(nxt)
+        nbuf, nnode = self._pin_node(nxt)
         try:
-            nview = NodeView(nbuf.data, self.page_size)
-            broken = (not valid_magic(nbuf.data)
-                      or not tokens_match(nview.left_peer_token,
-                                          view.right_peer_token))
+            broken = (nnode.magic != PAGE_MAGIC
+                      or not tokens_match(nnode.left_peer_token,
+                                          node.right_peer_token))
             if not broken:
                 return nxt
         finally:
             self._unpin(nbuf)
-        return self._heal_right_link(page_no, buf, view)
+        return self._heal_right_link(page_no, buf,
+                                     NodeView(buf.data, self.page_size))
 
     def _heal_right_link(self, page_no: int, buf: Buffer,
                          view: NodeView) -> int | None:
@@ -1035,14 +1042,15 @@ class BLinkTree:
         state = self.engine.sync_state
         # pages (re)initialized since recovery carry tokens at or above the
         # recovery-init value; only pre-crash pages need the walk
-        if state.in_current_incarnation(leaf.view.sync_token):
+        episode_token = leaf.node.sync_token
+        if state.in_current_incarnation(episode_token):
             self._peer_path_checked.add(page_no)
             return
         started = perf_counter()
-        episode_token = leaf.view.sync_token
-        self._walk_and_verify(leaf.page_no, leaf.buffer, leaf.view,
+        view = leaf.view
+        self._walk_and_verify(leaf.page_no, leaf.buffer, view,
                               episode_token, left=False)
-        self._walk_and_verify(leaf.page_no, leaf.buffer, leaf.view,
+        self._walk_and_verify(leaf.page_no, leaf.buffer, view,
                               episode_token, left=True)
         self._peer_path_checked.add(page_no)
         self.repair_log.add(DetectionReport(
@@ -1203,17 +1211,18 @@ class BLinkTree:
         finally:
             self._unpin(nbuf)
 
-    def _vet_intra_page(self, page_no: int, buf: Buffer,
-                        view: NodeView) -> None:
+    def _vet_intra_page(self, page_no: int, buf: Buffer) -> None:
         """Detect-on-first-use for intra-page damage: pages last written
         before the most recent crash are scanned once for duplicate
         line-table offsets (Section 3.3.1)."""
         if page_no in self._vetted:
             return
         self._vetted.add(page_no)
-        if not self.engine.sync_state.predates_last_crash(view.sync_token):
+        if not self.engine.sync_state.predates_last_crash(
+                node_of(buf).sync_token):
             return
         started = perf_counter()
+        view = NodeView(buf.data, self.page_size)
         if view.find_intra_page_inconsistency() is not None:
             view.repair_intra_page()
             self._dirty(buf)
@@ -1381,15 +1390,10 @@ class BLinkTree:
         just forces an extra no-op descent)."""
         keys = {MIN_KEY}
         for page_no in range(1, self.file.n_pages):
-            buf = self.file.pin(page_no)
+            buf, node = self._pin_node(page_no)
             try:
-                if not valid_magic(buf.data):
-                    continue
-                view = NodeView(buf.data, self.page_size)
-                if view.is_leaf:
-                    continue
-                for key in view.keys():
-                    keys.add(bytes(key))
+                if node.magic == PAGE_MAGIC and node.page_type != PAGE_LEAF:
+                    keys.update(node.all_keys())
             finally:
                 self.file.unpin(buf)
         return sorted(keys)
@@ -1417,11 +1421,10 @@ class BLinkTree:
             return []
         leaves: list[int] = []
         pairs: list[tuple[bytes, TID]] = []
-        root_buf, root_view = self._pin(root)
+        root_buf, root_node = self._pin_node(root)
         try:
-            depth = root_view.level
-            self._check_subtree(root, root_view, FULL_BOUNDS, depth,
-                                leaves, pairs)
+            self._check_subtree(root, root_node, FULL_BOUNDS,
+                                root_node.level, leaves, pairs)
         finally:
             self._unpin(root_buf)
         if require_peer_chain:
@@ -1433,20 +1436,19 @@ class BLinkTree:
             raise TreeError("duplicate keys present")
         return pairs
 
-    def _check_subtree(self, page_no: int, view: NodeView,
+    def _check_subtree(self, page_no: int, node: DecodedNode,
                        bounds: KeyBounds, level: int,
                        leaves: list[int],
                        pairs: list[tuple[bytes, TID]]) -> None:
-        if view.level != level:
+        if node.level != level:
             raise TreeError(
-                f"page {page_no}: level {view.level}, expected {level}")
+                f"page {page_no}: level {node.level}, expected {level}")
         prev_key = None
-        n = view.n_keys
-        is_leaf = view.is_leaf
-        # single streaming pass: order, containment, and (for leaves) the
-        # pair harvest share one key decode instead of re-materializing
-        # the page per check
-        for i, key in enumerate(view.keys()):
+        is_leaf = node.is_leaf
+        keys = node.all_keys()
+        lo, hi = bounds.lo, bounds.hi
+        # order and containment over the page's one bulk key decode
+        for i, key in enumerate(keys):
             if prev_key is not None and key <= prev_key:
                 raise TreeError(f"page {page_no}: keys out of order at {i}")
             prev_key = key
@@ -1456,23 +1458,22 @@ class BLinkTree:
                     raise TreeError(
                         f"page {page_no}: entry-0 separator below bounds")
                 continue
-            if not bounds.contains(key):
+            if key < lo or (hi is not None and key >= hi):
                 raise TreeError(
                     f"page {page_no}: key {key.hex()} outside "
-                    f"[{bounds.lo.hex()}, "
-                    f"{'inf' if bounds.hi is None else bounds.hi.hex()})"
+                    f"[{lo.hex()}, {'inf' if hi is None else hi.hex()})"
                 )
-            if is_leaf:
-                pairs.append((key, view.tid_at(i)))
         if is_leaf:
+            pairs.extend(zip(keys, node.all_tids()))
             leaves.append(page_no)
             return
-        for i in range(n):
-            child_no = view.child_at(i)
-            child_bounds = self._child_bounds(view, i, bounds)
-            cbuf, cview = self._pin(child_no)
+        # the child walk pins other frames but writes none, so the lists
+        # taken here stay this page's content throughout
+        for i, child_no in enumerate(node.all_children()):
+            child_bounds = self._child_bounds(node, i, bounds)
+            cbuf, cnode = self._pin_node(child_no)
             try:
-                self._check_subtree(child_no, cview, child_bounds,
+                self._check_subtree(child_no, cnode, child_bounds,
                                     level - 1, leaves, pairs)
             finally:
                 self._unpin(cbuf)
@@ -1490,21 +1491,21 @@ class BLinkTree:
                 raise TreeError(f"peer chain cycles at page {page_no}")
             seen.add(page_no)
             chain.append(page_no)
-            buf, view = self._pin(page_no)
+            buf, node = self._pin_node(page_no)
             try:
-                nxt = view.right_peer
+                nxt = node.right_peer
                 if strict_tokens and nxt != INVALID_PAGE:
-                    nbuf, nview = self._pin(nxt)
+                    nbuf, nnode = self._pin_node(nxt)
                     try:
-                        if not tokens_match(nview.left_peer_token,
-                                            view.right_peer_token):
+                        if not tokens_match(nnode.left_peer_token,
+                                            node.right_peer_token):
                             raise TreeError(
                                 f"peer tokens disagree on link "
                                 f"{page_no}->{nxt}")
-                        if nview.left_peer != page_no:
+                        if nnode.left_peer != page_no:
                             raise TreeError(
                                 f"peer chain asymmetric: {page_no}->{nxt} "
-                                f"but {nxt}<-{nview.left_peer}")
+                                f"but {nxt}<-{nnode.left_peer}")
                     finally:
                         self._unpin(nbuf)
             finally:
@@ -1588,8 +1589,13 @@ class RepairSweep:
         self.keys_seen = 0
         self._seeded = False
         self._pass_repairs_base = 0
-        #: units not yet healed this pass, ascending key order
-        self._pending: list[bytes] = []
+        #: units not yet healed this pass
+        self._pending: set[bytes] = set()
+        #: ``(-hits, unit)`` heap over the pending units.  A promotion
+        #: pushes a fresh entry instead of re-ordering, so an entry is
+        #: live only while its unit is pending and its count is current;
+        #: the heap is rebuilt before dead entries outnumber the units.
+        self._heap: list[tuple[int, bytes]] = []
         #: unit key -> foreground hits recorded against its subtree
         self._hits: dict[bytes, int] = {}
         #: all units of the current pass, sorted (for cover lookups)
@@ -1622,6 +1628,12 @@ class RepairSweep:
         unit = self._covering_unit(encoded_key)
         if unit is not None and unit in self._hits:
             self._hits[unit] += 1
+            if unit not in self._pending:
+                return
+            if len(self._heap) < 2 * len(self._unit_keys):
+                heappush(self._heap, (-self._hits[unit], unit))
+            else:
+                self._order_pending()
 
     def _covering_unit(self, encoded_key: bytes) -> bytes | None:
         """The greatest unit key <= *encoded_key* (units include the
@@ -1654,7 +1666,7 @@ class RepairSweep:
         self._pass_repairs_base = len(self.tree.repair_log)
         units = self.tree.repair_units()
         self._unit_keys = list(units)
-        self._pending = list(units)
+        self._pending = set(units)
         # carry heat across passes (and in the earliest accesses made
         # before seeding) so hot subtrees stay first after a re-seed
         old = self._hits
@@ -1665,17 +1677,22 @@ class RepairSweep:
                 if unit is not None:
                     self._hits[unit] += count
             self._early_hits.clear()
+        self._order_pending()
         self._seeded = True
+
+    def _order_pending(self) -> None:
+        self._heap = [(-self._hits[u], u) for u in self._pending]
+        heapify(self._heap)
 
     def _pop_hottest(self) -> bytes:
         """Hottest pending unit; ties break toward the smallest key so a
         cold sweep degenerates to the deterministic ascending order the
         stop-the-world drive used."""
-        best = max(self._pending, key=lambda u: (self._hits.get(u, 0),))
-        if self._hits.get(best, 0) == 0:
-            best = self._pending[0]
-        self._pending.remove(best)
-        return best
+        while True:
+            hits, unit = heappop(self._heap)
+            if unit in self._pending and -hits == self._hits[unit]:
+                self._pending.remove(unit)
+                return unit
 
     def _finish_pass(self) -> None:
         self.keys_seen = sum(1 for _ in self.tree.range_scan())

@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..storage.buffer_pool import Buffer
 from .btree_base import PathEntry
 from .keys import KeyBounds
-from .nodeview import NodeView
+from .nodeview import DecodedNode
 from .reorg import ReorgBLinkTree
 from .shadow import ShadowBLinkTree
 
@@ -54,11 +54,11 @@ class HybridBLinkTree(ShadowBLinkTree, ReorgBLinkTree):
         # children
         return level == self.shadow_below
 
-    def _page_can_fit(self, view: NodeView, size: int) -> bool:
-        if view.level < self.shadow_below:
+    def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
+        if node.level < self.shadow_below:
             # shadow-split pages need no backup headroom
-            return view.can_fit(size)
-        return ReorgBLinkTree._page_can_fit(self, view, size)
+            return ShadowBLinkTree._page_can_fit(self, node, size)
+        return ReorgBLinkTree._page_can_fit(self, node, size)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -74,11 +74,11 @@ class HybridBLinkTree(ShadowBLinkTree, ReorgBLinkTree):
                                              fixup=fixup)
 
     def _check_child(self, parent: PathEntry, child_no: int,
-                     child_buf: Buffer, child_view: NodeView,
-                     bounds: KeyBounds) -> None:
-        if parent.view.level - 1 < self.shadow_below:
+                     child_buf: Buffer, bounds: KeyBounds,
+                     level: int) -> None:
+        if level < self.shadow_below:
             ShadowBLinkTree._check_child(self, parent, child_no, child_buf,
-                                         child_view, bounds)
+                                         bounds, level)
         else:
             ReorgBLinkTree._check_child(self, parent, child_no, child_buf,
-                                        child_view, bounds)
+                                        bounds, level)

@@ -21,12 +21,17 @@ The reorg-tree **backup region** (Section 3.4) also lives here: backup
 line-table entries sit just beyond the live entries, followed by a small
 backup record holding the pre-split peer pointers needed to restore the
 original page exactly.
+
+Reads that do not change the page go through :class:`DecodedNode`, the one
+decoded form of a page, which hangs off the buffer frame
+(:func:`node_of`); :class:`NodeView` stays the byte-level writer and the
+per-item reference decoder the node is checked against.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 from ..constants import (
@@ -47,6 +52,27 @@ BACKUP_RECORD_SIZE = _BACKUP_RECORD.size  # 24
 
 StepHook = Callable[[str], None]
 
+_U16 = struct.Struct("<H").unpack_from
+_TIDS = struct.Struct("<IH")
+
+
+def search_bytes(data, n: int, key: bytes) -> tuple[int, bool]:
+    """Binary search of the first *n* line-table entries straight off the
+    page bytes: leftmost index whose key >= *key*, and whether it is an
+    exact match.  O(log n) item reads, nothing decoded beyond them."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        off = _U16(data, P.HEADER_SIZE + 2 * mid)[0]
+        if data[off + 2: off + 2 + _U16(data, off)[0]] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == n:
+        return lo, False
+    off = _U16(data, P.HEADER_SIZE + 2 * lo)[0]
+    return lo, data[off + 2: off + 2 + _U16(data, off)[0]] == key
+
 
 class NodeView:
     """A view over one page buffer.
@@ -60,19 +86,11 @@ class NodeView:
         length metadata beyond ``len``.
     """
 
-    __slots__ = ("buf", "page_size", "cached_keys")
+    __slots__ = ("buf", "page_size")
 
     def __init__(self, buf: bytearray, page_size: int | None = None):
         self.buf = buf
         self.page_size = page_size if page_size is not None else len(buf)
-        #: optional decoded key list attached by the fastpath layer
-        #: (``repro.fastpath``): when set, :meth:`search`/:meth:`route`
-        #: bisect over it instead of unpacking line-table entries per
-        #: probe.  Every mutator that can change the key set resets it to
-        #: ``None`` (enforced statically by lint rule R010); the frame
-        #: version bump in ``mark_dirty`` invalidates the cache entry the
-        #: list came from.
-        self.cached_keys: list[bytes] | None = None
 
     # ------------------------------------------------------------------
     # header fields (live reads/writes against the bytes)
@@ -209,7 +227,6 @@ class NodeView:
     def init_page(self, page_type: int, *, level: int = 0,
                   sync_token: int = 0, shadow_items: bool = False) -> None:
         """Format the buffer as an empty page of the given type."""
-        self.cached_keys = None
         flags = FLAG_SHADOW_ITEMS if shadow_items else 0
         fresh = P.new_page(self.page_size, page_type, level=level,
                            flags=flags, sync_token=sync_token)
@@ -260,32 +277,11 @@ class NodeView:
         for i in range(self.n_keys):
             yield self.key_at(i)
 
-    def decoded_keys(self) -> list[bytes] | None:
-        """All live keys as one decoded list, or ``None`` when the page
-        bytes cannot be decoded (garbage read before a first-use repair).
-
-        This is the fastpath cache's fill routine: one pass over the line
-        table, after which searches bisect the list without touching the
-        struct layer again.
-        """
-        n = self.n_keys
-        if P.line_offset(n) > self.page_size:
-            return None
-        data = self.buf
-        get_line = P.get_line
-        item_key = I.item_key
-        try:
-            return [item_key(data, get_line(data, i)) for i in range(n)]
-        except (struct.error, IndexError, ValueError):
-            return None
-
     def min_key(self) -> bytes:
-        keys = self.cached_keys
-        return keys[0] if keys else self.key_at(0)
+        return self.key_at(0)
 
     def max_key(self) -> bytes:
-        keys = self.cached_keys
-        return keys[-1] if keys else self.key_at(self.n_keys - 1)
+        return self.key_at(self.n_keys - 1)
 
     # ------------------------------------------------------------------
     # search
@@ -294,38 +290,18 @@ class NodeView:
     def search(self, key: bytes) -> tuple[int, bool]:
         """Leftmost index whose key >= *key*, and whether it is an exact
         match.  Index may equal ``n_keys`` (key greater than everything)."""
-        keys = self.cached_keys
-        if keys is not None:
-            lo = bisect_left(keys, key)
-            return lo, lo < len(keys) and keys[lo] == key
-        lo, hi = 0, self.n_keys
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.key_at(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        found = lo < self.n_keys and self.key_at(lo) == key
-        return lo, found
+        return search_bytes(self.buf, self.n_keys, key)
 
     def route(self, key: bytes) -> int:
         """Routing slot on an internal page: the rightmost entry whose
         separator key is <= *key*.  Entry 0 normally carries the
         minus-infinity sentinel, so this is well defined for any key the
         descent can legitimately bring here."""
-        keys = self.cached_keys
-        if keys is not None:
-            index = bisect_right(keys, key) - 1
-            return 0 if index < 0 else index
         index, found = self.search(key)
-        if found:
-            return index
-        if index == 0:
-            # key below every separator: only legal for the leftmost path;
-            # route to the first entry and let consistency checks complain
-            # if this page should never have seen the key
-            return 0
-        return index - 1
+        # key below every separator: only legal for the leftmost path;
+        # route to the first entry and let consistency checks complain
+        # if this page should never have seen the key
+        return index if found or index == 0 else index - 1
 
     # ------------------------------------------------------------------
     # space management
@@ -425,7 +401,6 @@ class NodeView:
         line-table entry.  *step_hook* (tests only) is called between the
         ordered steps to let a harness capture intermediate images.
         """
-        self.cached_keys = None
         n = self.n_keys
         if not 0 <= index <= n:
             raise PageError(f"insert index {index} out of range 0..{n}")
@@ -482,7 +457,6 @@ class NodeView:
                     step_hook: StepHook | None = None) -> None:
         """Delete the entry at *index* with the paper's copy-left-then-
         decrement ordering.  The item's heap bytes become dead space."""
-        self.cached_keys = None
         n = self.n_keys
         if not 0 <= index < n:
             raise PageError(f"delete index {index} out of range 0..{n - 1}")
@@ -510,9 +484,15 @@ class NodeView:
     def find_intra_page_inconsistency(self) -> int | None:
         """Index of the first line-table entry that duplicates its
         neighbour's offset, or None if the page is clean."""
+        n = self.n_keys
+        try:
+            offsets = struct.unpack_from("<%dH" % n, self.buf, P.HEADER_SIZE)
+        except struct.error:
+            # the table runs off the page: walk it entry by entry, which
+            # still finds a duplicate that precedes the overrun
+            offsets = (P.get_line(self.buf, i) for i in range(n))
         prev = None
-        for i in range(self.n_keys):
-            off = P.get_line(self.buf, i)
+        for i, off in enumerate(offsets):
             if off == prev:
                 return i
             prev = off
@@ -538,7 +518,6 @@ class NodeView:
         """Rebuild the page to contain exactly *item_blobs* (already
         serialized, already sorted).  Header identity fields (type, level,
         flags, peers, tokens) are preserved; the backup region is cleared."""
-        self.cached_keys = None
         header = P.read_header(self.buf)
         body_start = P.line_offset(len(item_blobs))
         upper = self.page_size
@@ -627,7 +606,6 @@ class NodeView:
         "assigning prevNKeys to nKeys reallocates the duplicate keys")."""
         if not self.prev_n_keys:
             raise PageError("restore_backup on a page with no backup")
-        self.cached_keys = None
         n, b = self.n_keys, self.backup_count
         if n + b != self.prev_n_keys:
             raise PageCorruptError(
@@ -698,3 +676,275 @@ class NodeView:
             off = P.get_line(self.buf, i)
             lines.append(f"  (backup) {I.item_key(self.buf, off).hex()}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the decoded node (the read path)
+# ----------------------------------------------------------------------
+
+#: What a garbage page's bulk decode can raise: a line table or a trailing
+#: field running off the page, an item offset at the page's last byte.
+_UNDECODABLE = (struct.error, IndexError)
+
+
+def _decode_keys(snap: bytes, offsets) -> list[bytes]:
+    return [snap[o + 2: o + 2 + (snap[o] | snap[o + 1] << 8)]
+            for o in offsets]
+
+
+def _decode_tails(snap: bytes, offsets, width: int) -> bytes:
+    """The *width* bytes that follow each item's key (child pointer or
+    TID), concatenated for one ``struct`` call."""
+    ends = [o + 2 + (snap[o] | snap[o + 1] << 8) for o in offsets]
+    raw = b"".join([snap[e: e + width] for e in ends])
+    if len(raw) != width * len(ends):
+        raise struct.error("item runs off the page")
+    return raw
+
+
+class DecodedNode:
+    """The decoded form of one buffer frame's page, stamped with the frame
+    ``version`` it reflects.
+
+    It hangs off the :class:`~repro.storage.buffer_pool.Buffer` (reach it
+    through :func:`node_of`), so it lives exactly as long as the frame is
+    resident and a version mismatch is the whole invalidation protocol.
+    Decoding is paid for only when it is used:
+
+    * the header is always there — one ``struct`` unpack per version;
+    * the **first** search of a freshly faulted frame binary-searches the
+      page bytes (:func:`search_bytes`) and caches nothing;
+    * a frame searched **again** while resident, one a writer is about to
+      modify (:meth:`for_writer`), or one a whole-page reader walks gets
+      its key list — and, on an internal page, its child pointers —
+      decoded in bulk: one unpack for the line table and one
+      comprehension per list, no per-item calls.  Leaf writers keep
+      the list across their own version bump (:meth:`note_insert` /
+      :meth:`note_delete`); any other bump drops it and the next reader
+      decodes it again in bulk.
+
+    A page whose bytes cannot be bulk-decoded (garbage ahead of a
+    first-use repair) never gets lists: every reader falls back to the
+    per-item :class:`NodeView` decode, which raises where it always did.
+    """
+
+    HEADER_FIELDS = ("magic", "page_type", "flags", "level", "n_keys",
+                     "prev_n_keys", "new_page", "left_peer", "right_peer",
+                     "sync_token", "left_peer_token", "right_peer_token",
+                     "lower", "upper", "backup_count", "lsn")
+    __slots__ = ("data", "version", "searched", "keys", "children",
+                 *HEADER_FIELDS, "__weakref__")
+
+    def __init__(self, data: bytearray, version: int):
+        self.data = data
+        #: has a search already been served from the bytes this residency?
+        self.searched = False
+        self.refresh(version)
+
+    def refresh(self, version: int) -> None:
+        """Re-read the header for frame *version*; the lists are dropped."""
+        (self.magic, self.page_type, self.flags, self.level, self.n_keys,
+         self.prev_n_keys, _, self.new_page, self.left_peer,
+         self.right_peer, self.sync_token, self.left_peer_token,
+         self.right_peer_token, self.lower, self.upper, self.backup_count,
+         _, self.lsn) = P.HEADER_STRUCT.unpack_from(self.data, 0)
+        self.keys: list[bytes] | None = None
+        self.children: list[int] | None = None
+        self.version = version
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.page_type == PAGE_LEAF
+
+    def can_fit(self, item_size: int) -> bool:
+        return self.upper - self.lower >= item_size + P.LINE_ENTRY_SIZE
+
+    def for_writer(self) -> None:
+        """A writer is about to search and modify this leaf: its next
+        search decodes the key list whether or not the frame was searched
+        before, and :meth:`note_insert` / :meth:`note_delete` keep it
+        across the writer's own version bump."""
+        self.searched = True
+
+    # -- bulk decode -----------------------------------------------------
+
+    def materialise(self) -> list[bytes] | None:
+        """Decode the key list (and an internal page's child pointers) in
+        bulk; ``None`` when the bytes are undecodable."""
+        data, n = self.data, self.n_keys
+        try:
+            offsets = struct.unpack_from("<%dH" % n, data, P.HEADER_SIZE)
+            snap = bytes(data)
+            keys = _decode_keys(snap, offsets)
+            if self.page_type != PAGE_LEAF:
+                self.children = list(struct.unpack(
+                    "<%dI" % n, _decode_tails(snap, offsets, 4)))
+        except _UNDECODABLE:
+            return None
+        self.keys = keys
+        return keys
+
+    def all_keys(self) -> list[bytes]:
+        """Every live key in line-table order (whole-page readers)."""
+        keys = self.keys
+        if keys is None:
+            keys = self.materialise()
+            if keys is None:
+                keys = list(NodeView(self.data).keys())
+        return keys
+
+    def all_children(self) -> list[int]:
+        """Every child pointer of an internal page."""
+        if self.keys is None:
+            self.materialise()
+        children = self.children
+        if children is None:
+            view = NodeView(self.data)
+            children = [view.child_at(i) for i in range(self.n_keys)]
+        return children
+
+    def all_tids(self) -> list[TID]:
+        """Every TID of a leaf.  Not kept: only page-at-a-time readers
+        want them, and each of those walks a page once."""
+        return self.leaf_slice(0, self.n_keys)[1]
+
+    def leaf_slice(self, start: int,
+                   stop: int) -> tuple[list[bytes], list[TID]]:
+        """Keys and TIDs of leaf slots ``[start, stop)``, decoding those
+        items only: a bounded scan pays for what it yields.  A slice that
+        covers the page decodes, and keeps, the whole key list."""
+        data = self.data
+        keys = self.keys
+        if keys is None and start == 0 and stop == self.n_keys:
+            keys = self.materialise()
+        try:
+            offsets = struct.unpack_from("<%dH" % (stop - start), data,
+                                         P.HEADER_SIZE + 2 * start)
+            snap = bytes(data)
+            keys = (_decode_keys(snap, offsets) if keys is None
+                    else keys[start:stop])
+            raw = _decode_tails(snap, offsets, _TIDS.size)
+        except _UNDECODABLE:
+            view = NodeView(data)
+            return ([view.key_at(i) for i in range(start, stop)],
+                    [view.tid_at(i) for i in range(start, stop)])
+        return keys, [TID(page_no, line)
+                      for page_no, line in _TIDS.iter_unpack(raw)]
+
+    # -- searches ----------------------------------------------------------
+
+    def _search_keys(self, stats) -> list[bytes] | None:
+        """The key list a search may bisect, or ``None`` to search the
+        bytes; counts the search on *stats* as a hit (list already there)
+        or a miss (served from bytes, or decoded for this search)."""
+        keys = self.keys
+        if keys is not None:
+            stats.cache_hits += 1
+            return keys
+        stats.cache_misses += 1
+        if self.searched:
+            return self.materialise()
+        self.searched = True
+        return None
+
+    def search(self, key: bytes, stats) -> tuple[int, bool]:
+        """Leftmost index whose key >= *key*, and whether it is an exact
+        match.  Index may equal ``n_keys``."""
+        keys = self._search_keys(stats)
+        if keys is None:
+            return search_bytes(self.data, self.n_keys, key)
+        lo = bisect_left(keys, key)
+        return lo, lo < len(keys) and keys[lo] == key
+
+    def route(self, key: bytes, stats) -> int:
+        """Routing slot on an internal page (see :meth:`NodeView.route`)."""
+        index, found = self.search(key, stats)
+        return index if found or index == 0 else index - 1
+
+    def lower_bound(self, key: bytes) -> int:
+        """Leftmost index whose key >= *key*, from whatever is decoded
+        already: not a search as far as admission and *stats* go."""
+        keys = self.keys
+        if keys is None:
+            return search_bytes(self.data, self.n_keys, key)[0]
+        return bisect_left(keys, key)
+
+    # -- single items ------------------------------------------------------
+
+    def key_at(self, index: int) -> bytes:
+        keys = self.keys
+        if keys is not None:
+            return keys[index]
+        return I.item_key(self.data, P.get_line(self.data, index))
+
+    def min_key(self) -> bytes:
+        keys = self.keys
+        return keys[0] if keys else self.key_at(0)
+
+    def max_key(self) -> bytes:
+        keys = self.keys
+        return keys[-1] if keys else self.key_at(self.n_keys - 1)
+
+    def child_at(self, index: int) -> int:
+        children = self.children
+        if children is not None:
+            return children[index]
+        return I.item_child(self.data, P.get_line(self.data, index))
+
+    def tid_of(self, index: int, key: bytes) -> TID:
+        """TID of the leaf item at *index*, whose key a search just
+        matched as *key* (so its length need not be read back)."""
+        off = _U16(self.data, P.HEADER_SIZE + 2 * index)[0]
+        return TID(*_TIDS.unpack_from(self.data, off + 2 + len(key)))
+
+    # -- maintenance across a leaf writer's own version bump ---------------
+
+    def note_insert(self, buf, slot: int, key: bytes) -> None:
+        """The caller just ran ``insert_item(slot, ...)`` and
+        ``mark_dirty`` on the leaf this node was current for: take the new
+        header and version, keep the key list."""
+        keys = self.keys
+        self.refresh(buf.version)
+        if keys is not None:
+            keys.insert(slot, key)
+            self.keys = keys
+
+    def note_delete(self, buf, slot: int) -> None:
+        """Mirror of :meth:`note_insert` for ``delete_item``."""
+        keys = self.keys
+        self.refresh(buf.version)
+        if keys is not None:
+            del keys[slot]
+            self.keys = keys
+
+    # -- self-check (runtime sanitizer) ------------------------------------
+
+    def mismatch(self) -> str | None:
+        """How this node differs from a fresh decode of its bytes, or
+        ``None``.  A node that carries its frame's current version must
+        equal the bytes; the sanitizer asserts it on every ``unpin``."""
+        fresh = DecodedNode(self.data, self.version)
+        for name in self.HEADER_FIELDS:
+            if getattr(self, name) != getattr(fresh, name):
+                return (f"header field {name}: node has "
+                        f"{getattr(self, name)}, page has "
+                        f"{getattr(fresh, name)}")
+        if self.keys is not None:
+            fresh.materialise()
+            if self.keys != fresh.keys:
+                return "materialised key list differs from the page"
+            if self.children is not None \
+                    and self.children != fresh.children:
+                return "materialised child list differs from the page"
+        return None
+
+
+def node_of(buf) -> DecodedNode:
+    """The :class:`DecodedNode` of frame *buf*, decoded or refreshed when
+    the frame's version has moved past it."""
+    node = buf.node
+    if node is None:
+        node = buf.node = DecodedNode(buf.data, buf.version)
+    elif node.version != buf.version:
+        node.refresh(buf.version)
+    return node

@@ -96,7 +96,7 @@ class NormalBLinkTree(BLinkTree):
         slot, found = parent.view.search(sep)
         if found:
             raise TreeError(f"separator {sep.hex()} already in parent")
-        if self._page_can_fit(parent.view, len(sep_item)):
+        if self._page_can_fit(parent.node, len(sep_item)):
             parent.view.insert_item(slot, sep_item)
             self._dirty(parent.buffer)
         else:

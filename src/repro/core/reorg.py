@@ -30,16 +30,15 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF
+from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
 from ..errors import RecoveryError, TreeError
 from ..obs import get_registry
-from ..storage import is_zeroed, token_older, try_read_header, valid_magic
+from ..storage import is_zeroed, token_older, valid_magic
 from ..storage.buffer_pool import Buffer
-from ..storage.page import LINE_ENTRY_SIZE
 from .btree_base import BLinkTree, PathEntry
 from .detect import Action, DetectionReport, Kind
 from .keys import FULL_BOUNDS, MIN_KEY, KeyBounds
-from .nodeview import BACKUP_RECORD_SIZE, NodeView
+from .nodeview import BACKUP_RECORD_SIZE, DecodedNode, NodeView, node_of
 from . import items as I
 
 
@@ -73,11 +72,11 @@ class ReorgBLinkTree(BLinkTree):
     # space policy
     # ------------------------------------------------------------------
 
-    def _page_can_fit(self, view: NodeView, size: int) -> bool:
+    def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
         """Keep headroom for the backup record so that step (3)'s
         guarantee ("Pa is guaranteed to have space enough for Pb's keys
         and line table") survives our extra 24-byte peer record."""
-        return view.free_space() >= size + LINE_ENTRY_SIZE + BACKUP_RECORD_SIZE
+        return node.can_fit(size + BACKUP_RECORD_SIZE)
 
     # ------------------------------------------------------------------
     # the reclamation check (Section 3.4, the three token cases)
@@ -85,7 +84,7 @@ class ReorgBLinkTree(BLinkTree):
 
     def _before_page_update(self, path: list[PathEntry], idx: int) -> None:
         entry = path[idx]
-        if entry.view.prev_n_keys == 0:
+        if entry.node.prev_n_keys == 0:
             return
         self._reclaim_or_recover(entry.page_no, entry.buffer, entry.view,
                                  entry.bounds)
@@ -186,8 +185,8 @@ class ReorgBLinkTree(BLinkTree):
                 lost = (not valid_magic(sbuf.data)
                         or token_older(sview.sync_token, view.sync_token))
                 if lost:
-                    self._regenerate_sibling(page_no, view, sibling, sbuf,
-                                             sview)
+                    self._regenerate_sibling(page_no, buf, view, sibling,
+                                             sbuf, sview)
             finally:
                 self._unpin(sbuf)
         view.reclaim_backup()
@@ -195,10 +194,11 @@ class ReorgBLinkTree(BLinkTree):
         self._dirty(buf)
         self.engine.sync_state.note_split()
 
-    def _regenerate_sibling(self, page_no: int, view: NodeView,
-                            sibling: int, sbuf: Buffer,
+    def _regenerate_sibling(self, page_no: int, buf: Buffer,
+                            view: NodeView, sibling: int, sbuf: Buffer,
                             sview: NodeView) -> None:
-        """Case (c): rebuild the lost sibling from the backup keys."""
+        """Case (c): rebuild the lost sibling from the backup keys held on
+        page *page_no* (*buf*/*view*), and link the two."""
         started = perf_counter()
         blobs = view.backup_items()
         token = self._token()
@@ -218,6 +218,9 @@ class ReorgBLinkTree(BLinkTree):
             sview.right_peer, sview.right_peer_token = page_no, token
             sview.left_peer, sview.left_peer_token = old_left, old_left_tok
             view.left_peer, view.left_peer_token = sibling, token
+        # both pages changed; the walk below re-enters the descent, which
+        # must not meet a node decoded before these writes
+        self._dirty(buf)
         self._dirty(sbuf)
         self.engine.sync_state.note_split()
         self.repair_log.add(DetectionReport(
@@ -239,62 +242,66 @@ class ReorgBLinkTree(BLinkTree):
     # descent verification and repair (cases (c)/(d)/(e))
     # ------------------------------------------------------------------
 
-    def _follow_moves(self, page_no, buf, view, bounds, key):
-        # resolve pre-crash backups the moment the page is visited, so
-        # lookups of keys that live only in a backup cannot miss
-        if (view.prev_n_keys
+    def _node_resolved(self, page_no: int, buf: Buffer,
+                       bounds: KeyBounds) -> DecodedNode:
+        """The node of a page the descent just arrived at, once any
+        pre-crash backup it carries is resolved — so lookups of keys
+        that live only in a backup cannot miss."""
+        node = node_of(buf)
+        if (node.prev_n_keys
                 and self.engine.sync_state.predates_last_crash(
-                    view.sync_token)):
-            self._resolve_stale_backup(page_no, buf, view, bounds)
+                    node.sync_token)):
+            self._resolve_stale_backup(
+                page_no, buf, NodeView(buf.data, self.page_size), bounds)
+            node = node_of(buf)
+        return node
+
+    def _follow_moves(self, page_no, buf, bounds, key):
+        node = self._node_resolved(page_no, buf, bounds)
         # Lehman-Yao move right: the key lies beyond this page's live
         # span and the right peer provably covers it ("in page
         # reorganization, we follow peer pointers as in Lehman-Yao")
-        while view.n_keys and key > view.max_key():
-            target = view.right_peer
+        while node.n_keys and key > node.max_key():
+            target = node.right_peer
             if target == INVALID_PAGE:
                 break
-            tbuf = self.file.pin(target)
-            tview = self._view(tbuf)
-            if (not valid_magic(tbuf.data)
-                    or tview.level != view.level or tview.n_keys == 0
-                    or tview.min_key() > key):
+            tbuf, tnode = self._pin_node(target)
+            if (tnode.magic != PAGE_MAGIC
+                    or tnode.level != node.level or tnode.n_keys == 0
+                    or tnode.min_key() > key):
                 self._unpin(tbuf)
                 break
             self._unpin(buf)
             self._m_moves_right.inc()
-            page_no, buf, view = target, tbuf, tview
-            bounds = KeyBounds(view.min_key(), bounds.hi)
-            if (view.prev_n_keys
-                    and self.engine.sync_state.predates_last_crash(
-                        view.sync_token)):
-                self._resolve_stale_backup(page_no, buf, view, bounds)
-        return page_no, buf, view, bounds
+            page_no, buf = target, tbuf
+            bounds = KeyBounds(tnode.min_key(), bounds.hi)
+            node = self._node_resolved(page_no, buf, bounds)
+        return page_no, buf, node, bounds
 
     def _check_child(self, parent: PathEntry, child_no: int,
-                     child_buf: Buffer, child_view: NodeView,
-                     bounds: KeyBounds) -> None:
-        expected_level = parent.view.level - 1
-        header = try_read_header(child_buf.data)
-        lost = (header is None
-                or child_view.page_type not in (PAGE_LEAF, PAGE_INTERNAL)
-                or child_view.level != expected_level)
+                     child_buf: Buffer, bounds: KeyBounds,
+                     level: int) -> None:
+        child = node_of(child_buf)
+        lost = (child.magic != PAGE_MAGIC
+                or child.page_type not in (PAGE_LEAF, PAGE_INTERNAL)
+                or child.level != level)
         if lost:
-            self._repair_lost_child(parent, child_no, child_buf, child_view,
-                                    bounds, expected_level)
-            self._vet_intra_page(child_no, child_buf, child_view)
-            return
-        if child_view.n_keys:
+            self._repair_lost_child(
+                parent, child_no, child_buf,
+                NodeView(child_buf.data, self.page_size), bounds, level)
+        elif child.n_keys:
             too_wide_right = (bounds.hi is not None
-                              and child_view.max_key() >= bounds.hi)
-            lo = child_view.min_key()
+                              and child.max_key() >= bounds.hi)
+            lo = child.min_key()
             too_wide_left = lo != MIN_KEY and lo < bounds.lo
             if too_wide_right or too_wide_left:
                 sibling = self._sibling_across(
                     parent, right=too_wide_right)
                 self._redo_split_of_wide_child(
-                    parent.page_no, parent.slot, child_buf, child_view,
+                    parent.page_no, parent.slot, child_buf,
+                    NodeView(child_buf.data, self.page_size),
                     bounds, sibling)
-        self._vet_intra_page(child_no, child_buf, child_view)
+        self._vet_intra_page(child_no, child_buf)
 
     def _sibling_across(self, parent: PathEntry, *, right: bool) -> int:
         """The child of the parent entry adjacent to ``parent.slot``,
@@ -364,9 +371,8 @@ class ReorgBLinkTree(BLinkTree):
                     self._unpin(sparent.buffer)
             if sview.prev_n_keys and sview.new_page == child_no:
                 # case (c): the reorganized page's backup holds our keys
-                self._regenerate_sibling(source_no, sview, child_no,
+                self._regenerate_sibling(source_no, sbuf, sview, child_no,
                                          child_buf, child_view)
-                self._dirty(sbuf)
             elif sview.n_keys and sview.max_key() >= bounds.lo:
                 # case (e): the source is the un-split original page; redo
                 # its split, which regenerates this child as a side effect
@@ -402,13 +408,13 @@ class ReorgBLinkTree(BLinkTree):
         raced with eviction.)
         """
         if parent.slot > 0:
-            from dataclasses import replace
             s_bounds = self._child_bounds(parent.view, parent.slot - 1,
                                           parent.bounds)
             # second pin on the same frame: the caller unpins the entry's
             # buffer unconditionally, whichever branch built it
             self._pin(parent.page_no)
-            return replace(parent, slot=parent.slot - 1), s_bounds
+            return PathEntry(parent.page_no, parent.buffer, parent.bounds,
+                             parent.slot - 1), s_bounds
         left_no = parent.view.left_peer
         if left_no == INVALID_PAGE:
             raise RecoveryError(
@@ -417,7 +423,7 @@ class ReorgBLinkTree(BLinkTree):
         try:
             slot = lview.n_keys - 1
             s_bounds = KeyBounds(lview.key_at(slot), bounds.lo)
-            entry = PathEntry(left_no, lbuf, lview,
+            entry = PathEntry(left_no, lbuf,
                               KeyBounds(MIN_KEY, bounds.lo), slot)
         except BaseException:
             self._unpin(lbuf)
@@ -549,8 +555,8 @@ class ReorgBLinkTree(BLinkTree):
             try:
                 sview = NodeView(sbuf.data, self.page_size)
                 if not valid_magic(sbuf.data):
-                    self._regenerate_sibling(child_no, child_view, sibling,
-                                             sbuf, sview)
+                    self._regenerate_sibling(child_no, child_buf, child_view,
+                                             sibling, sbuf, sview)
             finally:
                 self._unpin(sbuf)
         self._verify_episode_around(child_no)
@@ -656,7 +662,6 @@ class ReorgBLinkTree(BLinkTree):
                 self.file.pool.unpin(virtual)
                 raise
             entry.buffer = new_buf
-            entry.view = pa_view
             self.engine.sync_state.note_split()
 
             # step (6): the key that caused the split goes to Pb
@@ -695,7 +700,7 @@ class ReorgBLinkTree(BLinkTree):
         slot, found = pview.search(sep)
         if found:
             raise TreeError(f"separator {sep.hex()} already in parent")
-        if self._page_can_fit(pview, len(k2_item)):
+        if self._page_can_fit(parent.node, len(k2_item)):
             # single-page update: atomic at sync
             pview.insert_item(slot, k2_item)
             if redirect is not None:

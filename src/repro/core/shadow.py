@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF
+from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
 from ..errors import RecoveryError, TreeError
-from ..storage import is_zeroed, try_read_header, valid_magic
+from ..storage import is_zeroed, valid_magic
 from ..storage.buffer_pool import Buffer
 from .btree_base import BLinkTree, PathEntry
 from .detect import Action, DetectionReport, Kind
 from .keys import MIN_KEY, KeyBounds
-from .nodeview import NodeView
+from .nodeview import DecodedNode, NodeView, node_of
 from . import items as I
 
 
@@ -46,60 +46,57 @@ class ShadowBLinkTree(BLinkTree):
     # descent verification (Section 3.3.1)
     # ------------------------------------------------------------------
 
-    def _child_consistent(self, child_buf: Buffer, child_view: NodeView,
-                          bounds: KeyBounds, expected_level: int) -> bool:
+    def _child_consistent(self, child: DecodedNode, bounds: KeyBounds,
+                          expected_level: int) -> bool:
         """The Section 3.3.1 test: does the child actually hold the key
         range the parent promised?
 
         This is the hot path whose cost Table 1 measures ("the added
-        expense of verifying inter-page links in traversing the tree"),
-        so it reads header fields directly off the page bytes.
+        expense of verifying inter-page links in traversing the tree"):
+        header fields come from the node, and of the keys only the two
+        end ones are looked at — off the bytes while the page's key list
+        is not decoded.
         """
-        data = child_buf.data
         # a zeroed page has no valid header; one cheap header check
         # covers both the lost-image and the garbage cases
-        if not valid_magic(data):
+        if child.magic != PAGE_MAGIC:
             return False
-        page_type = data[2]
+        page_type = child.page_type
         if page_type != PAGE_LEAF and page_type != PAGE_INTERNAL:
             return False
-        if child_view.level != expected_level:
+        if child.level != expected_level:
             return False
-        n = child_view.n_keys
-        if n == 0:
+        if child.n_keys == 0:
             # a formatted empty page can only exist durably if a sync
             # wrote it; nothing disproves it
             return True
-        keys = child_view.cached_keys
-        if keys is not None:
-            lo, hi_key = keys[0], keys[-1]
-        else:
-            lo, hi_key = child_view.key_at(0), child_view.key_at(n - 1)
+        lo = child.min_key()
         if lo and lo < bounds.lo:
             return False
         hi = bounds.hi
-        if hi is not None and hi_key >= hi:
+        if hi is not None and child.max_key() >= hi:
             return False
         return True
 
     def _check_child(self, parent: PathEntry, child_no: int,
-                     child_buf: Buffer, child_view: NodeView,
-                     bounds: KeyBounds) -> None:
-        expected_level = parent.view.level - 1
-        if not self._child_consistent(child_buf, child_view, bounds,
-                                      expected_level):
-            self._repair_from_prev(parent, child_no, child_buf, child_view,
-                                   bounds, expected_level)
-        self._vet_intra_page(child_no, child_buf, child_view)
+                     child_buf: Buffer, bounds: KeyBounds,
+                     level: int) -> None:
+        if not self._child_consistent(node_of(child_buf), bounds, level):
+            self._repair_from_prev(parent, child_no, child_buf, bounds,
+                                   level)
+        self._vet_intra_page(child_no, child_buf)
 
     def _repair_from_prev(self, parent: PathEntry, child_no: int,
-                          child_buf: Buffer, child_view: NodeView,
-                          bounds: KeyBounds, level: int) -> None:
+                          child_buf: Buffer, bounds: KeyBounds,
+                          level: int) -> None:
         """Re-execute the interrupted split (Section 3.3.2): rebuild the
         child from the keys the prevPtr page holds in the expected range."""
         started = perf_counter()
-        slot = parent.slot if parent.slot >= 0 else parent.view.route(bounds.lo)
-        prev_no = parent.view.prev_at(slot)
+        child_view = NodeView(child_buf.data, self.page_size)
+        parent_view = parent.view
+        slot = (parent.slot if parent.slot >= 0
+                else parent_view.route(bounds.lo))
+        prev_no = parent_view.prev_at(slot)
         kind = (Kind.ZEROED_CHILD if is_zeroed(child_buf.data)
                 else Kind.RANGE_MISMATCH)
         shadow = self._level_uses_shadow_items(level)
@@ -175,42 +172,41 @@ class ShadowBLinkTree(BLinkTree):
     # Lehman-Yao moved-right links (Section 3.6)
     # ------------------------------------------------------------------
 
-    def _follow_moves(self, page_no, buf, view, bounds, key):
+    def _follow_moves(self, page_no, buf, bounds, key):
+        node = node_of(buf)
         # A dead pre-split page advertises its replacement through newPage.
         # The splitter restamps the page's token when setting the link, so
         # the link is trusted only if it was made in the current sync
         # window; a stale pre-crash link is ignored — the intact old page
         # is itself a consistent image of the tree.
-        while (view.new_page != INVALID_PAGE
-               and self.engine.sync_state.is_current(view.sync_token)):
-            target = view.new_page
-            tbuf = self.file.pin(target)
-            tview = self._view(tbuf)
-            if not valid_magic(tbuf.data):
+        while (node.new_page != INVALID_PAGE
+               and self.engine.sync_state.is_current(node.sync_token)):
+            target = node.new_page
+            tbuf, tnode = self._pin_node(target)
+            if tnode.magic != PAGE_MAGIC:
                 self._unpin(tbuf)
                 break
             self._unpin(buf)
             self._m_moves_right.inc()
-            page_no, buf, view = target, tbuf, tview
-            if view.n_keys:
-                bounds = KeyBounds(max(bounds.lo, view.min_key()), bounds.hi)
+            page_no, buf, node = target, tbuf, tnode
+            if node.n_keys:
+                bounds = KeyBounds(max(bounds.lo, node.min_key()), bounds.hi)
         # move right along the peer chain when the key lies beyond this
         # page's live span and the right sibling provably covers it
-        while (view.n_keys and view.right_peer != INVALID_PAGE
-               and key > view.max_key()):
-            target = view.right_peer
-            tbuf = self.file.pin(target)
-            tview = self._view(tbuf)
-            if (not valid_magic(tbuf.data)
-                    or tview.level != view.level or tview.n_keys == 0
-                    or tview.min_key() > key):
+        while (node.n_keys and node.right_peer != INVALID_PAGE
+               and key > node.max_key()):
+            target = node.right_peer
+            tbuf, tnode = self._pin_node(target)
+            if (tnode.magic != PAGE_MAGIC
+                    or tnode.level != node.level or tnode.n_keys == 0
+                    or tnode.min_key() > key):
                 self._unpin(tbuf)
                 break
             self._unpin(buf)
             self._m_moves_right.inc()
-            page_no, buf, view = target, tbuf, tview
-            bounds = KeyBounds(view.min_key(), bounds.hi)
-        return page_no, buf, view, bounds
+            page_no, buf, node = target, tbuf, tnode
+            bounds = KeyBounds(node.min_key(), bounds.hi)
+        return page_no, buf, node, bounds
 
     # ------------------------------------------------------------------
     # splits (Section 3.3)
@@ -315,7 +311,7 @@ class ShadowBLinkTree(BLinkTree):
             new_prev = pview.prev_at(k1)
             self.file.free(p_no, split_entry.bounds.as_range())
         k2_item = I.pack_internal_item(sep, pb_no, prev=new_prev)
-        if self._page_can_fit(pview, len(k2_item)):
+        if self._page_can_fit(parent.node, len(k2_item)):
             # the whole update lands on one page, atomically at sync
             pview.insert_item(k1 + 1, k2_item)            # steps (1)+(4)
             pview.set_child_at(k1, pa_no)                 # step (5)

@@ -32,9 +32,10 @@ from .disk import SimulatedDisk
 #: (:meth:`BufferPool.mark_dirty`, :meth:`BufferPool.note_volatile`,
 #: :meth:`BufferPool.remap`), and a frame that leaves the pool (eviction,
 #: :meth:`BufferPool.drop`, crash reopen) can only come back as a *new*
-#: ``Buffer`` with a *new* version.  ``(page_no, version)`` therefore never
-#: repeats across frame reincarnations, which is what lets the fastpath
-#: decoded-key directory key on it without an explicit invalidation hook.
+#: ``Buffer`` with a *new* version.  A version therefore names one content
+#: generation of one frame, which is all the decoded node hanging off the
+#: frame (``Buffer.node``) needs: it is current exactly while its stamp
+#: equals ``Buffer.version``, and it leaves the pool with its frame.
 _next_version = count(1).__next__
 
 
@@ -43,10 +44,13 @@ class Buffer:
 
     ``page_no`` is ``None`` for virtual buffers (allocated in memory only,
     not yet bound to a disk slot).  ``version`` identifies the frame's
-    current content generation — see :data:`_next_version`.
+    current content generation — see :data:`_next_version`.  ``node`` is
+    the page's decoded form, owned by whoever reads the page
+    (``repro.core.nodeview.node_of`` for index pages); the pool only
+    guarantees that it dies with the frame.
     """
 
-    __slots__ = ("page_no", "data", "pin_count", "dirty", "version")
+    __slots__ = ("page_no", "data", "pin_count", "dirty", "version", "node")
 
     def __init__(self, page_no: int | None, data: bytearray):
         self.page_no = page_no
@@ -54,6 +58,7 @@ class Buffer:
         self.pin_count = 0
         self.dirty = False
         self.version = _next_version()
+        self.node = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Buffer page={self.page_no} pins={self.pin_count} "
@@ -169,7 +174,7 @@ class BufferPool:
             raise BufferError_("mark_dirty requires a pinned buffer")
         buf.dirty = True
         # the frame's content changed (the protocol is mutate-then-dirty),
-        # so decoded-key cache entries keyed on the old version must miss
+        # so a node decoded at the old version must stop matching
         buf.version = _next_version()
         # once dirty the frame's whole content reaches the next sync, so
         # any standing volatile declaration is resolved by it
@@ -195,7 +200,7 @@ class BufferPool:
         if buf.page_no is not None:
             self._volatile.add(buf.page_no)
             # volatile means "mutated without mark_dirty" — the content
-            # still changed, so version-keyed caches must be invalidated
+            # still changed, so the frame's node must stop matching
             buf.version = _next_version()
 
     def is_volatile(self, page_no: int) -> bool:
@@ -281,8 +286,8 @@ class BufferPool:
         del self._frames[page_no]
         self._volatile.discard(page_no)
         virtual.page_no = page_no
-        # the page number just changed hands: any cache entry for
-        # (page_no, old.version) must never match the rebound frame
+        # the virtual frame was written while unbound; anything decoded
+        # from it before now must stop matching
         virtual.version = _next_version()
         self._frames[page_no] = virtual
         self._frames.move_to_end(page_no)

@@ -1,4 +1,4 @@
-"""R010 — the three legs of decoded-key cache invalidation."""
+"""R010 — the two legs of decoded-node invalidation."""
 
 import textwrap
 
@@ -18,51 +18,7 @@ def rule_ids(report):
 
 
 # ---------------------------------------------------------------------------
-# leg 1 — NodeView key-set mutators must drop cached_keys
-# ---------------------------------------------------------------------------
-
-def test_r010_flags_mutator_keeping_cached_keys(tmp_path):
-    report = run(tmp_path, """
-        class NodeView:
-            def insert_item(self, index, blob):
-                self.n_keys += 1
-                self.write(index, blob)
-    """, "core/nodeview.py")
-    assert rule_ids(report) == ["R010"]
-    assert "cached_keys" in report.violations[0].message
-
-
-def test_r010_accepts_mutator_dropping_cached_keys(tmp_path):
-    report = run(tmp_path, """
-        class NodeView:
-            def delete_item(self, index):
-                self.n_keys -= 1
-                self.cached_keys = None
-    """, "core/nodeview.py")
-    assert report.ok
-
-
-def test_r010_ignores_non_mutator_methods(tmp_path):
-    report = run(tmp_path, """
-        class NodeView:
-            def reclaim_backup(self):
-                # header-only change: the live key set is untouched
-                self.prev_n_keys = 0
-    """, "core/nodeview.py")
-    assert report.ok
-
-
-def test_r010_leg1_only_applies_to_nodeview_module(tmp_path):
-    report = run(tmp_path, """
-        class Mimic:
-            def insert_item(self, index, blob):
-                self.n_keys += 1
-    """, "core/other.py")
-    assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# leg 2 — buffer-pool content events need version evidence
+# leg 1 — buffer-pool content events need version evidence
 # ---------------------------------------------------------------------------
 
 def test_r010_flags_dirty_mark_without_version_bump(tmp_path):
@@ -112,7 +68,7 @@ def test_r010_accepts_clean_down_and_unbind(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# leg 3 — note_* maintenance must follow the dirty-marking version bump
+# leg 2 — note_* maintenance must follow the dirty-marking version bump
 # ---------------------------------------------------------------------------
 
 def test_r010_flags_note_before_dirty(tmp_path):
@@ -144,7 +100,7 @@ def test_r010_accepts_note_after_dirty(tmp_path):
     assert report.ok
 
 
-def test_r010_leg3_applies_under_storage_too(tmp_path):
+def test_r010_note_ordering_applies_under_storage_too(tmp_path):
     report = run(tmp_path, """
         def touch(self, buf, keys):
             self.fp.note_insert(buf, 0, b"k", keys)
@@ -152,7 +108,7 @@ def test_r010_leg3_applies_under_storage_too(tmp_path):
     assert rule_ids(report) == ["R010"]
 
 
-def test_r010_leg3_ignores_other_packages(tmp_path):
+def test_r010_note_ordering_ignores_other_packages(tmp_path):
     report = run(tmp_path, """
         def touch(self, buf, keys):
             self.fp.note_insert(buf, 0, b"k", keys)
@@ -165,6 +121,17 @@ def test_r010_pragma_suppression(tmp_path):
         def insert(self, leaf, slot, key, keys):
             self.fp.note_insert(leaf.buffer, slot, key, keys)  # lint: disable=R010
     """, "core/tree.py")
+    assert report.ok
+
+
+def test_r010_leaves_nodeview_mutators_alone(tmp_path):
+    # NodeView is byte-level: it carries no decoded state to drop
+    report = run(tmp_path, """
+        class NodeView:
+            def insert_item(self, index, blob):
+                self.n_keys += 1
+                self.write(index, blob)
+    """, "core/nodeview.py")
     assert report.ok
 
 

@@ -93,7 +93,7 @@ def test_dropped_mark_dirty_is_caught_as_r012(tmp_path):
 
 def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
     """Move ``note_insert`` ahead of the dirty-mark in ``_finger_insert``:
-    the fast-path cache restamp now runs on a path whose buffer is still
+    the decoded-node restamp now runs on a path whose buffer is still
     clean.  The method is linted in extraction (see
     :func:`extract_method`) because inside its own file the preceding
     ``_ensure_peer_path`` call legitimately carries dirty evidence."""
@@ -102,12 +102,10 @@ def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
     mutant = source.replace(
         """            entry.view.insert_item(slot, item)
             self._dirty(entry.buffer)
-            if keys is not None:
-                self._fastpath.note_insert(entry.buffer, slot, key, keys)
+            node.note_insert(entry.buffer, slot, key)
             return True""",
         """            entry.view.insert_item(slot, item)
-            if keys is not None:
-                self._fastpath.note_insert(entry.buffer, slot, key, keys)
+            node.note_insert(entry.buffer, slot, key)
             self._dirty(entry.buffer)
             return True""")
     assert mutant != source, "mutation site moved; update the self-test"

@@ -11,6 +11,8 @@ conforming sequence must pass untouched.
 # lint: disable=R001,R002,R003,R012
 
 import gc
+import random
+import sys
 
 import pytest
 
@@ -203,3 +205,106 @@ def test_normal_frees_pass():
         for i in range(50):
             tree.delete(i)
         engine.sync()  # deletes reclaim pages through the legal paths
+
+
+# ---------------------------------------------------------------------------
+# stale decoded nodes (the read path's invariant), with seeded mutants
+# ---------------------------------------------------------------------------
+
+def run_workload(tree, seed):
+    """Mixed traffic that keeps decoded nodes on the frames: lookups warm
+    the leaves, inserts and deletes maintain their lists, splits restamp
+    neighbours' headers."""
+    rng = random.Random(seed)
+    for i in range(400):
+        key = rng.randrange(50, 2000)
+        if tree.lookup(key) is None:
+            tree.insert(key, TID(2, i % 200))
+        else:
+            tree.delete(key)
+        tree.lookup(rng.randrange(50))
+
+
+def test_header_setter_without_a_version_bump_is_caught():
+    with sanitized():
+        engine, tree = make_tree()
+        tree.lookup(3)
+        tree.lookup(3)                  # the leaf's node is decoded now
+        page_no = tree._fastpath.finger_page
+        buf = tree.file.pin(page_no)
+        NodeView(buf.data, PAGE).right_peer_token = 99   # no mark_dirty
+        with pytest.raises(SanitizerError, match="right_peer_token"):
+            tree.file.unpin(buf)
+
+
+def test_maintained_writes_pass():
+    with sanitized():
+        engine, tree = make_tree()
+        run_workload(tree, seed=0)
+        engine.sync()
+        assert len(tree.check()) == len(list(tree.range_scan()))
+
+
+#: the writers that keep their leaf's node current themselves
+#: (``note_insert`` / ``note_delete`` re-read the header and restamp), so
+#: a missing bump under them changes nothing observable
+MAINTAINED_WRITERS = {"insert", "_finger_insert", "delete", "_finger_delete",
+                      "insert_many", "delete_many"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutant_skipping_one_version_bump_is_caught(seed, monkeypatch):
+    """Seeded mutant: one ``mark_dirty`` of a frame whose node is current
+    (a split restamping a neighbour's link, a parent taking a separator)
+    marks the frame dirty but forgets the version bump, so the node
+    decoded before the write keeps claiming the frame's version."""
+    from repro.core.btree_base import BLinkTree
+    with sanitized():
+        engine, tree = make_tree()
+        run_workload(tree, seed)        # healthy: frames carry nodes
+        skip_at = random.Random(seed).randrange(1, 6)
+        seen = 0
+        real_dirty = BLinkTree._dirty
+
+        def dirty(self, buf):
+            nonlocal seen
+            node = buf.node
+            if (node is not None and node.version == buf.version
+                    and sys._getframe(1).f_code.co_name
+                    not in MAINTAINED_WRITERS):
+                seen += 1
+                if seen == skip_at:
+                    buf.dirty = True    # mark_dirty minus the bump
+                    return
+            real_dirty(self, buf)
+        monkeypatch.setattr(BLinkTree, "_dirty", dirty)
+        with pytest.raises(SanitizerError, match="decoded node"):
+            for round_ in range(20):
+                run_workload(tree, seed + 100 + round_)
+        assert seen == skip_at
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutant_skipping_one_list_update_is_caught(seed, monkeypatch):
+    """Seeded mutant: one ``note_delete`` restamps the node but leaves
+    the deleted key in the list."""
+    from repro.core.nodeview import DecodedNode
+    with sanitized():
+        engine, tree = make_tree()
+        run_workload(tree, seed)
+        skip_at = random.Random(seed).randrange(1, 30)
+        calls = 0
+
+        def note_delete(node, buf, slot):
+            nonlocal calls
+            calls += 1
+            keys = node.keys
+            node.refresh(buf.version)
+            if keys is not None:
+                if calls != skip_at:
+                    del keys[slot]
+                node.keys = keys
+        monkeypatch.setattr(DecodedNode, "note_delete", note_delete)
+        with pytest.raises(SanitizerError, match="key list"):
+            for round_ in range(20):
+                run_workload(tree, seed + 100 + round_)

@@ -10,8 +10,12 @@ from repro.bench import heights, logvolume, recovery, space, stalls, table1
 
 
 def test_table1_shape():
-    data = table1.run([800], reps=2, lookups=500, page_size=2048,
-                      kinds=("normal", "reorg", "shadow"), quiet=True)
+    # one run is a ratio of two 3 ms timings; the median of five is
+    # stable on a loaded box
+    runs = [table1.run([800], reps=2, lookups=500, page_size=2048,
+                       kinds=("normal", "reorg", "shadow"), quiet=True)
+            for _ in range(5)]
+    data = sorted(runs, key=lambda run: run["worst_overhead"])[2]
     for table in (data["insert"], data["lookup"]):
         base = table["normal"][800]
         assert base > 0
@@ -22,6 +26,34 @@ def test_table1_shape():
         assert table["reorg"][800] > base * 0.7
     assert data["worst_overhead"] > 0
     table1.print_report(data, [800], wisconsin=True)
+
+
+def test_table1_verification_overhead_is_counted():
+    """The overhead Table 1 is about — "the added expense of verifying
+    inter-page links in traversing the tree" — also shows in exact call
+    counts, which no machine load can move."""
+    import cProfile
+    import pstats
+
+    from repro.workload import ascending, build_tree, uniform_lookups
+
+    def calls_per_lookup(kind):
+        _result, tree = build_tree(kind, ascending(800), page_size=2048,
+                                   time_it=False)
+        probes = list(uniform_lookups(500, 800, seed=1))
+        for probe in probes:                # decode the pages first
+            tree.lookup(probe)
+        profile = cProfile.Profile()
+        profile.enable()
+        for probe in probes:
+            tree.lookup(probe)
+        profile.disable()
+        stats = pstats.Stats(profile).stats
+        return sum(row[1] for row in stats.values()) / len(probes)
+
+    base = calls_per_lookup("normal")
+    assert calls_per_lookup("shadow") > base
+    assert calls_per_lookup("reorg") > base
 
 
 def test_heights_reproduces_section5_claims():

@@ -1,0 +1,55 @@
+"""Shared machinery for the decoded-node tests."""
+
+from __future__ import annotations
+
+import struct
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.core import nodeview
+from repro.core.nodeview import DecodedNode, NodeView
+
+
+def _undecodable(*_args, **_kwargs):
+    raise struct.error("bulk decode disabled by bytes_only()")
+
+
+@contextmanager
+def bytes_only():
+    """Run a block with every bulk decode reporting "undecodable".
+
+    Searches then binary-search the page bytes and whole-page readers take
+    the per-item :class:`NodeView` decode — the reference implementation
+    the node's lists are checked against.  This is a test harness, not a
+    mode: the product has one read path, and this is its fallback leg.
+    """
+    with mock.patch.object(nodeview, "_decode_keys", _undecodable), \
+            mock.patch.object(nodeview, "_decode_tails", _undecodable):
+        yield
+
+
+def fresh_node(buf) -> DecodedNode:
+    """A node decoded from *buf*'s bytes now, lists materialised."""
+    node = DecodedNode(buf.data, buf.version)
+    node.materialise()
+    return node
+
+
+def assert_node_matches_bytes(buf, page_size: int) -> None:
+    """The frame's node (if current) equals both a fresh bulk decode and
+    the per-item :class:`NodeView` decode of the same bytes."""
+    node = buf.node
+    if node is None or node.version != buf.version:
+        return
+    assert node.mismatch() is None, (buf, node.mismatch())
+    if node.keys is not None:
+        view = NodeView(buf.data, page_size)
+        assert node.keys == list(view.keys())
+        if node.children is not None:
+            assert node.children == [view.child_at(i)
+                                     for i in range(view.n_keys)]
+
+
+def assert_all_nodes_match_bytes(tree) -> None:
+    for buf in list(tree.file.pool._frames.values()):
+        assert_node_matches_bytes(buf, tree.page_size)

@@ -1,0 +1,121 @@
+"""Decode budget, counted not timed.
+
+``cProfile`` distorts time but counts calls exactly, so these budgets do
+not depend on machine load (same method as ``perf/counted.py``).  They
+hold the read path to what the decoded node bought: a warm lookup decodes
+next to nothing, a lookup that faults its leaf in decodes O(log n) items
+instead of the whole page, and a scan pays a handful of calls per key.  A
+change that re-introduces per-key decoding on a miss fails here, not in a
+wall-clock gate.
+"""
+
+import cProfile
+import os
+import pstats
+import random
+
+import pytest
+
+from repro import TID, ShadowBLinkTree, StorageEngine
+
+from ..conftest import tid_for
+
+# under REPRO_SANITIZE=1 every unpin re-decodes the page to compare it
+# with the node — exactly the work these budgets exist to rule out
+pytestmark = pytest.mark.skipif(
+    os.environ.get("REPRO_SANITIZE") == "1",
+    reason="the sanitizer's node check decodes on every unpin")
+
+N_KEYS = 20_000
+PAGE = 8192
+SLICE = 2000
+
+
+def count_calls(fn) -> tuple[int, int]:
+    """``(calls, unpacks)`` made by ``fn()``: every Python-visible call,
+    and how many of them were ``struct`` ``unpack_from``."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn()
+    finally:
+        profile.disable()
+    calls = unpacks = 0
+    for (_file, _line, name), row in pstats.Stats(profile).stats.items():
+        calls += row[1]
+        if "unpack_from" in name:
+            unpacks += row[1]
+    return calls, unpacks
+
+
+@pytest.fixture
+def loaded():
+    engine = StorageEngine.create(page_size=PAGE, seed=3)
+    tree = ShadowBLinkTree.create(engine, "ix", codec="uint32")
+    tree.insert_many((key, tid_for(key)) for key in range(N_KEYS))
+    engine.sync()
+    return engine, tree
+
+
+def lookups(tree, seed):
+    rng = random.Random(seed)
+    keys = [rng.randrange(N_KEYS) for _ in range(SLICE)]
+
+    def run():
+        for key in keys:
+            tree.lookup(key)
+    return run
+
+
+def test_warm_lookup_unpacks(loaded):
+    _engine, tree = loaded
+    lookups(tree, 1)()                      # fault in and decode
+    lookups(tree, 1)()
+    _calls, unpacks = count_calls(lookups(tree, 2))
+    assert unpacks / SLICE <= 4             # 19 before the decoded node
+
+
+def test_cold_lookup_unpacks(loaded):
+    engine, tree = loaded
+    tree.close_clean()
+    engine.pool_capacity = tree.file.n_pages // 8
+    engine.shutdown()
+    cold = ShadowBLinkTree.open(StorageEngine.reopen(engine), "ix")
+    lookups(cold, 1)()                      # steady state for the pool
+    misses = cold.file.pool.stats_misses
+    _calls, unpacks = count_calls(lookups(cold, 2))
+    # the budget is about lookups that miss the pool: most must
+    assert cold.file.pool.stats_misses - misses > SLICE // 2
+    assert unpacks / SLICE <= 40            # 452 before the decoded node
+
+
+def test_range_scan_calls_per_key(loaded):
+    _engine, tree = loaded
+    yielded = []
+    calls, _unpacks = count_calls(
+        lambda: yielded.append(sum(1 for _ in tree.range_scan())))
+    assert yielded == [N_KEYS]
+    assert calls / N_KEYS <= 6              # about 19 before
+
+
+def test_short_bounded_scan_decodes_what_it_yields(loaded, monkeypatch):
+    from repro.core import nodeview
+
+    engine, tree = loaded
+    tree.close_clean()
+    engine.pool_capacity = tree.file.n_pages // 8
+    engine.shutdown()
+    cold = ShadowBLinkTree.open(StorageEngine.reopen(engine), "ix")
+    decoded = []
+
+    def counting_tid(page_no, line):
+        decoded.append(line)
+        return TID(page_no, line)
+    rng = random.Random(4)
+    starts = [rng.randrange(N_KEYS - 3) for _ in range(SLICE)]
+    with monkeypatch.context() as patch:
+        patch.setattr(nodeview, "TID", counting_tid)
+        for lo in starts:
+            assert len(list(cold.range_scan(lo, lo + 3))) == 3
+    # the three items it yields, not the ~290 of the leaf they sit on
+    assert len(decoded) == 3 * SLICE

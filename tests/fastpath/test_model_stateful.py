@@ -1,0 +1,179 @@
+"""Stateful model test: a 4-frame pool against a dict.
+
+Hypothesis drives random lookup / insert / delete / ``range_scan`` /
+sync / crash-with-a-random-subset / clean-reopen sequences through each
+recoverable tree over a pool of four frames, so nearly every page an
+operation touches is freshly faulted, evicted soon after, and decoded (or
+not) by the admission rule in between.  The index must agree with a plain
+dict throughout, and every decoded node left on a frame must equal its
+page bytes.
+
+What a crash leaves open is modelled, not asserted: a key written since
+the last completed sync may or may not have survived (Section 2's failure
+model), so it is *unknown* until the next insert or delete of that key
+resolves it.  A restart runs the stop-the-world recovery (repair sweep +
+completion sync) before traffic resumes — the sweep row of
+``RecoveryOrchestrator``, and the contract the crash campaigns pin; a
+second crash landing on a half-repaired index is
+``tests/recovery/test_recrash_during_heal.py``'s subject, not this one's.
+"""
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro import (
+    CrashError,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    RandomSubsetCrash,
+    StorageEngine,
+    TID,
+    TREE_CLASSES,
+)
+
+from .helpers import assert_all_nodes_match_bytes
+
+PAGE = 512
+#: even keys loaded and synced before the first step, so the index is
+#: several times the pool from the start
+PRELOADED = range(0, 800, 2)
+KEYS = st.integers(0, 820)
+
+
+class IndexMachine(RuleBasedStateMachine):
+    kind = "shadow"
+
+    def __init__(self):
+        super().__init__()
+        self.engine = StorageEngine.create(page_size=PAGE, seed=23,
+                                           pool_capacity=4)
+        self.tree = TREE_CLASSES[self.kind].create(self.engine, "ix",
+                                                   codec="uint32")
+        #: what the index must hold, for every key not in ``unknown``
+        self.model: dict[int, TID] = {key: TID(9, key % 200)
+                                      for key in PRELOADED}
+        self.tree.insert_many(self.model.items())
+        self.engine.sync()
+        #: keys written since the last completed sync
+        self.touched: set[int] = set()
+        #: keys whose fate the last crash left open
+        self.unknown: set[int] = set()
+        self.writes = 0
+
+    def _next_tid(self) -> TID:
+        self.writes += 1
+        return TID(1 + self.writes // 200, self.writes % 200)
+
+    # -- operations ------------------------------------------------------
+
+    @rule(key=KEYS)
+    def insert(self, key):
+        tid = self._next_tid()
+        if key in self.unknown:
+            try:
+                self.tree.insert(key, tid)
+            except DuplicateKeyError:
+                tid = self.tree.lookup(key)     # it survived the crash
+                assert tid is not None
+            self.unknown.discard(key)
+            self.model[key] = tid
+        elif key in self.model:
+            with pytest.raises(DuplicateKeyError):
+                self.tree.insert(key, tid)
+        else:
+            self.tree.insert(key, tid)
+            self.model[key] = tid
+        self.touched.add(key)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        if key in self.unknown:
+            try:
+                self.tree.delete(key)
+            except KeyNotFoundError:
+                pass                            # it did not survive
+            self.unknown.discard(key)
+        elif key in self.model:
+            self.tree.delete(key)
+            del self.model[key]
+        else:
+            with pytest.raises(KeyNotFoundError):
+                self.tree.delete(key)
+        self.touched.add(key)
+
+    @rule(key=KEYS)
+    def lookup(self, key):
+        answer = self.tree.lookup(key)
+        if key not in self.unknown:
+            assert answer == self.model.get(key)
+
+    @rule(lo=KEYS, span=st.integers(0, 120))
+    def range_scan(self, lo, span):
+        hi = lo + span
+        scanned = [(k, t) for k, t in self.tree.range_scan(lo, hi)
+                   if k not in self.unknown]
+        assert scanned == sorted((k, t) for k, t in self.model.items()
+                                 if lo <= k < hi)
+
+    @rule()
+    def sync(self):
+        self.engine.sync()
+        self.touched.clear()
+
+    @rule(seed=st.integers(0, 2**16))
+    def crash_keeping_a_random_subset(self, seed):
+        try:
+            self.engine.sync(RandomSubsetCrash(p=1.0, seed=seed))
+        except CrashError:
+            pass
+        else:
+            self.touched.clear()                # nothing was dirty
+            return
+        self.engine = StorageEngine.reopen_after_crash(self.engine)
+        self.tree = TREE_CLASSES[self.kind].open(self.engine, "ix")
+        self.tree.drive_repairs()
+        self.engine.sync()
+        for key in self.touched:
+            self.unknown.add(key)
+            self.model.pop(key, None)
+        self.touched.clear()
+
+    @rule()
+    def clean_reopen(self):
+        self.tree.close_clean()
+        self.engine.shutdown()
+        self.engine = StorageEngine.reopen(self.engine)
+        self.tree = TREE_CLASSES[self.kind].open(self.engine, "ix")
+        self.touched.clear()
+
+    # -- invariants ------------------------------------------------------
+
+    @invariant()
+    def decoded_nodes_equal_their_pages(self):
+        assert_all_nodes_match_bytes(self.tree)
+
+    def teardown(self):
+        for key in sorted(self.model):
+            assert self.tree.lookup(key) == self.model[key], key
+        pairs = self.tree.check(strict_tokens=False,
+                                require_peer_chain=False)
+        found = {int.from_bytes(k, "big"): t for k, t in pairs}
+        assert {k: t for k, t in found.items()
+                if k not in self.unknown} == self.model
+
+
+def machine_for(kind: str):
+    machine = type(f"{kind.title()}IndexMachine", (IndexMachine,),
+                   {"kind": kind})
+    return machine.TestCase
+
+
+_SETTINGS = settings(max_examples=25, stateful_step_count=60, deadline=None)
+
+TestShadowModel = machine_for("shadow")
+TestShadowModel.settings = _SETTINGS
+TestReorgModel = machine_for("reorg")
+TestReorgModel.settings = _SETTINGS
+TestHybridModel = machine_for("hybrid")
+TestHybridModel.settings = _SETTINGS

@@ -9,6 +9,7 @@ verifies detect-on-first-use repairs them.
 import pytest
 
 from repro import StorageEngine, TID, TREE_CLASSES
+from repro.analysis.sanitizer import suspended
 from repro.core import items as I
 from repro.core.detect import Action, Kind
 from repro.core.nodeview import NodeView
@@ -34,7 +35,10 @@ def build_with_torn_page(kind: str, *, seed: int = 31, step_index=0):
     leaf_no = leaf.page_no
     tree._unpin_path(path)
 
-    with tree.file.pinned(leaf_no) as buf:
+    # the frame is written behind the pool's back on purpose (no
+    # mark_dirty: the process is about to die), which is exactly what the
+    # sanitizer's decoded-node check exists to refuse
+    with suspended(), tree.file.pinned(leaf_no) as buf:
         view = NodeView(buf.data, tree.page_size)
         if view.prev_n_keys:
             # a real insert would run the reclamation check first (the
