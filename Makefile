@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check flow instantrestart lint races serving shard \
+.PHONY: check flow instantrestart lint perf-pairs races serving shard \
 	test test-sanitized threads walreplay
 
 check:
@@ -37,6 +37,11 @@ instantrestart:
 walreplay:
 	python -m pytest -x -q tests/wal \
 		tests/recovery/test_recrash_during_replay.py
+
+# alternating parent/change benchmark pairs + perf.compare, e.g.
+#   make perf-pairs PARENT=HEAD~1 PAIRS=10 WORKLOADS="embedded_churn"
+perf-pairs:
+	sh scripts/perf_pairs.sh $(PARENT) $(PAIRS) $(WORKLOADS)
 
 test:
 	python -m pytest -x -q

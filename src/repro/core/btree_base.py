@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
+from operator import eq, gt, lt
 from time import perf_counter
 from typing import Iterator
 
@@ -937,6 +938,43 @@ class BLinkTree:
             if buf is not None:
                 self._unpin(buf)
 
+    def walk_leaf_chain(self) -> int:
+        """Cross every link of the leaf peer chain, left to right, and
+        return how many keys a full :meth:`range_scan` would yield.
+
+        This is the scan as recovery needs it — a leaf at a time.  Every
+        link goes through :meth:`_next_leaf`, so the Section 3.5.1 token
+        check runs and a broken link is healed exactly as under a scan,
+        but a leaf costs one bulk key decode (left on its frame for the
+        validator) instead of a decode, a TID and a generator resume per
+        key.  The count follows the scan's overlap rule: a leaf
+        contributes the keys strictly after the last one counted."""
+        path = self._descend(MIN_KEY)
+        if not path:
+            return 0
+        for entry in path[:-1]:
+            self._unpin(entry.buffer)
+        page_no, buf = path[-1].page_no, path[-1].buffer
+        seen = 0
+        last_key = None
+        try:
+            while True:
+                keys = node_of(buf).all_keys()
+                if keys and (last_key is None or keys[-1] > last_key):
+                    seen += len(keys) - (0 if last_key is None
+                                         else bisect_right(keys, last_key))
+                    last_key = keys[-1]
+                nxt = self._next_leaf(page_no, buf)
+                if nxt is None:
+                    return seen
+                self._unpin(buf)
+                buf = None
+                page_no = nxt
+                buf = self.file.pin(page_no)
+        finally:
+            if buf is not None:
+                self._unpin(buf)
+
     def _next_leaf(self, page_no: int, buf: Buffer) -> int | None:
         """The next leaf in the scan.  Verifying trees compare the sync
         tokens on the two sides of the link (Section 3.5.1) and heal a
@@ -1345,13 +1383,18 @@ class BLinkTree:
         detected (and fixed) when a descent steps through it, and a
         broken peer link only when a scan crosses it.  After a crash the
         recovery orchestrator wants the index *hot* — fully repaired —
-        before its shard rejoins the group, so this descends toward
-        every separator key named by any durable internal page
-        (exercising :meth:`_check_child` on every reachable child slot)
-        and then walks the full leaf chain (exercising the peer-link
-        checks of Section 3.5.1).  Repairs can restructure the tree, so
-        the sweep repeats until a pass adds no new repair reports.
-        Returns the number of keys visible to the final scan.
+        before its shard rejoins the group, so each pass has two halves,
+        one per family of detector:
+
+        * a descent toward every separator key any durable internal page
+          names fires :meth:`_check_child` on every reachable child slot
+          (one unit per separator, O(height) pages each);
+        * :meth:`walk_leaf_chain` then fires the peer-link check of
+          Section 3.5.1 on every leaf link (one key decode per leaf).
+
+        Repairs can restructure the tree, so passes repeat until one adds
+        no repair report.  Nothing here costs a Python step per key.
+        Returns the number of keys visible to the final chain walk.
 
         This is the stop-the-world form: it runs a :class:`RepairSweep`
         to completion in one call.  Instant restart instead steps the
@@ -1373,7 +1416,8 @@ class BLinkTree:
         any durable internal page names (one unit = one descent, which
         fires :meth:`_check_child` down that subtree's spine).  Trees
         that do not verify links have nothing to descend for — their
-        only repair surface is the scan the sweep runs at pass end."""
+        only repair surface is the chain walk the sweep runs at pass
+        end."""
         return self._separator_keys() if self.VERIFIES else []
 
     def heal_unit(self, key: bytes) -> int:
@@ -1416,67 +1460,92 @@ class BLinkTree:
         it holds the same committed keys and is spliced out by the first
         insert or delete nearby (Section 3.5.1).
         """
+        pairs: list[tuple[bytes, TID]] = []
+        self._validate(pairs, strict_tokens, require_peer_chain)
+        return pairs
+
+    def verify(self, *, strict_tokens: bool = True,
+               require_peer_chain: bool = True) -> int:
+        """:meth:`check` for a caller that wants the verdict and not the
+        pairs (recovery): the same walk, every same test and error, but no
+        TID is decoded — so TID bytes that run off a page go unread — and
+        no pair built.  Returns the number of keys."""
+        return self._validate(None, strict_tokens, require_peer_chain)
+
+    def _validate(self, pairs: list[tuple[bytes, TID]] | None,
+                  strict_tokens: bool, require_peer_chain: bool) -> int:
         root = self._root_page()
         if root == INVALID_PAGE:
-            return []
+            return 0
         leaves: list[int] = []
-        pairs: list[tuple[bytes, TID]] = []
+        ends: list[bytes] = []
         root_buf, root_node = self._pin_node(root)
         try:
-            self._check_subtree(root, root_node, FULL_BOUNDS,
-                                root_node.level, leaves, pairs)
+            n_keys = self._check_subtree(root, root_node, FULL_BOUNDS,
+                                         root_node.level, leaves, ends,
+                                         pairs)
         finally:
             self._unpin(root_buf)
         if require_peer_chain:
             self._check_peer_chain(leaves, strict_tokens=strict_tokens)
-        keys = [k for k, _ in pairs]
-        if keys != sorted(keys):
+        # every leaf ascends strictly, so the whole key sequence can only
+        # fall or repeat where one leaf's last key meets the next's first
+        lasts, firsts = ends[1::2], ends[2::2]
+        if any(map(gt, lasts, firsts)):
             raise TreeError("keys not globally sorted")
-        if len(set(keys)) != len(keys):
+        if any(map(eq, lasts, firsts)):
             raise TreeError("duplicate keys present")
-        return pairs
+        return n_keys
 
     def _check_subtree(self, page_no: int, node: DecodedNode,
-                       bounds: KeyBounds, level: int,
-                       leaves: list[int],
-                       pairs: list[tuple[bytes, TID]]) -> None:
+                       bounds: KeyBounds, level: int, leaves: list[int],
+                       ends: list[bytes],
+                       pairs: list[tuple[bytes, TID]] | None) -> int:
+        """Validate the subtree under *page_no* and return its key count.
+
+        The cost is per page, not per key: one bulk key decode (the
+        frame's own list when a reader already paid for it) and one
+        C-level pass over it.  Leaves append their page number to
+        *leaves*, their first and last key to *ends*, and — only when the
+        caller collects — their pairs to *pairs*."""
         if node.level != level:
             raise TreeError(
                 f"page {page_no}: level {node.level}, expected {level}")
-        prev_key = None
         is_leaf = node.is_leaf
         keys = node.all_keys()
-        lo, hi = bounds.lo, bounds.hi
-        # order and containment over the page's one bulk key decode
-        for i, key in enumerate(keys):
-            if prev_key is not None and key <= prev_key:
-                raise TreeError(f"page {page_no}: keys out of order at {i}")
-            prev_key = key
-            if not is_leaf and i == 0:
-                # entry 0 carries the low separator; containment is implied
-                if key != MIN_KEY and key < bounds.lo:
-                    raise TreeError(
-                        f"page {page_no}: entry-0 separator below bounds")
-                continue
-            if key < lo or (hi is not None and key >= hi):
-                raise TreeError(
-                    f"page {page_no}: key {key.hex()} outside "
-                    f"[{lo.hex()}, {'inf' if hi is None else hi.hex()})"
-                )
+        # entry 0 of an internal page carries the low separator;
+        # containment is implied
+        exempt = 0 if is_leaf else 1
+        if exempt and keys and keys[0] != MIN_KEY \
+                and keys[0] < bounds.lo:
+            raise TreeError(
+                f"page {page_no}: entry-0 separator below bounds")
+        # strict ascent makes the two end keys bound every key between
+        # them; which slot is at fault is worked out once one is
+        ascending = all(map(lt, keys, keys[1:]))
+        contained = len(keys) <= exempt or (
+            bounds.contains(keys[exempt]) and bounds.contains(keys[-1]))
+        if not (ascending and contained):
+            _raise_key_fault(page_no, keys, exempt, bounds)
         if is_leaf:
-            pairs.extend(zip(keys, node.all_tids()))
+            if pairs is not None:
+                pairs.extend(zip(keys, node.all_tids()))
             leaves.append(page_no)
-            return
+            if keys:
+                ends += (keys[0], keys[-1])
+            return len(keys)
         # the child walk pins other frames but writes none, so the lists
         # taken here stay this page's content throughout
+        n_keys = 0
         for i, child_no in enumerate(node.all_children()):
             child_bounds = self._child_bounds(node, i, bounds)
             cbuf, cnode = self._pin_node(child_no)
             try:
-                self._check_subtree(child_no, cnode, child_bounds,
-                                    level - 1, leaves, pairs)
+                n_keys += self._check_subtree(child_no, cnode, child_bounds,
+                                              level - 1, leaves, ends, pairs)
             finally:
                 self._unpin(cbuf)
+        return n_keys
 
     def _check_peer_chain(self, leaves: list[int], *,
                           strict_tokens: bool) -> None:
@@ -1542,6 +1611,22 @@ class BLinkTree:
         return "\n".join(lines)
 
 
+def _raise_key_fault(page_no: int, keys: list[bytes], exempt: int,
+                     bounds: KeyBounds) -> None:
+    """Name the first offending key of a page that failed
+    :meth:`BLinkTree._check_subtree`'s whole-page test.  Slot by slot,
+    order is tested before containment, which the first *exempt* slots
+    are spared."""
+    lo, hi = bounds.lo, bounds.hi
+    for i, key in enumerate(keys):
+        if i and key <= keys[i - 1]:
+            raise TreeError(f"page {page_no}: keys out of order at {i}")
+        if i >= exempt and not bounds.contains(key):
+            raise TreeError(
+                f"page {page_no}: key {key.hex()} outside "
+                f"[{lo.hex()}, {'inf' if hi is None else hi.hex()})")
+
+
 # ----------------------------------------------------------------------
 # resumable repair drive
 # ----------------------------------------------------------------------
@@ -1555,16 +1640,17 @@ class RepairSweep:
     """Resumable, subtree-granular form of :meth:`BLinkTree.drive_repairs`.
 
     The stop-the-world drive descends toward every separator key and then
-    scans — a restart stall proportional to the whole index.  Instant
-    restart needs the same work *preemptible*: the sweep exposes it as a
-    queue of units (one unit = one separator-key descent) that can be
-    stepped a few at a time between foreground operations, with two extra
-    properties:
+    walks the leaf chain — a restart stall proportional to the pages of
+    the whole index.  Instant restart needs the same work *preemptible*:
+    the sweep exposes it as a queue of units (one unit = one
+    separator-key descent) that can be stepped a few at a time between
+    foreground operations, with two extra properties:
 
-    * **lazy seeding** — enumerating the units reads every page of the
-      file, which is most of the sweep's cost, so it is deferred to the
-      first :meth:`step`.  Admission (reopen + open tree) stays O(1) in
-      index size, which is the paper's restart-cost claim.
+    * **lazy seeding** — enumerating the units reads the header of every
+      page of the file.  That is a small share of the sweep (about a
+      tenth), but it is O(pages), so it is deferred to the first
+      :meth:`step`: admission (reopen + open tree) stays O(1) in index
+      size, which is the paper's restart-cost claim.
     * **access-frequency priority** — :meth:`promote` records a
       foreground access by encoded key; the unit whose subtree covers
       that key heals before colder units.  Under zipfian traffic the hot
@@ -1573,7 +1659,7 @@ class RepairSweep:
       unhealed page shrinks fastest where it matters.
 
     Repairs restructure the tree, so when a pass's units drain the sweep
-    scans the leaf chain (firing the peer-link checks) and re-seeds for
+    walks the leaf chain (firing the peer-link checks) and re-seeds for
     another pass until one adds no new repair reports, up to
     ``MAX_PASSES`` — the same fixpoint :meth:`~BLinkTree.drive_repairs`
     always ran, just sliced.
@@ -1611,7 +1697,7 @@ class RepairSweep:
 
     def pending(self) -> int:
         """Units left in the current pass (0 before seeding or when
-        only the pass-end scan remains)."""
+        only the pass-end chain walk remains)."""
         return len(self._pending)
 
     # -- priority ------------------------------------------------------
@@ -1647,8 +1733,9 @@ class RepairSweep:
     # -- the sweep -----------------------------------------------------
 
     def step(self, max_units: int = 1) -> int:
-        """Run up to *max_units* heal units (a pass-end scan counts as
-        one unit).  Returns the units actually run; 0 once done."""
+        """Run up to *max_units* heal units (a pass-end chain walk
+        counts as one unit).  Returns the units actually run; 0 once
+        done."""
         did = 0
         while did < max_units and not self.done:
             if not self._seeded:
@@ -1695,7 +1782,11 @@ class RepairSweep:
                 return unit
 
     def _finish_pass(self) -> None:
-        self.keys_seen = sum(1 for _ in self.tree.range_scan())
+        """The pass's descents fired every parent→child detector; the
+        chain walk fires the peer-link ones, a leaf at a time.  A pass
+        that logged a repair may have restructured the tree, so it is
+        followed by another."""
+        self.keys_seen = self.tree.walk_leaf_chain()
         if len(self.tree.repair_log) == self._pass_repairs_base \
                 or self.passes >= self.MAX_PASSES:
             self.done = True

@@ -43,7 +43,8 @@ class _ShardHeal:
     """Heal state for one admitted shard (owner-thread mutated)."""
 
     __slots__ = ("index", "tree", "sweep", "admitted_at", "done", "failed",
-                 "error", "units_done", "full_heal_seconds", "repairs")
+                 "error", "units_done", "full_heal_seconds", "repairs",
+                 "verify_seconds")
 
     def __init__(self, index: int, tree, admitted_at: float):
         self.index = index
@@ -56,6 +57,7 @@ class _ShardHeal:
         self.units_done = 0
         self.full_heal_seconds: float | None = None
         self.repairs = 0
+        self.verify_seconds: float | None = None
 
 
 class HealQueue:
@@ -142,6 +144,7 @@ class HealQueue:
                     "pending_units": s.sweep.pending(),
                     "repairs": s.repairs,
                     "full_heal_seconds": s.full_heal_seconds,
+                    "verify_seconds": s.verify_seconds,
                 }
         return out
 
@@ -226,14 +229,17 @@ class HealQueue:
         # the sweep hit its fixpoint: validate with the post-crash
         # relaxations (stale dual paths may legally survive), then make
         # the repairs durable — the same epilogue the stop-the-world
-        # drive ran, just later.  The descent and the sync stay outside
-        # the entry lock (both block on simulated I/O; only this
-        # shard's owner thread drives them), the field writes go under
-        # it so the introspection snapshots never see a half-written
-        # completion.
-        state.tree.check(strict_tokens=False, require_peer_chain=False)
+        # drive ran, just later, and like it O(pages): the count-only
+        # validator.  The walk and the sync stay outside the entry lock
+        # (both block on simulated I/O; only this shard's owner thread
+        # drives them), the field writes go under it so the
+        # introspection snapshots never see a half-written completion.
+        verify_start = perf_counter()
+        state.tree.verify(strict_tokens=False, require_peer_chain=False)
+        verify_seconds = perf_counter() - verify_start
         self.group.shard(state.index).sync()
         with self._locks[state.index]:
+            state.verify_seconds = verify_seconds
             state.repairs = len(state.tree.repair_log)
             state.full_heal_seconds = perf_counter() - state.admitted_at
             state.done = True
@@ -257,5 +263,6 @@ class HealQueue:
             failed=state.failed, units_done=state.units_done,
             pending=state.sweep.pending(),
             duration=state.full_heal_seconds,
+            verify_seconds=state.verify_seconds,
             keys_seen=state.sweep.keys_seen if done else None,
             error=state.error)

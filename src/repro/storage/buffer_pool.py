@@ -65,6 +65,18 @@ class Buffer:
                 f"dirty={self.dirty} v={self.version}>")
 
 
+class _PoolCounts:
+    """A pool's event counts, kept apart from the pool so that exporting
+    them to the metrics registry does not export the pool."""
+
+    __slots__ = ("hits", "misses", "evictions", "overflows",
+                 "volatile_exempt")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.evictions = 0
+        self.overflows = self.volatile_exempt = 0
+
+
 class BufferPool:
     """Page cache over one :class:`SimulatedDisk`.
 
@@ -88,45 +100,44 @@ class BufferPool:
         # plain ints, not registry Counter objects: ``pin()`` is the single
         # hottest call in the system, and even a bound-method ``inc()`` per
         # pin is measurable.  The registry still sees exact values through
-        # lazily-evaluated func counters read only at snapshot time.
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._overflows = 0
-        self._volatile_exempt = 0
+        # lazily-evaluated func counters read only at snapshot time.  They
+        # read a holder of their own, not the pool: the registry lives as
+        # long as the process, and what it references must not include the
+        # frames of every pool a restart ever replaced.
+        counts = self._counts = _PoolCounts()
         reg = get_registry()
-        reg.func_counter("buffer_pool.hits", lambda: self._hits,
+        reg.func_counter("buffer_pool.hits", lambda: counts.hits,
                          file=disk.name)
-        reg.func_counter("buffer_pool.misses", lambda: self._misses,
+        reg.func_counter("buffer_pool.misses", lambda: counts.misses,
                          file=disk.name)
-        reg.func_counter("buffer_pool.evictions", lambda: self._evictions,
+        reg.func_counter("buffer_pool.evictions", lambda: counts.evictions,
                          file=disk.name)
-        reg.func_counter("buffer_pool.overflows", lambda: self._overflows,
+        reg.func_counter("buffer_pool.overflows", lambda: counts.overflows,
                          file=disk.name)
         reg.func_counter("buffer_pool.volatile_exemptions",
-                         lambda: self._volatile_exempt, file=disk.name)
+                         lambda: counts.volatile_exempt, file=disk.name)
 
     # -- stats (compatibility views over the plain counters) --------------
 
     @property
     def stats_hits(self) -> int:
-        return self._hits
+        return self._counts.hits
 
     @property
     def stats_misses(self) -> int:
-        return self._misses
+        return self._counts.misses
 
     @property
     def stats_evictions(self) -> int:
-        return self._evictions
+        return self._counts.evictions
 
     @property
     def stats_overflows(self) -> int:
-        return self._overflows
+        return self._counts.overflows
 
     @property
     def stats_volatile_exemptions(self) -> int:
-        return self._volatile_exempt
+        return self._counts.volatile_exempt
 
     # -- pinning -------------------------------------------------------------
 
@@ -134,14 +145,14 @@ class BufferPool:
         """Pin the buffer for *page_no*, faulting it in if needed."""
         buf = self._frames.get(page_no)
         if buf is not None:
-            self._hits += 1
+            self._counts.hits += 1
             buf.pin_count += 1
             if self._capacity is not None:
                 # LRU order only matters when eviction can happen; the
                 # default unbounded pool skips the OrderedDict churn
                 self._frames.move_to_end(page_no)
         else:
-            self._misses += 1
+            self._counts.misses += 1
             data = bytearray(self._disk.read_page(page_no))
             buf = Buffer(page_no, data)
             self._frames[page_no] = buf
@@ -321,10 +332,10 @@ class BufferPool:
                 # the frame carries a deliberate buffer-only divergence
                 # (shadow split advertisement); evicting it would silently
                 # discard the only copy — exempt until a sync retires it
-                self._volatile_exempt += 1
+                self._counts.volatile_exempt += 1
                 continue
             del self._frames[page_no]
-            self._evictions += 1
+            self._counts.evictions += 1
             get_trace().emit("evict", file=self._disk.name, page=page_no)
         if len(self._frames) > self._capacity:
-            self._overflows += 1
+            self._counts.overflows += 1

@@ -10,7 +10,8 @@ from repro.core import RepairSweep
 
 
 class StubTree:
-    """Just what a sweep touches: units, a repair log, an empty scan."""
+    """Just what a sweep touches: units, a repair log, an empty leaf
+    chain."""
 
     def __init__(self, units):
         self.units = units
@@ -24,8 +25,8 @@ class StubTree:
         self.healed.append(key)
         return 0
 
-    def range_scan(self):
-        return iter(())
+    def walk_leaf_chain(self):
+        return 0
 
 
 def units(n):

@@ -4,9 +4,11 @@
 not depend on machine load (same method as ``perf/counted.py``).  They
 hold the read path to what the decoded node bought: a warm lookup decodes
 next to nothing, a lookup that faults its leaf in decodes O(log n) items
-instead of the whole page, and a scan pays a handful of calls per key.  A
-change that re-introduces per-key decoding on a miss fails here, not in a
-wall-clock gate.
+instead of the whole page, and a scan pays a handful of calls per key.
+They hold recovery to a cost per page: its sweep and its validator make
+well under one call per key and build no TID.  A change that re-introduces
+per-key decoding on a miss, or a per-key loop in recovery, fails here, not
+in a wall-clock gate.
 """
 
 import cProfile
@@ -16,7 +18,13 @@ import random
 
 import pytest
 
-from repro import TID, ShadowBLinkTree, StorageEngine
+from repro import (
+    TID,
+    CrashError,
+    CrashOnNthSync,
+    ShadowBLinkTree,
+    StorageEngine,
+)
 
 from ..conftest import tid_for
 
@@ -119,3 +127,30 @@ def test_short_bounded_scan_decodes_what_it_yields(loaded, monkeypatch):
             assert len(list(cold.range_scan(lo, lo + 3))) == 3
     # the three items it yields, not the ~290 of the leaf they sit on
     assert len(decoded) == 3 * SLICE
+
+
+def test_recovery_sweep_and_verify_cost_pages_not_keys(loaded, monkeypatch):
+    engine, tree = loaded
+    tree.insert(N_KEYS, tid_for(N_KEYS))            # a write in flight
+    with pytest.raises(CrashError):
+        engine.sync(CrashOnNthSync(1, keep=0))
+    reopened = ShadowBLinkTree.open(StorageEngine.reopen(engine), "ix")
+    relax = dict(strict_tokens=False, require_peer_chain=False)
+    built = []
+    init = TID.__init__
+
+    def counting_init(self, page_no, line):
+        built.append(line)
+        init(self, page_no, line)
+    counts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(TID, "__init__", counting_init)
+        calls, _unpacks = count_calls(lambda: counts.append(
+            (reopened.drive_repairs(), reopened.verify(**relax))))
+    assert counts == [(N_KEYS, N_KEYS)] and not reopened.repair_log
+    assert not built                        # one per key, twice, before
+    assert calls / N_KEYS <= 1              # 4.6 before
+    assert calls / reopened.file.n_pages <= 100     # 671 before
+    # the collecting form still hands back every pair
+    assert reopened.check(**relax) == [
+        (tree.codec.encode(key), tid_for(key)) for key in range(N_KEYS)]

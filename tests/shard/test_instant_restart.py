@@ -278,7 +278,8 @@ def test_heal_emits_progress_trace_events():
     assert final["shard"] == 1
     assert final["done"] is True and final["failed"] is False
     assert final["keys_seen"] > 0
-    assert events[-1].duration is not None
+    assert 0 < final["verify_seconds"] < events[-1].duration
+    assert all(e.detail["verify_seconds"] is None for e in events[:-1])
 
 
 def test_recover_group_wrapper_passes_admit_through():

@@ -199,6 +199,29 @@ def test_failure_after_reopen_is_contained_and_keeps_the_shard_gated(
     assert expected <= scanned
 
 
+@pytest.mark.parametrize("stage", ["sweep", "admit", "log"])
+def test_the_report_says_how_much_of_the_sweep_was_the_validator(stage):
+    group, kwargs, _ = stage_case(stage)
+    dead = [i for i, engine in enumerate(group.shards) if engine.dead]
+    _, report = RecoveryOrchestrator(**kwargs).recover(group, "ix")
+    assert report.ok
+    events = {e.detail["shard"]: e.detail["verify_seconds"]
+              for e in get_trace().events("shard_recovery")[-len(dead):]}
+    for index in dead:
+        shard_report = report.shards[index]
+        assert events[index] == shard_report.verify_seconds
+        if stage == "admit":
+            # nothing sweeps or validates before the shard serves
+            assert shard_report.verify_seconds == 0
+        else:
+            assert 0 < shard_report.verify_seconds \
+                <= shard_report.drive_seconds
+    if stage == "admit":
+        report.heal.drain()
+        progress = report.heal.progress()
+        assert all(progress[index]["verify_seconds"] > 0 for index in dead)
+
+
 def test_log_recovery_reports_its_sweep_like_the_sweep_row():
     # the log row runs the same repair sweep: its repairs must reach the
     # report, the per-shard series and the trace event, not just the tree

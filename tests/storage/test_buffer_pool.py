@@ -5,9 +5,13 @@
 # (R011/R013 are the path-sensitive forms of the same pin discipline)
 # lint: disable=R001,R002,R011,R013
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import BufferError_
+from repro.obs import get_registry, metric_key
 from repro.storage import BufferPool, SimulatedDisk
 
 
@@ -217,3 +221,19 @@ def test_drop_and_remap_discard_volatile_note():
     pool.remap(virt, old)
     assert not pool.is_volatile(2)
     pool.unpin(virt)
+
+
+def test_the_registry_keeps_a_dead_pools_counts_not_its_frames():
+    # every restart builds new pools; the process-wide registry must
+    # keep what the old ones counted without keeping their pages alive
+    # (it used to: 13.7 MB per recovery of a 700-page index)
+    key = metric_key("buffer_pool.misses", {"file": "t"})
+    before = get_registry().snapshot()["counters"].get(key, 0)
+    _, pool = make_pool()
+    pool.unpin(pool.pin(3))
+    pool.unpin(pool.pin(4))
+    gone = weakref.ref(pool)
+    del pool
+    gc.collect()
+    assert gone() is None
+    assert get_registry().snapshot()["counters"][key] == before + 2
