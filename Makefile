@@ -21,7 +21,6 @@ races:
 
 serving:
 	python -m pytest -x -q tests/serve
-	python -m repro.bench.serving --smoke --json > BENCH_serving.json
 
 shard:
 	python -m pytest -x -q tests/shard \

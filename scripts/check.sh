@@ -119,18 +119,6 @@ python -m pytest -x -q tests/serve
 echo "==> serving layer under every lint engine (--engine=all)"
 python -m repro.tools.lint src/repro/serve --engine=all
 
-echo "==> serving bench smoke (python -m repro.bench.serving)"
-python -m repro.bench.serving --smoke --json > BENCH_serving.json
-python -c "
-import json
-doc = json.load(open('BENCH_serving.json'))
-assert doc['ok'], doc
-at16 = [p for p in doc['results'] if p['clients'] == 16][0]
-print(f\"group commit at 16 clients: {at16['speedup']:.2f}x ops/s over \"
-      f\"sync-per-commit ({at16['group']['ops_per_second']:.0f} ops/s, \"
-      f\"{at16['group']['window_occupancy']:.1f} commits/window)\")
-"
-
 echo "==> tier-1 suite under the runtime sanitizer (REPRO_SANITIZE=1)"
 REPRO_SANITIZE=1 python -m pytest -x -q
 

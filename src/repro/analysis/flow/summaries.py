@@ -54,7 +54,6 @@ PIN_RETURNERS: dict[str, tuple[tuple[int, ...] | None, bool]] = {
     "_pin_node": ((0,), False),     # (buf, node)
     "_read_meta": ((0,), False),    # (buf, meta)
     "_alloc": ((1,), False),        # (page_no, buf, view) — born dirty
-    "_finger_entry": (None, True),  # PathEntry or None
 }
 
 #: Cross-file helpers and builtins that *borrow* their arguments: the
@@ -66,7 +65,7 @@ BORROW_NAMES: set[str] = BORROWING_CALLEES | {
     "copy_page",
     # repo-wide read-only hooks on descent paths
     "_check_child", "_vet_intra_page", "_before_page_update",
-    "_finger_usable", "schedule_point",
+    "schedule_point",
     # builtins that cannot smuggle a pin obligation away
     "len", "isinstance", "issubclass", "print", "repr", "str", "bytes",
     "bytearray", "int", "bool", "float", "range", "min", "max",

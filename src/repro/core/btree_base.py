@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from operator import eq, gt, lt
+from operator import eq, gt, itemgetter, lt
 from time import perf_counter
 from typing import Iterator
 
@@ -139,15 +139,8 @@ class BLinkTree:
         # only be discovered at restart, and restarts build a new tree
         # object
         self._root_cache: int | None = None
-        # hot-path layer (search counters + leaf finger).  Fingers die
-        # with the tree object, so a crash reopen (which builds a new
-        # tree) flushes them by construction.
+        # how this tree's searches were served (decoded list or bytes)
         self._fastpath = FastPath(kind=self.KIND, file_name=file.name)
-        # structure epoch: bumped on root changes and page reclamation;
-        # together with the split counter and the repair-log length it
-        # forms the finger's invalidation stamp (splits and repairs/heals
-        # already maintain those two)
-        self._fp_epoch = 0
 
     # -- stats (compatibility views over the registry counters) -----------
 
@@ -160,24 +153,12 @@ class BLinkTree:
         return self._m_root_splits.value
 
     @property
-    def stats_moves_right(self) -> int:
-        return self._m_moves_right.value
-
-    @property
     def stats_cache_hits(self) -> int:
         return self._fastpath.cache_hits
 
     @property
     def stats_cache_misses(self) -> int:
         return self._fastpath.cache_misses
-
-    @property
-    def stats_finger_hits(self) -> int:
-        return self._fastpath.finger_hits
-
-    @property
-    def stats_finger_flushes(self) -> int:
-        return self._fastpath.finger_flushes
 
     # ------------------------------------------------------------------
     # construction
@@ -358,7 +339,6 @@ class BLinkTree:
             self._dirty(mbuf)
             self.engine.sync_state.note_split()
             self._root_cache = None
-            self._fp_epoch += 1
         finally:
             self._unpin(mbuf)
 
@@ -520,86 +500,6 @@ class BLinkTree:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # leaf finger (fastpath)
-    # ------------------------------------------------------------------
-
-    def _fp_stamp(self) -> tuple[int, int, int]:
-        """The finger's invalidation stamp: any split, any repair/heal
-        (everything that reports to the repair log), or any root change /
-        page reclamation (the explicit epoch) changes it."""
-        return (self._fp_epoch, self._m_splits.value, len(self.repair_log))
-
-    def _fp_remember(self, leaf: PathEntry, node: DecodedNode) -> None:
-        """Remember *leaf* (just reached by a fully verified descent, or
-        just served in place) as the finger for the next in-bounds op."""
-        if node.page_type == PAGE_LEAF:
-            self._fastpath.finger_remember(leaf.page_no, leaf.bounds,
-                                           self._fp_stamp())
-
-    def _finger_entry(self, key: bytes) -> PathEntry | None:
-        """Serve *key*'s leaf from the finger, or None to take the full
-        descent.  A returned entry is pinned; the caller unpins it.
-
-        Validation never bypasses the paper's first-use detection: the
-        finger was established by a descent that ran every Section 3
-        check in this incarnation, the stamp proves no structural change
-        (split, repair, heal, root move, reclaim) happened since, and the
-        page content is re-checked with the same test ``_check_child``
-        applies (:meth:`_finger_usable`).  Anything off falls back to the
-        full repairing descent.
-        """
-        fp = self._fastpath
-        if fp.finger_page is None:
-            return None
-        if fp.finger_stamp != self._fp_stamp():
-            fp.finger_flush()
-            return None
-        bounds = fp.finger_bounds
-        if not bounds.contains(key):
-            fp.finger_misses += 1
-            return None
-        page_no = fp.finger_page
-        buf = self.file.pin(page_no)
-        if not self._finger_usable(node_of(buf), bounds, key):
-            self._unpin(buf)
-            fp.finger_flush()
-            return None
-        fp.finger_hits += 1
-        return PathEntry(page_no, buf, bounds)
-
-    def _finger_usable(self, node: DecodedNode, bounds: KeyBounds,
-                       key: bytes) -> bool:
-        """The ``_check_child``-equivalent content test on a finger hit:
-        valid header, still a leaf, keys inside the remembered bounds, no
-        pending reorg backup, and no replacement advertisement from the
-        current sync window (which a descent's ``_follow_moves`` would
-        have to resolve)."""
-        if node.magic != PAGE_MAGIC:
-            return False
-        if node.page_type != PAGE_LEAF or node.level != 0:
-            return False
-        if node.prev_n_keys or node.backup_count:
-            # a reorg backup needs the Section 3.4 reclamation check,
-            # which wants the descent's context
-            return False
-        if (node.new_page != INVALID_PAGE
-                and self.engine.sync_state.is_current(node.sync_token)):
-            return False
-        if node.n_keys:
-            lo = node.min_key()
-            if lo and lo < bounds.lo:
-                return False
-            hi_key = node.max_key()
-            if bounds.hi is not None and hi_key >= bounds.hi:
-                return False
-            if key > hi_key and node.right_peer != INVALID_PAGE:
-                # beyond this page's live span with a right sibling that a
-                # descent's move-right might prove responsible — only the
-                # rightmost leaf may serve past its max key
-                return False
-        return True
-
-    # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
 
@@ -613,90 +513,22 @@ class BLinkTree:
         :class:`DuplicateKeyError` (Section 2's uniqueness assumption)."""
         if not isinstance(tid, TID):
             tid = TID(*tid)
-        key = self.codec.encode(value)
-        if self._finger_insert(key, value, tid):
-            return
-        if self._load_root_checked() == INVALID_PAGE:
-            self._create_first_root()
-        path = self._descend(key)
-        try:
-            leaf = path[-1]
-            self._ensure_peer_path(leaf)
-            self._before_page_update(path, len(path) - 1)
-            node = node_of(leaf.buffer)
-            node.for_writer()
-            slot, found = node.search(key, self._fastpath)
-            if found:
-                raise DuplicateKeyError(
-                    f"key {value!r} already present; POSTGRES would have "
-                    "made it unique with make_unique()"
-                )
-            item = I.pack_leaf_item(key, tid)
-            if self._page_can_fit(node, len(item)):
-                leaf.view.insert_item(slot, item)
-                self._dirty(leaf.buffer)
-                node.note_insert(leaf.buffer, slot, key)
-                self._fp_remember(leaf, node)
-            else:
-                started = perf_counter()
-                splits_before = self._m_splits.value
-                self._split_and_insert(path, len(path) - 1, item, key)
-                duration = perf_counter() - started
-                self._h_split_seconds.observe(duration)
-                get_trace().emit(
-                    "split", file=self.file.name, page=leaf.page_no,
-                    token=self._token(), duration=duration,
-                    technique=self.KIND,
-                    pages_split=self._m_splits.value - splits_before)
-        finally:
-            self._unpin_path(path)
-
-    def _finger_insert(self, key: bytes, value, tid: TID) -> bool:
-        """Serve an insert from the leaf finger; False → full descent."""
-        entry = self._finger_entry(key)
-        if entry is None:
-            return False
-        try:
-            self._ensure_peer_path(entry)
-            node = node_of(entry.buffer)
-            node.for_writer()
-            slot, found = node.search(key, self._fastpath)
-            if found:
-                raise DuplicateKeyError(
-                    f"key {value!r} already present; POSTGRES would have "
-                    "made it unique with make_unique()"
-                )
-            item = I.pack_leaf_item(key, tid)
-            if not self._page_can_fit(node, len(item)):
-                # a split needs the parent path — take the descent
-                self._fastpath.finger_flush()
-                return False
-            entry.view.insert_item(slot, item)
-            self._dirty(entry.buffer)
-            node.note_insert(entry.buffer, slot, key)
-            return True
-        finally:
-            self._unpin(entry.buffer)
+        rejected: list[int] = []
+        self._insert_run([(self.codec.encode(value), tid, 0)], 0, rejected)
+        if rejected:
+            raise DuplicateKeyError(
+                f"key {value!r} already present; POSTGRES would have "
+                "made it unique with make_unique()")
 
     def lookup(self, value) -> TID | None:
         """Find the TID stored for *value*, or None."""
         key = self.codec.encode(value)
-        entry = self._finger_entry(key)
-        if entry is not None:
-            try:
-                node = node_of(entry.buffer)
-                slot, found = node.search(key, self._fastpath)
-                return node.tid_of(slot, key) if found else None
-            finally:
-                self._unpin(entry.buffer)
         path = self._descend(key)
         if not path:
             return None
         try:
-            leaf = path[-1]
-            node = node_of(leaf.buffer)
+            node = node_of(path[-1].buffer)
             slot, found = node.search(key, self._fastpath)
-            self._fp_remember(leaf, node)
             return node.tid_of(slot, key) if found else None
         finally:
             self._unpin_path(path)
@@ -704,53 +536,10 @@ class BLinkTree:
     def delete(self, value) -> None:
         """Remove *value* from the index; empty pages are reclaimed the
         Lanin-Shasha way (the page is recycled once its last key goes)."""
-        key = self.codec.encode(value)
-        if self._finger_delete(key, value):
-            return
-        path = self._descend(key)
-        if not path:
-            raise KeyNotFoundError(f"key {value!r} not in index (empty tree)")
-        try:
-            leaf = path[-1]
-            self._ensure_peer_path(leaf)
-            self._before_page_update(path, len(path) - 1)
-            node = node_of(leaf.buffer)
-            node.for_writer()
-            slot, found = node.search(key, self._fastpath)
-            if not found:
-                raise KeyNotFoundError(f"key {value!r} not in index")
-            leaf.view.delete_item(slot)
-            self._dirty(leaf.buffer)
-            node.note_delete(leaf.buffer, slot)
-            if node.n_keys == 0 and len(path) > 1:
-                self._reclaim_empty_page(path, len(path) - 1)
-            else:
-                self._fp_remember(leaf, node)
-        finally:
-            self._unpin_path(path)
-
-    def _finger_delete(self, key: bytes, value) -> bool:
-        """Serve a delete from the leaf finger; False → full descent."""
-        entry = self._finger_entry(key)
-        if entry is None:
-            return False
-        try:
-            if entry.node.n_keys <= 1:
-                # deleting the last key triggers reclamation, which needs
-                # the parent path — take the descent
-                return False
-            self._ensure_peer_path(entry)
-            node = node_of(entry.buffer)
-            node.for_writer()
-            slot, found = node.search(key, self._fastpath)
-            if not found:
-                raise KeyNotFoundError(f"key {value!r} not in index")
-            entry.view.delete_item(slot)
-            self._dirty(entry.buffer)
-            node.note_delete(entry.buffer, slot)
-            return True
-        finally:
-            self._unpin(entry.buffer)
+        rejected: list[int] = []
+        self._delete_run([(self.codec.encode(value), 0)], 0, rejected)
+        if rejected:
+            raise KeyNotFoundError(f"key {value!r} not in index")
 
     # ------------------------------------------------------------------
     # batched operations (one descent amortized across a leaf's keys)
@@ -759,135 +548,164 @@ class BLinkTree:
     def insert_many(self, pairs) -> int:
         """Insert many ``(value, tid)`` pairs; returns the number stored.
 
-        The batch is sorted by encoded key, and every run of keys landing
-        on the same leaf shares one descent (plus one peer-path check and
-        one reclamation check).  Keys that need a split, or whose leaf
-        cannot be proven responsible in place, fall back to the normal
-        single-key :meth:`insert`.  A :class:`DuplicateKeyError` aborts
-        the batch mid-way: earlier keys stay inserted, like a sequence of
-        single inserts would leave them.
+        The batch is applied in encoded-key order (a stable sort, so of
+        two equal keys the caller's first wins), one leaf-run at a time.
+        Every key is searched once: a key already present is skipped and
+        the rest of the batch still applies, exactly as the same
+        sequence of single inserts would leave the index.  If any were
+        skipped, one :class:`DuplicateKeyError` is raised at the end
+        whose ``positions`` are their indices in *pairs*, ascending.
         """
-        batch: list[tuple[bytes, object, TID]] = []
         encode = self.codec.encode
-        for value, tid in pairs:
+        batch: list[tuple[bytes, TID, int]] = []
+        for pos, (value, tid) in enumerate(pairs):
             if not isinstance(tid, TID):
                 tid = TID(*tid)
-            batch.append((encode(value), value, tid))
-        batch.sort(key=lambda e: e[0])
-        fp = self._fastpath
-        done = 0
+            batch.append((encode(value), tid, pos))
+        batch.sort(key=itemgetter(0))
+        rejected: list[int] = []
         i = 0
         n = len(batch)
         while i < n:
-            key, value, tid = batch[i]
-            if self._load_root_checked() == INVALID_PAGE:
-                self._create_first_root()
-            path = self._descend(key)
+            i = self._insert_run(batch, i, rejected)
+        if rejected:
+            rejected.sort()
+            raise DuplicateKeyError(
+                f"{len(rejected)} of {n} keys already present "
+                f"(batch positions {rejected})", rejected)
+        return n
+
+    def delete_many(self, values) -> int:
+        """Delete many values; returns the count removed.  Twin of
+        :meth:`insert_many`: a value not in the index is skipped, the
+        rest are removed, and one :class:`KeyNotFoundError` carrying the
+        skipped ``positions`` is raised at the end."""
+        encode = self.codec.encode
+        batch = sorted(((encode(value), pos)
+                        for pos, value in enumerate(values)),
+                       key=itemgetter(0))
+        rejected: list[int] = []
+        i = 0
+        n = len(batch)
+        while i < n:
+            i = self._delete_run(batch, i, rejected)
+        if rejected:
+            rejected.sort()
+            raise KeyNotFoundError(
+                f"{len(rejected)} of {n} keys not in index "
+                f"(batch positions {rejected})", rejected)
+        return n
+
+    def _insert_run(self, batch: list[tuple[bytes, TID, int]], i: int,
+                    rejected: list[int]) -> int:
+        """Insert ``batch[i]`` and each following entry its leaf is
+        provably responsible for; returns the index of the first entry
+        not consumed.  This is the only code that inserts into a leaf:
+        :meth:`insert` is the run of one.
+
+        *batch* holds ``(key, tid, position)`` in key order.  One
+        descent, one peer-path check and one reclamation check serve the
+        whole run; each key is then searched once and applied with the
+        byte sequence of a single insert.  A key already present has its
+        position appended to *rejected* and the run carries on.  A key
+        that does not fit splits the leaf with the path in hand, which
+        ends the run (the split re-homes the pages under the path).
+        """
+        path = self._descend(batch[i][0])
+        if not path:
+            self._create_first_root()
+            path = self._descend(batch[i][0])
+        try:
             leaf = path[-1]
-            advanced = False
-            try:
-                self._ensure_peer_path(leaf)
-                self._before_page_update(path, len(path) - 1)
-                buf, view = leaf.buffer, leaf.view
-                node = node_of(buf)
-                node.for_writer()
-                bounds = leaf.bounds
-                rightmost = node.right_peer == INVALID_PAGE
-                while i < n:
-                    key, value, tid = batch[i]
-                    if not bounds.contains(key):
-                        break
-                    if (not rightmost and node.n_keys
-                            and key > node.max_key()):
-                        # move-right territory; let the descent decide
-                        break
-                    slot, found = node.search(key, fp)
-                    if found:
-                        raise DuplicateKeyError(
-                            f"key {value!r} already present; POSTGRES "
-                            "would have made it unique with make_unique()")
+            self._ensure_peer_path(leaf)
+            self._before_page_update(path, len(path) - 1)
+            buf, view = leaf.buffer, leaf.view
+            node = node_of(buf)
+            node.for_writer()
+            fp = self._fastpath
+            n = len(batch)
+            while True:
+                key, tid, pos = batch[i]
+                slot, found = node.search(key, fp)
+                if found:
+                    rejected.append(pos)
+                else:
                     item = I.pack_leaf_item(key, tid)
                     if not self._page_can_fit(node, len(item)):
-                        break
+                        started = perf_counter()
+                        splits_before = self._m_splits.value
+                        self._split_and_insert(path, len(path) - 1, item,
+                                               key)
+                        duration = perf_counter() - started
+                        self._h_split_seconds.observe(duration)
+                        get_trace().emit(
+                            "split", file=self.file.name, page=leaf.page_no,
+                            token=self._token(), duration=duration,
+                            technique=self.KIND,
+                            pages_split=self._m_splits.value - splits_before)
+                        return i + 1
                     view.insert_item(slot, item)
                     self._dirty(buf)
                     node.note_insert(buf, slot, key)
-                    if advanced:
-                        fp.batched_amortized += 1
-                    i += 1
-                    done += 1
-                    advanced = True
-                if advanced:
-                    self._fp_remember(leaf, node)
-            finally:
-                self._unpin_path(path)
-            if not advanced:
-                # full page (split) or ambiguous span: one normal insert
-                self.insert(value, tid)
                 i += 1
-                done += 1
-        return done
+                if i == n or not self._still_responsible(leaf, node,
+                                                         batch[i][0]):
+                    return i
+                fp.batched_amortized += 1
+        finally:
+            self._unpin_path(path)
 
-    def delete_many(self, values) -> int:
-        """Delete many values; returns the count removed.  Sorted-batch
-        twin of :meth:`insert_many`; deletes that would empty a page fall
-        back to the single-key :meth:`delete` (reclamation needs the
-        parent path).  A :class:`KeyNotFoundError` aborts mid-batch with
-        earlier keys already removed."""
-        encode = self.codec.encode
-        batch = sorted(((encode(v), v) for v in values),
-                       key=lambda e: e[0])
-        fp = self._fastpath
-        done = 0
-        i = 0
-        n = len(batch)
-        while i < n:
-            key, value = batch[i]
-            path = self._descend(key)
-            if not path:
-                raise KeyNotFoundError(
-                    f"key {value!r} not in index (empty tree)")
+    def _delete_run(self, batch: list[tuple[bytes, int]], i: int,
+                    rejected: list[int]) -> int:
+        """Delete twin of :meth:`_insert_run` over ``(key, position)``
+        entries, and the only code that deletes from a leaf.  A key not
+        found is recorded in *rejected*; a delete that empties a
+        non-root leaf reclaims it with the path in hand, which ends the
+        run."""
+        path = self._descend(batch[i][0])
+        if not path:
+            # no root was ever created: nothing is in the index
+            rejected.extend(pos for _key, pos in batch[i:])
+            return len(batch)
+        try:
             leaf = path[-1]
-            advanced = False
-            try:
-                self._ensure_peer_path(leaf)
-                self._before_page_update(path, len(path) - 1)
-                buf, view = leaf.buffer, leaf.view
-                node = node_of(buf)
-                node.for_writer()
-                bounds = leaf.bounds
-                rightmost = node.right_peer == INVALID_PAGE
-                while i < n:
-                    key, value = batch[i]
-                    if not bounds.contains(key):
-                        break
-                    if (not rightmost and node.n_keys
-                            and key > node.max_key()):
-                        break
-                    if node.n_keys <= 1:
-                        # emptying the page reclaims it; descent handles it
-                        break
-                    slot, found = node.search(key, fp)
-                    if not found:
-                        raise KeyNotFoundError(
-                            f"key {value!r} not in index")
+            self._ensure_peer_path(leaf)
+            self._before_page_update(path, len(path) - 1)
+            buf, view = leaf.buffer, leaf.view
+            node = node_of(buf)
+            node.for_writer()
+            fp = self._fastpath
+            n = len(batch)
+            while True:
+                key, pos = batch[i]
+                slot, found = node.search(key, fp)
+                if not found:
+                    rejected.append(pos)
+                else:
                     view.delete_item(slot)
                     self._dirty(buf)
                     node.note_delete(buf, slot)
-                    if advanced:
-                        fp.batched_amortized += 1
-                    i += 1
-                    done += 1
-                    advanced = True
-                if advanced:
-                    self._fp_remember(leaf, node)
-            finally:
-                self._unpin_path(path)
-            if not advanced:
-                self.delete(value)
+                    if node.n_keys == 0 and len(path) > 1:
+                        self._reclaim_empty_page(path, len(path) - 1)
+                        return i + 1
                 i += 1
-                done += 1
-        return done
+                if i == n or not self._still_responsible(leaf, node,
+                                                         batch[i][0]):
+                    return i
+                fp.batched_amortized += 1
+        finally:
+            self._unpin_path(path)
+
+    @staticmethod
+    def _still_responsible(leaf: PathEntry, node: DecodedNode,
+                           key: bytes) -> bool:
+        """Whether the leaf a run descended to is provably *key*'s page
+        as well: inside the range its parent promised it, and not past
+        its last key while it has a right peer — that is move-right
+        territory, which only a descent's ``_follow_moves`` decides."""
+        return leaf.bounds.contains(key) and (
+            node.right_peer == INVALID_PAGE or not node.n_keys
+            or key <= node.max_key())
 
     def range_scan(self, lo=None, hi=None) -> Iterator[tuple[object, TID]]:
         """Yield ``(value, tid)`` pairs with ``lo <= value < hi`` in key
@@ -1288,9 +1106,6 @@ class BLinkTree:
         empties; collapses the root when it is left with one child."""
         entry = path[idx]
         parent = path[idx - 1]
-        # reclamation restructures the tree without bumping the split
-        # counter, so the leaf finger must be invalidated explicitly
-        self._fp_epoch += 1
         self._before_page_update(path, idx - 1)
         pview = parent.view
         slot = parent.slot

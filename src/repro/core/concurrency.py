@@ -139,10 +139,6 @@ class LatchManager:
         self._held: dict[int, list[tuple[int, str]]] = defaultdict(list)
         self._m_waits = get_registry().counter("latch.waits")
 
-    @property
-    def stats_waits(self) -> int:
-        return self._m_waits.value
-
     def _me(self) -> int:
         return threading.get_ident()
 

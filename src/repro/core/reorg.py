@@ -64,10 +64,6 @@ class ReorgBLinkTree(BLinkTree):
         insertion rates"."""
         return self._m_sync_stalls.value
 
-    @property
-    def stats_reclaims(self) -> int:
-        return self._m_reclaims.value
-
     # ------------------------------------------------------------------
     # space policy
     # ------------------------------------------------------------------

@@ -43,11 +43,25 @@ class TreeError(ReproError):
     """A B-tree level invariant was violated and could not be repaired."""
 
 
-class KeyNotFoundError(TreeError):
+class KeyRejectedError(TreeError):
+    """A write named a key the index could not apply it to.
+
+    A batched call (``insert_many`` / ``delete_many``) applies every key
+    it can and raises once at the end; ``positions`` then lists, in
+    ascending order, the indices of the rejected keys in the sequence the
+    caller passed.  A single-key call leaves it empty.
+    """
+
+    def __init__(self, message: str, positions=()):
+        super().__init__(message)
+        self.positions = tuple(positions)
+
+
+class KeyNotFoundError(KeyRejectedError):
     """Raised by delete/update operations when the key is absent."""
 
 
-class DuplicateKeyError(TreeError):
+class DuplicateKeyError(KeyRejectedError):
     """Raised when inserting a key that is already present.
 
     The paper assumes no duplicate keys reach the index (POSTGRES rewrites

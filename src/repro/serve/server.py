@@ -12,22 +12,17 @@ engine machinery is never shared, yet different clients' requests for
 the same shard coalesce into one batch and ride the tree's
 ``insert_many``/``delete_many`` fast paths.
 
-Commit durability has two modes:
+Commits funnel through the
+:class:`~repro.serve.commit.GroupCommitStage`, so one sync barrier
+acknowledges every commit pending at that moment.
 
-* ``commit_mode="group"`` (default): commits funnel through the
-  :class:`~repro.serve.commit.GroupCommitStage`, so one sync barrier
-  acknowledges every commit pending at that moment.
-* ``commit_mode="per_commit"``: the naive discipline — every commit
-  syncs its own dirty shards immediately.  This is the baseline the
-  serving benchmark measures group commit against.
-
-Batch-abort safety: the tree's ``insert_many`` aborts mid-batch on a
-duplicate key (and ``delete_many`` on a missing one), which would make
-coalesced multi-client runs ambiguous — whose request failed, and what
-already applied?  The drain pass therefore *pre-probes* each coalesced
-run with cheap lookups on the owner thread (warm finger/page-cache
-path), fails the doomed requests up front, and batch-executes only the
-clean remainder, which then cannot abort.
+Coalesced runs need no membership probe: the tree's ``insert_many`` /
+``delete_many`` search each key once, apply every key they can, and
+raise one error naming the positions they rejected (a duplicate insert,
+a delete of a missing key).  The drain pass fails exactly those
+requests and acknowledges the rest; the batch is applied in stable key
+order, so of two requests for the same key in one run the later fails,
+as it would one at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +31,7 @@ import heapq
 import threading
 from time import perf_counter
 
-from ..errors import (CrashError, DuplicateKeyError, KeyNotFoundError,
-                      ReproError)
+from ..errors import CrashError, KeyRejectedError, ReproError
 from ..obs import COUNT_BUCKETS, get_registry
 from ..shard.engine import ShardedTree
 from ..shard.scheduler import GroupSyncScheduler
@@ -46,11 +40,9 @@ from ..storage.engine import EngineDeadError
 from .batcher import (DEFAULT_BATCH_MAX, DEFAULT_MAX_DEPTH, ShardQueues,
                       coalesce)
 from .commit import GroupCommitStage
-from .errors import CommitFailed, ServeError, ServerClosed
+from .errors import ServeError, ServerClosed
 from .request import DEFAULT_WAIT_SECONDS, OPS, CommitRequest, Request
 from .session import Session
-
-_COMMIT_MODES = ("group", "per_commit")
 
 
 class Server:
@@ -61,33 +53,20 @@ class Server:
                  pool: ShardWorkerPool | None = None,
                  max_queue_depth: int = DEFAULT_MAX_DEPTH,
                  batch_max: int = DEFAULT_BATCH_MAX,
-                 commit_mode: str = "group",
                  window_delay: float | None = None):
-        if commit_mode not in _COMMIT_MODES:
-            raise ReproError(
-                f"unknown commit_mode {commit_mode!r}; "
-                f"expected one of {_COMMIT_MODES}")
         self.tree = tree
         self.group = tree.group
-        self.commit_mode = commit_mode
-        self.scheduler = scheduler
-        if self.scheduler is None and commit_mode == "group":
-            self.scheduler = GroupSyncScheduler(tree.group)
-        # per_commit mode deliberately gets no pressure scheduler: the
-        # baseline's only syncs are the per-commit ones, which is the
-        # discipline group commit is measured against
+        self.scheduler = scheduler if scheduler is not None \
+            else GroupSyncScheduler(tree.group)
         self.pool = pool if pool is not None else ShardWorkerPool(
-            tree,
-            scheduler=self.scheduler if commit_mode == "group" else None)
+            tree, scheduler=self.scheduler)
         self.queues = ShardQueues(len(tree.trees),
                                   max_depth=max_queue_depth)
         self.batch_max = batch_max
-        self.commit_stage: GroupCommitStage | None = None
-        if commit_mode == "group":
-            kwargs = {} if window_delay is None \
-                else {"window_delay": window_delay}
-            self.commit_stage = GroupCommitStage(
-                tree.group, self.scheduler, self.pool, **kwargs)
+        kwargs = {} if window_delay is None \
+            else {"window_delay": window_delay}
+        self.commit_stage = GroupCommitStage(
+            tree.group, self.scheduler, self.pool, **kwargs)
         self._closed = False
         self._close_lock = threading.Lock()
         self._next_session = 0
@@ -97,7 +76,7 @@ class Server:
         self._m_overloaded = reg.counter("serve.overloaded")
         self._m_batches = reg.counter("serve.batches")
         self._m_coalesced = reg.counter("serve.coalesced_ops")
-        self._m_commits = reg.counter("serve.commits", mode=commit_mode)
+        self._m_commits = reg.counter("serve.commits")
         self._h_batch = reg.histogram("serve.batch_size",
                                       bounds=COUNT_BUCKETS)
         self._h_op = reg.histogram("serve.op_seconds")
@@ -126,8 +105,7 @@ class Server:
             request.future.set_error(
                 ServerClosed("server closed before the request ran"))
         # 2. stop the committer (flushes commits already submitted)
-        if self.commit_stage is not None:
-            self.commit_stage.stop()
+        self.commit_stage.stop()
         # 3. drain and join the owner threads
         self.pool.close()
 
@@ -219,8 +197,7 @@ class Server:
                 dead_reason = f"shard {shard} crashed mid-batch: {exc}"
             except EngineDeadError as exc:
                 dead_reason = str(exc)
-        if wrote and self.scheduler is not None \
-                and self.commit_mode == "group":
+        if wrote:
             try:
                 self.scheduler.note_op(shard)
             except CrashError:
@@ -255,86 +232,43 @@ class Server:
 
     def _run_many(self, shard: int, kind: str,
                   run: list[Request]) -> None:
-        """Execute a coalesced same-op run through the batched fast
-        path.  Pre-probes membership so the batch call cannot abort
-        mid-run (see module docstring)."""
+        """Execute a coalesced same-op run through the tree's batched
+        call, which applies every key it can and names the positions it
+        rejected (see module docstring)."""
         tree = self.tree.live_tree(shard)
-        clean: list[Request] = []
-        seen: set[bytes] = set()
-        codec = self.tree.codec
-        if kind == "insert_many":
-            for request in run:
-                encoded = codec.encode(request.value)
-                if encoded in seen or tree.lookup(request.value) is not None:
-                    request.future.set_error(DuplicateKeyError(
-                        f"key {request.value!r} already present"))
-                    continue
-                seen.add(encoded)
-                clean.append(request)
-            if clean:
-                tree.insert_many([(r.value, r.tid) for r in clean])
-        else:  # delete_many
-            for request in run:
-                encoded = codec.encode(request.value)
-                if encoded in seen or tree.lookup(request.value) is None:
-                    request.future.set_error(KeyNotFoundError(
-                        f"key {request.value!r} not found"))
-                    continue
-                seen.add(encoded)
-                clean.append(request)
-            if clean:
-                tree.delete_many([r.value for r in clean])
-        self._m_coalesced.inc(len(clean))
-        for request in clean:
-            request.future.set_result(None)
+        rejected: dict[int, ReproError] = {}
+        try:
+            if kind == "insert_many":
+                tree.insert_many([(r.value, r.tid) for r in run])
+            else:
+                tree.delete_many([r.value for r in run])
+        except KeyRejectedError as exc:
+            what = "already present" if kind == "insert_many" \
+                else "not found"
+            rejected = {pos: type(exc)(f"key {run[pos].value!r} {what}")
+                        for pos in exc.positions}
+        self._m_coalesced.inc(len(run) - len(rejected))
+        for pos, request in enumerate(run):
+            if pos in rejected:
+                request.future.set_error(rejected[pos])
+            else:
+                request.future.set_result(None)
 
     # -- commit ------------------------------------------------------------
 
     def commit(self, shards, session_id: int = -1) -> int:
         """Make every write the session performed against *shards*
-        durable; returns the covering group sync window ordinal (0 in
-        per-commit mode, which has no windows).  Raises
-        :class:`CommitFailed` when durability cannot be proven."""
+        durable; returns the covering group sync window ordinal.
+        Raises :class:`CommitFailed` when durability cannot be proven."""
         started = _now()
-        shard_set = frozenset(shards)
         try:
-            if self.commit_mode == "per_commit":
-                return self._commit_each(shard_set)
-            return self._commit_group(shard_set, session_id)
+            commit = CommitRequest(shards=frozenset(shards),
+                                   session_id=session_id)
+            self.commit_stage.submit(commit)
+            return int(commit.future.result(DEFAULT_WAIT_SECONDS))
         finally:
             self._m_commits.inc()
             self._h_commit.observe(max(0.0, _now() - started))
-
-    def _commit_group(self, shards: frozenset[int],
-                      session_id: int) -> int:
-        if self.commit_stage is None:  # pragma: no cover - guarded mode
-            raise ReproError("group commit stage is not running")
-        commit = CommitRequest(shards=shards, session_id=session_id)
-        self.commit_stage.submit(commit)
-        window = commit.future.result(DEFAULT_WAIT_SECONDS)
-        return int(window)
-
-    def _commit_each(self, shards: frozenset[int]) -> int:
-        """The naive baseline: sync each dirty shard on its own owner
-        thread, one engine sync per shard per commit."""
-        waits = []
-        failed: list[int] = []
-        for shard in sorted(shards):
-            try:
-                done, box = self.pool.submit(
-                    shard, _sync_fn(self.group, shard))
-            except ReproError:
-                raise ServerClosed(
-                    "server closed during commit") from None
-            waits.append((shard, done, box))
-        for shard, done, box in waits:
-            if not done.wait(timeout=DEFAULT_WAIT_SECONDS):
-                failed.append(shard)
-            elif box.get("error") is not None:
-                failed.append(shard)
-        if failed:
-            raise CommitFailed(failed, 0)
-        return 0
 
     # -- reads spanning shards ---------------------------------------------
 
@@ -379,14 +313,6 @@ class Server:
 
 def _requests_of(kind: str, payload) -> list[Request]:
     return [payload] if kind == "one" else list(payload)
-
-
-def _sync_fn(group, shard: int):
-    def sync() -> None:
-        if group.shard(shard).dead:
-            raise EngineDeadError(f"shard {shard} is dead")
-        group.sync_shard(shard)
-    return sync
 
 
 def _scan_fn(tree: ShardedTree, shard: int, lo, hi, box: dict):

@@ -27,7 +27,8 @@ from typing import Iterator, Sequence
 
 from ..core import TREE_CLASSES, open_tree
 from ..core.keys import CODECS, KeyCodec
-from ..errors import CrashError, KeyNotFoundError, ReproError
+from ..errors import (CrashError, KeyNotFoundError, KeyRejectedError,
+                      ReproError)
 from ..obs import get_registry, get_trace
 from ..storage.engine import EngineDeadError, StorageEngine
 from .router import ShardRouter
@@ -234,32 +235,46 @@ class ShardedTree:
 
     def insert_many(self, pairs) -> int:
         """Batched insert: group by target shard, then let each shard's
-        tree amortize one descent per leaf.  Returns the number stored."""
-        groups: dict[int, list] = {}
-        for value, tid in pairs:
-            encoded = self.codec.encode(value)
-            index = self.router.shard_of(encoded)
-            if self.heal is not None:
-                self.heal.note_access(index, encoded)
-            groups.setdefault(index, []).append((value, tid))
-        done = 0
-        for index, batch in groups.items():
-            done += self.live_tree(index).insert_many(batch)
-        return done
+        tree amortize one descent per leaf.  Returns the number stored.
+        Every shard's sub-batch is applied; keys already present are
+        reported by one :class:`DuplicateKeyError` at the end whose
+        ``positions`` index *pairs*."""
+        return self._route_many(pairs, "insert_many", lambda pair: pair[0])
 
     def delete_many(self, values) -> int:
         """Batched twin of :meth:`insert_many` for deletes."""
-        groups: dict[int, list] = {}
-        for value in values:
-            encoded = self.codec.encode(value)
+        return self._route_many(values, "delete_many", lambda value: value)
+
+    def _route_many(self, items, method: str, value_of) -> int:
+        """Split *items* by the shard of ``value_of(item)``, hand each
+        shard's tree its sub-batch through *method*, and map the
+        positions any of them rejected back to indices into *items*."""
+        groups: dict[int, tuple[list, list[int]]] = {}
+        total = 0
+        for item in items:
+            encoded = self.codec.encode(value_of(item))
             index = self.router.shard_of(encoded)
             if self.heal is not None:
                 self.heal.note_access(index, encoded)
-            groups.setdefault(index, []).append(value)
-        done = 0
-        for index, batch in groups.items():
-            done += self.live_tree(index).delete_many(batch)
-        return done
+            group = groups.get(index)
+            if group is None:
+                group = groups[index] = ([], [])
+            group[0].append(item)
+            group[1].append(total)
+            total += 1
+        rejected: list[int] = []
+        error = None
+        for index, (batch, positions) in groups.items():
+            try:
+                getattr(self.live_tree(index), method)(batch)
+            except KeyRejectedError as exc:
+                error = type(exc)
+                rejected += [positions[p] for p in exc.positions]
+        if error is not None:
+            rejected.sort()
+            raise error(f"{len(rejected)} of {total} keys rejected by "
+                        f"{method} (batch positions {rejected})", rejected)
+        return total
 
     def range_scan(self, lo=None, hi=None) -> Iterator[tuple[object, object]]:
         """Globally ordered scan: a lazy merge of the per-shard sorted

@@ -266,17 +266,12 @@ def _fastpath_summary(snapshot: dict) -> dict | None:
     if not totals:
         return None
 
-    def rate(hit_key: str, miss_key: str) -> float | None:
-        hits = totals.get(hit_key, 0)
-        total = hits + totals.get(miss_key, 0)
-        return round(hits / total, 4) if total else None
-
+    hits = totals.get("fastpath.page_cache.hits", 0)
+    searches = hits + totals.get("fastpath.page_cache.misses", 0)
     return {
         "totals": totals,
-        "page_cache_hit_rate": rate("fastpath.page_cache.hits",
-                                    "fastpath.page_cache.misses"),
-        "finger_hit_rate": rate("fastpath.finger.hits",
-                                "fastpath.finger.misses"),
+        "page_cache_hit_rate": (round(hits / searches, 4)
+                                if searches else None),
         "descents_amortized": totals.get("fastpath.batch.amortized", 0),
     }
 
@@ -367,11 +362,9 @@ def render_report(doc: dict) -> str:
     fastpath = doc.get("fastpath")
     if fastpath:
         lines += ["", "fastpath summary:"]
-        for label, key in (("page-cache hit rate", "page_cache_hit_rate"),
-                           ("finger hit rate", "finger_hit_rate")):
-            value = fastpath.get(key)
-            lines.append(f"  {label:<22} "
-                         f"{'-' if value is None else f'{value:.1%}'}")
+        value = fastpath.get("page_cache_hit_rate")
+        lines.append(f"  {'page-cache hit rate':<22} "
+                     f"{'-' if value is None else f'{value:.1%}'}")
         lines.append(f"  {'descents amortized':<22} "
                      f"{fastpath['descents_amortized']}")
     serving = doc.get("serving")

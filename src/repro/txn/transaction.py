@@ -76,14 +76,6 @@ class TransactionManager:
         self._m_commits = reg.counter("txn.commits")
         self._m_aborts = reg.counter("txn.aborts")
 
-    @property
-    def stats_commits(self) -> int:
-        return self._m_commits.value
-
-    @property
-    def stats_aborts(self) -> int:
-        return self._m_aborts.value
-
     # -- xid assignment ---------------------------------------------------
 
     def _ensure_xid_headroom(self) -> None:

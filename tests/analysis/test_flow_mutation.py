@@ -92,22 +92,20 @@ def test_dropped_mark_dirty_is_caught_as_r012(tmp_path):
 
 
 def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
-    """Move ``note_insert`` ahead of the dirty-mark in ``_finger_insert``:
+    """Move ``note_insert`` ahead of the dirty-mark in ``_insert_run``:
     the decoded-node restamp now runs on a path whose buffer is still
     clean.  The method is linted in extraction (see
     :func:`extract_method`) because inside its own file the preceding
     ``_ensure_peer_path`` call legitimately carries dirty evidence."""
-    source = extract_method(BTREE_SRC.read_text(), "_finger_insert")
+    source = extract_method(BTREE_SRC.read_text(), "_insert_run")
     assert lint_mutant(tmp_path, source, NoteBeforeDirtyOnPathRule()).ok
     mutant = source.replace(
-        """            entry.view.insert_item(slot, item)
-            self._dirty(entry.buffer)
-            node.note_insert(entry.buffer, slot, key)
-            return True""",
-        """            entry.view.insert_item(slot, item)
-            node.note_insert(entry.buffer, slot, key)
-            self._dirty(entry.buffer)
-            return True""")
+        """                    view.insert_item(slot, item)
+                    self._dirty(buf)
+                    node.note_insert(buf, slot, key)""",
+        """                    view.insert_item(slot, item)
+                    node.note_insert(buf, slot, key)
+                    self._dirty(buf)""")
     assert mutant != source, "mutation site moved; update the self-test"
     report = lint_mutant(tmp_path, mutant, NoteBeforeDirtyOnPathRule())
     flagged = [v for v in report.violations if v.rule_id == "R015"]

@@ -22,6 +22,8 @@ from repro.constants import PAGE_LEAF
 from repro.core.meta import MetaView
 from repro.core.nodeview import NodeView
 
+from ..fastpath.helpers import leaf_page_of
+
 PAGE = 512
 
 
@@ -230,7 +232,7 @@ def test_header_setter_without_a_version_bump_is_caught():
         engine, tree = make_tree()
         tree.lookup(3)
         tree.lookup(3)                  # the leaf's node is decoded now
-        page_no = tree._fastpath.finger_page
+        page_no = leaf_page_of(tree, 3)
         buf = tree.file.pin(page_no)
         NodeView(buf.data, PAGE).right_peer_token = 99   # no mark_dirty
         with pytest.raises(SanitizerError, match="right_peer_token"):
@@ -248,8 +250,7 @@ def test_maintained_writes_pass():
 #: the writers that keep their leaf's node current themselves
 #: (``note_insert`` / ``note_delete`` re-read the header and restamp), so
 #: a missing bump under them changes nothing observable
-MAINTAINED_WRITERS = {"insert", "_finger_insert", "delete", "_finger_delete",
-                      "insert_many", "delete_many"}
+MAINTAINED_WRITERS = {"_insert_run", "_delete_run"}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -43,7 +43,6 @@ def test_descend_fault_releases_every_pin(kind):
 
     previous = set_schedule_hook(_FaultOnPinChild())
     try:
-        # key 0 is far from the leaf finger, forcing a full descent
         with pytest.raises(RuntimeError, match="injected fault"):
             tree.lookup(0)
     finally:

@@ -28,6 +28,28 @@ def bytes_only():
         yield
 
 
+def leaf_page_of(tree, key) -> int:
+    """The page number of the leaf a descent for *key* ends on."""
+    path = tree._descend(tree.codec.encode(key))
+    try:
+        return path[-1].page_no
+    finally:
+        tree._unpin_path(path)
+
+
+def all_page_bytes(tree) -> list[bytes]:
+    """Every page of the tree's file as the pool sees it, meta included."""
+    pool = tree.file.pool
+    out = []
+    for page_no in range(tree.file.n_pages):
+        buf = pool.pin(page_no)
+        try:
+            out.append(bytes(buf.data))
+        finally:
+            pool.unpin(buf)
+    return out
+
+
 def fresh_node(buf) -> DecodedNode:
     """A node decoded from *buf*'s bytes now, lists materialised."""
     node = DecodedNode(buf.data, buf.version)

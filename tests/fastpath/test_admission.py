@@ -20,7 +20,7 @@ from repro.core.detect import Action
 
 from ..conftest import SMALL_PAGE, fill_tree, tid_for
 from ..recovery.helpers import build_to_split, crash_keeping
-from .helpers import assert_all_nodes_match_bytes, fresh_node
+from .helpers import assert_all_nodes_match_bytes, fresh_node, leaf_page_of
 
 PAGE = SMALL_PAGE
 
@@ -39,10 +39,9 @@ def reopened(kind="shadow", *, n=600, pool_capacity=6, seed=13):
 
 
 def leaf_frame(tree, key):
-    """The resident frame of the leaf a lookup of *key* ends on (lookups
-    park the finger there)."""
+    """The resident frame of the leaf a lookup of *key* ends on."""
     assert tree.lookup(key) == tid_for(key)
-    return tree.file.pool._frames[tree._fastpath.finger_page]
+    return tree.file.pool._frames[leaf_page_of(tree, key)]
 
 
 @contextmanager
@@ -72,9 +71,11 @@ def test_first_search_reads_bytes_second_decodes_refault_is_cold_again():
     assert tree.lookup(400) == tid_for(400)
     assert node.keys == fresh_node(buf).keys
     assert tree.stats_cache_misses == misses + 1
+    # by now every page on the path is decoded: one bisect per level
     hits = tree.stats_cache_hits
     assert tree.lookup(400) == tid_for(400)
-    assert tree.stats_cache_hits == hits + 1
+    assert tree.stats_cache_hits == hits + tree.height
+    assert tree.stats_cache_misses == misses + 1
     # push the frame out of the 6-frame pool, then come back: cold again
     page_no = buf.page_no
     probe = 0
@@ -94,7 +95,7 @@ def test_writer_decodes_a_cold_leaf_once_and_keeps_the_list(batched):
             tree.insert_many([(401, tid_for(401)), (403, tid_for(403))])
         else:
             tree.insert(401, tid_for(401))
-        buf = tree.file.pool._frames[tree._fastpath.finger_page]
+        buf = tree.file.pool._frames[leaf_page_of(tree, 401)]
         keys = buf.node.keys
         assert keys is not None and (401).to_bytes(4, "big") in keys
         # 50 more version bumps on the same leaf, no split: the list is
@@ -207,7 +208,7 @@ def test_decoded_state_leaves_with_its_frame_and_the_root_stays():
     while len(seen) < 200:
         for _ in range(2):                # second lookup decodes the leaf
             assert tree.lookup(key) == tid_for(key)
-        page_no = tree._fastpath.finger_page
+        page_no = leaf_page_of(tree, key)
         node = pool._frames[page_no].node
         assert node.keys is not None
         seen[page_no] = weakref.ref(node)

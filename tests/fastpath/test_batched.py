@@ -1,16 +1,18 @@
-"""Batched ops: ``insert_many`` / ``delete_many`` equivalence with the
-single-key path, mid-batch error semantics, and amortization accounting."""
+"""Batched ops: ``insert_many`` / ``delete_many`` are the single-key
+sequence minus the repeated descents — same page bytes, same repairs,
+same splits — and apply every key they can before raising one error that
+names the rejected positions."""
 
 import random
 
 import pytest
 
 from repro import DuplicateKeyError, KeyNotFoundError, StorageEngine, \
-    TREE_CLASSES
+    TID, TREE_CLASSES
 from repro.shard import ShardedEngine
 
 from ..conftest import SMALL_PAGE, tid_for
-from .helpers import bytes_only
+from .helpers import all_page_bytes, bytes_only
 
 PAGE = SMALL_PAGE
 ALL_KINDS = ("normal", "shadow", "reorg", "hybrid")
@@ -55,34 +57,78 @@ def test_delete_many_matches_singles(kind):
     assert len(batched.check()) == len(keys) - len(victims)
 
 
-@pytest.mark.parametrize("kind", ("normal", "reorg"))
-def test_insert_many_duplicate_aborts_mid_batch(kind):
+# ---------------------------------------------------------------------------
+# the contract: apply every key that can be applied, then raise once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_insert_many_applies_the_rest_and_names_the_duplicates(kind):
     _, tree = build(kind)
     tree.insert(100, tid_for(100))
-    with pytest.raises(DuplicateKeyError):
-        tree.insert_many((k, tid_for(k)) for k in (10, 50, 100, 200))
-    # the batch runs in sorted key order: keys before the duplicate
-    # landed, the duplicate and everything after it did not
-    assert tree.lookup(10) == tid_for(10)
-    assert tree.lookup(50) == tid_for(50)
-    assert tree.lookup(200) is None
-    assert len(tree.check()) == 3
+    # caller order, not key order: 100 is already present, and 10 comes
+    # twice — the stable sort lets the caller's first one land
+    batch = [(200, TID(2, 0)), (10, TID(2, 1)), (100, TID(2, 2)),
+             (50, TID(2, 3)), (10, TID(2, 4)), (300, TID(2, 5))]
+    with pytest.raises(DuplicateKeyError) as err:
+        tree.insert_many(batch)
+    assert err.value.positions == (2, 4)
+    assert tree.lookup(100) == tid_for(100)
+    assert tree.lookup(10) == TID(2, 1)
+    for pos in (0, 3, 5):
+        assert tree.lookup(batch[pos][0]) == batch[pos][1]
+    assert len(tree.check()) == 5
 
 
-@pytest.mark.parametrize("kind", ("shadow", "hybrid"))
-def test_delete_many_missing_key_aborts_mid_batch(kind):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_delete_many_removes_the_rest_and_names_the_missing(kind):
     _, tree = build(kind)
     tree.insert_many((k, tid_for(k)) for k in range(0, 100, 2))
-    with pytest.raises(KeyNotFoundError):
-        tree.delete_many([2, 4, 7, 8])  # 7 was never inserted
-    assert tree.lookup(2) is None and tree.lookup(4) is None
-    assert tree.lookup(8) == tid_for(8)  # sorted after the miss
+    # 7 was never inserted; 8 comes twice, so its second delete misses
+    with pytest.raises(KeyNotFoundError) as err:
+        tree.delete_many([8, 2, 7, 4, 8])
+    assert err.value.positions == (2, 4)
+    assert all(tree.lookup(k) is None for k in (2, 4, 8))
+    assert len(tree.check()) == 47
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_batch_whose_every_key_is_rejected_changes_nothing(kind):
+    _, tree = build(kind)
+    present = list(range(0, 600, 3))
+    tree.insert_many((k, tid_for(k)) for k in present)
+    before = tree.check()
+    with pytest.raises(DuplicateKeyError) as err:
+        tree.insert_many((k, TID(9, 9)) for k in reversed(present))
+    assert err.value.positions == tuple(range(len(present)))
+    with pytest.raises(KeyNotFoundError) as err:
+        tree.delete_many(range(1, 600, 3))
+    assert err.value.positions == tuple(range(len(present)))
+    assert tree.check() == before
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_single_key_ops_raise_as_they_always_did(kind):
+    _, tree = build(kind)
+    tree.insert_many((k, tid_for(k)) for k in range(100))
+    tree.lookup(50)                     # the leaf is warm and searched
+    with pytest.raises(DuplicateKeyError, match="key 50 already present"):
+        tree.insert(50, tid_for(50))
+    tree.delete(50)
+    with pytest.raises(KeyNotFoundError, match="key 50 not in index"):
+        tree.delete(50)
+    assert tree.lookup(50) is None
+    empty = build(kind)[1]
+    with pytest.raises(KeyNotFoundError, match="key 1 not in index"):
+        empty.delete(1)                 # no root yet
+    with pytest.raises(KeyNotFoundError) as err:
+        empty.delete_many([3, 1, 2])
+    assert err.value.positions == (0, 1, 2)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_cross_leaf_batch_spans_splits(kind):
     """A batch far bigger than one page forces splits mid-batch; the
-    fallback single-insert path absorbs the heads that cannot fit."""
+    run that meets a full leaf splits it with the path it holds."""
     engine, tree = build(kind)
     n = 1200
     assert tree.insert_many((k, tid_for(k)) for k in range(n)) == n
@@ -140,3 +186,167 @@ def test_sharded_tree_batched_ops_route_per_shard():
     group.sync_all()
     assert tree.lookup(150) is None
     assert len([k for k, _ in tree.range_scan()]) == 300
+
+
+def test_sharded_tree_maps_rejected_positions_back_to_the_callers_batch():
+    group = ShardedEngine.create(4, page_size=PAGE, seed=3)
+    tree = group.create_tree("shadow", "ix", codec="uint32")
+    present = [5, 77, 130, 402]          # spread over the shards
+    tree.insert_many((k, tid_for(k)) for k in present)
+    assert len({tree.shard_of(k) for k in present}) > 1
+    batch = [9, 402, 10, 5, 11, 130, 12, 77, 13]
+    with pytest.raises(DuplicateKeyError) as err:
+        tree.insert_many((k, tid_for(k)) for k in batch)
+    assert err.value.positions == (1, 3, 5, 7)
+    # every shard's sub-batch was applied, the rejecting ones included
+    assert all(tree.lookup(k) == tid_for(k) for k in batch)
+    with pytest.raises(KeyNotFoundError) as err:
+        tree.delete_many([9, 1000, 10, 2000])
+    assert err.value.positions == (1, 3)
+    assert tree.lookup(9) is None and tree.lookup(10) is None
+
+
+# ---------------------------------------------------------------------------
+# batch == singles, byte for byte
+# ---------------------------------------------------------------------------
+
+#: page size -> (even keys the ascending load inserts, largest chunk):
+#: height 3 at the two small sizes, a dozen leaves at 8 KiB, and chunks
+#: up to a few leaves long
+LOADS = {256: (500, 60), 512: (1500, 160), 8192: (5000, 1600)}
+
+
+def mixed_chunks(seed, n, big):
+    """A seeded stream of ``(op, keys)`` chunks, keys in shuffled (caller)
+    order.  An ascending load in uneven chunks fills the rightmost leaf
+    mid-run over and over; scattered inserts straddle leaves; contiguous
+    deletes several leaves long empty leaves mid-run; and about a tenth
+    of the keys are ones the index must reject (duplicates, in-batch
+    repeats, deletes of absent keys)."""
+    rng = random.Random(seed)
+    chunks = []
+    evens = list(range(0, 2 * n, 2))
+    i = 0
+    while i < n:
+        size = rng.choice((1, 3, 17, big // 3, big))
+        chunks.append(("insert", evens[i:i + size]))
+        i += size
+    live = set(evens)
+    for _ in range(40):
+        size = rng.choice((1, 2, 7, big // 4, big))
+        absent = [k for k in rng.sample(range(2 * n), 3 * size)
+                  if k not in live]
+        roll = rng.random()
+        if roll < 0.45 and absent:
+            keys = absent[:size]
+            keys += rng.sample(sorted(live), max(1, len(keys) // 10))
+            keys.append(keys[0])                   # an in-batch pair
+            chunks.append(("insert", keys))
+            live.update(keys)
+        elif roll < 0.75:
+            ordered = sorted(live)
+            start = rng.randrange(len(ordered))
+            keys = ordered[start:start + size]     # leaves' worth in a row
+            chunks.append(("delete", keys + absent[:len(keys) // 10]))
+            live.difference_update(keys)
+        else:
+            keys = rng.sample(sorted(live), min(size, len(live)))
+            chunks.append(("delete", keys + absent[:1]))
+            live.difference_update(keys)
+    for _op, keys in chunks:
+        rng.shuffle(keys)
+    return chunks
+
+
+def apply_as_singles(tree, op, keys):
+    """The chunk one key at a time, in the order the batch applies it
+    (stable by key); returns the rejected positions."""
+    rejected = []
+    for pos, key in sorted(enumerate(keys), key=lambda e: e[1]):
+        try:
+            if op == "insert":
+                tree.insert(key, tid_for(key))
+            else:
+                tree.delete(key)
+        except (DuplicateKeyError, KeyNotFoundError):
+            rejected.append(pos)
+    return tuple(sorted(rejected))
+
+
+def apply_as_batch(tree, op, keys):
+    try:
+        if op == "insert":
+            tree.insert_many((key, tid_for(key)) for key in keys)
+        else:
+            tree.delete_many(keys)
+    except (DuplicateKeyError, KeyNotFoundError) as exc:
+        return exc.positions
+    return ()
+
+
+def repairs(tree):
+    return [(entry.kind, entry.page_no, entry.action, entry.detail)
+            for entry in tree.repair_log]
+
+
+@pytest.fixture
+def run_shapes(monkeypatch):
+    """Counts how the leaf-runs of more than one key ended: in a split,
+    in a page reclaim, or at a leaf boundary with the batch unfinished."""
+    from repro.core.btree_base import BLinkTree
+    shapes = {"split": 0, "reclaim": 0, "boundary": 0}
+    reclaims = []
+    real_reclaim = BLinkTree._reclaim_empty_page
+
+    def reclaim(tree, path, idx):
+        reclaims.append(idx)
+        real_reclaim(tree, path, idx)
+    monkeypatch.setattr(BLinkTree, "_reclaim_empty_page", reclaim)
+    for name in ("_insert_run", "_delete_run"):
+        def run(tree, batch, i, rejected, real=getattr(BLinkTree, name)):
+            before = tree.stats_splits, len(reclaims)
+            j = real(tree, batch, i, rejected)
+            if j - i > 1:
+                if tree.stats_splits > before[0]:
+                    shapes["split"] += 1
+                elif len(reclaims) > before[1]:
+                    shapes["reclaim"] += 1
+                elif j < len(batch):
+                    shapes["boundary"] += 1
+            return j
+        monkeypatch.setattr(BLinkTree, name, run)
+    return shapes
+
+
+@pytest.mark.parametrize("page_size", sorted(LOADS))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batches_leave_the_bytes_singles_leave(kind, page_size, run_shapes):
+    """The same seeded stream, once key by key and once chunk by chunk:
+    after every sync the two files are byte-identical page for page, with
+    the same repair log, split count and rejected positions."""
+    trees = []
+    for _ in range(2):
+        engine = StorageEngine.create(page_size=page_size, seed=31)
+        trees.append((engine, TREE_CLASSES[kind].create(
+            engine, "ix", codec="uint32")))
+    (engine_s, singles), (engine_b, batched) = trees
+    for n, (op, keys) in enumerate(mixed_chunks(page_size,
+                                                *LOADS[page_size])):
+        assert apply_as_batch(batched, op, keys) \
+            == apply_as_singles(singles, op, keys), (n, op)
+        if n % 3 == 2:
+            engine_s.sync()
+            engine_b.sync()
+            assert all_page_bytes(batched) == all_page_bytes(singles), n
+            assert repairs(batched) == repairs(singles)
+            assert batched.stats_splits == singles.stats_splits
+    engine_s.sync()
+    engine_b.sync()
+    assert all_page_bytes(batched) == all_page_bytes(singles)
+    assert batched.check() == singles.check()
+    if page_size < 8192:
+        assert batched.height >= 3
+    # the stream really did what its docstring says, in the batched leg
+    assert run_shapes["split"] > 5
+    assert run_shapes["reclaim"] > 0
+    assert run_shapes["boundary"] > 5

@@ -6,9 +6,12 @@ hold the read path to what the decoded node bought: a warm lookup decodes
 next to nothing, a lookup that faults its leaf in decodes O(log n) items
 instead of the whole page, and a scan pays a handful of calls per key.
 They hold recovery to a cost per page: its sweep and its validator make
-well under one call per key and build no TID.  A change that re-introduces
-per-key decoding on a miss, or a per-key loop in recovery, fails here, not
-in a wall-clock gate.
+well under one call per key and build no TID.  And they hold every leaf
+operation to one descent: a warm lookup and a churn-shaped write pair
+have call budgets, and a batch makes one ``_descend`` per leaf-run.  A
+change that re-introduces per-key decoding on a miss, a per-key loop in
+recovery, a per-op bypass in front of the descent or a second descent
+behind it fails here, not in a wall-clock gate.
 """
 
 import cProfile
@@ -81,6 +84,49 @@ def test_warm_lookup_unpacks(loaded):
     lookups(tree, 1)()
     _calls, unpacks = count_calls(lookups(tree, 2))
     assert unpacks / SLICE <= 4             # 19 before the decoded node
+
+
+def test_warm_lookup_calls(loaded):
+    _engine, tree = loaded
+    lookups(tree, 1)()
+    lookups(tree, 1)()
+    calls, _unpacks = count_calls(lookups(tree, 2))
+    assert calls / SLICE <= 60              # 55; 67 behind the leaf finger
+
+
+def test_churn_pair_calls(loaded):
+    """``embedded_churn``'s shape: an ascending insert at the right edge,
+    then a delete of a random old key."""
+    _engine, tree = loaded
+    victims = random.Random(5).sample(range(N_KEYS), SLICE)
+
+    def churn():
+        for i, victim in enumerate(victims):
+            tree.insert(N_KEYS + i, tid_for(N_KEYS + i))
+            tree.delete(victim)
+    calls, _unpacks = count_calls(churn)
+    assert calls / (2 * SLICE) <= 125       # 120; 131 behind the finger
+
+
+def test_a_batch_descends_once_per_leaf_run(loaded, monkeypatch):
+    """A 2 000-key ascending ``insert_many`` crosses the right edge's
+    leaf several times over; every run, the ones that end in a split
+    included, reaches its leaf by exactly one descent."""
+    _engine, tree = loaded
+    counts = {"_descend": 0, "_insert_run": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(ShadowBLinkTree, name),
+                    **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ShadowBLinkTree, name, counted)
+    splits = tree.stats_splits
+    batch = [(key, tid_for(key)) for key in range(N_KEYS, N_KEYS + SLICE)]
+    assert tree.insert_many(batch) == SLICE
+    assert tree.stats_splits - splits >= 3
+    assert counts["_descend"] == counts["_insert_run"]
+    # a run ends at a split, and nowhere else in an ascending batch
+    assert counts["_insert_run"] <= tree.stats_splits - splits + 1
 
 
 def test_cold_lookup_unpacks(loaded):

@@ -4,6 +4,8 @@ decode, and equivalence with the byte-path search."""
 # bytearrays (no pool frame, no sync), so there is nothing to mark dirty;
 # version bumps are applied by hand where a test needs them.
 
+import random
+
 import pytest
 
 from repro import StorageEngine, TREE_CLASSES, TID
@@ -13,7 +15,7 @@ from repro.core.nodeview import DecodedNode, NodeView, node_of
 from repro.fastpath import FastPath
 from repro.storage.buffer_pool import Buffer
 
-from ..conftest import SMALL_PAGE, fill_tree
+from ..conftest import SMALL_PAGE, fill_tree, tid_for
 from .helpers import assert_all_nodes_match_bytes, bytes_only, fresh_node
 
 PAGE = SMALL_PAGE
@@ -175,6 +177,51 @@ def test_node_search_equivalent_to_byte_search(kind):
         for probe in range(0, 520, 7):
             key = probe.to_bytes(4, "big")
             assert node.search(key, s) == view.search(key)
+
+
+@pytest.mark.parametrize("kind", ("normal", "shadow", "reorg", "hybrid"))
+def test_mixed_ops_match_the_byte_path(kind):
+    """Oracle test: the same randomized op sequence served from decoded
+    nodes and served from the page bytes must leave identical indexes."""
+    rng = random.Random(99)
+    ops = []
+    live = set()
+    universe = list(range(2000))
+    for _ in range(1500):
+        roll = rng.random()
+        if roll < 0.55 or not live:
+            key = rng.choice(universe)
+            if key not in live:
+                live.add(key)
+                ops.append(("insert", key))
+        elif roll < 0.8:
+            key = rng.choice(sorted(live))
+            live.discard(key)
+            ops.append(("delete", key))
+        else:
+            ops.append(("lookup", rng.choice(universe)))
+
+    def apply():
+        engine = StorageEngine.create(page_size=PAGE, seed=7)
+        tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
+        out = []
+        for i, (op, key) in enumerate(ops):
+            if op == "insert":
+                tree.insert(key, tid_for(key))
+            elif op == "delete":
+                tree.delete(key)
+            else:
+                out.append(tree.lookup(key))
+            if i % 97 == 0:
+                engine.sync()
+        engine.sync()
+        assert_all_nodes_match_bytes(tree)
+        return out, tree.check(), sorted(k for k, _ in tree.items())
+
+    decoded = apply()
+    with bytes_only():
+        from_bytes = apply()
+    assert decoded == from_bytes
 
 
 @pytest.mark.parametrize("kind", ("shadow", "reorg"))

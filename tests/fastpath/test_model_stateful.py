@@ -1,12 +1,13 @@
 """Stateful model test: a 4-frame pool against a dict.
 
-Hypothesis drives random lookup / insert / delete / ``range_scan`` /
-sync / crash-with-a-random-subset / clean-reopen sequences through each
-recoverable tree over a pool of four frames, so nearly every page an
-operation touches is freshly faulted, evicted soon after, and decoded (or
-not) by the admission rule in between.  The index must agree with a plain
-dict throughout, and every decoded node left on a frame must equal its
-page bytes.
+Hypothesis drives random lookup / insert / delete / ``insert_many`` /
+``delete_many`` / ``range_scan`` / sync / crash-with-a-random-subset /
+clean-reopen sequences through each recoverable tree over a pool of four
+frames, so nearly every page an operation touches is freshly faulted,
+evicted soon after, and decoded (or not) by the admission rule in
+between.  The index must agree with a plain dict throughout — a batch
+applies every key it can and names exactly the ones it could not — and
+every decoded node left on a frame must equal its page bytes.
 
 What a crash leaves open is modelled, not asserted: a key written since
 the last completed sync may or may not have survived (Section 2's failure
@@ -101,6 +102,57 @@ class IndexMachine(RuleBasedStateMachine):
             with pytest.raises(KeyNotFoundError):
                 self.tree.delete(key)
         self.touched.add(key)
+
+    @rule(keys=st.lists(KEYS, min_size=1, max_size=12))
+    def insert_many(self, keys):
+        """A batch that may name present keys and the same key twice:
+        everything else lands, and ``positions`` is exactly the rest."""
+        pairs = [(key, self._next_tid()) for key in keys]
+        try:
+            self.tree.insert_many(pairs)
+            rejected = ()
+        except DuplicateKeyError as exc:
+            rejected = exc.positions
+        assert list(rejected) == sorted(set(rejected))
+        seen = set()
+        for pos, (key, tid) in enumerate(pairs):
+            if key in seen:
+                assert pos in rejected      # the caller's first one won
+            elif key in self.unknown:
+                if pos in rejected:
+                    tid = self.tree.lookup(key)     # it survived the crash
+                    assert tid is not None
+                self.unknown.discard(key)
+                self.model[key] = tid
+            elif key in self.model:
+                assert pos in rejected
+            else:
+                assert pos not in rejected
+                self.model[key] = tid
+            seen.add(key)
+        self.touched.update(keys)
+
+    @rule(keys=st.lists(KEYS, min_size=1, max_size=12))
+    def delete_many(self, keys):
+        try:
+            self.tree.delete_many(keys)
+            rejected = ()
+        except KeyNotFoundError as exc:
+            rejected = exc.positions
+        assert list(rejected) == sorted(set(rejected))
+        seen = set()
+        for pos, key in enumerate(keys):
+            if key in seen:
+                assert pos in rejected      # already gone, or never there
+            elif key in self.unknown:
+                self.unknown.discard(key)
+            elif key in self.model:
+                assert pos not in rejected
+                del self.model[key]
+            else:
+                assert pos in rejected
+            seen.add(key)
+        self.touched.update(keys)
 
     @rule(key=KEYS)
     def lookup(self, key):

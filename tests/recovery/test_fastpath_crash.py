@@ -1,10 +1,11 @@
 """Crash recovery seen through the decoded nodes.
 
-The decoded node must be *invisible* to the recovery protocol: the same
-crash subsets recover to the same contents whether pages are read through
-decoded lists or straight off the bytes, and the leaf finger never serves
-a page whose repairs haven't run — a freshly reopened tree still detects
-every inconsistency on first use.
+The decoded node and the batched leaf-run must be *invisible* to the
+recovery protocol: the same crash subsets recover to the same contents
+whether pages are read through decoded lists or straight off the bytes,
+and whether the crashed sync's writes came from single inserts or from
+one ``insert_many`` that split a leaf mid-run — a freshly reopened tree
+still detects every inconsistency on first use.
 """
 
 from contextlib import nullcontext
@@ -38,11 +39,11 @@ def build_scenario(kind: str, *, seed: int = 21):
     return engine, tree
 
 
-def recovered_contents(kind, engine):
+def recovered_contents(kind, engine, committed=COMMITTED_KEYS):
     engine2 = StorageEngine.reopen_after_crash(engine)
     tree2 = TREE_CLASSES[kind].open(engine2, "ix")
     values = [v for v, _ in tree2.range_scan()]
-    lookups = [tree2.lookup(k) for k in range(COMMITTED_KEYS)]
+    lookups = [tree2.lookup(k) for k in range(committed)]
     assert_all_nodes_match_bytes(tree2)
     return values, lookups, len(tree2.repair_log)
 
@@ -90,21 +91,55 @@ def test_recovery_contract_full_loss(kind):
     assert_all_nodes_match_bytes(tree2)
 
 
-@pytest.mark.parametrize("kind", ["shadow", "reorg"])
-def test_finger_state_does_not_survive_reopen(kind):
-    """Fingers die with the tree object and decoded nodes with their
-    frames: a crash reopen constructs a fresh tree over a fresh pool,
-    whose first ops must all descend (and so hit the detection points),
-    never resume a pre-crash finger or a pre-crash node."""
-    engine, tree = build_scenario(kind)
-    tree.lookup(COMMITTED_KEYS - 1)   # park a finger pre-crash
-    assert tree._fastpath.finger_page is not None
-    with pytest.raises(CrashError):
-        engine.sync(CrashOnNthSync(1, keep=[]))
-    engine2 = StorageEngine.reopen_after_crash(engine)
-    tree2 = TREE_CLASSES[kind].open(engine2, "ix")
-    assert tree2._fastpath.finger_page is None
-    assert all(buf.node is None
-               for buf in tree2.file.pool._frames.values())
-    for k in range(COMMITTED_KEYS):
-        assert tree2.lookup(k) == tid_for(k)
+#: the batched campaign commits 72 keys, which leaves the rightmost leaf
+#: of every kind a few slots short of full; the crashed sync's inserts
+#: ascend from there, far enough to fill it and two more
+WINDOW = range(72, 112)
+
+
+def build_window(kind: str, *, batched: bool, seed: int = 21):
+    """The same committed keys and the same uncommitted *WINDOW*, written
+    key by key or as ``insert_many`` calls."""
+    engine = StorageEngine.create(page_size=PAGE, seed=seed)
+    tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
+
+    def write(keys):
+        if batched:
+            tree.insert_many((i, tid_for(i)) for i in keys)
+        else:
+            for i in keys:
+                tree.insert(i, tid_for(i))
+    for start in range(0, WINDOW[0], 24):
+        write(range(start, start + 24))
+        engine.sync()
+    splits = tree.stats_splits
+    write(WINDOW[:1])
+    assert tree.stats_splits == splits      # the leaf has room for one,
+    write(WINDOW[1:])
+    assert tree.stats_splits > splits       # so the split came mid-run
+    return engine, tree
+
+
+@pytest.mark.parametrize("kind", ["shadow", "reorg", "hybrid"])
+def test_crash_subsets_of_a_batch_that_split_mid_run_recover_like_singles(
+        kind):
+    """The crashed sync carries a leaf split that happened inside a
+    leaf-run, with the path the run already held.  Every sampled subset
+    of its page writes recovers to the contents, and with the repair
+    count, of the same keys inserted one at a time."""
+    probe_engine, _ = build_window(kind, batched=True)
+    recorder = RecordingPolicy()
+    probe_engine.sync(recorder)
+    batch = recorder.batches[0]
+    for subset in SubsetEnumerator(batch, max_exhaustive=5,
+                                   sample=24).subsets():
+        if len(subset) == len(batch):
+            continue
+        outcomes = []
+        for batched in (True, False):
+            engine, _tree = build_window(kind, batched=batched)
+            with pytest.raises(CrashError):
+                engine.sync(CrashOnNthSync(1, keep=list(subset)))
+            outcomes.append(recovered_contents(kind, engine, WINDOW[0]))
+        assert outcomes[0] == outcomes[1], \
+            f"subset {sorted(subset)} recovered differently from a batch"

@@ -136,9 +136,17 @@ def test_pipelined_writes_coalesce_into_batched_fast_paths():
         assert counters.get("serve.coalesced_ops", 0) >= len(keys)
 
 
-def test_coalesced_run_pre_probes_duplicates():
+def test_coalesced_run_fails_only_the_duplicate(monkeypatch):
     # a duplicate buried inside a parked batch must fail alone; the
-    # rest of the run still applies through the batched path
+    # rest of the run still applies through the batched path, and the
+    # drain finds the duplicate by the insert's own search — no lookup
+    from repro.core.btree_base import BLinkTree
+    lookups = []
+    real_lookup = BLinkTree.lookup
+
+    def counted_lookup(tree, value):
+        lookups.append(value)
+        return real_lookup(tree, value)
     group, tree, server = make()
     with server:
         s = server.session()
@@ -147,6 +155,7 @@ def test_coalesced_run_pre_probes_duplicates():
         gate = threading.Event()
         server.pool.submit(0, lambda: gate.wait(10))
         requests = [s.submit("insert", k, tid_for(k)) for k in keys]
+        monkeypatch.setattr(BLinkTree, "lookup", counted_lookup)
         gate.set()
         for i, r in enumerate(requests):
             if i == 2:
@@ -154,7 +163,37 @@ def test_coalesced_run_pre_probes_duplicates():
                     r.future.result()
             else:
                 assert r.future.result() is None
+        assert lookups == []
+        monkeypatch.undo()
         assert all(s.get(k) == tid_for(k) for k in keys)
+
+
+def test_coalesced_run_of_one_key_twice_fails_the_later_request():
+    # two clients race the same key into one drain: FIFO decides
+    group, tree, server = make()
+    with server:
+        first, second = server.session(), server.session()
+        k, other = keys_on_shard(tree, 0, 2)
+        gate = threading.Event()
+        server.pool.submit(0, lambda: gate.wait(10))
+        won = first.submit("insert", k, tid_for(1))
+        lost = second.submit("insert", k, tid_for(2))
+        rest = second.submit("insert", other, tid_for(3))
+        gate.set()
+        assert won.future.result() is None and rest.future.result() is None
+        with pytest.raises(DuplicateKeyError):
+            lost.future.result()
+        assert first.get(k) == tid_for(1)
+        # and the delete twin: the second delete of one key misses
+        gate = threading.Event()
+        server.pool.submit(0, lambda: gate.wait(10))
+        gone = first.submit("delete", k)
+        missed = second.submit("delete", k)
+        gate.set()
+        assert gone.future.result() is None
+        with pytest.raises(KeyNotFoundError):
+            missed.future.result()
+        assert first.get(k) is None and first.get(other) == tid_for(3)
 
 
 def test_per_shard_fifo_order_is_preserved():
@@ -172,18 +211,6 @@ def test_per_shard_fifo_order_is_preserved():
         gate.set()
         s.flush()
         assert s.get(k) == tid_for(2)
-
-
-def test_per_commit_mode_syncs_each_dirty_shard():
-    group, tree, server = make(commit_mode="per_commit")
-    with server:
-        s = server.session()
-        for k in (1, 2, 3, 4):
-            s.insert(k, tid_for(k))
-        dirty = {tree.shard_of(k) for k in (1, 2, 3, 4)}
-        assert s.commit() == 0    # per-commit mode has no windows
-        for shard in dirty:
-            assert group.shard(shard).dirty_page_count() == 0
 
 
 def test_concurrent_clients_share_one_server():
