@@ -21,6 +21,7 @@ races:
 
 serving:
 	python -m pytest -x -q tests/serve
+	sh scripts/serving_smoke.sh
 
 shard:
 	python -m pytest -x -q tests/shard \

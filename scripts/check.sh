@@ -116,8 +116,11 @@ python -m pytest perf/tests -q
 echo "==> serving subsystem tests (tests/serve)"
 python -m pytest -x -q tests/serve
 
-echo "==> serving layer under every lint engine (--engine=all)"
-python -m repro.tools.lint src/repro/serve --engine=all
+echo "==> serving stats smoke (scripts/serving_smoke.sh)"
+sh scripts/serving_smoke.sh
+
+echo "==> serving and shard layers under every lint engine (--engine=all)"
+python -m repro.tools.lint src/repro/serve src/repro/shard --engine=all
 
 echo "==> tier-1 suite under the runtime sanitizer (REPRO_SANITIZE=1)"
 REPRO_SANITIZE=1 python -m pytest -x -q

@@ -27,41 +27,59 @@ WRITE_OPS = ("insert", "delete", "update")
 
 
 class OpFuture:
-    """One-shot result slot resolved by a shard owner thread."""
+    """One-shot result slot resolved by a shard owner thread.
 
-    __slots__ = ("_event", "_result", "_error")
+    The reply crosses threads on one lock: it is taken at construction
+    and released exactly once, by the producer, after the slot and the
+    resolved flag are written.  A waiter acquires it and hands it
+    straight back, so any number of waiters, and repeated waits, all
+    get through; ``done()`` reads the flag, not the lock, so it never
+    flickers while a waiter holds the lock for that instant.
+    """
+
+    __slots__ = ("_lock", "_resolved", "_result", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._resolved = False
         self._result: object = None
         self._error: BaseException | None = None
 
     # -- producer side (resolved exactly once) -------------------------
     #
-    # Safe-publication ordering, not a lock: exactly one producer writes
-    # the slot, then Event.set() publishes it; consumers wait() before
-    # reading, so the event is the happens-before edge.
+    # Safe-publication ordering: exactly one producer writes the slot
+    # and the flag, then releases the lock; consumers acquire it (or
+    # see the flag) before reading, so the release is the
+    # happens-before edge.
 
     def set_result(self, value: object) -> None:
         self._result = value    # lint: disable=R016
-        self._event.set()
+        self._resolved = True   # lint: disable=R016
+        self._lock.release()
 
     def set_error(self, error: BaseException) -> None:
         self._error = error     # lint: disable=R016
-        self._event.set()
+        self._resolved = True   # lint: disable=R016
+        self._lock.release()
 
     # -- consumer side --------------------------------------------------
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._resolved
 
     def wait(self, timeout: float = DEFAULT_WAIT_SECONDS) -> bool:
         """Block until resolved (errors included); True when resolved."""
-        return self._event.wait(timeout)
+        if self._resolved:
+            return True
+        if not self._lock.acquire(timeout=timeout):
+            return False
+        self._lock.release()
+        return True
 
     def result(self, timeout: float = DEFAULT_WAIT_SECONDS) -> object:
         """The operation's result; re-raises the operation's error."""
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise RequestTimeout(
                 f"request did not resolve within {timeout:.0f}s")
         if self._error is not None:

@@ -235,9 +235,9 @@ class Server:
         """Execute a coalesced same-op run through the tree's batched
         call, which applies every key it can and names the positions it
         rejected (see module docstring)."""
-        tree = self.tree.live_tree(shard)
         rejected: dict[int, ReproError] = {}
         try:
+            tree = self.tree.live_tree(shard)
             if kind == "insert_many":
                 tree.insert_many([(r.value, r.tid) for r in run])
             else:
@@ -247,6 +247,13 @@ class Server:
                 else "not found"
             rejected = {pos: type(exc)(f"key {run[pos].value!r} {what}")
                         for pos in exc.positions}
+        except (CrashError, EngineDeadError) as exc:
+            # the shard died under the run: which keys landed is
+            # unknowable, so every request of it carries the error
+            # (as _run_one's does) and _execute fails the rest
+            for request in run:
+                request.future.set_error(exc)
+            raise
         self._m_coalesced.inc(len(run) - len(rejected))
         for pos, request in enumerate(run):
             if pos in rejected:
@@ -256,15 +263,18 @@ class Server:
 
     # -- commit ------------------------------------------------------------
 
-    def commit(self, shards, session_id: int = -1) -> int:
+    def commit(self, shards, session_id: int = -1, *,
+               closes_writer: bool = False) -> int:
         """Make every write the session performed against *shards*
         durable; returns the covering group sync window ordinal.
-        Raises :class:`CommitFailed` when durability cannot be proven."""
+        Raises :class:`CommitFailed` when durability cannot be proven.
+        *closes_writer* is :meth:`GroupCommitStage.submit`'s: the
+        session had reported itself an open writer."""
         started = _now()
         try:
             commit = CommitRequest(shards=frozenset(shards),
                                    session_id=session_id)
-            self.commit_stage.submit(commit)
+            self.commit_stage.submit(commit, closes_writer=closes_writer)
             return int(commit.future.result(DEFAULT_WAIT_SECONDS))
         finally:
             self._m_commits.inc()

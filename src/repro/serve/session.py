@@ -32,6 +32,9 @@ class Session:
         self._pending: list[OpFuture] = []
         #: shards dirtied by writes since the last successful commit
         self._dirty: set[int] = set()
+        #: wrote since the last commit() call, and told the commit stage
+        #: so: siblings' commits wait for ours (an *open writer*)
+        self._open = False
 
     # -- pipelined submission ----------------------------------------------
 
@@ -42,6 +45,9 @@ class Session:
                                      session_id=self.session_id)
         if op in WRITE_OPS:
             self._dirty.add(request.shard)
+            if not self._open:
+                self._open = True
+                self.server.commit_stage.writer_opened()
         self._pending.append(request.future)
         if len(self._pending) > _REAP_THRESHOLD:
             self._pending = [f for f in self._pending if not f.done()]
@@ -84,16 +90,22 @@ class Session:
 
     def commit(self) -> int:
         """Make this session's writes durable; returns the covering
-        group sync window ordinal (0 under per-commit mode).
+        group sync window ordinal (0 when the session has nothing
+        dirty, so there is nothing to wait for).
 
         On :class:`~repro.serve.errors.CommitFailed` the dirty-shard set
         is *kept* so the commit can be retried after recovery; on
-        success it resets.
+        success it resets.  Either way the session stops being an open
+        writer the moment its commit is submitted: a retry is a plain
+        pending commit, and nobody waits for this session again until
+        it writes again.
         """
         self.flush()
         if not self._dirty:
             return 0
+        closes_writer, self._open = self._open, False
         window = self.server.commit(sorted(self._dirty),
-                                    session_id=self.session_id)
+                                    session_id=self.session_id,
+                                    closes_writer=closes_writer)
         self._dirty.clear()
         return window

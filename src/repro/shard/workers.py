@@ -86,8 +86,10 @@ class ShardWorkerPool:
             else getattr(tree, "heal", None)
         self.heal_units_per_op = heal_units_per_op
         self._n = len(tree.trees)
-        self._queues: list[queue.Queue] = [queue.Queue()
-                                           for _ in range(self._n)]
+        # SimpleQueue: unbounded, no task accounting — one C-level
+        # put/get per hand-off instead of Queue's three conditions
+        self._queues: list[queue.SimpleQueue] = [queue.SimpleQueue()
+                                                 for _ in range(self._n)]
         self._threads: list[threading.Thread] = []
         self._closed = False
         # guards the closed flag and the submission/sentinel ordering:

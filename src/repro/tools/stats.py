@@ -290,12 +290,18 @@ def _serving_summary(snapshot: dict) -> dict | None:
         elif key.startswith("serve."):
             base = key.split("[", 1)[0]
             totals[base] = totals.get(base, 0) + val
-    occupancy = snapshot.get("histograms", {}).get(
-        "shard.group.window_occupancy")
+    histograms = snapshot.get("histograms", {})
+    occupancy = histograms.get("shard.group.window_occupancy")
     coalesced = counters.get("shard.group.commits_coalesced", 0)
     if not totals and not coalesced:
         return None
     windows = occupancy["count"] if occupancy else 0
+    # why each group-commit window closed, and how long its first
+    # commit waited for the barrier to start
+    closed_by = {key.split("reason=", 1)[1].rstrip("]"): val
+                 for key, val in counters.items()
+                 if key.startswith("serve.commit.closed_by[")}
+    wait = histograms.get("serve.commit.window_wait_seconds")
     return {
         "totals": totals,
         "requests_by_op": requests_by_op,
@@ -304,6 +310,10 @@ def _serving_summary(snapshot: dict) -> dict | None:
         "amortization": (round(coalesced / windows, 4)
                          if windows else None),
         "max_window_occupancy": occupancy["max"] if occupancy else None,
+        "closed_by": closed_by,
+        "window_wait_ms": ({"mean": wait["sum"] / wait["count"] * 1e3,
+                            "max": wait["max"] * 1e3}
+                           if wait and wait["count"] else None),
     }
 
 
@@ -391,6 +401,14 @@ def render_report(doc: dict) -> str:
         if serving.get("max_window_occupancy") is not None:
             lines.append(f"  {'max window occupancy':<22} "
                          f"{serving['max_window_occupancy']}")
+        if serving.get("closed_by"):
+            reasons = ", ".join(f"{reason}={n}" for reason, n
+                                in sorted(serving["closed_by"].items()))
+            lines.append(f"  {'windows closed by':<22} {reasons}")
+        wait = serving.get("window_wait_ms")
+        if wait:
+            lines.append(f"  {'window wait':<22} mean "
+                         f"{wait['mean']:.3f}ms, max {wait['max']:.3f}ms")
     wal = doc.get("wal")
     if wal:
         lines += ["", "wal replay summary:"]

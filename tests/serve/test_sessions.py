@@ -12,10 +12,12 @@ import threading
 import pytest
 
 from repro import TID
-from repro.errors import DuplicateKeyError, KeyNotFoundError, ReproError
+from repro.errors import (CrashError, DuplicateKeyError, KeyNotFoundError,
+                          ReproError)
 from repro.obs import scoped_registry
-from repro.serve import Server
+from repro.serve import OpFuture, RequestTimeout, Server
 from repro.shard import ShardedEngine
+from repro.storage.engine import EngineDeadError
 
 PAGE = 512
 
@@ -240,3 +242,104 @@ def test_concurrent_clients_share_one_server():
         assert not errors, errors
         rows = server.range_scan()
         assert len(rows) == n_clients * per_client
+
+
+def test_crash_inside_a_coalesced_run_resolves_every_future(monkeypatch):
+    # the batched call dying must behave as a single op dying does: the
+    # run's own requests carry the crash, everything queued behind it
+    # in the chunk gets EngineDeadError, and nobody waits out a timeout
+    group, tree, server = make()
+    with server:
+        s = server.session()
+        keys = keys_on_shard(tree, 0, 7)
+
+        def crash(pairs):
+            raise CrashError("simulated crash inside insert_many")
+        monkeypatch.setattr(tree.trees[0], "insert_many", crash)
+        gate = threading.Event()
+        server.pool.submit(0, lambda: gate.wait(10))
+        run = [s.submit("insert", k, tid_for(k)) for k in keys[:4]]
+        behind = [s.submit("lookup", keys[0]),
+                  s.submit("insert", keys[4], tid_for(4)),
+                  s.submit("delete", keys[5]),
+                  s.submit("delete", keys[6])]
+        gate.set()
+        for r in run:
+            assert r.future.wait(timeout=5), "run request left hanging"
+            assert isinstance(r.future.error(), CrashError)
+        for r in behind:
+            assert r.future.wait(timeout=5), "later request left hanging"
+            assert isinstance(r.future.error(), EngineDeadError)
+
+
+# ---------------------------------------------------------------------------
+# OpFuture: one lock carries the reply across threads
+# ---------------------------------------------------------------------------
+
+def test_unresolved_future_times_out_typed():
+    future = OpFuture()
+    assert not future.done()
+    assert future.wait(timeout=0.01) is False
+    assert future.wait(timeout=0) is False
+    with pytest.raises(RequestTimeout):
+        future.result(timeout=0.01)
+    assert future.error() is None
+    # a timed-out wait leaves the future resolvable and readable
+    future.set_result(7)
+    assert future.done() and future.wait(timeout=0) is True
+    assert future.result(timeout=0) == 7
+
+
+def test_future_answers_any_number_of_times_in_any_order():
+    future = OpFuture()
+    future.set_result("tid")
+    assert future.result() == "tid"
+    assert future.wait() is True
+    assert future.result() == "tid"
+    assert future.done() and future.error() is None
+
+
+def test_error_future_reraises_on_every_call():
+    future = OpFuture()
+    boom = KeyNotFoundError("key 3 not found")
+    future.set_error(boom)
+    assert future.done() and future.wait() is True
+    for _ in range(3):
+        with pytest.raises(KeyNotFoundError) as raised:
+            future.result()
+        assert raised.value is boom
+    assert future.error() is boom
+
+
+def test_done_is_monotone_under_concurrent_waiters():
+    # eight waiters hammer wait()/done() across the resolution: each
+    # holds the lock for an instant on its way through, and done() must
+    # never be seen to go back to False once any thread saw True
+    for _ in range(20):
+        future = OpFuture()
+        n = 8
+        ready = threading.Barrier(n + 1)
+        flickers, results = [], []
+
+        def waiter():
+            ready.wait(timeout=10)
+            seen_done = False
+            for _ in range(200):
+                now = future.done()
+                if seen_done and not now:
+                    flickers.append("done() went back to False")
+                seen_done = seen_done or now
+                if future.wait(timeout=0.001) and not future.done():
+                    flickers.append("wait() True but done() False")
+            results.append(future.result(timeout=5))
+
+        threads = [threading.Thread(target=waiter) for _ in range(n)]
+        for t in threads:
+            t.start()
+        ready.wait(timeout=10)
+        future.set_result(42)
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert not flickers, flickers[:3]
+        assert results == [42] * n
