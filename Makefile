@@ -2,7 +2,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: check flow instantrestart lint perf-pairs races serving shard \
-	test test-sanitized threads walreplay
+	test test-sanitized threads wal walreplay
 
 check:
 	sh scripts/check.sh
@@ -37,6 +37,9 @@ instantrestart:
 walreplay:
 	python -m pytest -x -q tests/wal \
 		tests/recovery/test_recrash_during_replay.py
+
+wal: walreplay
+	sh scripts/wal_smoke.sh
 
 # alternating parent/change benchmark pairs + perf.compare, e.g.
 #   make perf-pairs PARENT=HEAD~1 PAIRS=10 WORKLOADS="embedded_churn"

@@ -107,6 +107,9 @@ echo "==> WAL replay tests (tests/wal + recrash-during-replay campaign)"
 python -m pytest -x -q tests/wal \
     tests/recovery/test_recrash_during_replay.py
 
+echo "==> WAL replay ledger smoke (scripts/wal_smoke.sh)"
+sh scripts/wal_smoke.sh
+
 echo "==> WAL layer under every lint engine (--engine=all)"
 python -m repro.tools.lint src/repro/wal --engine=all
 

@@ -171,7 +171,9 @@ class RecoveryOrchestrator:
         is; kept as a keyword only because the frozen benchmark passes
         it, until the next benchmark revision.
     wal_subparts:
-        Key-range sub-partitions per shard for the log replay.
+        Accepted and ignored, for the same reason: a shard replays as
+        one partition (key-range sub-partitions ran back-to-back on one
+        owner thread and only cost their planning).
     """
 
     def __init__(self, *, max_workers: int | None = None,
@@ -191,7 +193,6 @@ class RecoveryOrchestrator:
         self.max_workers = max_workers
         self.on_reopen = on_reopen
         self.wal = wal
-        self.wal_subparts = wal_subparts
         self._stage = (_ADMIT if admit_immediately
                        else _LOG if wal is not None else _SWEEP)
         reg = get_registry()
@@ -242,7 +243,7 @@ class RecoveryOrchestrator:
         if stage is _LOG and recovered:
             out.redo = self._replay(
                 _serving_tree(out_group, name, reopened), recovered,
-                reports)
+                reports, group)
         for i in targets:
             self._publish(reports[i])
         out.wall_seconds = perf_counter() - started
@@ -317,27 +318,30 @@ class RecoveryOrchestrator:
         return engine, report, tree
 
     def _replay(self, serving: ShardedTree, recovered: list[int],
-                reports: list[ShardRecoveryReport]):
+                reports: list[ShardRecoveryReport],
+                crashed_group: ShardedEngine):
         """Run the partitioned redo pass over the shards this pass
         reopened and fold the per-partition outcomes back into their
         reports.
 
         Shards that never died are current already and never see a redo
         record.  A shard that crashes again mid-replay keeps its (now
-        dead) engine, so it stays gated for a retry pass exactly like a
-        sweep failure."""
+        dead) engine, and one whose redo failed without a crash gets its
+        dead engine from *crashed_group* back — the reopened one is live
+        but half-redone and unsynced — so either way it stays gated for
+        a retry pass exactly like a sweep failure."""
         # call-time, through the module: ``repro.wal`` imports this
         # package, and span recorders patch ``replay_group`` there
         from ..wal import parallel
 
-        redo = parallel.replay_group(self.wal, serving,
-                                     subparts=self.wal_subparts,
-                                     shards=recovered)
+        redo = parallel.replay_group(self.wal, serving, shards=recovered)
         for i in recovered:
             parts = redo.for_shard(i)
             errors = [p.error for p in parts if p.error is not None]
             if i in redo.crashed_shards and not errors:
                 errors = ["crashed during replay sync"]
+            if errors and not serving.group.shard(i).dead:
+                serving.group.shards[i] = crashed_group.shard(i)
             # a fresh instance rather than mutating the one the stage
             # worker published
             reports[i] = replace(

@@ -234,8 +234,7 @@ def run_wal_demo_workload(*, n_shards: int = 4, keys: int = 240,
         group.shard(index).crash_policy = CrashOnNthSync(1, keep=0)
     wal.commit()
 
-    orchestrator = RecoveryOrchestrator(wal=wal.log, wal_subparts=2)
-    group, recovery = orchestrator.recover(group, "ix")
+    group, recovery = RecoveryOrchestrator(wal=wal.log).recover(group, "ix")
     if not recovery.ok:  # pragma: no cover - guard
         raise SystemExit(
             f"wal demo recovery failed: {recovery.failed_shards()}")
@@ -319,7 +318,8 @@ def _serving_summary(snapshot: dict) -> dict | None:
 
 def _wal_summary(snapshot: dict, trace=None) -> dict | None:
     """Aggregate the ``wal.replay.*`` series into per-shard-partition
-    counts (replayed / elided / out-of-order) plus replay wall time."""
+    counts (visited / applied / elided / out-of-order) plus replay wall
+    time."""
     counters = snapshot.get("counters", {})
     per_shard: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
@@ -422,6 +422,9 @@ def render_report(doc: dict) -> str:
         lines.append(f"  {'total':<8} {totals.get('applied', 0):>8} "
                      f"{totals.get('elided', 0):>8} "
                      f"{totals.get('out_of_order', 0):>13}")
+        lines.append(f"  {'visited / covered by mark':<26} "
+                     f"{totals.get('visited', 0)} / "
+                     f"{totals.get('elided', 0)}")
         lines.append(f"  {'partitions replayed':<22} "
                      f"{wal['partitions_replayed']}")
         lines.append(f"  {'replay wall time':<22} "

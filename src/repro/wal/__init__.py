@@ -5,9 +5,11 @@ logical operation logging over the recoverable trees — a log-volume
 comparison; only logical records are ever redone — plus the
 corrupted-key propagation probe.  ``repro.wal.group`` lifts logical
 logging over a sharded group (one log, shard-tagged records, durable
-SYNC_MARK coverage), and ``repro.wal.parallel`` replays that log as
-key-range partitions on the shard owner threads with a sync-token redo
-test that elides records a completed sync already covered.
+SYNC_MARK coverage), and ``repro.wal.parallel`` replays that log one
+partition per shard on the shard owner threads: a sync-token redo test
+says which records a completed sync already covered, each shard's plan
+starts at the first one it does not, and the tail is redone a leaf-run
+at a time.
 """
 
 from .group import GroupLogicalLoggingTree
@@ -17,11 +19,9 @@ from .parallel import (
     GroupRedoStats,
     PartitionStats,
     covered_by_mark,
-    key_range_bounds,
     partition_records,
     replay_group,
     replay_partition,
-    subpart_of,
 )
 from .physical import PhysicalLoggingTree
 from .recovery import logical_redo, physical_records_containing
@@ -38,11 +38,9 @@ __all__ = [
     "covered_by_mark",
     "decode_op",
     "encode_op",
-    "key_range_bounds",
     "logical_redo",
     "partition_records",
     "physical_records_containing",
     "replay_group",
     "replay_partition",
-    "subpart_of",
 ]

@@ -26,12 +26,14 @@ import enum
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from ..errors import WALError
 
 #: lsn, xid, kind, shard, sync token, payload length
 _FRAME = struct.Struct("<QIBHQH")
+_LSN = attrgetter("lsn")
 
 
 class RecordKind(enum.IntEnum):
@@ -140,17 +142,30 @@ class StableLog:
     # -- partition-aware iteration ------------------------------------------
 
     def records_for(self, shard: int,
-                    from_lsn: int = 1) -> Iterator[LogRecord]:
+                    from_lsn: int = 1) -> list[LogRecord]:
         """Op records of *shard* with ``lsn >= from_lsn``, in LSN order.
 
-        Served from the append-time partition index: cost is a bisect
-        plus the partition's own length, independent of the full log
-        volume — the point of building the index eagerly.
+        Served from the append-time partition index: a bisect and one
+        slice of the partition, independent of the full log volume — the
+        point of building the index eagerly.
         """
         partition = self._by_shard.get(shard, [])
-        start = bisect_left(partition, from_lsn, key=lambda r: r.lsn)
-        for record in partition[start:]:
-            yield record
+        return partition[bisect_left(partition, from_lsn, key=_LSN):]
+
+    def split_for(self, shard: int, before: Callable[[LogRecord], bool],
+                  from_lsn: int = 1) -> tuple[int, list[LogRecord]]:
+        """Cut :meth:`records_for` at the first record *before* rejects:
+        returns the accepted prefix's length and the rest.
+
+        *before* must be monotone along the partition (true on a prefix,
+        false from there on) — it is binary-searched, so the prefix is
+        counted by its index and never visited or copied.
+        """
+        partition = self._by_shard.get(shard, [])
+        start = bisect_left(partition, from_lsn, key=_LSN)
+        cut = bisect_left(partition, True, lo=start,
+                          key=lambda record: not before(record))
+        return cut - start, partition[cut:]
 
     def shards(self) -> list[int]:
         """Shards that logged at least one op record."""

@@ -1,4 +1,4 @@
-"""Parallel partitioned WAL replay with sync-token redo elision.
+"""Parallel partitioned WAL replay that costs what the crash lost.
 
 ERMIA/CoroBase recover by partitioning the log by independent domain
 (file or OID) and replaying partitions on a worker pool; Lomet's
@@ -9,11 +9,8 @@ same shape over this repo's machinery:
 * **Partition domain = shard.**  Each shard of a
   :class:`~repro.shard.engine.ShardedEngine` owns its own engine, tree,
   and sync-token arithmetic, so shard partitions share no state and can
-  replay concurrently.  Within a shard, records are further split by
-  key range: operations on disjoint ranges commute, so the sub-lists
-  can replay back-to-back instead of interleaved in global LSN order —
-  per-key order (all a redo stream must preserve) survives because the
-  key-range rule sends every record of one key to the same sub-list.
+  replay concurrently.  A shard has exactly one partition: its op
+  records in LSN order.
 * **Worker pool = the shard owner threads.**  Partitions are submitted
   through :meth:`~repro.shard.workers.ShardWorkerPool.submit`, so shard
   *i*'s redo runs on the same single thread that owns every other touch
@@ -27,10 +24,21 @@ same shape over this repo's machinery:
   window but appended before the mark
   (:func:`~repro.storage.sync.tokens_match` + LSN), was covered by a
   completed sync — its effect is durably in the index — and is
-  **elided**.  Only the post-mark tail is re-executed, and logical
-  re-execution is idempotent (duplicate inserts and missing deletes are
-  detected and counted as ``out_of_order``), so replay converges under
-  repeated partial redo.
+  **elided**.
+* **The plan starts where the redo test flips.**  A shard's tokens
+  never go backwards along its partition (the counter only advances,
+  even across crashes), so the covered records are a *prefix* of it.
+  :func:`partition_records` finds the prefix's end by binary search and
+  plans only what follows: the prefix is counted by its index, never
+  visited, and replay costs the uncovered tail, not the log's lifetime.
+* **Redo a run, not a record.**  The tail is re-executed one maximal
+  stretch of same-kind records at a time through ``insert_many`` /
+  ``delete_many`` — one descent and one peer-path heal per leaf-run
+  instead of per record.  A kind change ends a run and a run is applied
+  in stable key order, so per-key LSN order (all a redo stream must
+  preserve) survives.  Re-execution is idempotent (duplicate inserts and
+  missing deletes are detected and counted as ``out_of_order``), so
+  replay converges under repeated partial redo.
 
 Only logical records replay.  Physical (ARIES/IM-style) logging
 survives in :mod:`repro.wal.physical` as the Section 4 *volume*
@@ -39,12 +47,13 @@ comparison; nothing redoes its records.
 
 from __future__ import annotations
 
-import struct
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
 from time import perf_counter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import CrashError, WALError
 from ..errors import DuplicateKeyError, KeyNotFoundError
@@ -53,8 +62,6 @@ from ..storage.sync import token_older, tokens_match
 from .log import LogRecord, RecordKind, StableLog
 from .logical import decode_op
 
-_OPREC = struct.Struct("<H")
-
 
 # ----------------------------------------------------------------------
 # statistics
@@ -62,13 +69,15 @@ _OPREC = struct.Struct("<H")
 
 @dataclass
 class PartitionStats:
-    """Redo outcome of one (shard, key-range) partition."""
+    """Redo outcome of one shard's partition."""
 
     shard: int
-    subpart: int
-    records: int = 0               # records scanned in this partition
+    records: int = 0               # the partition's length
+    visited: int = 0               # of which planned: past the covered
+                                   # prefix, looked at one by one
     applied: int = 0               # re-executed against the tree
     elided: int = 0                # covered by the shard's SYNC_MARK
+                                   # (winner or loser: durable either way)
     out_of_order: int = 0          # state already ahead of the record
                                    # (duplicate insert / missing delete)
     skipped_uncommitted: int = 0   # xid never committed (redo losers)
@@ -123,69 +132,30 @@ class GroupRedoStats:
 # partitioning
 # ----------------------------------------------------------------------
 
-def record_key(record: LogRecord) -> bytes | None:
-    """The index key a logical record operates on (``None`` for any
-    other kind)."""
-    if record.kind in (RecordKind.OP_INSERT, RecordKind.OP_DELETE):
-        (klen,) = _OPREC.unpack_from(record.payload, 0)
-        return record.payload[2: 2 + klen]
-    return None
+class ShardPlan(NamedTuple):
+    """One shard's share of the replay plan."""
 
-
-def _key_int(key: bytes) -> int:
-    return int.from_bytes(key[:8].ljust(8, b"\x00"), "big")
-
-
-def key_range_bounds(records: Sequence[LogRecord],
-                     subparts: int) -> list[int] | None:
-    """Quantile split points over the partition's *observed* keys.
-
-    A fixed prefix split would waste sub-partitions on workloads that
-    occupy a sliver of the key space (every uint32 key shares a zero
-    32-bit prefix), so the ranges adapt: the distinct keys this
-    partition actually logged are split into *subparts* equal-count
-    contiguous ranges.  Returns ``None`` (everything to sub-list 0)
-    when there are fewer distinct keys than ranges.
-    """
-    if subparts <= 1:
-        return None
-    keys = sorted({_key_int(k) for r in records
-                   if (k := record_key(r)) is not None})
-    if len(keys) < subparts:
-        return None
-    return [keys[len(keys) * i // subparts] for i in range(1, subparts)]
-
-
-def subpart_of(key: bytes | None, subparts: int,
-               bounds: list[int] | None = None) -> int:
-    """Key-range rule: which contiguous sub-range *key* belongs to,
-    given the split points of :func:`key_range_bounds`.  Key-stable by
-    construction — the bounds are fixed for the whole plan, so every
-    record of one key lands in the same sub-list and per-key LSN order
-    survives.  Keyless records go to range 0."""
-    if subparts <= 1 or key is None or bounds is None:
-        return 0
-    return bisect_right(bounds, _key_int(key))
+    covered: int                   # length of the prefix its mark covers
+    records: list[LogRecord]       # the rest of its partition, LSN order
 
 
 def partition_records(log: StableLog, shards: Sequence[int], *,
-                      subparts: int = 1, from_lsn: int = 1) \
-        -> dict[int, list[list[LogRecord]]]:
-    """Build the replay plan: ``{shard: [sub-list, ...]}``.
+                      from_lsn: int = 1) -> dict[int, ShardPlan]:
+    """Build the replay plan: each shard's partition, cut where the redo
+    test flips.
 
-    Uses the log's append-time per-shard index, so the cost is the sum
-    of the *requested* partitions' lengths — a replay of one shard never
-    pays for the whole log.
+    Coverage is monotone along a shard's LSN-ordered partition — its
+    tokens never go backwards (:func:`~repro.storage.sync.token_older`)
+    and within the mark's own window the LSN decides — so the records
+    :func:`covered_by_mark` covers are a prefix, and the log finds its
+    end by binary search.  Cost per shard: the search plus the uncovered
+    tail, whatever the log's length.
     """
-    plan: dict[int, list[list[LogRecord]]] = {}
+    plan: dict[int, ShardPlan] = {}
     for shard in shards:
-        records = list(log.records_for(shard, from_lsn))
-        bounds = key_range_bounds(records, subparts)
-        sub_lists: list[list[LogRecord]] = [[] for _ in range(subparts)]
-        for record in records:
-            sub_lists[subpart_of(record_key(record), subparts,
-                                 bounds)].append(record)
-        plan[shard] = sub_lists
+        mark = log.last_sync_mark(shard)
+        plan[shard] = ShardPlan(*log.split_for(
+            shard, partial(covered_by_mark, mark=mark), from_lsn))
     return plan
 
 
@@ -209,54 +179,69 @@ def covered_by_mark(record: LogRecord, mark: LogRecord | None) -> bool:
 # one partition's redo
 # ----------------------------------------------------------------------
 
-def _redo_logical(tree, record: LogRecord, stats: PartitionStats) -> None:
-    if record.kind == RecordKind.OP_INSERT:
-        key, tid = decode_op(record.payload, with_tid=True)
-        value = tree.codec.decode(key)
-        # attempt the insert rather than probing with a lookup first:
-        # reads skip the Section 3.5.1 first-insert check, so a probe
-        # would find an effect a torn sync already persisted and skip
-        # the record *without healing the leaf's peer path* — leaving
-        # the key descent-reachable but invisible to scans.  The insert
-        # runs the check before its duplicate search, so replaying onto
-        # already-redone state repairs the chain as a side effect.
+def _redo_run(tree, kind: RecordKind, run: list[LogRecord],
+              stats: PartitionStats) -> None:
+    """Re-execute one stretch of same-kind records as one batch — the
+    only code that turns a log record into a tree call.
+
+    The batch is *attempted*, never probed with a lookup first: reads
+    skip the Section 3.5.1 first-insert check, so a probe would find an
+    effect a torn sync already persisted and skip the record *without
+    healing the leaf's peer path* — leaving the key descent-reachable
+    but invisible to scans.  ``insert_many`` / ``delete_many`` run the
+    check once per leaf-run before searching it, so replaying onto
+    already-redone state repairs the chain as a side effect; they apply
+    every key they can and name the rest by position.
+    """
+    decode = tree.codec.decode
+    stale: tuple[int, ...] = ()
+    if kind == RecordKind.OP_INSERT:
+        ops = [decode_op(r.payload, with_tid=True) for r in run]
         try:
-            tree.insert(value, tid)
-            stats.applied += 1
-            return
-        except DuplicateKeyError:
-            pass
-        existing = tree.lookup(value)
-        if existing == tid:
-            stats.out_of_order += 1
-            return
-        raise WALError(
-            f"redo insert of {key.hex()} conflicts: index maps it to "
-            f"{existing}, log says {tid}")
-    elif record.kind == RecordKind.OP_DELETE:
-        key, _ = decode_op(record.payload, with_tid=False)
+            tree.insert_many([(decode(key), tid) for key, tid in ops])
+        except DuplicateKeyError as exc:
+            stale = exc.positions
+        for pos in stale:
+            key, tid = ops[pos]
+            existing = tree.lookup(decode(key))
+            if existing != tid:
+                raise WALError(
+                    f"redo insert of {key.hex()} conflicts: index maps it "
+                    f"to {existing}, log says {tid}")
+    elif kind == RecordKind.OP_DELETE:
         try:
-            tree.delete(tree.codec.decode(key))
-            stats.applied += 1
-        except KeyNotFoundError:
-            stats.out_of_order += 1
+            tree.delete_many([
+                decode(decode_op(r.payload, with_tid=False)[0])
+                for r in run])
+        except KeyNotFoundError as exc:
+            stale = exc.positions
+    else:
+        return
+    stats.out_of_order += len(stale)
+    stats.applied += len(run) - len(stale)
 
 
 def replay_partition(tree, records: Sequence[LogRecord],
                      committed: set[int], mark: LogRecord | None,
                      stats: PartitionStats) -> None:
     """Redo one LSN-ordered partition against one shard's member tree:
-    losers (xid not in *committed*) are skipped, records *mark* covers
-    are elided, the rest re-execute."""
+    records *mark* covers are elided, losers (xid not in *committed*)
+    are skipped, and what is left re-executes a run at a time — each
+    maximal stretch of same-kind records is one :func:`_redo_run`, so a
+    key's insert, delete and re-insert stay in three runs in LSN order.
+    """
+    stats.records += len(records)
+    stats.visited += len(records)
+    owed: list[LogRecord] = []
     for record in records:
-        stats.records += 1
-        if record.xid not in committed:
-            stats.skipped_uncommitted += 1
-            continue
         if covered_by_mark(record, mark):
             stats.elided += 1
-            continue
-        _redo_logical(tree, record, stats)
+        elif record.xid not in committed:
+            stats.skipped_uncommitted += 1
+        else:
+            owed.append(record)
+    for kind, run in groupby(owed, key=attrgetter("kind")):
+        _redo_run(tree, kind, list(run), stats)
 
 
 # ----------------------------------------------------------------------
@@ -264,97 +249,89 @@ def replay_partition(tree, records: Sequence[LogRecord],
 # ----------------------------------------------------------------------
 
 def replay_group(log: StableLog, tree, *, parallel: bool = True,
-                 subparts: int = 1,
                  shards: Sequence[int] | None = None) -> GroupRedoStats:
     """Partitioned redo of *log* against the sharded index *tree*.
 
-    Scans the log once (through its append-time partition index),
-    builds per-shard key-range partitions, and replays them — on the
-    shard owner threads of a temporary
+    Plans each shard's uncovered tail (through the log's append-time
+    partition index, :func:`partition_records`) and replays the tails —
+    on the shard owner threads of a temporary
     :class:`~repro.shard.workers.ShardWorkerPool` when *parallel*,
     inline in shard order when not (the serial reference the
-    equivalence tests compare against: identical partitioning and redo
-    test, no overlap).  Each shard ends with a completion sync, the
-    single durability point of its replayed state.
+    equivalence tests compare against: identical plan and redo test, no
+    overlap).  A shard whose redo succeeded ends with a completion sync,
+    the single durability point of its replayed state.  Replay appends
+    nothing to the log.
 
     Failure semantics mirror the group's everywhere else: a shard that
-    crashes mid-replay stops its own partitions (recorded in
-    ``crashed_shards`` and the partition errors) while sibling shards
-    replay to completion.  A second replay over the crash's persisted
-    subset converges — the redo test plus idempotent re-execution make
-    repeated partial redo safe.
+    crashes mid-replay, or whose log contradicts its index, stops there
+    unsynced (recorded in ``crashed_shards`` and the partition errors)
+    while sibling shards replay to completion.  A second replay over the
+    crash's persisted subset converges — the redo test plus idempotent
+    re-execution make repeated partial redo safe.
     """
     mode = "parallel" if parallel else "serial"
     started = perf_counter()
     group = tree.group
     targets = list(shards) if shards is not None \
         else list(range(len(tree.trees)))
-    plan = partition_records(log, targets, subparts=max(subparts, 1))
+    plan = partition_records(log, targets)
     committed = log.committed_xids()
 
-    out = GroupRedoStats(mode=mode)
-    shard_stats: dict[int, list[PartitionStats]] = {}
-    for shard in targets:
-        shard_stats[shard] = [PartitionStats(shard=shard, subpart=i)
-                              for i in range(len(plan[shard]))]
-        out.partitions.extend(shard_stats[shard])
-
+    out = GroupRedoStats(mode=mode, partitions=[
+        PartitionStats(shard=shard) for shard in targets])
     crashed: list[int] = []
     crashed_lock = threading.Lock()
     reg = get_registry()
     h_partition = reg.histogram("wal.replay.partition_seconds")
 
-    def make_job(shard: int):
-        label = str(shard)
-        m_applied = reg.counter("wal.replay.applied", shard=label)
-        m_elided = reg.counter("wal.replay.elided", shard=label)
-        m_ooo = reg.counter("wal.replay.out_of_order", shard=label)
+    def make_job(stats: PartitionStats):
+        shard = stats.shard
+
+        def note_crash() -> None:
+            with crashed_lock:
+                crashed.append(shard)
 
         def job() -> None:
             member = tree.trees[shard]
             engine = group.shard(shard)
-            mark = log.last_sync_mark(shard)
-            dead_reason: str | None = None
             if member is None or engine.dead:
-                dead_reason = f"shard {shard} is dead (unrecovered)"
-            for stats, records in zip(shard_stats[shard], plan[shard]):
-                if dead_reason is not None:
-                    stats.error = dead_reason
-                    continue
-                part_started = perf_counter()
-                try:
-                    replay_partition(member, records, committed, mark,
-                                     stats)
-                except CrashError as exc:
-                    stats.error = f"shard crashed mid-replay: {exc}"
-                    dead_reason = f"shard {shard} crashed mid-replay"
-                    with crashed_lock:
-                        crashed.append(shard)
-                except WALError as exc:
-                    stats.error = str(exc)
-                stats.seconds = perf_counter() - part_started
-                h_partition.observe(stats.seconds)
-                m_applied.inc(stats.applied)
-                m_elided.inc(stats.elided)
-                m_ooo.inc(stats.out_of_order)
-                get_trace().emit(
-                    "wal_partition", duration=stats.seconds,
-                    token=mark.token if mark is not None else None,
-                    shard=shard, subpart=stats.subpart,
-                    applied=stats.applied, elided=stats.elided,
-                    out_of_order=stats.out_of_order, ok=stats.ok)
-            if dead_reason is None:
+                stats.error = f"shard {shard} is dead (unrecovered)"
+                return
+            mark = log.last_sync_mark(shard)
+            covered, records = plan[shard]
+            stats.records = stats.elided = covered
+            part_started = perf_counter()
+            try:
+                replay_partition(member, records, committed, mark, stats)
+            except CrashError as exc:
+                stats.error = f"shard crashed mid-replay: {exc}"
+                note_crash()
+            except WALError as exc:
+                stats.error = str(exc)
+            stats.seconds = perf_counter() - part_started
+            h_partition.observe(stats.seconds)
+            for name in ("visited", "applied", "elided", "out_of_order",
+                         "skipped_uncommitted"):
+                reg.counter(f"wal.replay.{name}",
+                            shard=str(shard)).inc(getattr(stats, name))
+            get_trace().emit(
+                "wal_partition", duration=stats.seconds,
+                token=mark.token if mark is not None else None,
+                shard=shard, visited=stats.visited,
+                applied=stats.applied, elided=stats.elided,
+                out_of_order=stats.out_of_order, ok=stats.ok)
+            if stats.ok:
                 # the completion sync: make this shard's replayed state
-                # durable (and append-able as a future SYNC_MARK point)
+                # durable.  A failed redo gets none — its half-applied
+                # state must not become the durable one.
                 try:
                     engine.sync()
                 except CrashError:
-                    with crashed_lock:
-                        crashed.append(shard)
+                    note_crash()
 
         return job
 
-    jobs = {shard: make_job(shard) for shard in targets}
+    jobs = {stats.shard: make_job(stats) for stats in out.partitions}
     if parallel and targets:
         from ..shard.workers import ShardWorkerPool
         with ShardWorkerPool(tree) as pool:

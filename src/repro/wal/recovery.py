@@ -27,7 +27,7 @@ def logical_redo(log: StableLog, tree: BLinkTree, *,
     :func:`repro.wal.parallel.covered_by_mark` elides records a
     completed sync already made durable.
     """
-    stats = PartitionStats(shard=0, subpart=0)
+    stats = PartitionStats(shard=0)
     ops = [record for record in log.records(from_lsn)
            if record.kind in (RecordKind.OP_INSERT, RecordKind.OP_DELETE)]
     replay_partition(tree, ops, log.committed_xids(), mark, stats)

@@ -36,8 +36,7 @@ def build(seed):
 
 
 def recover(group, log, *, on_reopen=None):
-    orchestrator = RecoveryOrchestrator(wal=log, wal_subparts=2,
-                                        on_reopen=on_reopen)
+    orchestrator = RecoveryOrchestrator(wal=log, on_reopen=on_reopen)
     return orchestrator.recover(group, "ix")
 
 

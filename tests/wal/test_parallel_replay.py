@@ -3,11 +3,9 @@ serial/parallel equivalence property.
 
 The load-bearing guarantee is that concurrency changes *nothing* about
 the recovered state: replaying partitions on the shard owner threads
-(in any interleaving, with any key-range sub-partitioning) must yield a
-tree state byte-identical to the serial replay — same full range scan,
-clean fsck — because partitions share no keys and per-key LSN order
-survives the key-range split.  The sweep runs that equivalence over
-seeds and shard counts.
+(in any interleaving) must yield a tree state identical to the serial
+replay — same full range scan, clean fsck — because partitions share no
+keys.  The sweep runs that equivalence over seeds and shard counts.
 """
 
 import pytest
@@ -20,10 +18,8 @@ from repro.wal import (
     LogRecord,
     RecordKind,
     covered_by_mark,
-    key_range_bounds,
     partition_records,
     replay_group,
-    subpart_of,
 )
 
 from ..recovery.helpers import build_wal_group
@@ -71,61 +67,37 @@ def test_redo_test_replays_newer_windows_and_unmarked_shards():
 # partitioning
 # ----------------------------------------------------------------------
 
-def test_subpart_is_key_stable_contiguous_and_in_range():
-    records = [LogRecord(lsn + 1, 1, RecordKind.OP_INSERT,
-                         len(key).to_bytes(2, "little") + key)
-               for lsn, key in enumerate(
-                   i.to_bytes(4, "big") for i in range(0, 4000, 7))]
-    for subparts in (2, 3, 8):
-        bounds = key_range_bounds(records, subparts)
-        assert bounds is not None
-        parts = []
-        for i in range(0, 4000, 7):
-            key = i.to_bytes(4, "big")
-            part = subpart_of(key, subparts, bounds)
-            assert 0 <= part < subparts
-            assert part == subpart_of(key, subparts, bounds)
-            parts.append(part)
-        # contiguous ranges: ascending keys never go back to an earlier
-        # sub-range, and every range is populated
-        assert parts == sorted(parts)
-        assert set(parts) == set(range(subparts))
-    assert key_range_bounds(records, 1) is None
-    assert subpart_of(None, 4, [100]) == 0
-    assert subpart_of(b"\x00\x00\x00\x01", 4, None) == 0
-
-
-def test_partition_plan_covers_every_op_record_exactly_once():
+def test_covered_prefix_plus_plan_is_the_shards_partition():
     group, wal, _committed, _tail = build_wal_group(
         3, committed_keys=120, tail_keys=40, page_size=PAGE, seed=7)
-    plan = partition_records(wal.log, [0, 1, 2], subparts=3)
-    planned = [r.lsn for shard in plan for sub in plan[shard]
-               for r in sub]
-    expected = [r.lsn for shard in (0, 1, 2)
-                for r in wal.log.records_for(shard)]
-    assert sorted(planned) == sorted(expected)
-    for shard, subs in plan.items():
-        for sub in subs:
-            assert [r.lsn for r in sub] == sorted(r.lsn for r in sub)
-            for r in sub:
-                assert r.shard == shard
+    plan = partition_records(wal.log, [0, 1, 2])
+    assert sorted(plan) == [0, 1, 2]
+    for shard, (covered, planned) in plan.items():
+        partition = wal.log.records_for(shard)
+        mark = wal.log.last_sync_mark(shard)
+        # disjoint and exhaustive: the prefix is exactly what the mark
+        # covers, the plan exactly the rest, in the partition's order
+        assert 0 < covered < len(partition)
+        assert planned == partition[covered:]
+        assert all(covered_by_mark(r, mark) for r in partition[:covered])
+        assert not any(covered_by_mark(r, mark) for r in planned)
+        assert [r.lsn for r in planned] == sorted(r.lsn for r in planned)
+        assert all(r.shard == shard for r in planned)
 
 
 # ----------------------------------------------------------------------
 # serial/parallel equivalence (the property)
 # ----------------------------------------------------------------------
 
-def _recover(mode, subparts, *, n_shards, seed):
-    """Build the deterministic crashed group and recover it under one
-    replay configuration; returns (group, stats, scan, committed, tail).
-    """
+def _recover(mode, *, n_shards, seed):
+    """Build the deterministic crashed group and recover it serially or
+    in parallel; returns (group, stats, scan, committed, tail)."""
     group, wal, committed, tail = build_wal_group(
         n_shards, committed_keys=180, tail_keys=60, page_size=PAGE,
         seed=seed)
     reopened = ShardedEngine.reopen(group)
     tree = reopened.open_tree("ix")
-    stats = replay_group(wal.log, tree, parallel=(mode == "parallel"),
-                         subparts=subparts)
+    stats = replay_group(wal.log, tree, parallel=(mode == "parallel"))
     assert stats.ok, stats.errors()
     scan = list(tree.range_scan())
     return reopened, stats, scan, committed, tail
@@ -135,22 +107,21 @@ def _recover(mode, subparts, *, n_shards, seed):
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_parallel_replay_equals_serial_replay(seed, n_shards):
     ref_group, ref_stats, ref_scan, committed, tail = _recover(
-        "serial", 1, n_shards=n_shards, seed=seed)
+        "serial", n_shards=n_shards, seed=seed)
     assert fsck_group(ref_group).errors == 0
     values = {v for v, _ in ref_scan}
     assert set(committed) <= values and set(tail) <= values
 
-    for subparts in (1, 3):
-        group, stats, scan, _, _ = _recover(
-            "parallel", subparts, n_shards=n_shards, seed=seed)
-        assert scan == ref_scan, (
-            f"parallel(subparts={subparts}) diverged from serial at "
-            f"{n_shards} shards, seed {seed}")
-        assert fsck_group(group).errors == 0
-        # same work was elided and applied, just concurrently
-        assert stats.applied == ref_stats.applied
-        assert stats.elided == ref_stats.elided
-        assert stats.elided > 0
+    group, stats, scan, _, _ = _recover(
+        "parallel", n_shards=n_shards, seed=seed)
+    assert scan == ref_scan, (
+        f"parallel diverged from serial at {n_shards} shards, "
+        f"seed {seed}")
+    assert fsck_group(group).errors == 0
+    # same work was elided and applied, just concurrently
+    assert stats.applied == ref_stats.applied
+    assert stats.elided == ref_stats.elided
+    assert stats.elided > 0
 
 
 def test_uncommitted_tail_is_skipped():
@@ -199,6 +170,7 @@ def test_replay_reports_dead_shards_instead_of_raising():
 def test_orchestrator_log_replay_recovers_the_committed_tail():
     group, wal, committed, tail = build_wal_group(
         4, committed_keys=160, tail_keys=60, page_size=PAGE, seed=21)
+    # wal_subparts: accepted and ignored, as the frozen benchmark passes
     orchestrator = RecoveryOrchestrator(wal=wal.log, wal_subparts=2)
     recovered, report = orchestrator.recover(group, "ix")
     assert report.ok, [(r.shard, r.error) for r in report.shards]
