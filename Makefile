@@ -1,8 +1,8 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check flow instantrestart lint perf-pairs races serving shard \
-	test test-sanitized threads wal walreplay
+.PHONY: budgets check flow instantrestart lint perf-pairs races serving \
+	shard test test-sanitized threads wal walreplay
 
 check:
 	sh scripts/check.sh
@@ -45,6 +45,11 @@ wal: walreplay
 #   make perf-pairs PARENT=HEAD~1 PAIRS=10 WORKLOADS="embedded_churn"
 perf-pairs:
 	sh scripts/perf_pairs.sh $(PARENT) $(PAIRS) $(WORKLOADS)
+
+# the counted (cProfile) call budgets: load-independent, and skipped by
+# the sanitized run, whose unpin check does the work they rule out
+budgets:
+	python -m pytest -q tests/fastpath/test_decode_budget.py
 
 test:
 	python -m pytest -x -q

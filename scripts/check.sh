@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full pre-merge gate: crash-safety lint, external linters (when
-# installed), and the tier-1 suite under the runtime sanitizer.
+# installed), the counted call budgets, and the tier-1 suite under the
+# runtime sanitizer.
 #
 # Usage: scripts/check.sh  (or: make check)
 set -eu
@@ -124,6 +125,9 @@ sh scripts/serving_smoke.sh
 
 echo "==> serving and shard layers under every lint engine (--engine=all)"
 python -m repro.tools.lint src/repro/serve src/repro/shard --engine=all
+
+echo "==> counted call budgets, unsanitized (they skip under the sanitizer)"
+python -m pytest -q tests/fastpath/test_decode_budget.py
 
 echo "==> tier-1 suite under the runtime sanitizer (REPRO_SANITIZE=1)"
 REPRO_SANITIZE=1 python -m pytest -x -q

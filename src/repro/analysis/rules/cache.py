@@ -40,7 +40,8 @@ VERSION_EVIDENCE_CALLEES = {"_next_version", "Buffer"}
 
 #: Incremental maintenance calls that restamp a decoded node to
 #: ``buf.version`` and therefore must follow the version bump.
-NOTE_CALLEES = {"note_insert", "note_delete"}
+NOTE_CALLEES = {"note_insert", "note_delete",
+                "note_insert_run", "note_delete_run"}
 
 #: Calls that bump the version as a side effect (mutate-then-dirty).
 DIRTY_CALLEES = {"mark_dirty", "_dirty"}

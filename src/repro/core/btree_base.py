@@ -31,7 +31,7 @@ actually found on the child.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from operator import eq, gt, itemgetter, lt
 from time import perf_counter
@@ -56,6 +56,7 @@ from ..storage import (
 from ..fastpath import FastPath
 from ..storage.buffer_pool import Buffer
 from ..storage.engine import StorageEngine
+from ..storage.page import LINE_ENTRY_SIZE
 from ..storage.pagefile import PageFile
 from . import items as I
 from .concurrency import schedule_point
@@ -442,8 +443,11 @@ class BLinkTree:
         buf = self.file.pin(page_no)
         try:
             while True:
-                page_no, buf, node, bounds = self._follow_moves(
+                page_no, moved, node, bounds = self._follow_moves(
                     page_no, buf, bounds, key)
+                if moved is not buf:
+                    self._unpin(buf)
+                    buf = moved
                 entry = PathEntry(page_no, buf, bounds)
                 level = node.level
                 if level == stop_level:
@@ -482,9 +486,24 @@ class BLinkTree:
                       key: bytes
                       ) -> tuple[int, Buffer, DecodedNode, KeyBounds]:
         """Follow ``newPage``/peer right-moves from the pinned *buf*;
-        returns where the descent ended up and that frame's current node.
-        Default: stay put."""
+        returns where the descent ended up, pinned, and that frame's
+        current node.  The pin on *buf* is only borrowed: the caller
+        releases it when the moves end on another page, and holds nothing
+        else if they raise.  Default: stay put."""
         return page_no, buf, node_of(buf), bounds
+
+    def _check_move_progress(self, hops: int, target: int,
+                             held: Buffer) -> None:
+        """Called by a :meth:`_follow_moves` that has made *hops* moves
+        and is about to make another, to page *target*: more moves than
+        the file has pages means the links lead round a cycle (ROADMAP
+        item 1, repro E) — an error, where following them would never
+        return.  *held* is the pin the moves took, released here."""
+        if hops > self.file.n_pages:
+            self._unpin(held)
+            raise TreeError(
+                f"page {target}: move links cycle — {hops} moves from one "
+                f"descent step in a file of {self.file.n_pages} pages")
 
     def _check_child(self, parent: PathEntry, child_no: int,
                      child_buf: Buffer, bounds: KeyBounds,
@@ -503,10 +522,16 @@ class BLinkTree:
     # public API
     # ------------------------------------------------------------------
 
+    def _page_reserve(self, level: int) -> int:
+        """Free bytes an insert must leave on a page at *level* beyond the
+        item and its line entry; the reorg tree keeps headroom for the
+        backup record a future split will need."""
+        return 0
+
     def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
-        """Insert-time fullness test; the reorg tree overrides it to keep
-        headroom for the backup record a future split will need."""
-        return node.can_fit(size)
+        """Insert-time fullness test."""
+        return (node.upper - node.lower
+                >= size + LINE_ENTRY_SIZE + self._page_reserve(node.level))
 
     def insert(self, value, tid: TID | tuple[int, int]) -> None:
         """Insert ``value -> tid``.  Duplicate keys raise
@@ -605,11 +630,13 @@ class BLinkTree:
 
         *batch* holds ``(key, tid, position)`` in key order.  One
         descent, one peer-path check and one reclamation check serve the
-        whole run; each key is then searched once and applied with the
-        byte sequence of a single insert.  A key already present has its
-        position appended to *rejected* and the run carries on.  A key
-        that does not fit splits the leaf with the path in hand, which
-        ends the run (the split re-homes the pages under the path).
+        whole run; each key is then searched once and leaves the bytes a
+        single insert of it would (with more of the batch in hand,
+        :meth:`_insert_stretch` writes several at a time).  A key already
+        present has its position appended to *rejected* and the run
+        carries on.  A key that does not fit splits the leaf with the
+        path in hand, which ends the run (the split re-homes the pages
+        under the path).
         """
         path = self._descend(batch[i][0])
         if not path:
@@ -623,15 +650,18 @@ class BLinkTree:
             node = node_of(buf)
             node.for_writer()
             fp = self._fastpath
+            reserve = self._page_reserve(0)
             n = len(batch)
             while True:
                 key, tid, pos = batch[i]
                 slot, found = node.search(key, fp)
                 if found:
                     rejected.append(pos)
+                    i += 1
                 else:
                     item = I.pack_leaf_item(key, tid)
-                    if not self._page_can_fit(node, len(item)):
+                    room = node.upper - node.lower - reserve
+                    if room < len(item) + LINE_ENTRY_SIZE:
                         started = perf_counter()
                         splits_before = self._m_splits.value
                         self._split_and_insert(path, len(path) - 1, item,
@@ -644,16 +674,65 @@ class BLinkTree:
                             technique=self.KIND,
                             pages_split=self._m_splits.value - splits_before)
                         return i + 1
-                    view.insert_item(slot, item)
-                    self._dirty(buf)
-                    node.note_insert(buf, slot, key)
-                i += 1
+                    if i + 1 < n and node.keys:
+                        i = self._insert_stretch(leaf, node, batch, i, slot,
+                                                 item, room, rejected)
+                    else:
+                        view.insert_item(slot, item, node=node)
+                        self._dirty(buf)
+                        node.note_insert(buf, slot, key)
+                        i += 1
                 if i == n or not self._still_responsible(leaf, node,
                                                          batch[i][0]):
                     return i
                 fp.batched_amortized += 1
         finally:
             self._unpin_path(path)
+
+    def _insert_stretch(self, leaf: PathEntry, node: DecodedNode,
+                        batch: list[tuple[bytes, TID, int]], i: int,
+                        slot: int, item: bytes, room: int,
+                        rejected: list[int]) -> int:
+        """``batch[i]`` goes into *slot* of this leaf as *item*, leaving
+        *room* bytes, and more of the batch is in hand: take with it every
+        following key that is certainly this leaf's too and still fits,
+        and write them all with one line-table shift
+        (:meth:`NodeView.insert_run`) — the bytes, rejections and counts
+        of the same keys inserted one at a time.  Stops short of a key
+        that does not fit (the caller splits for it) and of one only
+        :meth:`_still_responsible` can judge; returns its index."""
+        keys = node.keys
+        hi = leaf.bounds.hi
+        top = None if node.right_peer == INVALID_PAGE else keys[-1]
+        slots, items, new_keys = [slot], [item], [batch[i][0]]
+        room -= len(item) + LINE_ENTRY_SIZE
+        n = len(batch)
+        j = i + 1
+        while j < n:
+            key, tid, pos = batch[j]
+            if (hi is not None and key >= hi) \
+                    or (top is not None and key > top):
+                break
+            slot = bisect_left(keys, key, slot)
+            if (slot < len(keys) and keys[slot] == key) \
+                    or key == new_keys[-1]:
+                rejected.append(pos)
+            else:
+                item = I.pack_leaf_item(key, tid)
+                room -= len(item) + LINE_ENTRY_SIZE
+                if room < 0:
+                    break
+                slots.append(slot)
+                items.append(item)
+                new_keys.append(key)
+            j += 1
+        buf = leaf.buffer
+        leaf.view.insert_run(slots, items, node)
+        self._dirty(buf)
+        node.note_insert_run(buf, slots, new_keys)
+        self._fastpath.cache_hits += j - i - 1
+        self._fastpath.batched_amortized += j - i - 1
+        return j
 
     def _delete_run(self, batch: list[tuple[bytes, int]], i: int,
                     rejected: list[int]) -> int:
@@ -681,20 +760,60 @@ class BLinkTree:
                 slot, found = node.search(key, fp)
                 if not found:
                     rejected.append(pos)
+                    i += 1
                 else:
-                    view.delete_item(slot)
-                    self._dirty(buf)
-                    node.note_delete(buf, slot)
+                    if i + 1 < n and node.keys:
+                        i = self._delete_stretch(leaf, node, batch, i, slot,
+                                                 rejected)
+                    else:
+                        view.delete_item(slot, node=node)
+                        self._dirty(buf)
+                        node.note_delete(buf, slot)
+                        i += 1
                     if node.n_keys == 0 and len(path) > 1:
                         self._reclaim_empty_page(path, len(path) - 1)
-                        return i + 1
-                i += 1
+                        return i
                 if i == n or not self._still_responsible(leaf, node,
                                                          batch[i][0]):
                     return i
                 fp.batched_amortized += 1
         finally:
             self._unpin_path(path)
+
+    def _delete_stretch(self, leaf: PathEntry, node: DecodedNode,
+                        batch: list[tuple[bytes, int]], i: int, slot: int,
+                        rejected: list[int]) -> int:
+        """Delete twin of :meth:`_insert_stretch`: ``batch[i]`` sits in
+        *slot*; take with it every following key that is certainly this
+        leaf's, and remove them with one line-table shift.  Stops after
+        the leaf's last key (what follows it depends on the key that then
+        becomes the last, or on the leaf being empty); returns the index
+        of the first entry not consumed."""
+        keys = node.keys
+        hi = leaf.bounds.hi
+        last = len(keys) - 1
+        top = None if node.right_peer == INVALID_PAGE else keys[last]
+        slots = [slot]
+        n = len(batch)
+        j = i + 1
+        while j < n and slots[-1] != last:
+            key, pos = batch[j]
+            if (hi is not None and key >= hi) \
+                    or (top is not None and key > top):
+                break
+            slot = bisect_left(keys, key, slot)
+            if slot <= last and keys[slot] == key and slot != slots[-1]:
+                slots.append(slot)
+            else:
+                rejected.append(pos)
+            j += 1
+        buf = leaf.buffer
+        leaf.view.delete_run(slots, node)
+        self._dirty(buf)
+        node.note_delete_run(buf, slots)
+        self._fastpath.cache_hits += j - i - 1
+        self._fastpath.batched_amortized += j - i - 1
+        return j
 
     @staticmethod
     def _still_responsible(leaf: PathEntry, node: DecodedNode,

@@ -29,7 +29,6 @@ from __future__ import annotations
 from ..storage.buffer_pool import Buffer
 from .btree_base import PathEntry
 from .keys import KeyBounds
-from .nodeview import DecodedNode
 from .reorg import ReorgBLinkTree
 from .shadow import ShadowBLinkTree
 
@@ -54,11 +53,11 @@ class HybridBLinkTree(ShadowBLinkTree, ReorgBLinkTree):
         # children
         return level == self.shadow_below
 
-    def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
-        if node.level < self.shadow_below:
+    def _page_reserve(self, level: int) -> int:
+        if level < self.shadow_below:
             # shadow-split pages need no backup headroom
-            return ShadowBLinkTree._page_can_fit(self, node, size)
-        return ReorgBLinkTree._page_can_fit(self, node, size)
+            return 0
+        return ReorgBLinkTree._page_reserve(self, level)
 
     # ------------------------------------------------------------------
     # dispatch

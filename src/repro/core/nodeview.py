@@ -17,14 +17,27 @@ Two operations implement byte-write orderings the paper specifies:
   delete ordering (copy entries left until the duplicate is last, then
   decrement ``nKeys``).
 
+Each has two forms that leave the same bytes.  With a ``step_hook`` the
+protocol runs entry by entry, which is the only way its intermediate
+images can be seen and the reference the tests compare against.  Without
+one the shift is a single slice move, and :meth:`insert_run` /
+:meth:`delete_run` write a whole sorted run with one line-table rewrite:
+a sync snapshots whole pages between operations, never inside one (DESIGN
+section 5m).
+
 The reorg-tree **backup region** (Section 3.4) also lives here: backup
 line-table entries sit just beyond the live entries, followed by a small
 backup record holding the pre-split peer pointers needed to restore the
 original page exactly.
 
-Reads that do not change the page go through :class:`DecodedNode`, the one
-decoded form of a page, which hangs off the buffer frame
-(:func:`node_of`); :class:`NodeView` stays the byte-level writer and the
+:class:`DecodedNode` is the one decoded form of a page and hangs off the
+buffer frame (:func:`node_of`).  Reads that do not change the page go
+through it, and so does the leaf writer: ``BLinkTree._insert_run`` /
+``_delete_run`` pass the frame's node to the mutators above, which take
+the header fields they need from it instead of re-reading them and assign
+the ones they changed back, so the node stays current across the write
+(the sanitizer's node-against-bytes check on every unpin is what holds
+them to it).  :class:`NodeView` is the byte-level writer and the
 per-item reference decoder the node is checked against.
 """
 
@@ -32,6 +45,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from ..constants import (
@@ -52,8 +66,27 @@ BACKUP_RECORD_SIZE = _BACKUP_RECORD.size  # 24
 
 StepHook = Callable[[str], None]
 
+_BACKUP_BLOCKS_INSERT = (
+    "insert into a page holding backup keys; the caller must run the "
+    "reclamation check first (paper section 3.4)")
+_BACKUP_BLOCKS_DELETE = (
+    "delete from a page holding backup keys; run the reclamation check "
+    "first")
+
 _U16 = struct.Struct("<H").unpack_from
+_PUT16 = struct.Struct("<H").pack_into
 _TIDS = struct.Struct("<IH")
+#: The header fields a line-table mutation reads, in one unpack:
+#: ``n_keys``, ``prev_n_keys``, ``lower``, ``upper``, ``backup_count``.
+_WRITER_FIELDS = struct.Struct("<6xHH38xHHH").unpack_from
+assert struct.calcsize("<6xHH38x") == P.OFF_LOWER
+
+
+def _splice(into: list, base: int, slots: list[int], new: list) -> None:
+    """Insert ``new[k]`` ahead of what was element ``slots[k] - base`` of
+    *into* before any insertion (*slots* ascending)."""
+    for k, slot in enumerate(slots):
+        into.insert(slot - base + k, new[k])
 
 
 def search_bytes(data, n: int, key: bytes) -> tuple[int, bool]:
@@ -264,14 +297,22 @@ class NodeView:
         return I.internal_item_bytes(self.buf, off, self.shadow_items)
 
     def items(self) -> list[bytes]:
-        """All live items, in line-table order."""
-        return [self.item_bytes_at(i) for i in range(self.n_keys)]
-
-    def iter_items(self) -> Iterator[bytes]:
-        """Live items one at a time — for verify/heal loops that only walk
-        the items once and must not materialize a throwaway list."""
-        for i in range(self.n_keys):
-            yield self.item_bytes_at(i)
+        """All live items, in line-table order: one line-table unpack and
+        one pass over a snapshot.  A page that cannot be decoded that way
+        is read item by item, which raises what it always raised."""
+        n = self.n_keys
+        if self.is_leaf:
+            fixed = I.LEAF_OVERHEAD
+        else:
+            fixed = (I.SHADOW_OVERHEAD if self.shadow_items
+                     else I.INTERNAL_OVERHEAD)
+        try:
+            offsets = struct.unpack_from("<%dH" % n, self.buf, P.HEADER_SIZE)
+            snap = bytes(self.buf)
+            return [snap[o: o + fixed + (snap[o] | snap[o + 1] << 8)]
+                    for o in offsets]
+        except _UNDECODABLE:
+            return [self.item_bytes_at(i) for i in range(n)]
 
     def keys(self) -> Iterator[bytes]:
         for i in range(self.n_keys):
@@ -393,22 +434,75 @@ class NodeView:
     # ------------------------------------------------------------------
 
     def insert_item(self, index: int, item: bytes,
-                    step_hook: StepHook | None = None) -> None:
+                    step_hook: StepHook | None = None,
+                    node: DecodedNode | None = None) -> None:
         """Insert *item* at line-table position *index*.
 
-        Follows the paper's byte-write ordering so any mid-update snapshot
-        shows either the old page or a page with a detectable duplicate
-        line-table entry.  *step_hook* (tests only) is called between the
-        ordered steps to let a harness capture intermediate images.
+        The header fields come from *node* — the frame's decoded node, when
+        the leaf writer holds it — or from one read of the bytes; *node*
+        is left current (the caller still marks the buffer dirty and
+        restamps it).  The final image is the one Section 3.3's stepped
+        protocol leaves, which *step_hook* (tests only) runs entry by
+        entry to let a harness capture the intermediate images.
         """
+        if step_hook is not None:
+            self._insert_item_stepped(index, item, step_hook)
+            if node is not None:
+                node.refresh(node.version)
+            return
+        buf = self.buf
+        if node is None:
+            n, prev_n, lower, upper, backup = _WRITER_FIELDS(buf, 0)
+        else:
+            n, prev_n, lower, upper, backup = (
+                node.n_keys, node.prev_n_keys, node.lower, node.upper,
+                node.backup_count)
+        if not 0 <= index <= n:
+            raise PageError(f"insert index {index} out of range 0..{n}")
+        if prev_n:
+            raise PageError(_BACKUP_BLOCKS_INSERT)
+        size = len(item)
+        need = size + P.LINE_ENTRY_SIZE
+        if upper - lower < need:
+            # try reclaiming dead item bytes before giving up
+            if self.used_item_bytes() + need <= self.page_size - lower:
+                self.compact()
+                upper = self.upper
+            if upper - lower < need:
+                raise PageFullError(
+                    f"no room for {size}-byte item (free={upper - lower})")
+        upper -= size
+        buf[upper: upper + size] = item
+        _PUT16(buf, P.OFF_UPPER, upper)
+        at = P.HEADER_SIZE + P.LINE_ENTRY_SIZE * index
+        end = P.HEADER_SIZE + P.LINE_ENTRY_SIZE * n
+        if at == end:
+            _PUT16(buf, at, upper)
+            _PUT16(buf, P.OFF_N_KEYS, n + 1)
+        else:
+            # the stepped protocol's shift as one slice move: its
+            # intermediate states are only observable through a step hook
+            # (crashes snapshot whole pages at sync time)
+            buf[at + P.LINE_ENTRY_SIZE: end + P.LINE_ENTRY_SIZE] = buf[at:end]
+            _PUT16(buf, P.OFF_N_KEYS, n + 1)
+            _PUT16(buf, at, upper)
+        lower = end + P.LINE_ENTRY_SIZE * (1 + backup)
+        _PUT16(buf, P.OFF_LOWER, lower)
+        if node is not None:
+            node.n_keys = n + 1
+            node.lower = lower
+            node.upper = upper
+
+    def _insert_item_stepped(self, index: int, item: bytes,
+                             step_hook: StepHook) -> None:
+        """Section 3.3's insert, one ordered byte write at a time: any
+        mid-update snapshot shows either the old page or a page with a
+        detectable duplicate line-table entry."""
         n = self.n_keys
         if not 0 <= index <= n:
             raise PageError(f"insert index {index} out of range 0..{n}")
         if self.prev_n_keys:
-            raise PageError(
-                "insert into a page holding backup keys; the caller must "
-                "run the reclamation check first (paper section 3.4)"
-            )
+            raise PageError(_BACKUP_BLOCKS_INSERT)
         if not self.can_fit(len(item)):
             # try reclaiming dead item bytes before giving up
             if (self.used_item_bytes() + len(item) + P.LINE_ENTRY_SIZE
@@ -420,24 +514,11 @@ class NodeView:
                     f"(free={self.free_space()})"
                 )
         offset = self._store_item(item)
-        if step_hook:
-            step_hook("item-stored")
+        step_hook("item-stored")
         if index == n:
             P.set_line(self.buf, n, offset)
-            if step_hook:
-                step_hook("line-written")
+            step_hook("line-written")
             self.n_keys = n + 1
-        elif step_hook is None:
-            # same final image as the stepped protocol below, but the
-            # whole shift is one slice move instead of a per-entry loop
-            # (the intermediate byte states are only observable through a
-            # step hook; crashes snapshot whole pages at sync time)
-            start = P.line_offset(index)
-            end = P.line_offset(n)
-            width = P.LINE_ENTRY_SIZE
-            self.buf[start + width: end + width] = self.buf[start:end]
-            self.n_keys = n + 1
-            P.set_line(self.buf, index, offset)
         else:
             # (1) copy the last entry one element beyond the line table
             P.set_line(self.buf, n, P.get_line(self.buf, n - 1))
@@ -454,28 +535,122 @@ class NodeView:
         self.lower = P.line_offset(self.n_keys + self.backup_count)
 
     def delete_item(self, index: int,
-                    step_hook: StepHook | None = None) -> None:
-        """Delete the entry at *index* with the paper's copy-left-then-
-        decrement ordering.  The item's heap bytes become dead space."""
+                    step_hook: StepHook | None = None,
+                    node: DecodedNode | None = None) -> None:
+        """Delete the entry at *index*; the final image is the one the
+        paper's copy-left-then-decrement ordering leaves (*step_hook* runs
+        it entry by entry).  The item's heap bytes become dead space.
+        *node* as for :meth:`insert_item`."""
+        if step_hook is not None:
+            self._delete_item_stepped(index, step_hook)
+            if node is not None:
+                node.refresh(node.version)
+            return
+        buf = self.buf
+        if node is None:
+            n, _, _, _, backup = _WRITER_FIELDS(buf, 0)
+        else:
+            n, backup = node.n_keys, node.backup_count
+        if not 0 <= index < n:
+            raise PageError(f"delete index {index} out of range 0..{n - 1}")
+        if backup:
+            raise PageError(_BACKUP_BLOCKS_DELETE)
+        at = P.HEADER_SIZE + P.LINE_ENTRY_SIZE * index
+        lower = P.HEADER_SIZE + P.LINE_ENTRY_SIZE * (n - 1)
+        buf[at:lower] = buf[at + P.LINE_ENTRY_SIZE: lower + P.LINE_ENTRY_SIZE]
+        _PUT16(buf, P.OFF_N_KEYS, n - 1)
+        _PUT16(buf, P.OFF_LOWER, lower)
+        if node is not None:
+            node.n_keys = n - 1
+            node.lower = lower
+
+    def _delete_item_stepped(self, index: int, step_hook: StepHook) -> None:
+        """Section 3.3.2's delete: copy entries left one at a time until
+        the duplicate is last, then decrement ``nKeys``."""
         n = self.n_keys
         if not 0 <= index < n:
             raise PageError(f"delete index {index} out of range 0..{n - 1}")
         if self.backup_count:
-            raise PageError(
-                "delete from a page holding backup keys; run the "
-                "reclamation check first"
-            )
-        if step_hook is None:
-            start = P.line_offset(index)
-            end = P.line_offset(n)
-            width = P.LINE_ENTRY_SIZE
-            self.buf[start: end - width] = self.buf[start + width: end]
-        else:
-            for j in range(index, n - 1):
-                P.set_line(self.buf, j, P.get_line(self.buf, j + 1))
-                step_hook(f"copied-{j}")
+            raise PageError(_BACKUP_BLOCKS_DELETE)
+        for j in range(index, n - 1):
+            P.set_line(self.buf, j, P.get_line(self.buf, j + 1))
+            step_hook(f"copied-{j}")
         self.n_keys = n - 1
         self.lower = P.line_offset(self.n_keys + self.backup_count)
+
+    # ------------------------------------------------------------------
+    # a sorted run, written with one line-table rewrite
+    # ------------------------------------------------------------------
+
+    def insert_run(self, slots: list[int], items: list[bytes],
+                   node: DecodedNode) -> None:
+        """Insert ``items[k]`` ahead of the entry now at ``slots[k]``
+        (*slots* ascending, several items may share one), leaving the
+        bytes ``insert_item(slots[k] + k, items[k])`` for each *k* in turn
+        would: the items stored top-down in that order, the line table
+        rewritten once from the first slot on, each header field written
+        once.  The caller passes only what fits without compaction."""
+        if len(items) == 1:
+            self.insert_item(slots[0], items[0], node=node)
+            return
+        buf = self.buf
+        n, lower, upper = node.n_keys, node.lower, node.upper
+        first = slots[0]
+        if not 0 <= first <= slots[-1] <= n or sorted(slots) != slots:
+            raise PageError(f"insert slots {slots} not ascending in 0..{n}")
+        if node.prev_n_keys:
+            raise PageError(_BACKUP_BLOCKS_INSERT)
+        offsets = [upper - end for end in accumulate(map(len, items))]
+        if offsets[-1] - lower < P.LINE_ENTRY_SIZE * len(items):
+            raise PageFullError(
+                f"no room for a run of {len(items)} items "
+                f"(free={upper - lower})")
+        buf[offsets[-1]: upper] = b"".join(reversed(items))
+        upper = offsets[-1]
+        _PUT16(buf, P.OFF_UPPER, upper)
+        table = list(struct.unpack_from("<%dH" % (n - first), buf,
+                                        P.line_offset(first)))
+        _splice(table, first, slots, offsets)
+        struct.pack_into("<%dH" % len(table), buf, P.line_offset(first),
+                         *table)
+        n += len(items)
+        _PUT16(buf, P.OFF_N_KEYS, n)
+        lower = P.line_offset(n + node.backup_count)
+        _PUT16(buf, P.OFF_LOWER, lower)
+        node.n_keys = n
+        node.lower = lower
+        node.upper = upper
+
+    def delete_run(self, slots: list[int], node: DecodedNode) -> None:
+        """Delete the entries at *slots* (ascending, distinct), leaving
+        the bytes ``delete_item`` applied to each in turn would —
+        including the stale copies of the last entry that each single
+        shift leaves just past the shrinking table."""
+        if len(slots) == 1:
+            self.delete_item(slots[0], node=node)
+            return
+        buf = self.buf
+        n = node.n_keys
+        first = slots[0]
+        if not 0 <= first <= slots[-1] < n or sorted(set(slots)) != slots:
+            raise PageError(
+                f"delete slots {slots} not ascending in 0..{n - 1}")
+        if node.backup_count:
+            raise PageError(_BACKUP_BLOCKS_DELETE)
+        table = list(struct.unpack_from("<%dH" % (n - first), buf,
+                                        P.line_offset(first)))
+        last = table[-1]
+        for slot in reversed(slots):
+            del table[slot - first]
+        table += [last] * len(slots)
+        struct.pack_into("<%dH" % len(table), buf, P.line_offset(first),
+                         *table)
+        n -= len(slots)
+        _PUT16(buf, P.OFF_N_KEYS, n)
+        lower = P.line_offset(n)
+        _PUT16(buf, P.OFF_LOWER, lower)
+        node.n_keys = n
+        node.lower = lower
 
     # ------------------------------------------------------------------
     # intra-page inconsistency (Sections 3.3.1 / 3.3.2)
@@ -520,18 +695,16 @@ class NodeView:
         flags, peers, tokens) are preserved; the backup region is cleared."""
         header = P.read_header(self.buf)
         body_start = P.line_offset(len(item_blobs))
-        upper = self.page_size
+        offsets = [self.page_size - end
+                   for end in accumulate(map(len, item_blobs))]
+        upper = offsets[-1] if offsets else self.page_size
         # clear old content first so dead bytes cannot alias items
         self.buf[P.HEADER_SIZE:] = bytes(self.page_size - P.HEADER_SIZE)
-        offsets = []
-        for blob in item_blobs:
-            upper -= len(blob)
-            if upper < body_start:
-                raise PageFullError("replace_items: items overflow the page")
-            self.buf[upper: upper + len(blob)] = blob
-            offsets.append(upper)
-        for i, off in enumerate(offsets):
-            P.set_line(self.buf, i, off)
+        if upper < body_start:
+            raise PageFullError("replace_items: items overflow the page")
+        self.buf[upper:] = b"".join(reversed(item_blobs))
+        struct.pack_into("<%dH" % len(offsets), self.buf, P.HEADER_SIZE,
+                         *offsets)
         header.n_keys = len(item_blobs)
         header.prev_n_keys = 0
         header.backup_count = 0
@@ -719,9 +892,10 @@ class DecodedNode:
       its key list — and, on an internal page, its child pointers —
       decoded in bulk: one unpack for the line table and one
       comprehension per list, no per-item calls.  Leaf writers keep
-      the list across their own version bump (:meth:`note_insert` /
-      :meth:`note_delete`); any other bump drops it and the next reader
-      decodes it again in bulk.
+      the node current across their own version bump — the mutator they
+      hand it to assigns the header fields it changed, :meth:`note_insert`
+      / :meth:`note_delete` restamp it and update the list; any other
+      bump drops the list and the next reader decodes it again in bulk.
 
     A page whose bytes cannot be bulk-decoded (garbage ahead of a
     first-use repair) never gets lists: every reader falls back to the
@@ -755,9 +929,6 @@ class DecodedNode:
     @property
     def is_leaf(self) -> bool:
         return self.page_type == PAGE_LEAF
-
-    def can_fit(self, item_size: int) -> bool:
-        return self.upper - self.lower >= item_size + P.LINE_ENTRY_SIZE
 
     def for_writer(self) -> None:
         """A writer is about to search and modify this leaf: its next
@@ -900,22 +1071,32 @@ class DecodedNode:
     # -- maintenance across a leaf writer's own version bump ---------------
 
     def note_insert(self, buf, slot: int, key: bytes) -> None:
-        """The caller just ran ``insert_item(slot, ...)`` and
-        ``mark_dirty`` on the leaf this node was current for: take the new
-        header and version, keep the key list."""
-        keys = self.keys
-        self.refresh(buf.version)
-        if keys is not None:
-            keys.insert(slot, key)
-            self.keys = keys
+        """The caller just ran ``insert_item(slot, ..., node=self)`` —
+        which left the header fields current — and ``mark_dirty`` on the
+        leaf: take the new version and keep the key list."""
+        self.version = buf.version
+        if self.keys is not None:
+            self.keys.insert(slot, key)
 
     def note_delete(self, buf, slot: int) -> None:
         """Mirror of :meth:`note_insert` for ``delete_item``."""
-        keys = self.keys
-        self.refresh(buf.version)
-        if keys is not None:
-            del keys[slot]
-            self.keys = keys
+        self.version = buf.version
+        if self.keys is not None:
+            del self.keys[slot]
+
+    def note_insert_run(self, buf, slots: list[int],
+                        keys: list[bytes]) -> None:
+        """:meth:`note_insert` for ``insert_run(slots, ...)``: one merge."""
+        self.version = buf.version
+        if self.keys is not None:
+            _splice(self.keys, 0, slots, keys)
+
+    def note_delete_run(self, buf, slots: list[int]) -> None:
+        """:meth:`note_delete` for ``delete_run(slots)``."""
+        self.version = buf.version
+        if self.keys is not None:
+            for slot in reversed(slots):
+                del self.keys[slot]
 
     # -- self-check (runtime sanitizer) ------------------------------------
 

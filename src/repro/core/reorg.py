@@ -68,11 +68,11 @@ class ReorgBLinkTree(BLinkTree):
     # space policy
     # ------------------------------------------------------------------
 
-    def _page_can_fit(self, node: DecodedNode, size: int) -> bool:
+    def _page_reserve(self, level: int) -> int:
         """Keep headroom for the backup record so that step (3)'s
         guarantee ("Pa is guaranteed to have space enough for Pb's keys
         and line table") survives our extra 24-byte peer record."""
-        return node.can_fit(size + BACKUP_RECORD_SIZE)
+        return BACKUP_RECORD_SIZE
 
     # ------------------------------------------------------------------
     # the reclamation check (Section 3.4, the three token cases)
@@ -254,6 +254,7 @@ class ReorgBLinkTree(BLinkTree):
 
     def _follow_moves(self, page_no, buf, bounds, key):
         node = self._node_resolved(page_no, buf, bounds)
+        hops = 0            # moves made: past the first, buf's pin is ours
         # Lehman-Yao move right: the key lies beyond this page's live
         # span and the right peer provably covers it ("in page
         # reorganization, we follow peer pointers as in Lehman-Yao")
@@ -261,13 +262,16 @@ class ReorgBLinkTree(BLinkTree):
             target = node.right_peer
             if target == INVALID_PAGE:
                 break
+            self._check_move_progress(hops, target, buf)
             tbuf, tnode = self._pin_node(target)
             if (tnode.magic != PAGE_MAGIC
                     or tnode.level != node.level or tnode.n_keys == 0
                     or tnode.min_key() > key):
                 self._unpin(tbuf)
                 break
-            self._unpin(buf)
+            if hops:
+                self._unpin(buf)
+            hops += 1
             self._m_moves_right.inc()
             page_no, buf = target, tbuf
             bounds = KeyBounds(tnode.min_key(), bounds.hi)
@@ -500,7 +504,7 @@ class ReorgBLinkTree(BLinkTree):
         child_no = child_buf.page_no
         n = child_view.n_keys
         live, backup = [], []
-        for blob in child_view.iter_items():
+        for blob in child_view.items():
             key = I.item_key(blob, 0)
             if bounds.contains(key) or (key == MIN_KEY
                                         and bounds.lo == MIN_KEY):

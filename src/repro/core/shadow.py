@@ -174,6 +174,7 @@ class ShadowBLinkTree(BLinkTree):
 
     def _follow_moves(self, page_no, buf, bounds, key):
         node = node_of(buf)
+        hops = 0            # moves made: past the first, buf's pin is ours
         # A dead pre-split page advertises its replacement through newPage.
         # The splitter restamps the page's token when setting the link, so
         # the link is trusted only if it was made in the current sync
@@ -182,11 +183,14 @@ class ShadowBLinkTree(BLinkTree):
         while (node.new_page != INVALID_PAGE
                and self.engine.sync_state.is_current(node.sync_token)):
             target = node.new_page
+            self._check_move_progress(hops, target, buf)
             tbuf, tnode = self._pin_node(target)
             if tnode.magic != PAGE_MAGIC:
                 self._unpin(tbuf)
                 break
-            self._unpin(buf)
+            if hops:
+                self._unpin(buf)
+            hops += 1
             self._m_moves_right.inc()
             page_no, buf, node = target, tbuf, tnode
             if node.n_keys:
@@ -196,13 +200,16 @@ class ShadowBLinkTree(BLinkTree):
         while (node.n_keys and node.right_peer != INVALID_PAGE
                and key > node.max_key()):
             target = node.right_peer
+            self._check_move_progress(hops, target, buf)
             tbuf, tnode = self._pin_node(target)
             if (tnode.magic != PAGE_MAGIC
                     or tnode.level != node.level or tnode.n_keys == 0
                     or tnode.min_key() > key):
                 self._unpin(tbuf)
                 break
-            self._unpin(buf)
+            if hops:
+                self._unpin(buf)
+            hops += 1
             self._m_moves_right.inc()
             page_no, buf, node = target, tbuf, tnode
             bounds = KeyBounds(node.min_key(), bounds.hi)

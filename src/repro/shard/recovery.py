@@ -55,7 +55,7 @@ repro.tools.stats --shards N`` view) and each shard's outcome emits a
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -73,6 +73,18 @@ class _Stage(NamedTuple):
     mode: str       # ShardRecoveryReport.mode
     sweep: bool     # drive the first-use repairs before returning
     sync: bool      # the stage syncs them itself
+
+
+def _run_inline(fn, *args) -> Future:
+    """``fn(*args)`` run here and now, what it returned or raised held in
+    a future exactly as a pool's ``submit`` would hand it over."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    # not swallowed: ``future.result()`` raises it in the caller
+    except BaseException as exc:  # lint: disable=R005
+        future.set_exception(exc)
+    return future
 
 
 _SWEEP = _Stage("sweep", sweep=True, sync=True)
@@ -226,7 +238,14 @@ class RecoveryOrchestrator:
         reopened: dict[int, object] = {}
 
         targets = [i for i, e in enumerate(group.shards) if e.dead]
-        if targets:
+        futures: dict[int, Future] = {}
+        if len(targets) == 1:
+            # nothing to overlap: spawning and joining a pool for one
+            # shard costs more than the admit row's whole reopen
+            only = targets[0]
+            futures[only] = _run_inline(self._recover_shard, only,
+                                        group.shard(only), name)
+        elif targets:
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="shard-rec") as pool:
                 futures = {
@@ -234,8 +253,8 @@ class RecoveryOrchestrator:
                                    name)
                     for i in targets
                 }
-                for i, future in futures.items():
-                    engines[i], reports[i], reopened[i] = future.result()
+        for i, future in futures.items():
+            engines[i], reports[i], reopened[i] = future.result()
 
         out_group = ShardedEngine(engines)
         out = GroupRecoveryReport(shards=reports, max_workers=workers)

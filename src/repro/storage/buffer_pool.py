@@ -10,7 +10,9 @@ paper's algorithms:
 * **Dirty tracking**: commit-time sync writes exactly the dirty buffers, in
   OS order, through the simulated disk — the pool never writes dirty pages
   on its own (a strict no-steal discipline, matching POSTGRES' "all pages
-  touched by a transaction are written at commit").
+  touched by a transaction are written at commit").  The pool keeps the
+  set of dirty frames, so a sync costs what it writes, not what is
+  resident.
 * **Remapping** (Section 3.4, split step 5): a page-reorganization split
   builds the reorganized page ``Pa`` in a buffer with *no* disk address and
   then rebinds that buffer to the split page's slot, so the original page
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import count
+from operator import attrgetter
 from typing import Iterator
 
 from ..errors import BufferError_
@@ -38,6 +41,8 @@ from .disk import SimulatedDisk
 #: equals ``Buffer.version``, and it leaves the pool with its frame.
 _next_version = count(1).__next__
 
+_FRAME_ORDER = attrgetter("order")
+
 
 class Buffer:
     """One in-memory page frame.
@@ -47,10 +52,13 @@ class Buffer:
     current content generation — see :data:`_next_version`.  ``node`` is
     the page's decoded form, owned by whoever reads the page
     (``repro.core.nodeview.node_of`` for index pages); the pool only
-    guarantees that it dies with the frame.
+    guarantees that it dies with the frame.  ``order`` is the pool's
+    stamp of the frame's place in its frame order: of two resident
+    frames, the one entered or moved to the end later has the larger.
     """
 
-    __slots__ = ("page_no", "data", "pin_count", "dirty", "version", "node")
+    __slots__ = ("page_no", "data", "pin_count", "dirty", "version", "node",
+                 "order")
 
     def __init__(self, page_no: int | None, data: bytearray):
         self.page_no = page_no
@@ -59,6 +67,7 @@ class Buffer:
         self.dirty = False
         self.version = _next_version()
         self.node = None
+        self.order = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Buffer page={self.page_no} pins={self.pin_count} "
@@ -95,6 +104,10 @@ class BufferPool:
         self._disk = disk
         self._capacity = capacity
         self._frames: OrderedDict[int, Buffer] = OrderedDict()
+        self._next_order = count(1).__next__
+        #: the resident frames whose ``dirty`` flag is set: what a sync
+        #: reads instead of scanning ``_frames``
+        self._dirty_frames: set[Buffer] = set()
         #: pages declared deliberately buffer-only via :meth:`note_volatile`
         self._volatile: set[int] = set()
         # plain ints, not registry Counter objects: ``pin()`` is the single
@@ -151,10 +164,12 @@ class BufferPool:
                 # LRU order only matters when eviction can happen; the
                 # default unbounded pool skips the OrderedDict churn
                 self._frames.move_to_end(page_no)
+                buf.order = self._next_order()
         else:
             self._counts.misses += 1
             data = bytearray(self._disk.read_page(page_no))
             buf = Buffer(page_no, data)
+            buf.order = self._next_order()
             self._frames[page_no] = buf
             # pin before evicting so the fresh frame cannot be the victim
             buf.pin_count += 1
@@ -184,6 +199,8 @@ class BufferPool:
         if buf.pin_count <= 0:
             raise BufferError_("mark_dirty requires a pinned buffer")
         buf.dirty = True
+        if buf.page_no is not None:
+            self._dirty_frames.add(buf)
         # the frame's content changed (the protocol is mutate-then-dirty),
         # so a node decoded at the old version must stop matching
         buf.version = _next_version()
@@ -222,25 +239,25 @@ class BufferPool:
         """Number of dirty frames, without copying page images.  This is
         the per-file "sync pressure" reading the group-sync scheduler
         polls after every operation, so it must stay allocation-free."""
-        return sum(1 for buf in self._frames.values() if buf.dirty)
+        return len(self._dirty_frames)
 
     def dirty_batch(self) -> dict[int, bytes]:
-        """Snapshot of every dirty frame, as the batch for a sync."""
-        return {
-            page_no: bytes(buf.data)
-            for page_no, buf in self._frames.items()
-            if buf.dirty and page_no is not None
-        }
+        """Snapshot of every dirty frame, as the batch for a sync, in the
+        order the frames stand in the pool (a crash policy indexes into
+        the engine's seeded shuffle of it)."""
+        return {buf.page_no: bytes(buf.data)
+                for buf in sorted(self._dirty_frames, key=_FRAME_ORDER)}
 
     def clear_dirty(self, page_nos: Iterator[int] | None = None) -> None:
         """Mark frames clean after a successful sync, and retire volatile
         notes whose purpose that sync served."""
         if page_nos is None:
-            targets = list(self._frames.values())
+            targets = list(self._dirty_frames)
         else:
             targets = [self._frames[p] for p in page_nos if p in self._frames]
         for buf in targets:
             buf.dirty = False
+        self._dirty_frames.difference_update(targets)
         if self._volatile:
             self._retire_volatile()
 
@@ -295,13 +312,17 @@ class BufferPool:
         old.pin_count = 0
         old.page_no = None
         del self._frames[page_no]
+        self._dirty_frames.discard(old)
         self._volatile.discard(page_no)
         virtual.page_no = page_no
         # the virtual frame was written while unbound; anything decoded
         # from it before now must stop matching
         virtual.version = _next_version()
+        virtual.order = self._next_order()
         self._frames[page_no] = virtual
         self._frames.move_to_end(page_no)
+        if virtual.dirty:
+            self._dirty_frames.add(virtual)
         return virtual
 
     # -- cache management ---------------------------------------------------------
@@ -315,6 +336,7 @@ class BufferPool:
         if buf.pin_count:
             raise BufferError_(f"drop of pinned buffer {buf!r}")
         del self._frames[page_no]
+        self._dirty_frames.discard(buf)
         self._volatile.discard(page_no)
 
     def cached_pages(self) -> list[int]:

@@ -100,12 +100,12 @@ def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
     source = extract_method(BTREE_SRC.read_text(), "_insert_run")
     assert lint_mutant(tmp_path, source, NoteBeforeDirtyOnPathRule()).ok
     mutant = source.replace(
-        """                    view.insert_item(slot, item)
-                    self._dirty(buf)
-                    node.note_insert(buf, slot, key)""",
-        """                    view.insert_item(slot, item)
-                    node.note_insert(buf, slot, key)
-                    self._dirty(buf)""")
+        """                        view.insert_item(slot, item, node=node)
+                        self._dirty(buf)
+                        node.note_insert(buf, slot, key)""",
+        """                        view.insert_item(slot, item, node=node)
+                        node.note_insert(buf, slot, key)
+                        self._dirty(buf)""")
     assert mutant != source, "mutation site moved; update the self-test"
     report = lint_mutant(tmp_path, mutant, NoteBeforeDirtyOnPathRule())
     flagged = [v for v in report.violations if v.rule_id == "R015"]

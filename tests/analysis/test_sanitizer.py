@@ -247,10 +247,12 @@ def test_maintained_writes_pass():
         assert len(tree.check()) == len(list(tree.range_scan()))
 
 
-#: the writers that keep their leaf's node current themselves
-#: (``note_insert`` / ``note_delete`` re-read the header and restamp), so
-#: a missing bump under them changes nothing observable
-MAINTAINED_WRITERS = {"_insert_run", "_delete_run"}
+#: the writers that keep their leaf's node current themselves (the
+#: mutator assigns the header fields it changed, ``note_insert`` /
+#: ``note_delete`` restamp to whatever the frame's version is), so a
+#: missing bump under them changes nothing observable
+MAINTAINED_WRITERS = {"_insert_run", "_insert_stretch",
+                      "_delete_run", "_delete_stretch"}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -276,6 +278,7 @@ def test_mutant_skipping_one_version_bump_is_caught(seed, monkeypatch):
                 seen += 1
                 if seen == skip_at:
                     buf.dirty = True    # mark_dirty minus the bump
+                    self.file.pool._dirty_frames.add(buf)
                     return
             real_dirty(self, buf)
         monkeypatch.setattr(BLinkTree, "_dirty", dirty)
@@ -309,3 +312,27 @@ def test_mutant_skipping_one_list_update_is_caught(seed, monkeypatch):
         with pytest.raises(SanitizerError, match="key list"):
             for round_ in range(20):
                 run_workload(tree, seed + 100 + round_)
+
+
+@pytest.mark.parametrize("field", ["n_keys", "lower", "upper"])
+def test_mutant_writer_forgetting_a_header_field_is_caught(field,
+                                                           monkeypatch):
+    """Seeded mutant: the leaf writer takes its header fields from the
+    frame's node and must assign back the ones it changed; one that
+    forgets *field* leaves a node that claims the frame's version with a
+    stale header, and the unpin check names the field."""
+    real = NodeView.insert_item
+
+    def forgetful(view, index, item, step_hook=None, node=None):
+        stale = getattr(node, field, None)
+        real(view, index, item, step_hook, node)
+        if node is not None:
+            setattr(node, field, stale)
+    with sanitized():
+        engine, tree = make_tree()
+        run_workload(tree, 1)               # the real writer passes
+        monkeypatch.setattr(NodeView, "insert_item", forgetful)
+        with pytest.raises(SanitizerError,
+                           match=f"header field {field}: node has"):
+            for key in range(5000, 5004):   # one of them does not split
+                tree.insert(key, TID(9, 9))

@@ -220,9 +220,10 @@ def mixed_chunks(seed, n, big):
     """A seeded stream of ``(op, keys)`` chunks, keys in shuffled (caller)
     order.  An ascending load in uneven chunks fills the rightmost leaf
     mid-run over and over; scattered inserts straddle leaves; contiguous
-    deletes several leaves long empty leaves mid-run; and about a tenth
-    of the keys are ones the index must reject (duplicates, in-batch
-    repeats, deletes of absent keys)."""
+    deletes several leaves long empty leaves mid-run; about a tenth of
+    the keys are ones the index must reject (duplicates, in-batch
+    repeats, deletes of absent keys); and the last two chunks are aimed
+    at one stretch of leaves (see below)."""
     rng = random.Random(seed)
     chunks = []
     evens = list(range(0, 2 * n, 2))
@@ -253,6 +254,17 @@ def mixed_chunks(seed, n, big):
             keys = rng.sample(sorted(live), min(size, len(live)))
             chunks.append(("delete", keys + absent[:1]))
             live.difference_update(keys)
+    # and one stretch of adjacent leaves worked over on purpose: deletes
+    # leave dead item bytes on them, then a run fills every gap between
+    # their keys — it meets a key that is already there mid-run, outgrows
+    # the contiguous free space of leaves that compaction would have made
+    # room on, and ends in splits
+    ordered = sorted(live)
+    stretch = ordered[len(ordered) // 2:][:big]
+    chunks.append(("delete", stretch[1::3]))
+    live.difference_update(stretch[1::3])
+    gaps = [k for k in range(stretch[0], stretch[-1]) if k not in live]
+    chunks.append(("insert", gaps + [stretch[2], stretch[-3]]))
     for _op, keys in chunks:
         rng.shuffle(keys)
     return chunks
@@ -332,14 +344,17 @@ def test_batches_leave_the_bytes_singles_leave(kind, page_size, run_shapes):
     (engine_s, singles), (engine_b, batched) = trees
     for n, (op, keys) in enumerate(mixed_chunks(page_size,
                                                 *LOADS[page_size])):
-        assert apply_as_batch(batched, op, keys) \
-            == apply_as_singles(singles, op, keys), (n, op)
+        splits_before = run_shapes["split"]
+        rejected = apply_as_batch(batched, op, keys)
+        assert rejected == apply_as_singles(singles, op, keys), (n, op)
         if n % 3 == 2:
             engine_s.sync()
             engine_b.sync()
             assert all_page_bytes(batched) == all_page_bytes(singles), n
             assert repairs(batched) == repairs(singles)
             assert batched.stats_splits == singles.stats_splits
+    # the last chunk, the aimed run, met both its duplicates and split
+    assert len(rejected) == 2 and run_shapes["split"] > splits_before
     engine_s.sync()
     engine_b.sync()
     assert all_page_bytes(batched) == all_page_bytes(singles)

@@ -69,7 +69,7 @@ def test_note_insert_restamps_to_current_version():
     buf, view = make_leaf_buffer([b"a", b"c"])
     node = node_of(buf)
     keys = node.materialise()
-    view.insert_item(1, I.pack_leaf_item(b"b", TID(1, 9)))
+    view.insert_item(1, I.pack_leaf_item(b"b", TID(1, 9)), node=node)
     buf.version += 7          # what mark_dirty would do
     node.note_insert(buf, 1, b"b")
     assert node_of(buf) is node and node.keys is keys
@@ -81,17 +81,17 @@ def test_note_delete_restamps_to_current_version():
     buf, view = make_leaf_buffer([b"a", b"b", b"c"])
     node = node_of(buf)
     node.materialise()
-    view.delete_item(0)
+    view.delete_item(0, node=node)
     buf.version += 1
     node.note_delete(buf, 0)
     assert node.keys == [b"b", b"c"] and node.n_keys == 2
     assert node.mismatch() is None
 
 
-def test_note_on_an_undecoded_node_only_takes_the_header():
+def test_note_on_an_undecoded_node_only_takes_the_version():
     buf, view = make_leaf_buffer([b"a"])
     node = node_of(buf)
-    view.insert_item(1, I.pack_leaf_item(b"b", TID(1, 9)))
+    view.insert_item(1, I.pack_leaf_item(b"b", TID(1, 9)), node=node)
     buf.version += 1
     node.note_insert(buf, 1, b"b")
     assert node.keys is None and node.n_keys == 2

@@ -1,5 +1,7 @@
 """Parallel recovery orchestration: correctness, reports, isolation."""
 
+import threading
+
 import pytest
 
 from repro import TID, CrashError
@@ -265,3 +267,66 @@ def test_recovery_of_a_clean_group_is_a_no_op():
     assert all(r.keys_seen == 0 for r in report.shards)
     assert all(group2.shard(i) is group.shard(i)
                for i in range(len(group)))
+
+
+# -- one dead shard: nothing to overlap, nothing to spawn ---------------------
+
+def test_a_lone_dead_shard_is_recovered_on_the_calling_thread(monkeypatch):
+    """``ttfq_ms`` was mostly a thread spawned and joined per recovery
+    (ROADMAP item 3(b)).  With one shard to recover the stage runs inline;
+    two or more still overlap on a pool."""
+    from repro.shard import recovery
+
+    pools = []
+
+    class CountedPool(recovery.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(recovery, "ThreadPoolExecutor", CountedPool)
+    ran_on = {}
+
+    def note_thread(index, _engine):
+        ran_on[index] = threading.get_ident()
+
+    group, tree = build_group()
+    crash_shards(group, tree, [2])
+    group2, report = RecoveryOrchestrator(on_reopen=note_thread).recover(
+        group, "ix")
+    assert report.ok and not pools
+    assert ran_on == {2: threading.get_ident()}
+    assert {k for k, _ in group2.open_tree("ix").range_scan()} \
+        >= set(range(KEYS))
+
+    # nothing dead: nothing spawned either
+    RecoveryOrchestrator(on_reopen=note_thread).recover(group2, "ix")
+    assert not pools
+
+    group, tree = build_group()
+    crash_shards(group, tree, [0, 3])
+    ran_on.clear()
+    _, report = RecoveryOrchestrator(on_reopen=note_thread).recover(
+        group, "ix")
+    assert report.ok and len(pools) == 1
+    assert set(ran_on) == {0, 3}
+    assert threading.get_ident() not in ran_on.values()
+
+
+def test_inline_recovery_reports_and_raises_as_the_pool_did(monkeypatch):
+    """What ``_recover_shard`` catches becomes the shard's report, what it
+    does not (here an interrupt) reaches the caller of ``recover`` — on
+    the calling thread exactly as through ``future.result()``."""
+    def broken_hook(index, _engine):
+        raise RuntimeError(f"hook bug on shard {index}")
+
+    group, tree = build_group()
+    crash_shards(group, tree, [1])
+    group2, report = RecoveryOrchestrator(on_reopen=broken_hook).recover(
+        group, "ix")
+    assert not report.ok and group2.crashed_shards() == [1]
+    assert "RuntimeError: hook bug on shard 1" in report.shards[1].error
+
+    def interrupted(index, _engine):
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        RecoveryOrchestrator(on_reopen=interrupted).recover(group, "ix")

@@ -6,13 +6,17 @@
 # lint: disable=R001,R002,R011,R013
 
 import gc
+import random
 import weakref
+from collections import OrderedDict
 
 import pytest
 
+from repro.analysis.sanitizer import suspended
 from repro.errors import BufferError_
 from repro.obs import get_registry, metric_key
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import BufferPool, RecordingPolicy, SimulatedDisk, \
+    StorageEngine
 
 
 def make_pool(capacity=None):
@@ -237,3 +241,120 @@ def test_the_registry_keeps_a_dead_pools_counts_not_its_frames():
     gc.collect()
     assert gone() is None
     assert get_registry().snapshot()["counters"][key] == before + 2
+
+
+# -- a sync costs what it writes ----------------------------------------------
+
+class CountingFrames(OrderedDict):
+    """The pool's frame table, refusing to be walked and counting the
+    frames looked up in it."""
+
+    def __init__(self, frames):
+        super().__init__(frames)
+        self.looked_up = 0
+        self.walks = 0
+
+    def get(self, page_no, default=None):
+        self.looked_up += 1
+        return super().get(page_no, default)
+
+    def __getitem__(self, page_no):
+        self.looked_up += 1
+        return super().__getitem__(page_no)
+
+    def _walk(self):
+        self.walks += 1
+        return iter(())
+    __iter__ = keys = values = items = _walk
+
+
+def test_a_sync_of_three_dirty_pages_in_a_thousand_touches_three_frames():
+    engine = StorageEngine.create(page_size=128, seed=4)
+    file = engine.create_file("t")
+    pool = file.pool
+    for page_no in range(1, 1001):
+        pool.unpin(pool.pin(page_no))
+    for page_no in (700, 5, 312):
+        buf = pool.pin(page_no)
+        buf.data[0] = page_no % 251
+        pool.mark_dirty(buf)
+        pool.unpin(buf)
+    assert len(pool.cached_pages()) == 1000
+    counting = pool._frames = CountingFrames(pool._frames)
+    recorder = RecordingPolicy()
+    assert pool.dirty_frame_count() == engine.dirty_page_count() == 3
+    # the sanitizing pool's mutated-but-clean check walks every frame
+    # ahead of each batch — that is its job, and not the pool's cost
+    with suspended():
+        engine.sync(recorder)
+    assert counting.walks == 0
+    assert counting.looked_up == 3          # clear_dirty's, one per page
+    assert sorted(recorder.batches[0]) == [("t", 5), ("t", 312), ("t", 700)]
+    assert pool.dirty_frame_count() == 0 and not pool.dirty_batch()
+    assert file.disk.read_page(312)[0] == 312 % 251
+
+
+def frames_order_batch(pool):
+    """``dirty_batch`` as it was: a walk over every resident frame."""
+    return {page_no: bytes(buf.data)
+            for page_no, buf in pool._frames.items()
+            if buf.dirty and page_no is not None}
+
+
+@pytest.mark.parametrize("capacity", [None, 24])
+def test_dirty_batch_keeps_the_order_of_the_frame_table(capacity):
+    """The engine shuffles the batch with its seeded rng and a crash
+    policy indexes into the result (``CrashOnNthSync(n, keep=[...])``), so
+    the batch must list its pages in the order the walk over the frame
+    table listed them — first-pin order in an unbounded pool, LRU order
+    in a bounded one, a remapped frame last.  The dirty set is unordered;
+    every frame carries the stamp of its last move to the table's end and
+    the batch is sorted by it."""
+    rng = random.Random(capacity)
+    _, pool = make_pool(capacity)
+    for step in range(600):
+        page_no = rng.randrange(1, 60)
+        buf = pool.pin(page_no)
+        roll = rng.random()
+        if roll < 0.3:
+            buf.data[1] = step % 251
+            pool.mark_dirty(buf)
+        elif roll < 0.35 and buf.pin_count == 1:
+            virtual = pool.allocate_virtual(bytearray(128))
+            buf = pool.remap(virtual, buf)
+        pool.unpin(buf)
+        if step % 7 == 0:
+            assert list(pool.dirty_batch().items()) \
+                == list(frames_order_batch(pool).items())
+            assert pool.dirty_frame_count() == len(frames_order_batch(pool))
+        if step % 90 == 89:
+            pool.clear_dirty(iter(list(pool.dirty_batch())[::2]))
+            assert list(pool.dirty_batch()) \
+                == list(frames_order_batch(pool))
+    assert pool.dirty_batch()
+    pool.clear_dirty()
+    assert not pool.dirty_batch() and not frames_order_batch(pool)
+
+
+def test_same_seed_same_shuffled_batch_as_the_frame_walk():
+    """End to end: an engine whose pool builds its batch from the dirty
+    set hands the crash policy the very list one that walks the frame
+    table would."""
+    batches = []
+    for walk in (False, True):
+        engine = StorageEngine.create(page_size=128, seed=11)
+        file = engine.create_file("t")
+        if walk:
+            file.pool.dirty_batch = lambda pool=file.pool: \
+                frames_order_batch(pool)
+        rng = random.Random(2)
+        recorder = RecordingPolicy()
+        for round_ in range(6):
+            for _ in range(40):
+                buf = file.pin(rng.randrange(1, 200))
+                buf.data[2] = round_
+                file.mark_dirty(buf)
+                file.unpin(buf)
+            engine.sync(recorder)
+        batches.append(recorder.batches)
+    assert batches[0] == batches[1] and len(batches[0][0]) > 20
