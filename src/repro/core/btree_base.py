@@ -443,11 +443,8 @@ class BLinkTree:
         buf = self.file.pin(page_no)
         try:
             while True:
-                page_no, moved, node, bounds = self._follow_moves(
+                page_no, buf, node, bounds = self._follow_moves(
                     page_no, buf, bounds, key)
-                if moved is not buf:
-                    self._unpin(buf)
-                    buf = moved
                 entry = PathEntry(page_no, buf, bounds)
                 level = node.level
                 if level == stop_level:
@@ -486,10 +483,11 @@ class BLinkTree:
                       key: bytes
                       ) -> tuple[int, Buffer, DecodedNode, KeyBounds]:
         """Follow ``newPage``/peer right-moves from the pinned *buf*;
-        returns where the descent ended up, pinned, and that frame's
-        current node.  The pin on *buf* is only borrowed: the caller
-        releases it when the moves end on another page, and holds nothing
-        else if they raise.  Default: stay put."""
+        returns where the descent ended up, pinned in place of *buf*, and
+        that frame's current node.  The pin on *buf* is given up only
+        once the moves have ended on another page: if they raise
+        (:meth:`_check_move_progress`) it is still the caller's to
+        release, and nothing else is held.  Default: stay put."""
         return page_no, buf, node_of(buf), bounds
 
     def _check_move_progress(self, hops: int, target: int,

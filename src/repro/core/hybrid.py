@@ -47,6 +47,7 @@ class HybridBLinkTree(ShadowBLinkTree, ReorgBLinkTree):
     # implementation does; the shadow newPage jump it omits only matters
     # to in-flight concurrent readers
     _follow_moves = ReorgBLinkTree._follow_moves
+    _make_moves = ReorgBLinkTree._make_moves
 
     def _level_uses_shadow_items(self, level: int) -> bool:
         # prevPtrs live exactly on the pages that parent shadow-split

@@ -254,6 +254,15 @@ class ReorgBLinkTree(BLinkTree):
 
     def _follow_moves(self, page_no, buf, bounds, key):
         node = self._node_resolved(page_no, buf, bounds)
+        # the condition :meth:`_make_moves` loops on: a descent step that
+        # stays put (nearly all do) tests it and pays for nothing else
+        if (node.n_keys and key > node.max_key()
+                and node.right_peer != INVALID_PAGE):
+            return self._make_moves(page_no, buf, node, bounds, key)
+        return page_no, buf, node, bounds
+
+    def _make_moves(self, page_no, buf, node, bounds, key):
+        origin = buf        # the caller's pin: kept until the moves end
         hops = 0            # moves made: past the first, buf's pin is ours
         # Lehman-Yao move right: the key lies beyond this page's live
         # span and the right peer provably covers it ("in page
@@ -276,6 +285,8 @@ class ReorgBLinkTree(BLinkTree):
             page_no, buf = target, tbuf
             bounds = KeyBounds(tnode.min_key(), bounds.hi)
             node = self._node_resolved(page_no, buf, bounds)
+        if hops:
+            self._unpin(origin)
         return page_no, buf, node, bounds
 
     def _check_child(self, parent: PathEntry, child_no: int,

@@ -174,6 +174,17 @@ class ShadowBLinkTree(BLinkTree):
 
     def _follow_moves(self, page_no, buf, bounds, key):
         node = node_of(buf)
+        # the conditions :meth:`_make_moves` loops on: a descent step that
+        # stays put (nearly all do) tests them and pays for nothing else
+        if ((node.new_page != INVALID_PAGE
+             and self.engine.sync_state.is_current(node.sync_token))
+                or (node.n_keys and node.right_peer != INVALID_PAGE
+                    and key > node.max_key())):
+            return self._make_moves(page_no, buf, node, bounds, key)
+        return page_no, buf, node, bounds
+
+    def _make_moves(self, page_no, buf, node, bounds, key):
+        origin = buf        # the caller's pin: kept until the moves end
         hops = 0            # moves made: past the first, buf's pin is ours
         # A dead pre-split page advertises its replacement through newPage.
         # The splitter restamps the page's token when setting the link, so
@@ -213,6 +224,8 @@ class ShadowBLinkTree(BLinkTree):
             self._m_moves_right.inc()
             page_no, buf, node = target, tbuf, tnode
             bounds = KeyBounds(node.min_key(), bounds.hi)
+        if hops:
+            self._unpin(origin)
         return page_no, buf, node, bounds
 
     # ------------------------------------------------------------------
