@@ -1,17 +1,11 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: budgets check flow instantrestart lint perf-pairs races serving \
-	shard test test-sanitized threads wal walreplay
+.PHONY: budgets check instantrestart lint perf-pairs races serving shard \
+	test test-sanitized wal walreplay
 
 check:
 	sh scripts/check.sh
-
-flow:
-	python -m repro.tools.lint src/ tests/ benchmarks/ --engine=flow
-
-threads:
-	python -m repro.tools.lint src/ tests/ benchmarks/ --engine=threads
 
 lint:
 	python -m repro.tools.lint src/ tests/ benchmarks/

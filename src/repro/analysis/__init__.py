@@ -15,9 +15,12 @@ small set of coding disciplines rather than on a redo log:
 
 This package enforces those disciplines twice over:
 
-* :mod:`repro.analysis.lint` — an AST-based static checker with the
-  repo-specific rules R001–R005 (see :mod:`repro.analysis.rules`), run as
-  ``python -m repro.tools.lint src/``.
+* :mod:`repro.analysis.lint` — an AST-based static checker with one
+  catalogue of repo-specific rules: single-statement pattern rules
+  (:mod:`repro.analysis.rules`), path-sensitive flow rules
+  (:mod:`repro.analysis.flow`) and thread-topology rules
+  (:mod:`repro.analysis.threads`), run as ``python -m repro.tools.lint
+  src/``.
 * :mod:`repro.analysis.sanitizer` — runtime wrappers around the buffer
   pool, page file, disk, and tree entry points that assert the same
   invariants live while the ordinary test suite runs

@@ -1,7 +1,8 @@
 """Per-function control-flow graphs over ``ast``.
 
-The pattern rules (R001–R010) see one statement at a time; the flow rules
-(R011–R015) need to know *which paths* a protocol obligation survives.
+The pattern rules see one statement at a time; the flow rules (R006,
+R007, R011–R015) need to know *which paths* a protocol obligation
+survives.
 This module lowers one function body into a statement-level CFG with
 explicit exits:
 
@@ -27,9 +28,9 @@ continuation, so context-managed pins and locks release on exception
 edges by construction.
 
 Exception edges leave a statement *before* its effects are applied
-(the engine re-applies release-type events, which cannot fail, see
-:mod:`.engine`), which is why the edge departs the statement node
-itself rather than a duplicated post-state node.
+(the engine re-applies its releases, which cannot fail, and its
+ownership transfers, see :mod:`.engine`), which is why the edge departs
+the statement node itself rather than a duplicated post-state node.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import ast
 from dataclasses import dataclass, field
 
 from ..lint import callee_name
-from ..rules.latches import LATCH_RELEASES
-from ..rules.pins import UNPIN_CALLEES
+from .summaries import NO_FAIL_CALLEES
 
 __all__ = ["CFG", "CFGNode", "build_cfg", "MAX_NODES"]
 
@@ -126,17 +126,31 @@ _CATCH_ALL = ("BaseException", "Exception")
 
 
 def _can_raise(node: ast.AST | None) -> bool:
-    """Whether evaluating *node* may raise: calls, awaits, raises,
-    asserts — and yields, where ``GeneratorExit``/``throw()`` may arrive."""
+    """Whether evaluating *node* may raise: calls, subscripts, awaits,
+    raises, asserts — and yields, where ``GeneratorExit``/``throw()``
+    may arrive.  A call to one of the :data:`NO_FAIL_CALLEES` (a
+    release, a dirty-mark, a view constructor) raises only through its
+    arguments; the engine relies on releases not failing to apply them
+    on exception edges, and without the exemption every multi-release
+    ``finally`` body would report the later releases as leaked on the
+    earlier ones' impossible exception paths."""
     if node is None:
         return False
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
                             ast.Lambda, ast.ClassDef)):
             continue
-        if isinstance(sub, (ast.Call, ast.Raise, ast.Assert, ast.Await,
-                            ast.Yield, ast.YieldFrom)):
+        if isinstance(sub, ast.Call) \
+                and callee_name(sub) in NO_FAIL_CALLEES:
+            stack.extend(sub.args)
+            stack.extend(k.value for k in sub.keywords)
+            continue
+        if isinstance(sub, (ast.Call, ast.Subscript, ast.Raise, ast.Assert,
+                            ast.Await, ast.Yield, ast.YieldFrom)):
             return True
+        stack.extend(ast.iter_child_nodes(sub))
     return False
 
 
@@ -159,24 +173,6 @@ def _never_returns(stmt: ast.stmt) -> bool:
             and isinstance(func.value, ast.Name) \
             and func.value.id in ("sys", "os")
     return False
-
-
-def _release_only(stmt: ast.stmt) -> bool:
-    """A bare release call (``unpin`` / latch ``release``) with trivially
-    evaluable arguments.  Releases cannot fail — the engine relies on
-    that to apply them on exception edges — so these statements get no
-    ``exc`` edge; otherwise every multi-release ``finally`` body would
-    report the later releases as leaked on the earlier ones' impossible
-    exception paths."""
-    if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
-        return False
-    call = stmt.value
-    if any(_can_raise(arg) for arg in call.args):
-        return False
-    if call.keywords:
-        return False
-    name = callee_name(call)
-    return name in UNPIN_CALLEES or name in LATCH_RELEASES
 
 
 def _catches_everything(handlers: list[ast.ExceptHandler]) -> bool:
@@ -329,7 +325,7 @@ class _Builder:
         # plain statement (incl. nested def/class, which are opaque)
         raises = not isinstance(
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-            and _can_raise(stmt) and not _release_only(stmt)
+            and _can_raise(stmt)
         node = self._simple(stmt, pend, raises=raises)
         return [(node, "next")]
 

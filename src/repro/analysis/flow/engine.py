@@ -1,19 +1,21 @@
 """The worklist fixpoint engine over the protocol typestate lattices.
 
-One pass per function computes everything R011–R015 need.  The abstract
-domain is a bounded *set of path states* per CFG node (disjunctive, so
-the engine is path-sensitive over the decisions that matter), where a
-path state tracks:
+One pass per function computes everything R006, R007 and R011–R015
+need.  The abstract domain is a bounded *set of path states* per CFG
+node (disjunctive, so the engine is path-sensitive over the decisions
+that matter), where a path state tracks:
 
 * **pinned-frame facts** — ``(pin site, generation)`` keyed resources in
   ``pinned`` / ``released`` typestate, with the variable bindings (and
   derived views) that refer to them;
 * **held latches** — (family, acquire line) for read/write latches and
-  the split lock;
+  the split lock, plus the descent window: a latch released since the
+  last acquire with no pin in between (R007);
 * **dirty obligation** — the pending page mutations on this path and
   the first line of dirty evidence (if any);
-* **boolean flags and nullability** — ``owned = True`` style guards and
-  ``entry is None`` checks, used to prune infeasible branches, which is
+* **boolean flags and nullability** — ``owned = True`` / ``hops += 1``
+  style guards and ``entry is None`` checks, used to prune infeasible
+  branches, which is
   what keeps the conditional-cleanup idioms in the repo from becoming
   false positives;
 * **a witness trace** — the protocol events and branch decisions taken
@@ -24,10 +26,14 @@ wins), which keeps the fixpoint finite; per-node state counts are capped
 and generations are folded, so termination does not depend on the shape
 of the analysed code.
 
-Exception edges are taken with the *pre-statement* state plus any
-release-type events (unpin / latch release / with-exit) from the raising
-statement — releases cannot meaningfully fail, and dropping them would
-flag every canonical ``finally: unpin(buf)`` as a leak.
+Every function is analysed with its exception edges: a statement that
+can raise (see :func:`.cfg._can_raise`) sends its *pre-statement* state
+to the innermost handler, plus any release-type events (unpin / latch
+release / with-exit) from the raising statement — releases cannot
+meaningfully fail, and dropping them would flag every canonical
+``finally: unpin(buf)`` as a leak — and its ownership transfers: a
+buffer handed to a call that keeps it (``path.append(PathEntry(buf))``)
+is the callee's from the call on, whether or not the call returns.
 """
 
 from __future__ import annotations
@@ -38,13 +44,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..lint import iter_functions
-from ..rules.mutation import DIRTY_EVIDENCE_CALLEES
-from ..lint import callee_name
-from .cfg import CFG, build_cfg
+from .cfg import build_cfg
 from .events import Event, branch_shape, node_events
 from .summaries import FileSummaries
 
-__all__ = ["Finding", "FlowAnalysis", "analyse_tree"]
+__all__ = ["Finding", "FlowAnalysis"]
 
 #: Per-node cap on distinct path states; overflow keeps the first N in
 #: deterministic order (the analysis stays sound for the kept paths).
@@ -69,6 +73,9 @@ class PathState(NamedTuple):
     facts: tuple[Fact, ...]
     flags: tuple[tuple[str, bool], ...]
     latches: tuple[tuple[str, int], ...]
+    #: the descent window (R007): 0 = closed, -1 = a latch acquired and
+    #: nothing pinned since, N > 0 = that latch released at line N
+    unlatched: int
     dirty_line: int            # 0 = no dirty evidence on this path yet
     muts: tuple[tuple[int, str], ...]
     trace: tuple[tuple[int, str], ...]
@@ -77,7 +84,7 @@ class PathState(NamedTuple):
         return self._replace(trace=())
 
 
-EMPTY = PathState((), (), (), (), 0, (), ())
+EMPTY = PathState((), (), (), (), 0, 0, (), ())
 
 
 @dataclass(frozen=True)
@@ -141,12 +148,18 @@ def _trace(state: PathState, line: int, note: str) -> PathState:
 
 class FlowAnalysis:
     """Run the fixpoint over every function of one parsed file and
-    collect findings for all five flow rules.  Construct once per file;
-    the flow rules share one instance through the FileContext cache."""
+    collect findings for every flow rule.  Construct once per file; the
+    flow rules share one instance through the FileContext cache.
 
-    def __init__(self, tree: ast.AST, *, in_page_layer: bool = False) -> None:
+    ``in_page_layer`` exempts the file from R012 (it *is* the byte
+    layer); ``checks_notes`` scopes R015 to the packages that own
+    decoded nodes."""
+
+    def __init__(self, tree: ast.AST, *, in_page_layer: bool = False,
+                 checks_notes: bool = True) -> None:
         self.summaries = FileSummaries(tree)
         self.in_page_layer = in_page_layer
+        self.checks_notes = checks_notes
         self.findings: list[Finding] = []
         self._seen: set[tuple] = set()
         for fn in iter_functions(tree):
@@ -158,13 +171,6 @@ class FlowAnalysis:
         cfg = build_cfg(fn)
         if cfg.too_big:
             return
-        self._fn = fn
-        self._exception_aware = any(isinstance(node, ast.Try)
-                                    for node in ast.walk(fn))
-        self._fn_has_dirty = any(
-            callee_name(c) in DIRTY_EVIDENCE_CALLEES
-            or self.summaries.dirties(c)
-            for c in ast.walk(fn) if isinstance(c, ast.Call))
         events = {nid: node_events(node, self.summaries)
                   for nid, node in cfg.nodes.items()}
 
@@ -214,8 +220,9 @@ class FlowAnalysis:
                   state: PathState) -> tuple[PathState, PathState]:
         exc_state = state
         for ev in events:
-            # releases still apply on the exception edge
-            if ev.op in ("unpin", "latch-rel"):
+            # releases and ownership transfers still apply on the
+            # exception edge
+            if ev.op in ("unpin", "latch-rel", "escape"):
                 exc_state = self._apply(ev, exc_state, report=False)
         if node.kind == "with-exit":
             for ev in events:
@@ -242,7 +249,16 @@ class FlowAnalysis:
                             _trace(s, ev.line, f"use of '{var}'").trace)
             return s
         if op == "pin":
-            return self._apply_pin(ev, s)
+            if report and s.unlatched > 0:
+                self._emit(
+                    "R007", s.unlatched, 0,
+                    "parent latch released before the child's buffer is "
+                    "pinned — the allocator may recycle the child in that "
+                    "window (Section 3.6: pin, then unlatch)",
+                    _trace(s, ev.line, "pin after the unlatch").trace)
+            if s.unlatched:
+                s = s._replace(unlatched=0)
+            return self._apply_pin(ev, s) if ev.var else s
         if op == "unpin":
             for var in ev.vars:
                 fact = _fact_for(s, var)
@@ -264,7 +280,7 @@ class FlowAnalysis:
                 s.muts + ((ev.line, ev.note),))))
             return _trace(s, ev.line, f"mutation: {ev.note}")
         if op == "cachenote":
-            if report and s.dirty_line == 0 and self._fn_has_dirty:
+            if report and s.dirty_line == 0 and self.checks_notes:
                 self._emit(
                     "R015", ev.line, ev.col,
                     f"{ev.note}() restamps the cache on a path with no "
@@ -275,16 +291,10 @@ class FlowAnalysis:
                            "dirty-mark").trace)
             return _trace(s, ev.line, f"cache {ev.note}()")
         if op == "latch-acq":
-            if report and ev.family in ("write", "split") \
-                    and any(f == "read" for f, _ in s.latches):
-                self._emit(
-                    "R014", ev.line, ev.col,
-                    f"{ev.family} acquisition may block while a read "
-                    "latch is held on this path — a stalled reader "
-                    "blocks every writer queued behind its latch "
-                    "(Section 3.6)",
-                    _trace(s, ev.line,
-                           f"blocking {ev.family} acquire").trace)
+            if report:
+                self._check_acquire(ev, s)
+            if ev.family != "split":
+                s = s._replace(unlatched=-1)
             held = [(f, ln) for f, ln in s.latches if f == ev.family]
             if len(held) >= 4:
                 return s
@@ -293,6 +303,17 @@ class FlowAnalysis:
             return _trace(s, ev.line, f"acquire {ev.family} latch")
         if op == "latch-rel":
             return self._apply_latch_rel(ev, s)
+        if op == "split":
+            if report and any(f == "write" for f, _ in s.latches) \
+                    and not any(f == "split" for f, _ in s.latches):
+                self._emit(
+                    "R006", ev.line, ev.col,
+                    f"{ev.note} while a write latch is held but the "
+                    "split lock is not — the deadlock-freedom argument of "
+                    "Section 3.6 needs the (split, write) pair taken in "
+                    "that order",
+                    _trace(s, ev.line, f"{ev.note}").trace)
+            return s
         if op == "block":
             if report and any(f == "read" for f, _ in s.latches):
                 self._emit(
@@ -331,6 +352,31 @@ class FlowAnalysis:
             return s._replace(flags=_set(s.flags, ev.var, ev.value),
                               bindings=_drop(s.bindings, ev.var))
         return s
+
+    def _check_acquire(self, ev: Event, s: PathState) -> None:
+        """R006: the split lock is never taken under a write latch.
+        R014: no acquisition under a read latch — a write or split
+        acquire may block, and readers never couple."""
+        if ev.family == "split" and any(f == "write" for f, _ in s.latches):
+            self._emit(
+                "R006", ev.line, ev.col,
+                "split lock acquired while a write latch is held — "
+                "Section 3.6 requires split-before-write; release the "
+                "write latch first",
+                _trace(s, ev.line, "split-lock acquire").trace)
+        if not any(f == "read" for f, _ in s.latches):
+            return
+        if ev.family == "read":
+            message = ("read latch acquired while one is already held — "
+                       "readers never couple (Section 3.6: release one "
+                       "latch before acquiring the next)")
+        else:
+            message = (f"{ev.family} acquisition may block while a read "
+                       "latch is held on this path — a stalled reader "
+                       "blocks every writer queued behind its latch "
+                       "(Section 3.6)")
+        self._emit("R014", ev.line, ev.col, message,
+                   _trace(s, ev.line, f"{ev.family} acquire").trace)
 
     def _apply_pin(self, ev: Event, s: PathState) -> PathState:
         key = (ev.line, 0)
@@ -376,6 +422,8 @@ class FlowAnalysis:
                 if latches[i][0] in ("read", "write", "latch"):
                     del latches[i]
                     break
+        if s.unlatched == -1 and ev.family == "latch" and not ev.rel_all:
+            s = s._replace(unlatched=ev.line)
         if list(s.latches) == latches:
             return s
         s = s._replace(latches=tuple(latches))
@@ -425,11 +473,6 @@ class FlowAnalysis:
         for fact in s.facts:
             if fact.state != "pinned" or fact.scoped:
                 continue
-            if exceptional and not self._exception_aware:
-                # straight-line code defers exception-edge pin balance
-                # to R001's weaker contract; flagging every statement
-                # that could raise would drown the signal
-                continue
             self._emit(
                 "R011", fact.key[0], 0,
                 f"'{fact.var}' is pinned at line {fact.key[0]} but "
@@ -450,8 +493,6 @@ class FlowAnalysis:
                         _trace(s, line, "exit with no dirty-mark on "
                                "this path").trace)
         for family, line in s.latches:
-            if exceptional and not self._exception_aware:
-                continue
             self._emit(
                 "R014", line, 0,
                 f"{family} latch acquired at line {line} is still held "
@@ -469,7 +510,3 @@ class FlowAnalysis:
         self._seen.add(key)
         self.findings.append(Finding(rule_id, line, col, message, witness))
 
-
-def analyse_tree(tree: ast.AST, *,
-                 in_page_layer: bool = False) -> FlowAnalysis:
-    return FlowAnalysis(tree, in_page_layer=in_page_layer)

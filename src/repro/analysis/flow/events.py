@@ -6,40 +6,38 @@ dirty, mutate a page, acquire/release a latch, block, note a cache
 update, bind/alias/escape a variable).  Everything else a statement does
 is invisible to the analysis.
 
-The extraction keys on the same repo naming conventions the pattern
-rules use (the sets are imported from them, so the two engines cannot
-drift apart), plus the per-file interprocedural summaries from
-:mod:`.summaries` for helpers like ``_read_meta`` that return pinned
-buffers or ``_wait`` that blocks transitively.
+The extraction keys on the repo's naming conventions and the per-file
+interprocedural summaries, both in :mod:`.summaries` — the latter for
+helpers like ``_read_meta`` that return pinned buffers or ``_wait``
+that blocks transitively.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..rules.latches import (
-    BLOCKING_CALLEES,
-    LATCH_ACQUIRES,
-    LATCH_RELEASES,
-    _is_latch_call,
-    _is_split_acquire,
-    _is_split_release,
-)
-from ..rules.mutation import (
-    DIRTY_EVIDENCE_CALLEES,
-    MUTATOR_METHODS,
-    VIEW_MUTATING_PROPS,
-    _data_subscript_target,
-)
-from ..rules.cache import NOTE_CALLEES
-from ..rules.pins import UNPIN_CALLEES
+from ..lint import callee_name
 from .cfg import CFGNode
 from .summaries import (
-    FileSummaries,
+    BLOCKING_CALLEES,
+    DIRTY_EVIDENCE_CALLEES,
+    LATCH_ACQUIRES,
+    LATCH_RELEASES,
+    MUTATOR_METHODS,
+    NOTE_CALLEES,
     PIN_RETURNERS,
+    PIN_WRAPPERS,
+    UNPIN_CALLEES,
+    VIEW_MAKERS,
+    VIEW_MUTATING_PROPS,
+    FileSummaries,
     base_name,
     is_borrowing_call,
+    is_data_subscript,
+    is_latch_call,
+    is_split_call,
+    is_tree_mutation,
 )
 
 __all__ = ["Event", "node_events", "branch_shape"]
@@ -54,8 +52,9 @@ class Event:
     op          meaning / payload
     ========== ==========================================================
     use         ``vars`` are read (R013 checks them against unpin state)
-    pin         ``var`` binds a pinned frame; ``derived`` share its fact;
-                ``maybe_none`` for nullable helpers; ``scoped`` for
+    pin         ``var`` binds a pinned frame (or is empty: a pin whose
+                value the analysis does not track); ``derived`` share its
+                fact; ``maybe_none`` for nullable helpers; ``scoped`` for
                 with-bound pins released at the with-exit
     unpin       ``vars``'s facts are released
     dirty       dirty evidence on this path (R012 / R015)
@@ -64,11 +63,13 @@ class Event:
     latch-acq   ``family`` in read / write / split
     latch-rel   ``family``; ``rel_all`` for release_all
     block       a call that may block the thread (R014); ``note``=name
+    split       a call that may split or take the split lock (R006)
     escape      ``vars`` leave this frame's custody (ownership transfer)
     alias       ``var`` becomes another name for ``src``'s fact
     rebind      ``vars`` are bound to something untracked (kills facts
                 bindings and boolean-flag knowledge for those names)
-    flag        ``var`` is assigned the literal boolean ``value``
+    flag        ``var``'s truth is ``value``: it is assigned a boolean or
+                non-negative int literal, or a counter is counted up
     ========== ==========================================================
     """
 
@@ -85,23 +86,6 @@ class Event:
     maybe_none: bool = False
     scoped: bool = False
     rel_all: bool = False
-
-
-#: Call targets that produce a derived view sharing the buffer's fact.
-VIEW_MAKERS = {"node_of", "NodeView", "MetaView"}
-#: Wrappers that bundle a pinned buffer but leave custody with the
-#: caller's scope (``PathEntry(page_no, buf, view, bounds)``): the
-#: target aliases the buffer's fact instead of the buffer escaping.
-PIN_WRAPPERS = {"PathEntry"}
-
-
-def _callee(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 def _arg_bases(call: ast.Call) -> tuple[str, ...]:
@@ -164,7 +148,7 @@ def _call_events(call: ast.Call, summ: FileSummaries) -> list[Event]:
     """Events for one call, *excluding* pin-binding (that needs the
     assignment context and is handled in :func:`_assign_events`)."""
     line, col = call.lineno, call.col_offset
-    name = _callee(call)
+    name = callee_name(call)
     out: list[Event] = []
     if name is None:
         bases = _arg_bases(call)
@@ -172,14 +156,14 @@ def _call_events(call: ast.Call, summ: FileSummaries) -> list[Event]:
             out.append(Event("escape", line, col, vars=bases,
                              note="passed to a dynamic call"))
         return out
-    if _is_split_acquire(call):
+    if is_split_call(call, "acquire"):
         return [Event("latch-acq", line, col, family="split")]
-    if _is_split_release(call):
+    if is_split_call(call, "release"):
         return [Event("latch-rel", line, col, family="split")]
-    if _is_latch_call(call, LATCH_ACQUIRES):
+    if is_latch_call(call, LATCH_ACQUIRES):
         family = "read" if name == "acquire_read" else "write"
         return [Event("latch-acq", line, col, family=family)]
-    if _is_latch_call(call, LATCH_RELEASES):
+    if is_latch_call(call, LATCH_RELEASES):
         return [Event("latch-rel", line, col, family="latch",
                       rel_all=(name == "release_all"))]
     if name in UNPIN_CALLEES or name in summ.unpin_helpers:
@@ -190,6 +174,13 @@ def _call_events(call: ast.Call, summ: FileSummaries) -> list[Event]:
         return [Event("dirty", line, col, note=f"{name}()")]
     if name in MUTATOR_METHODS:
         out.append(Event("mutate", line, col, note=f"{name}()"))
+    if is_tree_mutation(call) or summ.may_split(call):
+        out.append(Event("split", line, col, note=f"{name}() may split"))
+    elif summ.takes_split(call):
+        out.append(Event("split", line, col,
+                         note=f"{name}() acquires the split lock"))
+    if _pin_shape(call, summ) is not None:
+        out.append(Event("pin", line, col))
     if name in BLOCKING_CALLEES or summ.may_block(call):
         out.append(Event("block", line, col, note=name))
     if summ.dirties(call):
@@ -206,7 +197,7 @@ def _pin_shape(call: ast.Call,
                summ: FileSummaries) -> tuple[tuple[int, ...] | None, bool] | None:
     """If *call* returns a pinned buffer: (pin positions or None for the
     whole value, maybe_none).  Positions index a tuple-shaped return."""
-    name = _callee(call)
+    name = callee_name(call)
     if name is None:
         return None
     known = PIN_RETURNERS.get(name)
@@ -238,20 +229,19 @@ def _assign_events(stmt: ast.Assign, summ: FileSummaries) -> list[Event]:
             positions, maybe_none = shape
             out.extend(ev for c in _calls_in(value) if c is not value
                        for ev in _call_events(c, summ))
-            if _callee(value) in DIRTY_EVIDENCE_CALLEES:
+            if callee_name(value) in DIRTY_EVIDENCE_CALLEES:
                 # _alloc / allocate_virtual hand frames back born-dirty
                 out.append(Event("dirty", line, col,
-                                 note=f"{_callee(value)}()"))
+                                 note=f"{callee_name(value)}()"))
+            # a pinned value bound to something untracked escapes
             var, derived = _pin_targets(target, positions)
-            if var is not None:
-                out.append(Event("pin", line, col, var=var,
-                                 derived=derived, maybe_none=maybe_none))
-            # else: pinned value bound to something untracked — escapes
+            out.append(Event("pin", line, col, var=var or "",
+                             derived=derived, maybe_none=maybe_none))
             return out
 
     # -- derived views and pin wrappers (alias, not escape) ----------------
     if isinstance(target, ast.Name) and isinstance(value, ast.Call):
-        name = _callee(value)
+        name = callee_name(value)
         bases = _arg_bases(value)
         if name in (VIEW_MAKERS | PIN_WRAPPERS) and bases:
             out.extend(ev for c in _calls_in(value) if c is not value
@@ -271,9 +261,9 @@ def _assign_events(stmt: ast.Assign, summ: FileSummaries) -> list[Event]:
             out.append(Event("alias", line, col, var=target.id,
                              src=value.id))
             return out
-        if isinstance(value, ast.Constant) and isinstance(value.value, bool):
+        if _counter_literal(value):
             out.append(Event("flag", line, col, var=target.id,
-                             value=value.value))
+                             value=bool(value.value)))
             return out
         out.append(Event("rebind", line, col, vars=(target.id,)))
         return out
@@ -295,7 +285,7 @@ def _assign_events(stmt: ast.Assign, summ: FileSummaries) -> list[Event]:
 
     # -- stores into attributes / containers -------------------------------
     if isinstance(target, (ast.Attribute, ast.Subscript)):
-        if _data_subscript_target(target):
+        if is_data_subscript(target):
             out.append(Event("mutate", line, col, note="raw .data store"))
         elif isinstance(target, ast.Attribute) \
                 and target.attr in VIEW_MUTATING_PROPS \
@@ -308,6 +298,14 @@ def _assign_events(stmt: ast.Assign, summ: FileSummaries) -> list[Event]:
             out.append(Event("escape", line, col, vars=escaping,
                              note="stored beyond this frame"))
     return out
+
+
+def _counter_literal(value: ast.expr) -> bool:
+    """A boolean or non-negative int literal: the values whose truth a
+    ``flag`` records, so ``if owned:`` and ``if hops:`` guards refine
+    alike."""
+    return isinstance(value, ast.Constant) \
+        and isinstance(value.value, int) and value.value >= 0
 
 
 def _pin_targets(target: ast.expr,
@@ -344,9 +342,15 @@ def _stmt_events(stmt: ast.stmt, summ: FileSummaries) -> list[Event]:
         events += [ev for c in _calls_in(stmt)
                    for ev in _call_events(c, summ)]
         target = stmt.target
-        if isinstance(target, ast.Name):
+        if isinstance(target, ast.Name) and isinstance(stmt, ast.AugAssign) \
+                and isinstance(stmt.op, ast.Add) \
+                and _counter_literal(stmt.value) and stmt.value.value:
+            # a counter counted up is truthy from then on
+            events.append(Event("flag", line, col, var=target.id,
+                                value=True))
+        elif isinstance(target, ast.Name):
             events.append(Event("rebind", line, col, vars=(target.id,)))
-        elif _data_subscript_target(target):
+        elif is_data_subscript(target):
             events.append(Event("mutate", line, col,
                                 note="raw .data store"))
     elif isinstance(stmt, ast.Return):
@@ -403,10 +407,9 @@ def _with_enter_events(stmt: ast.With | ast.AsyncWith,
         var = item.optional_vars.id \
             if isinstance(item.optional_vars, ast.Name) else None
         if isinstance(ctx_expr, ast.Call) \
-                and _callee(ctx_expr) in SCOPED_PIN_CALLEES:
-            if var is not None:
-                events.append(Event("pin", line, col, var=var,
-                                    scoped=True))
+                and callee_name(ctx_expr) in SCOPED_PIN_CALLEES:
+            events.append(Event("pin", line, col, var=var or "",
+                                scoped=True))
             continue
         if _with_latch_family(ctx_expr) is not None:
             events.append(Event("latch-acq", line, col,
@@ -426,7 +429,7 @@ def _with_exit_events(stmt: ast.With | ast.AsyncWith, line: int) -> list[Event]:
         var = item.optional_vars.id \
             if isinstance(item.optional_vars, ast.Name) else None
         if isinstance(ctx_expr, ast.Call) \
-                and _callee(ctx_expr) in SCOPED_PIN_CALLEES \
+                and callee_name(ctx_expr) in SCOPED_PIN_CALLEES \
                 and var is not None:
             events.append(Event("unpin", line, vars=(var,)))
         elif _with_latch_family(ctx_expr) is not None:

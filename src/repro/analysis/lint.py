@@ -1,10 +1,15 @@
 """AST-based lint framework for the storage-protocol coding rules.
 
 The framework is deliberately small: a :class:`Rule` walks one parsed file
-(:class:`FileContext`) and yields :class:`Violation` records.  The rules
-themselves live in :mod:`repro.analysis.rules`; each one encodes a
-discipline the paper's recovery algorithm depends on, so a finding here is
-a *recoverability* bug even when every functional test passes.
+(:class:`FileContext`) and yields :class:`Violation` records.  One
+catalogue (:func:`all_rules`) holds every rule: the single-statement
+pattern rules (:mod:`repro.analysis.rules`), the path-sensitive flow
+rules (:mod:`repro.analysis.flow`) and the whole-package thread rules
+(:mod:`repro.analysis.threads`).  Each one encodes a discipline the
+paper's recovery algorithm depends on, so a finding here is a
+*recoverability* bug even when every functional test passes.  A lint
+run parses each file once (:class:`SourceIndex`), and every rule reads
+that one tree.
 
 Suppression uses ``# lint: disable=RXXX`` pragmas:
 
@@ -22,7 +27,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .threads.engine import ThreadAnalysis
 
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Z][0-9]+(?:\s*,\s*[A-Z][0-9]+)*)")
 
@@ -31,7 +39,7 @@ _PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Z][0-9]+(?:\s*,\s*[A-Z][0-9]+)
 class Violation:
     """One rule finding, addressed the way compilers address diagnostics.
 
-    ``witness`` is the concrete path the flow rules (R011–R015) report:
+    ``witness`` is the concrete path the flow and thread rules report:
     an ordered ``(line, note)`` chain of the protocol events and branch
     decisions along which the violation happens.  Pattern rules leave it
     empty.
@@ -66,20 +74,50 @@ class Violation:
         return data
 
 
+class SourceIndex:
+    """Every module one lint run has parsed, keyed by resolved path.
+
+    The files under lint are added as the run reads them; a sibling
+    outside the run is parsed the first time a whole-package rule asks
+    for it (:meth:`tree`), so no file is parsed twice.
+    ``thread_analyses`` holds the run's one thread analysis per package
+    directory.
+    """
+
+    def __init__(self) -> None:
+        self.trees: dict[Path, ast.Module | None] = {}
+        self.thread_analyses: dict[Path, ThreadAnalysis] = {}
+
+    def tree(self, path: Path) -> ast.Module | None:
+        """The module at *path*; None when it cannot be read or parsed."""
+        key = path.resolve()
+        if key not in self.trees:
+            try:
+                self.trees[key] = ast.parse(key.read_text(),
+                                            filename=str(key))
+            except (OSError, SyntaxError, ValueError):
+                self.trees[key] = None
+        return self.trees[key]
+
+
 class FileContext:
     """A parsed source file plus its pragma tables.
 
     ``rel_path`` is the path as given on the command line (kept relative so
     output is stable across checkouts); ``file_disabled`` holds rules
     suppressed for the whole file, ``line_disabled`` maps line number to
-    the rules suppressed on that line.
+    the rules suppressed on that line.  ``index`` is the run's
+    :class:`SourceIndex` (a private one when the context stands alone).
     """
 
-    def __init__(self, path: Path, rel_path: str, source: str):
+    def __init__(self, path: Path, rel_path: str, source: str,
+                 index: SourceIndex | None = None):
         self.path = path
         self.rel_path = rel_path
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
+        self.index = SourceIndex() if index is None else index
+        self.index.trees[path.resolve()] = self.tree
         self.file_disabled: set[str] = set()
         self.line_disabled: dict[int, set[str]] = {}
         for lineno, text in enumerate(source.splitlines(), start=1):
@@ -232,70 +270,40 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[tuple[Path, str]]
                 yield path, str(path)
 
 
+def all_rules() -> list[Rule]:
+    """One instance of every rule — pattern, flow and thread — in
+    rule-id order."""
+    from .flow import flow_rules
+    from .rules import pattern_rules
+    from .threads import threads_rules
+    return sorted([*pattern_rules(), *flow_rules(), *threads_rules()],
+                  key=lambda rule: rule.rule_id)
+
+
 def lint_paths(paths: Iterable[str | Path],
                rules: Iterable[Rule] | None = None) -> LintReport:
-    """Run *rules* (default: the full registry) over every file in *paths*."""
-    if rules is None:
-        from .rules import all_rules
-        rules = all_rules()
-    rules = list(rules)
+    """Run *rules* (default: :func:`all_rules`) over every file in
+    *paths*.  Every file is parsed before any rule runs, so a
+    whole-package rule finds its siblings already in the index."""
+    rules = all_rules() if rules is None else list(rules)
     report = LintReport()
+    index = SourceIndex()
+    contexts: list[FileContext] = []
     for path, display in iter_python_files(paths):
         try:
-            source = path.read_text()
-            ctx = FileContext(path, display, source)
+            contexts.append(FileContext(path, display, path.read_text(),
+                                        index))
         except (OSError, SyntaxError, ValueError) as exc:
+            index.trees[path.resolve()] = None
             report.parse_errors.append(f"{display}: {exc}")
-            continue
-        report.files_checked += 1
+    report.files_checked = len(contexts)
+    for ctx in contexts:
         for rule in rules:
             for violation in rule.check(ctx):
                 if not ctx.suppressed(violation):
                     report.violations.append(violation)
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return report
-
-
-# ---------------------------------------------------------------------------
-# cross-engine dedupe
-# ---------------------------------------------------------------------------
-
-#: Rules that express the same underlying discipline in different
-#: engines.  When two engines flag the same family at the same
-#: file:line (the pattern rule's per-scope form and the flow rule's
-#: per-path form of one bug, say), printing both doubles the noise
-#: without adding information — ``--engine all`` keeps one.
-RULE_FAMILIES: dict[str, frozenset[str]] = {
-    "pin": frozenset({"R001", "R011", "R013"}),
-    "dirty": frozenset({"R003", "R012"}),
-    "latch": frozenset({"R006", "R007", "R008", "R009", "R014"}),
-    "cache": frozenset({"R010", "R015"}),
-    "lockset": frozenset({"R016", "R019"}),
-}
-
-_FAMILY_OF: dict[str, str] = {
-    rule: family
-    for family, rules in RULE_FAMILIES.items()
-    for rule in rules
-}
-
-
-def dedupe_violations(violations: list[Violation]) -> list[Violation]:
-    """Collapse same-family findings at the same file:line to one,
-    preferring the finding that carries a witness path (the
-    path-sensitive engines explain *how*, not just *where*)."""
-    best: dict[tuple[str, str, int], Violation] = {}
-    order: list[tuple[str, str, int]] = []
-    for v in violations:
-        family = _FAMILY_OF.get(v.rule_id, v.rule_id)
-        key = (family, v.path, v.line)
-        kept = best.get(key)
-        if kept is None:
-            best[key] = v
-            order.append(key)
-        elif len(v.witness) > len(kept.witness):
-            best[key] = v
-    return [best[key] for key in order]
 
 
 # ---------------------------------------------------------------------------

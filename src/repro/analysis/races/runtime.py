@@ -1,6 +1,6 @@
 """Runtime lock-order and lockset checker for the latch protocol.
 
-The static rules (R006–R009) see the source; this module sees the
+The static rules (R006, R007, R014) see the source; this module sees the
 *execution*.  :func:`install` attaches an observer to the
 :func:`repro.core.concurrency.set_race_observer` seam and patches the
 mutation points of the storage stack, giving two families of checks:

@@ -1,17 +1,11 @@
-"""R002 / R003 — page bytes are mutated only through the page layer, and
-every mutating scope marks a buffer dirty.
+"""R002 — page bytes are mutated only through the page layer.
 
 R002 keeps raw ``buf.data`` pokes inside ``storage/page.py`` and
 ``core/nodeview.py``: the paper's intra-page recovery (3.3.1) reasons about
 the exact order header bytes hit the page image, so scattering byte stores
-across tree code would make that ordering unauditable.
-
-R003 enforces the no-steal contract: the commit-time sync only writes
-frames that are *marked* dirty, so a scope that mutates page bytes without
-``mark_dirty()`` (or without obtaining the buffer from ``_alloc`` /
-``allocate_virtual``, which return born-dirty frames, or declaring the
-mutation volatile with ``note_volatile``) produces a lost update the test
-suite cannot see until a crash lands in exactly the wrong window.
+across tree code would make that ordering unauditable.  (Whether a
+mutation is followed by a dirty-mark is a question about paths: flow
+rule R012.)
 """
 
 from __future__ import annotations
@@ -19,56 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..lint import (
-    FileContext,
-    Rule,
-    Violation,
-    callee_name,
-    iter_functions,
-    walk_function_scope,
-)
-
-#: Files that *are* the page-mutation layer.
-PAGE_LAYER_FILES = ("storage/page.py", "core/nodeview.py", "core/meta.py")
-
-#: NodeView/MetaView methods that mutate the underlying page bytes.
-MUTATOR_METHODS = {
-    "init_page", "init_meta", "insert_item", "delete_item", "replace_items",
-    "write_backup", "restore_backup", "reclaim_backup", "compact",
-    "repair_intra_page", "set_child_at", "set_prev_at", "set_root",
-    "store_freelist", "erase_freelist", "overwrite_region", "set_line",
-    "write_header", "copy_page",
-}
-
-#: Header properties whose setters mutate page bytes (distinctive names
-#: only — generic attrs like ``flags`` would misfire on non-page objects).
-VIEW_MUTATING_PROPS = {
-    "left_peer", "right_peer", "left_peer_token", "right_peer_token",
-    "sync_token", "new_page", "prev_n_keys", "backup_count", "n_keys",
-    "height", "lsn",
-}
-
-#: Evidence that the scope keeps the sync protocol honest about the
-#: mutation: explicit dirty-marking, a direct durable write, an allocator
-#: that hands back an already-dirty frame, or an explicit declaration that
-#: the mutation is volatile-by-design.
-DIRTY_EVIDENCE_CALLEES = {
-    "mark_dirty", "_dirty", "write_page", "_alloc", "allocate_virtual",
-    "note_volatile",
-}
-
-
-def _in_page_layer(ctx: FileContext) -> bool:
-    normalized = ctx.rel_path.replace("\\", "/")
-    return any(normalized.endswith(name) for name in PAGE_LAYER_FILES)
-
-
-def _is_data_attr(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "data"
-
-
-def _data_subscript_target(node: ast.AST) -> bool:
-    return isinstance(node, ast.Subscript) and _is_data_attr(node.value)
+from ..flow.summaries import in_page_layer, is_data_attr, is_data_subscript
+from ..lint import FileContext, Rule, Violation, callee_name
 
 
 class DirectDataMutationRule(Rule):
@@ -76,19 +22,19 @@ class DirectDataMutationRule(Rule):
     summary = "direct buf.data mutation outside the page layer"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if _in_page_layer(ctx):
+        if in_page_layer(ctx):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if _data_subscript_target(target):
+                    if is_data_subscript(target):
                         yield self.violation(
                             ctx, node,
                             "raw store into .data — page bytes are mutated "
                             "only via storage/page.py or core/nodeview.py",
                         )
             elif isinstance(node, ast.AugAssign) \
-                    and _data_subscript_target(node.target):
+                    and is_data_subscript(node.target):
                 yield self.violation(
                     ctx, node,
                     "raw augmented store into .data — use the page layer",
@@ -96,14 +42,14 @@ class DirectDataMutationRule(Rule):
             elif isinstance(node, ast.Call):
                 name = callee_name(node)
                 if name == "pack_into" and node.args \
-                        and _is_data_attr(node.args[0]):
+                        and is_data_attr(node.args[0]):
                     yield self.violation(
                         ctx, node,
                         "pack_into(buf.data, ...) bypasses the page layer — "
                         "use a NodeView mutator (e.g. overwrite_region)",
                     )
                 elif isinstance(node.func, ast.Attribute) \
-                        and _is_data_attr(node.func.value) \
+                        and is_data_attr(node.func.value) \
                         and node.func.attr in {"extend", "append", "clear",
                                                "insert", "pop", "remove"}:
                     yield self.violation(
@@ -111,44 +57,3 @@ class DirectDataMutationRule(Rule):
                         f".data.{node.func.attr}() mutates page bytes "
                         "outside the page layer",
                     )
-
-
-class MissingMarkDirtyRule(Rule):
-    rule_id = "R003"
-    summary = "buffer mutated without mark_dirty() in the same scope"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if _in_page_layer(ctx):
-            return
-        for fn in iter_functions(ctx.tree):
-            yield from self._check_function(ctx, fn)
-
-    def _check_function(self, ctx: FileContext,
-                        fn: ast.AST) -> Iterator[Violation]:
-        mutations: list[tuple[ast.AST, str]] = []
-        has_dirty_evidence = False
-        for node in walk_function_scope(fn):
-            if isinstance(node, ast.Call):
-                name = callee_name(node)
-                if name in DIRTY_EVIDENCE_CALLEES:
-                    has_dirty_evidence = True
-                elif name in MUTATOR_METHODS:
-                    mutations.append((node, f"{name}()"))
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if _data_subscript_target(target):
-                        mutations.append((node, "raw .data store"))
-                    elif isinstance(target, ast.Attribute) \
-                            and target.attr in VIEW_MUTATING_PROPS \
-                            and not (isinstance(target.value, ast.Name)
-                                     and target.value.id == "self"):
-                        mutations.append((node, f".{target.attr} store"))
-        if has_dirty_evidence:
-            return
-        for node, what in mutations:
-            yield self.violation(
-                ctx, node,
-                f"{what} mutates a buffer but this scope never marks one "
-                "dirty — the commit-time sync will skip the frame "
-                "(mark_dirty / _alloc / note_volatile all count)",
-            )

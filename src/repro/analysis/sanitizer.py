@@ -136,7 +136,11 @@ class SanitizedBufferPool(BufferPool):
 
     def pin(self, page_no: int) -> Buffer:
         buf = super().pin(page_no)
-        self._pin_sites.setdefault(page_no, []).append(_call_site())
+        try:
+            self._pin_sites.setdefault(page_no, []).append(_call_site())
+        except BaseException:
+            super().unpin(buf)
+            raise
         return buf
 
     def unpin(self, buf: Buffer) -> None:
@@ -179,7 +183,7 @@ class SanitizedBufferPool(BufferPool):
                 raise SanitizerError(
                     f"page {page_no} of {self._disk.name!r} was mutated but "
                     f"never marked dirty — the sync about to run would skip "
-                    f"it and lose the update (R003 at runtime)"
+                    f"it and lose the update (R012 at runtime)"
                 )
 
     def remap(self, virtual: Buffer, old: Buffer) -> Buffer:

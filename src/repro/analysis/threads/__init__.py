@@ -8,14 +8,14 @@ inference, :mod:`.engine` for the verdicts and :mod:`.rules` for the
 lint-registry integration.
 """
 
-from .engine import ThreadAnalysis, analysis_for_path
+from .engine import ThreadAnalysis, analysis_for
 from .model import PackageModel, package_model
 from .roles import RoleMap, infer_roles
 from .rules import threads_rules
 
 __all__ = [
     "ThreadAnalysis",
-    "analysis_for_path",
+    "analysis_for",
     "PackageModel",
     "package_model",
     "RoleMap",

@@ -1,10 +1,10 @@
 """R016–R020 verdicts over the package concurrency model.
 
-One :class:`ThreadAnalysis` per package (cached on the
-:class:`~.model.PackageModel`, which is itself cached per directory);
-the per-file rules in :mod:`.rules` filter the package-wide findings to
-the file under lint, so linting a whole directory costs one model build
-and one analysis pass no matter how many files it has.
+One :class:`ThreadAnalysis` per package and lint run (kept in the run's
+:class:`~repro.analysis.lint.SourceIndex`); the per-file rules in
+:mod:`.rules` filter the package-wide findings to the file under lint,
+so linting a whole directory costs one model build and one analysis
+pass no matter how many files it has.
 
 The five checks:
 
@@ -38,12 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import AttrAccess, PackageModel, package_model
+from ..lint import FileContext
+from .model import AttrAccess, PackageModel
 from .roles import RoleMap, entry_methods, infer_roles
 
-__all__ = ["ThreadFinding", "ThreadAnalysis", "analysis_for_path"]
-
-_CACHE_ATTR = "_engine_cache"
+__all__ = ["ThreadFinding", "ThreadAnalysis", "analysis_for"]
 
 
 @dataclass(frozen=True)
@@ -475,11 +474,12 @@ class ThreadAnalysis:
         return self.model.directory / basename
 
 
-def analysis_for_path(path: Path) -> ThreadAnalysis:
-    """The (package-cached) thread analysis covering *path*."""
-    model = package_model(path)
-    cached = getattr(model, _CACHE_ATTR, None)
-    if not isinstance(cached, ThreadAnalysis):
-        cached = ThreadAnalysis(model)
-        setattr(model, _CACHE_ATTR, cached)
-    return cached
+def analysis_for(ctx: FileContext) -> ThreadAnalysis:
+    """The thread analysis of the package holding *ctx*'s file, built
+    once per lint run."""
+    directory = ctx.path.resolve().parent
+    analyses = ctx.index.thread_analyses
+    if directory not in analyses:
+        analyses[directory] = ThreadAnalysis(PackageModel(directory,
+                                                          ctx.index))
+    return analyses[directory]

@@ -1,15 +1,17 @@
 """Whole-package concurrency model for the thread-topology analyzer.
 
-The pattern rules (R001–R010) and flow rules (R011–R015) are per-file and
-per-function; the thread rules need to see *across* the files of one
+The pattern and flow rules are per-file and per-function; the thread
+rules (R016–R020) need to see *across* the files of one
 package, because the thing they check — which thread touches which
 attribute under which lock — is a property of the module topology:
 ``ShardWorkerPool`` spawns the owner threads in ``workers.py`` but the
 state they mutate lives in ``heal.py`` and ``scheduler.py``.
 
-:class:`PackageModel` therefore parses every ``.py`` sibling of the file
-under lint (one parse per directory, cached by content signature) and
-extracts the facts the role/lockset analysis consumes:
+:class:`PackageModel` therefore reads every ``.py`` sibling of the file
+under lint from the lint run's :class:`~repro.analysis.lint.SourceIndex`
+(the files under lint are already parsed there; a sibling outside the
+run is parsed once into it) and extracts the facts the role/lockset
+analysis consumes:
 
 * **classes and their attributes** — every name a class declares via
   ``self.x = …``, ``self.x: T``, class-level assignment or ``__slots__``;
@@ -39,6 +41,8 @@ import ast
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..lint import SourceIndex
 
 __all__ = [
     "Type",
@@ -237,31 +241,20 @@ class ClassInfo:
 class PackageModel:
     """The merged model of every parseable ``.py`` file in one directory."""
 
-    def __init__(self, directory: Path):
+    def __init__(self, directory: Path, index: SourceIndex):
         self.directory = directory
         self.classes: dict[str, ClassInfo] = {}
         self.functions: dict[str, MethodInfo] = {}   # module-level defs
         self.methods: dict[str, MethodInfo] = {}     # every qualname
-        self.files: list[Path] = []
         self._method_name_index: dict[str, list[str]] = {}
-        self._modules: list[tuple[Path, ast.Module]] = []
-        self._load()
+        # a broken sibling must not kill the analysis: it is skipped
+        self._modules = [(path.resolve(), tree)
+                         for path in sorted(directory.glob("*.py"))
+                         if (tree := index.tree(path)) is not None]
+        self.files = [path for path, _ in self._modules]
         self._index_declarations()
         self._extract_facts()
         self.hb_edges = self._happens_before()
-        self._engine_cache: dict | None = None  # set by engine.py
-
-    # -- phase 0: parse every sibling -----------------------------------
-
-    def _load(self) -> None:
-        for path in sorted(self.directory.glob("*.py")):
-            try:
-                source = path.read_text()
-                tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError, ValueError):
-                continue   # a broken sibling must not kill the analysis
-            self.files.append(path.resolve())
-            self._modules.append((path.resolve(), tree))
 
     # -- phase 1: classes, attributes, method index ---------------------
 
@@ -1276,31 +1269,6 @@ def _const_prefix(node: ast.expr | None) -> str | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# the per-directory cache
-# ---------------------------------------------------------------------------
-
-_MODEL_CACHE: dict[str, tuple[tuple, PackageModel]] = {}
-
-
-def _dir_signature(directory: Path) -> tuple:
-    sig = []
-    for path in sorted(directory.glob("*.py")):
-        try:
-            st = path.stat()
-        except OSError:
-            continue
-        sig.append((path.name, st.st_mtime_ns, st.st_size))
-    return tuple(sig)
-
-
 def package_model(path: Path) -> PackageModel:
-    """The (cached) package model for the directory containing *path*."""
-    directory = Path(path).resolve().parent
-    sig = _dir_signature(directory)
-    cached = _MODEL_CACHE.get(str(directory))
-    if cached is not None and cached[0] == sig:
-        return cached[1]
-    model = PackageModel(directory)
-    _MODEL_CACHE[str(directory)] = (sig, model)
-    return model
+    """The package model for the directory containing *path*."""
+    return PackageModel(Path(path).resolve().parent, SourceIndex())

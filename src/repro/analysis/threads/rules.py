@@ -1,9 +1,8 @@
 """R016–R020 — the thread-topology rules.
 
 All five rules share one :class:`~.engine.ThreadAnalysis` per package
-(cached on the package model, which is cached per directory), so running
-the full thread catalogue over a directory costs one model build and one
-analysis pass.  Each rule filters the package-wide findings down to the
+and lint run, so running the full thread catalogue over a directory
+costs one model build and one analysis pass.  Each rule filters the package-wide findings down to the
 file under lint and attaches the witness path — spawn/API entry, call
 chain, conflicting sites — to the emitted Violation.
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 from typing import ClassVar, Iterator
 
 from ..lint import FileContext, Rule, Violation
-from .engine import ThreadAnalysis, analysis_for_path
+from .engine import analysis_for
 
 __all__ = [
     "ThreadRule",
@@ -49,9 +48,8 @@ class ThreadRule(Rule):
     summary: ClassVar[str] = ""
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        analysis: ThreadAnalysis = analysis_for_path(ctx.path)
         here = ctx.path.resolve()
-        for finding in analysis.findings:
+        for finding in analysis_for(ctx).findings:
             if finding.rule_id != self.rule_id or finding.path != here:
                 continue
             yield Violation(

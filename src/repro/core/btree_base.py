@@ -259,8 +259,12 @@ class BLinkTree:
         page_no = self.file.allocate(key_range)
         buf = self.file.pin(page_no)
         view = NodeView(buf.data, self.page_size)
-        view.init_page(page_type, level=level, sync_token=self._token(),
-                       shadow_items=self._level_uses_shadow_items(level))
+        try:
+            view.init_page(page_type, level=level, sync_token=self._token(),
+                           shadow_items=self._level_uses_shadow_items(level))
+        except BaseException:
+            self._unpin(buf)
+            raise
         self._dirty(buf)
         return page_no, buf, view
 
@@ -490,15 +494,13 @@ class BLinkTree:
         release, and nothing else is held.  Default: stay put."""
         return page_no, buf, node_of(buf), bounds
 
-    def _check_move_progress(self, hops: int, target: int,
-                             held: Buffer) -> None:
+    def _check_move_progress(self, hops: int, target: int) -> None:
         """Called by a :meth:`_follow_moves` that has made *hops* moves
         and is about to make another, to page *target*: more moves than
         the file has pages means the links lead round a cycle (ROADMAP
         item 1, repro E) — an error, where following them would never
-        return.  *held* is the pin the moves took, released here."""
+        return.  The moves release the pin they took on the way out."""
         if hops > self.file.n_pages:
-            self._unpin(held)
             raise TreeError(
                 f"page {target}: move links cycle — {hops} moves from one "
                 f"descent step in a file of {self.file.n_pages} pages")

@@ -263,28 +263,38 @@ class ReorgBLinkTree(BLinkTree):
 
     def _make_moves(self, page_no, buf, node, bounds, key):
         origin = buf        # the caller's pin: kept until the moves end
-        hops = 0            # moves made: past the first, buf's pin is ours
+        hops = 0            # moves made: from the first, buf's pin is ours
         # Lehman-Yao move right: the key lies beyond this page's live
         # span and the right peer provably covers it ("in page
         # reorganization, we follow peer pointers as in Lehman-Yao")
-        while node.n_keys and key > node.max_key():
-            target = node.right_peer
-            if target == INVALID_PAGE:
-                break
-            self._check_move_progress(hops, target, buf)
-            tbuf, tnode = self._pin_node(target)
-            if (tnode.magic != PAGE_MAGIC
-                    or tnode.level != node.level or tnode.n_keys == 0
-                    or tnode.min_key() > key):
-                self._unpin(tbuf)
-                break
+        try:
+            while node.n_keys and key > node.max_key():
+                target = node.right_peer
+                if target == INVALID_PAGE:
+                    break
+                self._check_move_progress(hops, target)
+                tbuf, tnode = self._pin_node(target)
+                try:
+                    stay = (tnode.magic != PAGE_MAGIC
+                            or tnode.level != node.level or tnode.n_keys == 0
+                            or tnode.min_key() > key)
+                except BaseException:
+                    self._unpin(tbuf)
+                    raise
+                if stay:
+                    self._unpin(tbuf)
+                    break
+                if hops:
+                    self._unpin(buf)
+                page_no, buf = target, tbuf
+                hops += 1
+                self._m_moves_right.inc()
+                bounds = KeyBounds(tnode.min_key(), bounds.hi)
+                node = self._node_resolved(page_no, buf, bounds)
+        except BaseException:
             if hops:
                 self._unpin(buf)
-            hops += 1
-            self._m_moves_right.inc()
-            page_no, buf = target, tbuf
-            bounds = KeyBounds(tnode.min_key(), bounds.hi)
-            node = self._node_resolved(page_no, buf, bounds)
+            raise
         if hops:
             self._unpin(origin)
         return page_no, buf, node, bounds
@@ -458,12 +468,14 @@ class ReorgBLinkTree(BLinkTree):
             for lvl in range(level):
                 page_type = PAGE_LEAF if lvl == 0 else PAGE_INTERNAL
                 new_no, new_buf, new_view = self._alloc(page_type, lvl)
-                if lvl > 0:
-                    shadow = self._level_uses_shadow_items(lvl)
-                    new_view.replace_items([I.pack_internal_item(
-                        MIN_KEY, spine[-1], prev=0 if shadow else None)])
-                spine.append(new_no)
-                self._unpin(new_buf)
+                try:
+                    if lvl > 0:
+                        shadow = self._level_uses_shadow_items(lvl)
+                        new_view.replace_items([I.pack_internal_item(
+                            MIN_KEY, spine[-1], prev=0 if shadow else None)])
+                    spine.append(new_no)
+                finally:
+                    self._unpin(new_buf)
             child_view.init_page(
                 PAGE_INTERNAL, level=level, sync_token=token,
                 shadow_items=self._level_uses_shadow_items(level))

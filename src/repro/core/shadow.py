@@ -185,45 +185,56 @@ class ShadowBLinkTree(BLinkTree):
 
     def _make_moves(self, page_no, buf, node, bounds, key):
         origin = buf        # the caller's pin: kept until the moves end
-        hops = 0            # moves made: past the first, buf's pin is ours
-        # A dead pre-split page advertises its replacement through newPage.
-        # The splitter restamps the page's token when setting the link, so
-        # the link is trusted only if it was made in the current sync
-        # window; a stale pre-crash link is ignored — the intact old page
-        # is itself a consistent image of the tree.
-        while (node.new_page != INVALID_PAGE
-               and self.engine.sync_state.is_current(node.sync_token)):
-            target = node.new_page
-            self._check_move_progress(hops, target, buf)
-            tbuf, tnode = self._pin_node(target)
-            if tnode.magic != PAGE_MAGIC:
-                self._unpin(tbuf)
-                break
+        hops = 0            # moves made: from the first, buf's pin is ours
+        try:
+            # A dead pre-split page advertises its replacement through
+            # newPage.  The splitter restamps the page's token when setting
+            # the link, so the link is trusted only if it was made in the
+            # current sync window; a stale pre-crash link is ignored — the
+            # intact old page is itself a consistent image of the tree.
+            while (node.new_page != INVALID_PAGE
+                   and self.engine.sync_state.is_current(node.sync_token)):
+                target = node.new_page
+                self._check_move_progress(hops, target)
+                tbuf, tnode = self._pin_node(target)
+                if tnode.magic != PAGE_MAGIC:
+                    self._unpin(tbuf)
+                    break
+                if hops:
+                    self._unpin(buf)
+                page_no, buf, node = target, tbuf, tnode
+                hops += 1
+                self._m_moves_right.inc()
+                if node.n_keys:
+                    bounds = KeyBounds(max(bounds.lo, node.min_key()),
+                                       bounds.hi)
+            # move right along the peer chain when the key lies beyond
+            # this page's live span and the right sibling provably covers it
+            while (node.n_keys and node.right_peer != INVALID_PAGE
+                   and key > node.max_key()):
+                target = node.right_peer
+                self._check_move_progress(hops, target)
+                tbuf, tnode = self._pin_node(target)
+                try:
+                    stay = (tnode.magic != PAGE_MAGIC
+                            or tnode.level != node.level or tnode.n_keys == 0
+                            or tnode.min_key() > key)
+                except BaseException:
+                    self._unpin(tbuf)
+                    raise
+                if stay:
+                    self._unpin(tbuf)
+                    break
+                if hops:
+                    self._unpin(buf)
+                page_no, buf, node = target, tbuf, tnode
+                hops += 1
+                self._m_moves_right.inc()
+                bounds = KeyBounds(node.min_key(), bounds.hi)
+        except BaseException:
             if hops:
                 self._unpin(buf)
-            hops += 1
-            self._m_moves_right.inc()
-            page_no, buf, node = target, tbuf, tnode
-            if node.n_keys:
-                bounds = KeyBounds(max(bounds.lo, node.min_key()), bounds.hi)
-        # move right along the peer chain when the key lies beyond this
-        # page's live span and the right sibling provably covers it
-        while (node.n_keys and node.right_peer != INVALID_PAGE
-               and key > node.max_key()):
-            target = node.right_peer
-            self._check_move_progress(hops, target, buf)
-            tbuf, tnode = self._pin_node(target)
-            if (tnode.magic != PAGE_MAGIC
-                    or tnode.level != node.level or tnode.n_keys == 0
-                    or tnode.min_key() > key):
-                self._unpin(tbuf)
-                break
-            if hops:
-                self._unpin(buf)
-            hops += 1
-            self._m_moves_right.inc()
-            page_no, buf, node = target, tbuf, tnode
-            bounds = KeyBounds(node.min_key(), bounds.hi)
+            raise
         if hops:
             self._unpin(origin)
         return page_no, buf, node, bounds

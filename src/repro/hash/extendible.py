@@ -397,10 +397,14 @@ class ExtendibleHashIndex:
         slot = self._slot_for(hashed, depth)
         bucket, prev = self._dir_read(slot)
         buf = self.file.pin(bucket)
-        schedule_point("pin_child", page=bucket)
-        view = NodeView(buf.data, self.page_size)
-        if not self._bucket_consistent(buf, view, hashed):
-            self._repair_bucket(slot, bucket, buf, view, prev)
+        try:
+            schedule_point("pin_child", page=bucket)
+            view = NodeView(buf.data, self.page_size)
+            if not self._bucket_consistent(buf, view, hashed):
+                self._repair_bucket(slot, bucket, buf, view, prev)
+        except BaseException:
+            self.file.unpin(buf)
+            raise
         return slot, bucket, view, buf
 
     def _bucket_consistent(self, buf, view: NodeView, hashed: int) -> bool:

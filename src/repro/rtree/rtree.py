@@ -128,7 +128,7 @@ class _RNode:
         # view-layer wrapper over a caller-owned buffer; every caller
         # marks the frame dirty itself (_RNode never sees the pool)
         view = NodeView(self.buf, self.page_size)
-        view.init_page(page_type, level=level, sync_token=token)  # lint: disable=R003,R012
+        view.init_page(page_type, level=level, sync_token=token)  # lint: disable=R012
 
     def capacity(self) -> int:
         return (self.page_size - P.HEADER_SIZE) // ENTRY_SIZE

@@ -88,7 +88,7 @@ class PageFile:
         """Pin *page_no* for the duration of a ``with`` block.
 
         The context-manager shape makes the unpin structurally impossible
-        to forget, which is what lint rule R001 checks for; prefer it for
+        to forget, which is what lint rule R011 checks for; prefer it for
         straight-line "pin, read/patch, release" code.
         """
         buf = self.pin(page_no)

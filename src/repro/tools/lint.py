@@ -4,18 +4,16 @@ Usage::
 
     PYTHONPATH=src python -m repro.tools.lint src/ [--format=text|json|sarif]
 
-Three engines run by default: the single-statement pattern rules
-(R001–R010), the path-sensitive flow rules (R011–R015) and the
-whole-package thread-topology rules (R016–R020); the latter two report
-a witness path with each finding.  Select one with ``--engine``.
-``--engine all`` dedupes findings that two engines report for the same
-rule family at the same file:line (the witness-bearing one wins).
+One run checks one catalogue: the single-statement pattern rules (R002,
+R004, R005, R010), the path-sensitive flow rules (R006, R007,
+R011–R015) and the whole-package thread-topology rules (R016–R020);
+the latter two report a witness path with each finding.  ``--rules``
+selects a subset.
 
-Exit status is identical for every engine selection: 0 when every
-checked file is clean, 1 when violations (or parse failures) were
-found, 2 on usage errors.  Suppress individual findings with
-``# lint: disable=RXXX`` — trailing on a line for that line, on a
-standalone comment line for the whole file.
+Exit status: 0 when every checked file is clean, 1 when violations (or
+parse failures) were found, 2 on usage errors.  Suppress individual
+findings with ``# lint: disable=RXXX`` — trailing on a line for that
+line, on a standalone comment line for the whole file.
 """
 
 from __future__ import annotations
@@ -25,32 +23,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..analysis.flow import flow_rules
-from ..analysis.lint import Rule, dedupe_violations, lint_paths
-from ..analysis.rules import all_rules
-from ..analysis.threads import threads_rules
-
-ENGINES = ("pattern", "flow", "threads", "all")
-
-
-def rules_for_engine(engine: str) -> list[Rule]:
-    """The rule catalogue for one engine selection, in rule-id order."""
-    rules: list[Rule] = []
-    if engine in ("pattern", "all"):
-        rules.extend(all_rules())
-    if engine in ("flow", "all"):
-        rules.extend(flow_rules())
-    if engine in ("threads", "all"):
-        rules.extend(threads_rules())
-    return rules
+from ..analysis.lint import all_rules, lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.lint",
         description="AST lint for the storage-protocol coding rules: "
-                    "pattern rules R001-R010, path-sensitive flow rules "
-                    "R011-R015 and thread-topology rules R016-R020.",
+                    "pattern rules R002/R004/R005/R010, path-sensitive "
+                    "flow rules R006/R007/R011-R015 and thread-topology "
+                    "rules R016-R020.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -65,11 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for --format=sarif (CI code-scanning ingest)",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default="all",
-        help="which rule engine(s) to run (default: all)",
-    )
-    parser.add_argument(
-        "--rules", default=None, metavar="R001,R013",
+        "--rules", default=None, metavar="R002,R011",
         help="comma-separated subset of rule ids to run (default: all)",
     )
     parser.add_argument(
@@ -81,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    rules = rules_for_engine(args.engine)
+    rules = all_rules()
     if args.list_rules:
         for rule in rules:
             print(f"{rule.rule_id}  {rule.summary}")
@@ -99,8 +77,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
     report = lint_paths(args.paths, rules)
-    if args.engine == "all":
-        report.violations = dedupe_violations(report.violations)
     out_format = "sarif" if args.sarif else args.format
     if out_format == "json":
         print(report.render_json())

@@ -1,4 +1,6 @@
-"""R010 — the two legs of decoded-node invalidation."""
+"""R010 — buffer-pool content events bump the frame version.  (The
+note_* ordering half of decoded-node invalidation is flow rule R015;
+its samples live in ``test_flow_rules.py``.)"""
 
 import textwrap
 
@@ -16,10 +18,6 @@ def run(tmp_path, source, filename):
 def rule_ids(report):
     return [v.rule_id for v in report.violations]
 
-
-# ---------------------------------------------------------------------------
-# leg 1 — buffer-pool content events need version evidence
-# ---------------------------------------------------------------------------
 
 def test_r010_flags_dirty_mark_without_version_bump(tmp_path):
     report = run(tmp_path, """
@@ -67,63 +65,6 @@ def test_r010_accepts_clean_down_and_unbind(tmp_path):
     assert report.ok
 
 
-# ---------------------------------------------------------------------------
-# leg 2 — note_* maintenance must follow the dirty-marking version bump
-# ---------------------------------------------------------------------------
-
-def test_r010_flags_note_before_dirty(tmp_path):
-    report = run(tmp_path, """
-        def insert(self, leaf, slot, key, keys):
-            self.fp.note_insert(leaf.buffer, slot, key, keys)
-            self._dirty(leaf.buffer)
-    """, "core/tree.py")
-    assert rule_ids(report) == ["R010"]
-    assert "before" in report.violations[0].message
-
-
-def test_r010_flags_note_without_any_dirty(tmp_path):
-    report = run(tmp_path, """
-        def insert(self, leaf, slot, key, keys):
-            self.fp.note_insert(leaf.buffer, slot, key, keys)
-    """, "core/tree.py")
-    assert rule_ids(report) == ["R010"]
-    assert "never marks" in report.violations[0].message
-
-
-def test_r010_accepts_note_after_dirty(tmp_path):
-    report = run(tmp_path, """
-        def delete(self, leaf, slot, keys):
-            leaf.view.delete_item(slot)
-            self._dirty(leaf.buffer)
-            self.fp.note_delete(leaf.buffer, slot, keys)
-    """, "core/tree.py")
-    assert report.ok
-
-
-def test_r010_note_ordering_applies_under_storage_too(tmp_path):
-    report = run(tmp_path, """
-        def touch(self, buf, keys):
-            self.fp.note_insert(buf, 0, b"k", keys)
-    """, "storage/helper.py")
-    assert rule_ids(report) == ["R010"]
-
-
-def test_r010_note_ordering_ignores_other_packages(tmp_path):
-    report = run(tmp_path, """
-        def touch(self, buf, keys):
-            self.fp.note_insert(buf, 0, b"k", keys)
-    """, "bench/driver.py")
-    assert report.ok
-
-
-def test_r010_pragma_suppression(tmp_path):
-    report = run(tmp_path, """
-        def insert(self, leaf, slot, key, keys):
-            self.fp.note_insert(leaf.buffer, slot, key, keys)  # lint: disable=R010
-    """, "core/tree.py")
-    assert report.ok
-
-
 def test_r010_leaves_nodeview_mutators_alone(tmp_path):
     # NodeView is byte-level: it carries no decoded state to drop
     report = run(tmp_path, """
@@ -136,5 +77,5 @@ def test_r010_leaves_nodeview_mutators_alone(tmp_path):
 
 
 def test_r010_registered_in_full_rule_set():
-    from repro.analysis.rules import all_rules
+    from repro.analysis.lint import all_rules
     assert any(r.rule_id == "R010" for r in all_rules())

@@ -231,7 +231,7 @@ def test_return_inside_with_runs_exit_first():
 
 
 # ---------------------------------------------------------------------------
-# generators, no-return calls, release-only statements
+# generators, no-return calls, calls that cannot fail
 # ---------------------------------------------------------------------------
 
 def test_yield_gets_an_exception_edge():
@@ -294,6 +294,28 @@ def test_release_with_raising_argument_keeps_its_exc_edge():
             file.unpin(frames.pop())
     """)
     assert "exc" in out_kinds(cfg, "stmt:3")
+
+
+def test_dirty_marks_and_view_makers_have_no_exception_edge():
+    cfg = cfg_of("""
+        def f(self, file, buf):
+            view = NodeView(buf.data, 512)
+            node = node_of(buf)
+            file.mark_dirty(buf)
+            self._dirty(buf)
+    """)
+    for line in (3, 4, 5, 6):
+        assert out_kinds(cfg, f"stmt:{line}") == {"next"}
+
+
+def test_subscripts_and_other_calls_can_raise():
+    cfg = cfg_of("""
+        def f(file, buf, op):
+            first = buf.data[0]
+            op(first)
+    """)
+    assert ("stmt:3", "exc", "raise") in cfg.edge_labels()
+    assert ("stmt:4", "exc", "raise") in cfg.edge_labels()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ mutation catching, stuck detection, and crash-snapshot recovery."""
 # worker bodies take bare latches (no try/finally) to create schedule
 # points, and the mutant tree deliberately omits the split lock
 # (R014 is the path-sensitive form of the same latch discipline)
-# lint: disable=R006,R009,R014
+# lint: disable=R006,R014
 
 import pytest
 

@@ -8,13 +8,14 @@ stops being caught and the suite says so.
 """
 
 import ast
+import re
 from pathlib import Path
 
-from repro.analysis.flow import flow_rules
 from repro.analysis.flow.rules import (
     LatchAcrossBlockingPathRule,
     NoteBeforeDirtyOnPathRule,
     PinLeakOnPathRule,
+    SplitLockOrderRule,
     WriteWithoutDirtyOnPathRule,
 )
 from repro.analysis.lint import lint_paths
@@ -24,8 +25,9 @@ BTREE_SRC = SRC / "core" / "btree_base.py"
 CONCURRENCY_SRC = SRC / "core" / "concurrency.py"
 
 
-def lint_mutant(tmp_path, mutant_source, rule):
-    path = tmp_path / "mutant.py"
+def lint_mutant(tmp_path, mutant_source, rule, filename="mutant.py"):
+    path = tmp_path / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(mutant_source)
     return lint_paths([path], [rule])
 
@@ -44,11 +46,6 @@ def extract_method(source, name):
 
 def witness_notes(violation):
     return [note for _, note in violation.witness]
-
-
-def test_real_sources_are_flow_clean():
-    report = lint_paths([BTREE_SRC, CONCURRENCY_SRC], flow_rules())
-    assert report.ok, report.render_text()
 
 
 def test_deleted_finally_unpin_is_caught_as_r011(tmp_path):
@@ -96,9 +93,11 @@ def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
     the decoded-node restamp now runs on a path whose buffer is still
     clean.  The method is linted in extraction (see
     :func:`extract_method`) because inside its own file the preceding
-    ``_ensure_peer_path`` call legitimately carries dirty evidence."""
+    ``_ensure_peer_path`` call legitimately carries dirty evidence; the
+    extraction keeps its package, where R015 applies."""
     source = extract_method(BTREE_SRC.read_text(), "_insert_run")
-    assert lint_mutant(tmp_path, source, NoteBeforeDirtyOnPathRule()).ok
+    assert lint_mutant(tmp_path, source, NoteBeforeDirtyOnPathRule(),
+                       "core/mutant.py").ok
     mutant = source.replace(
         """                        view.insert_item(slot, item, node=node)
                         self._dirty(buf)
@@ -107,7 +106,8 @@ def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
                         node.note_insert(buf, slot, key)
                         self._dirty(buf)""")
     assert mutant != source, "mutation site moved; update the self-test"
-    report = lint_mutant(tmp_path, mutant, NoteBeforeDirtyOnPathRule())
+    report = lint_mutant(tmp_path, mutant, NoteBeforeDirtyOnPathRule(),
+                         "core/mutant.py")
     flagged = [v for v in report.violations if v.rule_id == "R015"]
     assert flagged, report.render_text()
     v = flagged[0]
@@ -138,3 +138,46 @@ def test_swallowed_latch_release_is_caught_as_r014(tmp_path):
     v = flagged[0]
     assert "still held" in v.message
     assert any("acquire" in n for n in witness_notes(v))
+
+
+def test_deleted_split_lock_acquisition_is_caught_as_r006(tmp_path):
+    """Strip ``split_lock.acquire`` from the real ConcurrentTree: every
+    split-capable call now runs under a bare write latch, and R006 must
+    flag each one with the path that took the latch."""
+    source = CONCURRENCY_SRC.read_text()
+    mutant = re.sub(r"^\s*self\.split_lock\.acquire\(self\.latches\)\n",
+                    "", source, flags=re.M)
+    assert mutant != source, "mutation site moved; update the self-test"
+    report = lint_mutant(tmp_path, mutant, SplitLockOrderRule())
+    flagged = [v for v in report.violations if v.rule_id == "R006"]
+    # both ConcurrentTree.insert and ConcurrentTree.delete lose the lock
+    assert len(flagged) >= 2, report.render_text()
+    for v in flagged:
+        assert "acquire write latch" in witness_notes(v)
+        assert any("may split" in n for n in witness_notes(v))
+
+
+def test_deleted_finally_release_is_caught_as_r014(tmp_path):
+    """Rewrite ConcurrentTree.lookup's try/finally into straight-line
+    code: an exception from the lookup now leaves with the read latch
+    held."""
+    source = CONCURRENCY_SRC.read_text()
+    mutant = source.replace(
+        """        self.latches.acquire_read(TREE_LATCH_PAGE)
+        try:
+            return self.tree.lookup(value)
+        finally:
+            self.latches.release(TREE_LATCH_PAGE)""",
+        """        self.latches.acquire_read(TREE_LATCH_PAGE)
+        result = self.tree.lookup(value)
+        self.extra_bookkeeping(value)
+        self.latches.release(TREE_LATCH_PAGE)
+        return result""")
+    assert mutant != source, "mutation site moved; update the self-test"
+    report = lint_mutant(tmp_path, mutant, LatchAcrossBlockingPathRule())
+    flagged = [v for v in report.violations if v.rule_id == "R014"]
+    assert flagged, report.render_text()
+    v = flagged[0]
+    assert "exception edge" in v.message
+    assert "acquire read latch" in witness_notes(v)
+    assert "exception raised" in witness_notes(v)

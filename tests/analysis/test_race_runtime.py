@@ -5,7 +5,7 @@ clean-protocol baseline (no findings on the real code)."""
 # the mutant trees deliberately violate the latch protocol (that is
 # the point); bare acquire/release shapes feed the order graph (R014
 # is the path-sensitive form of the same latch discipline)
-# lint: disable=R006,R009,R014
+# lint: disable=R006,R014
 
 import threading
 

@@ -5,10 +5,9 @@ rule on purpose: the sanitizer must name the violation, and the matching
 conforming sequence must pass untouched.
 """
 
-# these tests inject R001/R002/R003 violations on purpose — the runtime
-# sanitizer, not the linter, is the checker being proven here (R012 is
-# the path-sensitive form of the injected dirty violations)
-# lint: disable=R001,R002,R003,R012
+# these tests inject R011/R002/R012 violations on purpose — the runtime
+# sanitizer, not the linter, is the checker being proven here
+# lint: disable=R002,R011,R012
 
 import gc
 import random
@@ -37,7 +36,7 @@ def make_tree(kind="shadow", name="ix", seed=7):
 
 
 # ---------------------------------------------------------------------------
-# mutated-but-clean frames (runtime R003)
+# mutated-but-clean frames (runtime R012)
 # ---------------------------------------------------------------------------
 
 def test_mutation_without_mark_dirty_fails_the_next_sync():
@@ -87,7 +86,7 @@ def test_suspended_disables_the_checks():
 
 
 # ---------------------------------------------------------------------------
-# pin balance (runtime R001)
+# pin balance (runtime R011)
 # ---------------------------------------------------------------------------
 
 def test_leaked_pin_is_caught_at_op_exit():

@@ -3,15 +3,18 @@ role inference, call-edge resolution, lock-key normalization,
 happens-before pairing and the interprocedural lockset fixpoint must
 all hold on the code the analyzer exists to check."""
 
+from functools import cache
 from pathlib import Path
 
-from repro.analysis.threads.engine import ThreadAnalysis
+from repro.analysis.lint import FileContext, SourceIndex
+from repro.analysis.threads.engine import ThreadAnalysis, analysis_for
 from repro.analysis.threads.model import package_model
 from repro.analysis.threads.roles import entry_methods, infer_roles
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+@cache
 def shard_model():
     return package_model(SRC / "shard" / "workers.py")
 
@@ -132,7 +135,13 @@ def test_worker_threads_rooted_in_the_pool_attribute():
     assert spawns[0].target == "ShardWorkerPool._worker_loop"
 
 
-def test_model_cache_reuses_per_directory():
-    first = shard_model()
-    again = package_model(SRC / "shard" / "heal.py")
-    assert first is again
+def test_one_analysis_per_package_per_run():
+    # two files of one package in one lint run share the run's index,
+    # and through it one model and one analysis
+    index = SourceIndex()
+    workers, heal = [FileContext(path, path.name, path.read_text(), index)
+                     for path in (SRC / "shard" / "workers.py",
+                                  SRC / "shard" / "heal.py")]
+    first = analysis_for(workers)
+    assert analysis_for(heal) is first
+    assert heal.tree in [tree for _, tree in first.model._modules]

@@ -149,9 +149,3 @@ def test_r020_catches_bare_wait_in_worker_loop(tmp_path):
 def test_pristine_shard_package_is_clean():
     report = lint_paths([SHARD_SRC], threads_rules())
     assert report.ok, report.render_text()
-
-
-def test_threads_engine_clean_over_repository():
-    report = lint_paths(
-        [Path(__file__).resolve().parents[2] / "src"], threads_rules())
-    assert report.ok, report.render_text()

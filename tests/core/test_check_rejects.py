@@ -10,7 +10,7 @@ validator that looked only at a page's end keys would miss.
 
 # corruption injection writes page bytes in helpers that leave the
 # dirty-marking to their caller (``corrupt``), on purpose
-# lint: disable=R003,R012
+# lint: disable=R012
 
 import pytest
 from hypothesis import HealthCheck, given, settings

@@ -5,7 +5,7 @@
 # try/finally) and blocking calls under latches are the protocol
 # shapes being tested, not production descent code (R014 is the
 # path-sensitive form of the same latch discipline)
-# lint: disable=R008,R009,R014
+# lint: disable=R014
 
 import threading
 

@@ -3,7 +3,7 @@
 # meta-page unit tests: raw MetaViews over bytearrays with literal
 # tokens — no buffer pool, no SyncState (R012 is the per-path form
 # of the same dirty discipline)
-# lint: disable=R003,R004,R012
+# lint: disable=R004,R012
 
 import pytest
 

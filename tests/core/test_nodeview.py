@@ -3,7 +3,7 @@
 # page-layer unit tests: raw NodeViews over bytearrays with hand-rolled
 # tokens — there is no buffer pool to dirty and no SyncState to consult
 # (R012 is the per-path form of the same dirty discipline)
-# lint: disable=R003,R004,R012
+# lint: disable=R004,R012
 
 import pytest
 

@@ -7,7 +7,7 @@ is always sorted, and the structural validator stays green.
 
 # the model checker pokes raw pages to cross-check the validator
 # (R012 is the per-path form of the same dirty discipline)
-# lint: disable=R003,R012
+# lint: disable=R012
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st

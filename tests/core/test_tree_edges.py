@@ -112,6 +112,6 @@ def test_route_on_empty_internal_rejected():
     from repro.core.nodeview import NodeView
     view = NodeView(bytearray(256), 256)
     # raw NodeView over a bytearray — no buffer pool, nothing to dirty
-    view.init_page(PAGE_INTERNAL, level=1)  # lint: disable=R003,R012
+    view.init_page(PAGE_INTERNAL, level=1)  # lint: disable=R012
     index, found = view.search(b"\x00")
     assert (index, found) == (0, False)

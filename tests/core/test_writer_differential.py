@@ -13,7 +13,7 @@ the per-item forms (kept below) for the split.
 # page-layer differentials work on raw NodeViews over bytearrays: there is
 # no buffer pool to dirty and no SyncState to consult, and the one test
 # that keeps a frame's node current bumps the frame's version by hand
-# lint: disable=R003,R004,R010,R012
+# lint: disable=R004,R012,R015
 
 import random
 import struct

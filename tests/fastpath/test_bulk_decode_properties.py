@@ -7,7 +7,7 @@ raises and never returns a short list.  And a child whose durable image
 is such garbage reaches the same first-use repairs, with the same
 outcome, as when every reader decodes item by item.
 """
-# lint: disable=R003,R012 — the strategies damage standalone bytearrays
+# lint: disable=R012 — the strategies damage standalone bytearrays
 # and plant durable images behind the pool's back on purpose
 
 import struct

@@ -1,6 +1,6 @@
 """The decoded node: version stamping, incremental maintenance, bulk
 decode, and equivalence with the byte-path search."""
-# lint: disable=R003,R012 — these unit tests build NodeViews over standalone
+# lint: disable=R012 — these unit tests build NodeViews over standalone
 # bytearrays (no pool frame, no sync), so there is nothing to mark dirty;
 # version bumps are applied by hand where a test needs them.
 

@@ -3,7 +3,7 @@
 # buffer-layer unit tests: pin/unpin and eviction ARE the subject under
 # test, so the paired-call discipline is exercised deliberately raw
 # (R011/R013 are the path-sensitive forms of the same pin discipline)
-# lint: disable=R001,R002,R011,R013
+# lint: disable=R002,R011,R013
 
 import gc
 import random

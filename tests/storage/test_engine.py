@@ -2,7 +2,7 @@
 
 # engine-layer unit tests: bare pin/dirty sequences and raw token
 # comparisons exercise the primitives the higher-level helpers wrap
-# lint: disable=R001,R002,R004
+# lint: disable=R002,R004,R011
 
 import pytest
 

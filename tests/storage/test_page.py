@@ -2,7 +2,7 @@
 
 # header-codec unit tests mutate raw buffers with no pool in sight
 # (R012 is the per-path form of the same dirty discipline)
-# lint: disable=R003,R012
+# lint: disable=R012
 
 import pytest
 

@@ -3,7 +3,7 @@ allocation."""
 
 # pagefile-layer unit tests: pin/unpin pairing is the behaviour under
 # test, exercised deliberately without the pinned() wrapper
-# lint: disable=R001,R002
+# lint: disable=R002,R011
 
 import pytest
 

@@ -7,7 +7,7 @@ classifies it — without mutating the tree."""
 # corruption injection writes buffers behind the commit protocol on
 # purpose: that is exactly what fsck must catch (R012 is the per-path
 # form of the same dirty discipline)
-# lint: disable=R002,R003,R012
+# lint: disable=R002,R012
 
 import pytest
 
