@@ -56,7 +56,7 @@ from ..storage import (
 from ..fastpath import FastPath
 from ..storage.buffer_pool import Buffer
 from ..storage.engine import StorageEngine
-from ..storage.page import LINE_ENTRY_SIZE
+from ..storage.page import HEADER_SIZE, LINE_ENTRY_SIZE
 from ..storage.pagefile import PageFile
 from . import items as I
 from .concurrency import schedule_point
@@ -173,7 +173,9 @@ class BLinkTree:
 
         This is the entire recovery path: read the meta page, restore the
         clean-shutdown freelist if one exists (erasing it durably first),
-        and return.  All structural repair happens lazily on first use.
+        recover a tree whose first sync never completed as the empty
+        tree (O(1), DESIGN §5b.6), and return.  All structural repair
+        happens lazily on first use.
         """
         file = engine.open_file(name)
         mbuf = file.pin_meta()
@@ -187,6 +189,16 @@ class BLinkTree:
                 )
             codec_obj = CODECS[meta.codec_name]
             tree = cls(engine, file, codec_obj)
+            if meta.first_sync_pending:
+                if engine.sync_state.predates_last_crash(meta.root_token):
+                    # decided here, not on first descent: a sync that
+                    # completes before then would clear the flag over the
+                    # crashed window's root, and check(), fsck and the
+                    # garbage collector read meta.root directly
+                    tree._forget_uncommitted_tree(mbuf, meta)
+                else:
+                    # reopened in the incarnation that installed the root
+                    tree._arm_first_sync_hook()
             entries = meta.load_freelist()
             if entries:
                 # Section 3.3.3: the durable freelist must be erased before
@@ -306,7 +318,11 @@ class BLinkTree:
         try:
             token = self._token()
             if old_root == INVALID_PAGE:
+                # the tree's first root: it holds no committed key until a
+                # sync completes (the first-sync invariant, DESIGN §5b)
                 prev = INVALID_PAGE
+                meta.first_sync_pending = True
+                self._arm_first_sync_hook()
             elif free_old == "shadow":
                 if not old_durable:
                     # the old root never reached stable storage: keep the
@@ -326,6 +342,29 @@ class BLinkTree:
             self._dirty(mbuf)
             self.engine.sync_state.note_split()
             self._root_cache = None
+        finally:
+            self._unpin(mbuf)
+
+    def _arm_first_sync_hook(self) -> None:
+        hooks = self.engine.post_sync_hooks
+        if self._first_sync_done not in hooks:
+            hooks.append(self._first_sync_done)
+
+    def _first_sync_done(self) -> None:
+        """Post-sync hook while the meta page says ``first_sync_pending``:
+        the sync that just completed made a root of this tree durable, so
+        the flag is cleared on stable storage at once, with a synchronous
+        write like index creation's — a later crash must not find it set
+        (DESIGN §5b).  The durable image is patched rather than the frame
+        written, so nothing uncommitted can ride along."""
+        self.engine.post_sync_hooks.remove(self._first_sync_done)
+        disk = self.file.disk
+        image = bytearray(disk.read_page(0))
+        MetaView(image, self.page_size).first_sync_pending = False
+        disk.write_page(0, bytes(image))
+        mbuf, meta = self._read_meta()
+        try:
+            meta.first_sync_pending = False
         finally:
             self._unpin(mbuf)
 
@@ -351,6 +390,26 @@ class BLinkTree:
                 self._unpin(rbuf)
         finally:
             self._unpin(mbuf)
+
+    def _forget_uncommitted_tree(self, mbuf: Buffer, meta: MetaView) -> None:
+        """The first-sync invariant (DESIGN §5b), applied at open: the
+        durable meta page says no sync completed after this tree's first
+        root was installed, and a crash has happened since — so no key in the tree was ever
+        committed, whatever subset of the crashed sync reached the disk.
+        Recover it as the empty tree, one with no root: the pages the
+        crashed window wrote are orphans the garbage collector reclaims,
+        and the next batch into the tree builds it afresh."""
+        started = perf_counter()
+        root = meta.root
+        meta.set_root(INVALID_PAGE, INVALID_PAGE, self._token())
+        meta.height = 0
+        meta.first_sync_pending = False
+        self._dirty(mbuf)
+        self.engine.sync_state.note_split()
+        self.repair_log.add(DetectionReport(
+            Kind.LOST_ROOT, root, Action.VERIFIED_ONLY,
+            detail="first sync never completed: recovered empty"),
+            duration=perf_counter() - started)
 
     def _root_intact(self, rbuf: Buffer, rview: NodeView,
                      meta: MetaView) -> bool:
@@ -562,6 +621,9 @@ class BLinkTree:
         sequence of single inserts would leave the index.  If any were
         skipped, one :class:`DuplicateKeyError` is raised at the end
         whose ``positions`` are their indices in *pairs*, ascending.
+        A tree with no root yet is built bottom-up instead
+        (:meth:`build_from_sorted`): the same keys, rejections and
+        error, on full pages.
         """
         encode = self.codec.encode
         batch: list[tuple[bytes, TID, int]] = []
@@ -570,11 +632,14 @@ class BLinkTree:
                 tid = TID(*tid)
             batch.append((encode(value), tid, pos))
         batch.sort(key=itemgetter(0))
-        rejected: list[int] = []
-        i = 0
         n = len(batch)
-        while i < n:
-            i = self._insert_run(batch, i, rejected)
+        if self._load_root_checked() == INVALID_PAGE:
+            rejected = self.build_from_sorted(batch)
+        else:
+            rejected = []
+            i = 0
+            while i < n:
+                i = self._insert_run(batch, i, rejected)
         if rejected:
             rejected.sort()
             raise DuplicateKeyError(
@@ -602,6 +667,86 @@ class BLinkTree:
                 f"{len(rejected)} of {n} keys not in index "
                 f"(batch positions {rejected})", rejected)
         return n
+
+    def build_from_sorted(self, batch: list[tuple[bytes, TID, int]]
+                          ) -> list[int]:
+        """Build this tree, which has no root yet, bottom-up from *batch*:
+        ``(key, tid, position)`` entries in key order, as
+        :meth:`insert_many` prepares them.  Of equal keys the first is
+        stored; the positions of the others are returned in key order —
+        what inserting the keys one at a time would have rejected.
+
+        Leaves are packed left to right as full as an insert would leave
+        them, :meth:`_page_reserve` included, and chained through their
+        peer links; each internal level is built the same way over the
+        level below, its entries carrying ``prevPtr = INVALID_PAGE`` (no
+        durable page ever held these keys).  Nothing is reachable until
+        the meta page's root pointer moves, last; until a sync completes
+        after that, a crash recovers the tree empty (DESIGN §5n).
+        """
+        if self._load_root_checked() != INVALID_PAGE:
+            raise TreeError("build_from_sorted needs a tree with no root")
+        rejected: list[int] = []
+        entries: list[tuple[bytes, bytes]] = []
+        last = None
+        for key, tid, pos in batch:
+            if key == last:
+                rejected.append(pos)
+            else:
+                entries.append((key, I.pack_leaf_item(key, tid)))
+                last = key
+        if not entries:
+            return rejected
+        level = 0
+        pages = self._build_level(level, entries)
+        while len(pages) > 1:
+            level += 1
+            prev = (INVALID_PAGE if self._level_uses_shadow_items(level)
+                    else None)
+            pages = self._build_level(level, [
+                (low, I.pack_internal_item(low, page_no, prev=prev))
+                for low, page_no in pages])
+        self._set_root(pages[0][1], INVALID_PAGE, height=level + 1)
+        return rejected
+
+    def _build_level(self, level: int, entries: list[tuple[bytes, bytes]]
+                     ) -> list[tuple[bytes, int]]:
+        """Write ``(key, item)`` *entries*, in key order, onto new pages at
+        *level*: each page takes items while an insert would still fit the
+        next one, and the pages are linked as peers.  Returns each page's
+        low key — ``MIN_KEY`` for the first — and page number."""
+        budget = self.page_size - HEADER_SIZE - self._page_reserve(level)
+        starts = [0]
+        used = 0
+        for i, (_key, item) in enumerate(entries):
+            need = len(item) + LINE_ENTRY_SIZE
+            if used + need > budget and i > starts[-1]:
+                starts.append(i)
+                used = 0
+            used += need
+        lows = [MIN_KEY] + [entries[i][0] for i in starts[1:]]
+        pages = [self.file.allocate((lo, hi))
+                 for lo, hi in zip(lows, lows[1:] + [None])]
+        ends = starts[1:] + [len(entries)]
+        token = self._token()
+        page_type = PAGE_LEAF if level == 0 else PAGE_INTERNAL
+        shadow = self._level_uses_shadow_items(level)
+        for k, page_no in enumerate(pages):
+            buf, view = self._pin(page_no)
+            try:
+                view.init_page(page_type, level=level, sync_token=token,
+                               shadow_items=shadow)
+                view.replace_items(
+                    [item for _key, item in entries[starts[k]:ends[k]]])
+                view.left_peer = pages[k - 1] if k else INVALID_PAGE
+                view.left_peer_token = token
+                view.right_peer = (pages[k + 1] if k + 1 < len(pages)
+                                   else INVALID_PAGE)
+                view.right_peer_token = token
+                self._dirty(buf)
+            finally:
+                self._unpin(buf)
+        return list(zip(lows, pages))
 
     def _insert_run(self, batch: list[tuple[bytes, TID, int]], i: int,
                     rejected: list[int]) -> int:
@@ -927,7 +1072,8 @@ class BLinkTree:
         path = self._descend(probe)
         try:
             leaf = path[-1]
-            if leaf.page_no != page_no:
+            past = leaf.page_no != page_no
+            if past:
                 target = leaf.page_no
             else:
                 # the probe still routes here; the true right neighbour is
@@ -949,8 +1095,27 @@ class BLinkTree:
                         self._unpin(tbuf)
         finally:
             self._unpin_path(path)
+        if past and not self._routes_here(page_no, view):
+            # an orphan: the walk goes on to its true neighbour, and
+            # nothing is written
+            return target
         self._finish_heal(page_no, buf, view, target, started=started)
         return target if target != INVALID_PAGE else None
+
+    def _routes_here(self, page_no: int, view: NodeView) -> bool:
+        """Whether a descent toward the lowest key of leaf *page_no* ends
+        on it.  A leaf that fails is not part of the tree: the orphan half
+        of a split whose parent update a crash lost, reached through a
+        stale link whose tokens still match (Figure 3).  A walk may go on
+        from it to the true neighbour, but relinking that neighbour back
+        to it would splice the orphan into the chain in place of the live
+        page it shadows; the first modification near the live page
+        splices the stale path out instead (Section 3.5.1)."""
+        path = self._descend(view.min_key())
+        try:
+            return path[-1].page_no == page_no
+        finally:
+            self._unpin_path(path)
 
     def _finish_heal(self, page_no: int, buf: Buffer, view: NodeView,
                      target: int, *, started: float | None = None) -> None:
@@ -1114,6 +1279,9 @@ class BLinkTree:
         probe = view.min_key()
         path = self._descend(probe)
         try:
+            if path[-1].page_no != page_no:
+                # an orphan (see _routes_here): leave the live page alone
+                return None
             target = INVALID_PAGE
             for entry in reversed(path[:-1]):
                 if entry.slot > 0:

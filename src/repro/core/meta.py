@@ -14,6 +14,11 @@ The meta page therefore stores:
   older token, so ``page.sync_token < meta.root_token`` ⇒ the new root
   image never reached stable storage);
 * tree kind, key-codec name and a height hint (informational);
+* ``first_sync_pending`` — set when the tree's first root is installed
+  and cleared, with a synchronous write of this page, once a sync has
+  completed after it.  While it is set no sync has made any root of the
+  tree durable, so the tree holds no committed key (DESIGN §5b, the
+  first-sync invariant);
 * the clean-shutdown freelist snapshot (Section 3.3.3), which the opener
   must erase durably *before* reallocating any page on it.
 """
@@ -27,7 +32,7 @@ from ..errors import PageCorruptError, PageError
 from ..storage import page as P
 from ..storage.freelist import FreeEntry
 
-_META_STRUCT = struct.Struct("<BBHIIQH")  # kind, rsv, height, root, prev, token, codec_len
+_META_STRUCT = struct.Struct("<BBHIIQH")  # kind, flags, height, root, prev, token, codec_len
 _META_OFF = P.HEADER_SIZE
 _CODEC_OFF = _META_OFF + _META_STRUCT.size
 _FREELIST_OFF = _CODEC_OFF + 32  # codec name capped at 32 bytes
@@ -36,6 +41,9 @@ _ENTRY_HEAD = struct.Struct("<IH")
 
 TREE_KINDS = {"none": 0, "normal": 1, "shadow": 2, "reorg": 3, "hybrid": 4}
 TREE_KIND_NAMES = {v: k for k, v in TREE_KINDS.items()}
+
+#: meta flag: no sync has completed since the first root was installed
+_FIRST_SYNC_PENDING = 0x01
 
 
 class MetaView:
@@ -69,8 +77,9 @@ class MetaView:
     def _fields(self):
         return _META_STRUCT.unpack_from(self.buf, _META_OFF)
 
-    def _store(self, kind, height, root, prev_root, token, codec_len):
-        _META_STRUCT.pack_into(self.buf, _META_OFF, kind, 0, height,
+    def _store(self, kind, flags, height, root, prev_root, token,
+               codec_len):
+        _META_STRUCT.pack_into(self.buf, _META_OFF, kind, flags, height,
                                root, prev_root, token, codec_len)
 
     @property
@@ -88,8 +97,19 @@ class MetaView:
 
     @height.setter
     def height(self, value: int) -> None:
-        kind, _, __, root, prev, token, clen = self._fields()
-        self._store(kind, value, root, prev, token, clen)
+        kind, flags, _, root, prev, token, clen = self._fields()
+        self._store(kind, flags, value, root, prev, token, clen)
+
+    @property
+    def first_sync_pending(self) -> bool:
+        return bool(self._fields()[1] & _FIRST_SYNC_PENDING)
+
+    @first_sync_pending.setter
+    def first_sync_pending(self, value: bool) -> None:
+        kind, flags, height, root, prev, token, clen = self._fields()
+        flags = (flags | _FIRST_SYNC_PENDING if value
+                 else flags & ~_FIRST_SYNC_PENDING)
+        self._store(kind, flags, height, root, prev, token, clen)
 
     @property
     def root(self) -> int:
@@ -104,8 +124,8 @@ class MetaView:
         return self._fields()[5]
 
     def set_root(self, root: int, prev_root: int, token: int) -> None:
-        kind, _, height, __, ___, ____, clen = self._fields()
-        self._store(kind, height, root, prev_root, token, clen)
+        kind, flags, height, _, __, ___, clen = self._fields()
+        self._store(kind, flags, height, root, prev_root, token, clen)
 
     # -- clean-shutdown freelist snapshot (Section 3.3.3) ------------------
 

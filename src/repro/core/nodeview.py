@@ -885,11 +885,15 @@ class DecodedNode:
     Decoding is paid for only when it is used:
 
     * the header is always there — one ``struct`` unpack per version;
-    * the **first** search of a freshly faulted frame binary-searches the
-      page bytes (:func:`search_bytes`) and caches nothing;
-    * a frame searched **again** while resident, one a writer is about to
-      modify (:meth:`for_writer`), or one a whole-page reader walks gets
-      its key list — and, on an internal page, its child pointers —
+    * a search binary-searches the page bytes (:func:`search_bytes`) and
+      caches nothing until the frame's searches this residency have paid
+      for a decode: one bulk decode costs about ``n_keys / 20`` byte
+      searches, so the search that finds ``n_keys // 16`` already served
+      from the bytes decodes instead (ski rental: a frame evicted before
+      then never pays for a list it would not have used);
+    * a frame a writer is about to modify (:meth:`for_writer`), one a
+      whole-page reader walks, and one whose searches have paid gets its
+      key list — and, on an internal page, its child pointers —
       decoded in bulk: one unpack for the line table and one
       comprehension per list, no per-item calls.  Leaf writers keep
       the node current across their own version bump — the mutator they
@@ -906,13 +910,14 @@ class DecodedNode:
                      "prev_n_keys", "new_page", "left_peer", "right_peer",
                      "sync_token", "left_peer_token", "right_peer_token",
                      "lower", "upper", "backup_count", "lsn")
-    __slots__ = ("data", "version", "searched", "keys", "children",
+    __slots__ = ("data", "version", "searches", "keys", "children",
                  *HEADER_FIELDS, "__weakref__")
 
     def __init__(self, data: bytearray, version: int):
         self.data = data
-        #: has a search already been served from the bytes this residency?
-        self.searched = False
+        #: searches served from the bytes this residency (version bumps
+        #: keep the count; the frame leaving the pool drops it)
+        self.searches = 0
         self.refresh(version)
 
     def refresh(self, version: int) -> None:
@@ -932,10 +937,10 @@ class DecodedNode:
 
     def for_writer(self) -> None:
         """A writer is about to search and modify this leaf: its next
-        search decodes the key list whether or not the frame was searched
-        before, and :meth:`note_insert` / :meth:`note_delete` keep it
+        search decodes the key list however few searches the frame has
+        served, and :meth:`note_insert` / :meth:`note_delete` keep it
         across the writer's own version bump."""
-        self.searched = True
+        self.searches = self.n_keys
 
     # -- bulk decode -----------------------------------------------------
 
@@ -1007,15 +1012,17 @@ class DecodedNode:
     def _search_keys(self, stats) -> list[bytes] | None:
         """The key list a search may bisect, or ``None`` to search the
         bytes; counts the search on *stats* as a hit (list already there)
-        or a miss (served from bytes, or decoded for this search)."""
+        or a miss (served from bytes, or decoded for this search).  The
+        search that finds ``n_keys // 16`` searches already served from
+        the bytes this residency decodes the list (DESIGN §5g)."""
         keys = self.keys
         if keys is not None:
             stats.cache_hits += 1
             return keys
         stats.cache_misses += 1
-        if self.searched:
+        if self.searches >= self.n_keys >> 4:
             return self.materialise()
-        self.searched = True
+        self.searches += 1
         return None
 
     def search(self, key: bytes, stats) -> tuple[int, bool]:

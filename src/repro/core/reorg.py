@@ -355,8 +355,11 @@ class ReorgBLinkTree(BLinkTree):
         ``Pb``): recover it from the neighbouring page that holds its keys
         — either a reorganized page's backup or the un-split original.
 
-        Two post-paper wrinkles a long crashed episode produces:
+        Three post-paper wrinkles a long crashed episode produces:
 
+        * a split whose triggering key fell in the low half gives that
+          half to ``Pb``, so the lost child may be the *left* half and its
+          keys sit to its right (:meth:`_repair_from_right`);
         * the *source* itself may be a lost page (a chain of splits all in
           the crashed window) — repair it first, recursively; the chain
           terminates because the episode's original page was durable;
@@ -367,6 +370,9 @@ class ReorgBLinkTree(BLinkTree):
         if depth > 32:
             raise RecoveryError(
                 f"page {child_no}: repair recursion too deep")
+        if self._repair_from_right(parent, child_no, child_buf, child_view,
+                                   bounds, level):
+            return
         source_no = self._find_adjacent_source(parent, bounds)
         if source_no is None or source_no == child_no:
             # no page to the left at all: the leftmost child of the tree
@@ -407,6 +413,39 @@ class ReorgBLinkTree(BLinkTree):
                 self._rebuild_empty_subtree(child_no, child_buf, child_view,
                                             level, source_no, sview)
                 self._dirty(sbuf)
+        finally:
+            self._unpin(sbuf)
+
+    def _repair_from_right(self, parent: PathEntry, child_no: int,
+                           child_buf: Buffer, child_view: NodeView,
+                           bounds: KeyBounds, level: int) -> bool:
+        """Cases (c)/(e) for a lost *low* half: the page to the child's
+        right is either the reorganized page whose backup holds the
+        child's keys (``newPage`` names the child, live half high) or the
+        un-split original, still holding keys below the range the parent
+        now gives it.  Rebuild the child from it and return True; False
+        when the right neighbour is neither."""
+        source_no = self._sibling_across(parent, right=True)
+        if source_no in (INVALID_PAGE, child_no):
+            return False
+        sbuf = self.file.pin(source_no)
+        try:
+            sview = NodeView(sbuf.data, self.page_size)
+            if not valid_magic(sbuf.data) or sview.level != level:
+                return False
+            if sview.prev_n_keys:
+                if sview.new_page != child_no or sview.live_is_low:
+                    return False
+                self._regenerate_sibling(source_no, sbuf, sview, child_no,
+                                         child_buf, child_view)
+            elif (bounds.hi is not None and sview.n_keys
+                  and sview.min_key() < bounds.hi):
+                self._redo_split_of_wide_child(
+                    parent.page_no, parent.slot + 1, sbuf, sview,
+                    KeyBounds(bounds.hi, None), child_no)
+            else:
+                return False
+            return True
         finally:
             self._unpin(sbuf)
 
@@ -576,6 +615,14 @@ class ReorgBLinkTree(BLinkTree):
                 if not valid_magic(sbuf.data):
                     self._regenerate_sibling(child_no, child_buf, child_view,
                                              sibling, sbuf, sview)
+                elif not sview.prev_n_keys:
+                    # the surviving half takes the redone split's token, as
+                    # the split stamped both: left older than this page, a
+                    # later resolution of the backup would take it for a
+                    # lost sibling and regenerate it over committed work
+                    self._vet_intra_page(sibling, sbuf)
+                    sview.sync_token = token
+                    self._dirty(sbuf)
             finally:
                 self._unpin(sbuf)
         self._verify_episode_around(child_no)

@@ -22,8 +22,7 @@ the last 4096 events are retained.
 from __future__ import annotations
 
 import threading
-from collections import Counter as _TallyCounter
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -81,7 +80,10 @@ class TraceLog:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self._lock = threading.Lock()
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self._counts: _TallyCounter = _TallyCounter()
+        # a defaultdict, not a Counter: Counter fills a missing key from
+        # Python code, so the first event of a type in the process would
+        # add a call to whatever a profiler is counting around it
+        self._counts: defaultdict[str, int] = defaultdict(int)
         self._seq = 0
 
     def emit(self, etype: str, *, file: str | None = None,

@@ -252,7 +252,8 @@ class StorageEngine:
             get_trace().emit("sync", token=self.sync_state.counter,
                              duration=duration, pages=len(order),
                              advanced=advanced)
-            for hook in self.post_sync_hooks:
+            # a snapshot: a hook may unregister itself
+            for hook in tuple(self.post_sync_hooks):
                 hook()
             return
 

@@ -32,12 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..constants import INVALID_PAGE, PAGE_CONTROL, PAGE_INTERNAL, PAGE_LEAF
+from ..core.items import leaf_item_size
 from ..core.keys import FULL_BOUNDS, MIN_KEY, KeyBounds
 from ..core.meta import MetaView
 from ..core.nodeview import NodeView
 from ..errors import ReproError
 from ..obs import get_registry, get_trace
 from ..storage import tokens_match, valid_magic
+from ..storage.page import HEADER_SIZE, LINE_ENTRY_SIZE
 
 
 @dataclass
@@ -57,6 +59,10 @@ class FsckReport:
     leaves: int = 0
     internals: int = 0
     keys: int = 0
+    #: bytes the reachable leaves' live entries take (items + line table)
+    leaf_bytes: int = 0
+    #: bytes those leaves could hold (page minus header)
+    leaf_capacity: int = 0
     orphans: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     _counters: dict = field(default_factory=dict, repr=False)
@@ -68,6 +74,13 @@ class FsckReport:
     @property
     def warnings(self) -> int:
         return sum(1 for f in self.findings if f.severity == "warn")
+
+    @property
+    def leaf_fill(self) -> float:
+        """Live bytes over usable bytes across the reachable leaves (0 for
+        an index with no leaf)."""
+        return (self.leaf_bytes / self.leaf_capacity
+                if self.leaf_capacity else 0.0)
 
     def add(self, severity: str, page_no: int, message: str) -> None:
         self.findings.append(Finding(severity, page_no, message))
@@ -83,8 +96,8 @@ class FsckReport:
         lines = [
             f"pages scanned: {self.pages_scanned}; reachable: "
             f"{len(self.reachable)} ({self.internals} internal, "
-            f"{self.leaves} leaf); keys: {self.keys}; orphans: "
-            f"{len(self.orphans)}",
+            f"{self.leaves} leaf, {self.leaf_fill:.0%} full); keys: "
+            f"{self.keys}; orphans: {len(self.orphans)}",
             f"errors: {self.errors}, warnings: {self.warnings}",
         ]
         lines.extend(str(f) for f in self.findings)
@@ -172,6 +185,10 @@ def fsck_tree(tree, *, check_peers: bool = True) -> FsckReport:
             if view.is_leaf:
                 report.leaves += 1
                 report.keys += view.n_keys
+                report.leaf_bytes += sum(
+                    leaf_item_size(key) + LINE_ENTRY_SIZE
+                    for key in view.keys())
+                report.leaf_capacity += page_size - HEADER_SIZE
                 leaves_in_order.append(page_no)
             else:
                 report.internals += 1
@@ -292,7 +309,8 @@ class EngineFsckReport:
                     "errors": r.errors,
                     "warnings": r.warnings,
                     "keys": r.keys,
-                    "pages_scanned": r.pages_scanned,
+                    "file_pages": r.pages_scanned,
+                    "leaf_fill": round(r.leaf_fill, 4),
                     "orphans": len(r.orphans),
                     "findings": [str(f) for f in r.findings],
                 }

@@ -6,6 +6,7 @@ import struct
 from contextlib import contextmanager
 from unittest import mock
 
+from repro import TID
 from repro.core import nodeview
 from repro.core.nodeview import DecodedNode, NodeView
 
@@ -28,6 +29,15 @@ def bytes_only():
         yield
 
 
+def with_first_root(tree):
+    """Give an empty uint32 tree its first root, an empty leaf, so that a
+    batch loaded next goes through the split path (``_insert_run``)
+    instead of the bottom-up build an empty tree gets."""
+    tree.insert(0, TID(1, 0))
+    tree.delete(0)
+    return tree
+
+
 def leaf_page_of(tree, key) -> int:
     """The page number of the leaf a descent for *key* ends on."""
     path = tree._descend(tree.codec.encode(key))
@@ -35,6 +45,22 @@ def leaf_page_of(tree, key) -> int:
         return path[-1].page_no
     finally:
         tree._unpin_path(path)
+
+
+def leaf_nodes(tree) -> list[DecodedNode]:
+    """The decoded node of every leaf, left to right along the chain."""
+    nodes = []
+    path = tree._descend(b"")
+    page_no = path[-1].page_no
+    tree._unpin_path(path)
+    while page_no:
+        buf = tree.file.pin(page_no)
+        try:
+            nodes.append(DecodedNode(buf.data, buf.version))
+        finally:
+            tree.file.unpin(buf)
+        page_no = nodes[-1].right_peer
+    return nodes
 
 
 def all_page_bytes(tree) -> list[bytes]:

@@ -1,13 +1,16 @@
 """When a page gets decoded, and what that decode is worth afterwards.
 
-The admission rule has no setting; these tests pin what it observes: the
-first search of a freshly faulted frame reads the bytes, a second search
-while the frame is still resident (or any writer) decodes the key list
-once, leaf writers keep that list across their own version bumps, and a
-frame that leaves the pool takes its node with it.
+The admission rule has no setting; these tests pin what it observes: a
+freshly faulted frame's searches read the bytes until ``n_keys // 16`` of
+them have been served that way in this residency, the next one (or any
+writer) decodes the key list once, leaf writers keep that list across
+their own version bumps, and a frame that leaves the pool takes its node
+with it.
 """
 
 import gc
+import os
+import random
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -61,13 +64,19 @@ def recorded_decodes():
 # the admission rule
 # ---------------------------------------------------------------------------
 
-def test_first_search_reads_bytes_second_decodes_refault_is_cold_again():
+def test_searches_read_bytes_until_they_pay_for_a_decode_refault_is_cold():
     engine, tree = reopened()
     buf = leaf_frame(tree, 400)
     node = buf.node
-    assert node.keys is None and node.searched
+    paid = node.n_keys // 16
+    assert paid >= 1
+    # byte searches until their number reaches n_keys // 16
+    for searches in range(1, paid + 1):
+        assert node.keys is None and node.searches == searches
+        if searches < paid:
+            assert tree.lookup(400) == tid_for(400)
     misses = tree.fastpath.cache_misses
-    # searched again while still resident: decoded once, then bisected
+    # the next search while still resident decodes once, then bisects
     assert tree.lookup(400) == tid_for(400)
     assert node.keys == fresh_node(buf).keys
     assert tree.fastpath.cache_misses == misses + 1
@@ -111,11 +120,18 @@ def test_writer_decodes_a_cold_leaf_once_and_keeps_the_list(batched):
     assert_all_nodes_match_bytes(tree)
 
 
+def decoded_leaf_frame(tree, key):
+    """The frame of *key*'s leaf, searched until its list is decoded."""
+    buf = leaf_frame(tree, key)
+    while buf.node.keys is None:
+        assert tree.lookup(key) == tid_for(key)
+    return buf
+
+
 def test_unmaintained_bump_drops_the_list_and_the_next_search_redecodes():
     engine, tree = reopened()
-    buf = leaf_frame(tree, 400)
-    tree.lookup(400)
-    assert buf.node.keys is not None
+    buf = decoded_leaf_frame(tree, 400)
+    searches = buf.node.searches
     pinned = tree.file.pin(buf.page_no)
     try:
         tree.file.mark_dirty(pinned)      # someone else's version bump
@@ -123,8 +139,10 @@ def test_unmaintained_bump_drops_the_list_and_the_next_search_redecodes():
         tree.file.unpin(pinned)
     assert buf.node.version != buf.version
     assert tree.lookup(400) == tid_for(400)
-    # the frame was searched before, so no second byte-level first touch
+    # the searches that paid for the first decode survive the bump, so
+    # the next search decodes again at once
     assert buf.node.version == buf.version and buf.node.keys is not None
+    assert buf.node.searches == searches
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +224,7 @@ def test_decoded_state_leaves_with_its_frame_and_the_root_stays():
     seen: dict[int, weakref.ref] = {}
     key = 0
     while len(seen) < 200:
-        for _ in range(2):                # second lookup decodes the leaf
-            assert tree.lookup(key) == tid_for(key)
-        page_no = leaf_page_of(tree, key)
+        page_no = decoded_leaf_frame(tree, key).page_no
         node = pool._frames[page_no].node
         assert node.keys is not None
         seen[page_no] = weakref.ref(node)
@@ -225,3 +241,28 @@ def test_decoded_state_leaves_with_its_frame_and_the_root_stays():
     root = pool._frames[root_no].node
     assert root.keys is not None and root.children is not None
     assert root.mismatch() is None
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_SANITIZE") == "1",
+                    reason="the sanitizer's node check decodes on every "
+                           "unpin")
+def test_an_eighth_size_pool_decodes_few_pages_per_lookup():
+    """``embedded_read_cold``'s shape, counted: a built tree (leaves of
+    about 580 keys) under a pool of ``n_pages // 8`` frames.  A leaf is
+    nearly always evicted long before 36 searches have paid for its
+    decode, so lookups read the bytes; the old second-search rule decoded
+    about one leaf in ten lookups here, each a whole page."""
+    engine = StorageEngine.create(page_size=8192, seed=3)
+    tree = TREE_CLASSES["shadow"].create(engine, "ix", codec="uint32")
+    tree.insert_many((key, tid_for(key)) for key in range(40_000))
+    tree.close_clean()
+    engine.pool_capacity = tree.file.n_pages // 8
+    engine.shutdown()
+    cold = TREE_CLASSES["shadow"].open(StorageEngine.reopen(engine), "ix")
+    rng = random.Random(5)
+    keys = [rng.randrange(40_000) for _ in range(3000)]
+    with recorded_decodes() as decoded:
+        for key in keys:
+            assert cold.lookup(key) == tid_for(key)
+    # the root pays for itself after a handful of lookups and stays
+    assert len(decoded) / len(keys) <= 0.02

@@ -9,10 +9,13 @@ import pytest
 
 from repro import DuplicateKeyError, KeyNotFoundError, StorageEngine, \
     TID, TREE_CLASSES
+from repro.core import items as I
 from repro.shard import ShardedEngine
+from repro.storage.page import LINE_ENTRY_SIZE
 
 from ..conftest import SMALL_PAGE, tid_for
-from .helpers import all_page_bytes, bytes_only
+from .helpers import all_page_bytes, bytes_only, leaf_nodes, \
+    with_first_root
 
 PAGE = SMALL_PAGE
 ALL_KINDS = ("normal", "shadow", "reorg", "hybrid")
@@ -130,6 +133,7 @@ def test_cross_leaf_batch_spans_splits(kind):
     """A batch far bigger than one page forces splits mid-batch; the
     run that meets a full leaf splits it with the path it holds."""
     engine, tree = build(kind)
+    with_first_root(tree)
     n = 1200
     assert tree.insert_many((k, tid_for(k)) for k in range(n)) == n
     assert tree.splits.value > 0
@@ -140,6 +144,7 @@ def test_cross_leaf_batch_spans_splits(kind):
 
 def test_batched_amortized_counter_counts_shared_descents():
     _, tree = build("shadow")
+    with_first_root(tree)
     tree.insert_many((k, tid_for(k)) for k in range(64))
     # 64 sorted keys into a near-empty tree share descents; every key
     # after the first on each leaf is an amortized descent saved
@@ -335,12 +340,14 @@ def run_shapes(monkeypatch):
 def test_batches_leave_the_bytes_singles_leave(kind, page_size, run_shapes):
     """The same seeded stream, once key by key and once chunk by chunk:
     after every sync the two files are byte-identical page for page, with
-    the same repair log, split count and rejected positions."""
+    the same repair log, split count and rejected positions.  Both trees
+    start with a root, so the first chunk splits like the rest rather
+    than being built bottom-up (which the loader tests below cover)."""
     trees = []
     for _ in range(2):
         engine = StorageEngine.create(page_size=page_size, seed=31)
-        trees.append((engine, TREE_CLASSES[kind].create(
-            engine, "ix", codec="uint32")))
+        trees.append((engine, with_first_root(TREE_CLASSES[kind].create(
+            engine, "ix", codec="uint32"))))
     (engine_s, singles), (engine_b, batched) = trees
     for n, (op, keys) in enumerate(mixed_chunks(page_size,
                                                 *LOADS[page_size])):
@@ -365,3 +372,44 @@ def test_batches_leave_the_bytes_singles_leave(kind, page_size, run_shapes):
     assert run_shapes["split"] > 5
     assert run_shapes["reclaim"] > 0
     assert run_shapes["boundary"] > 5
+
+
+# ---------------------------------------------------------------------------
+# an empty tree is built bottom-up: the same index on fewer, fuller pages
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("page_size", (256, 512, 8192))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_built_tree_holds_what_inserts_leave(kind, page_size):
+    """One shuffled batch with in-batch repeats, once into an empty tree
+    (the loader) and once into a rooted one (the split path): the same
+    rejected positions, scans, lookups and validator output, on fewer
+    pages, every leaf but the last too full for one more key."""
+    rng = random.Random(page_size)
+    keys = rng.sample(range(50_000), 3000)
+    batch = [(k, tid_for(k)) for k in keys + keys[:200:7]]
+    rng.shuffle(batch)
+    trees = []
+    for rooted in (False, True):
+        engine = StorageEngine.create(page_size=page_size, seed=7)
+        tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
+        if rooted:
+            with_first_root(tree)
+        with pytest.raises(DuplicateKeyError) as err:
+            tree.insert_many(batch)
+        engine.sync()
+        trees.append((tree, err.value.positions))
+    (built, built_rejected), (inserted, inserted_rejected) = trees
+    assert built_rejected == inserted_rejected and len(built_rejected) == 29
+    assert built.splits.value == 0 < inserted.splits.value
+    assert list(built.range_scan()) == list(inserted.range_scan()) \
+        == sorted((k, tid_for(k)) for k in set(keys))
+    assert built.check() == inserted.check()
+    for key in keys[::13] + [50_001, 50_002]:
+        assert built.lookup(key) == inserted.lookup(key)
+    assert built.file.n_pages < inserted.file.n_pages
+    leaves = leaf_nodes(built)
+    item = LINE_ENTRY_SIZE + len(I.pack_leaf_item(b"\0" * 4, TID(0, 0)))
+    reserve = built._page_reserve(0)
+    assert all(node.upper - node.lower - reserve < item
+               for node in leaves[:-1])

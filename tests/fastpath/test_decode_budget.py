@@ -12,7 +12,10 @@ churn-shaped write pair and an ascending batch have call budgets, and a
 batch makes one ``_descend`` per leaf-run.  A change that re-introduces
 per-key decoding on a miss, a per-key loop in recovery, a per-op bypass
 in front of the descent, a second descent behind it or a per-field
-header read in the writer fails here, not in a wall-clock gate.
+header read in the writer fails here, not in a wall-clock gate.  The
+trees loaded here get their first root before the batch, so it takes
+the split path; a batch into a tree with no root is built bottom-up and
+has its own budget.
 """
 
 import cProfile
@@ -31,6 +34,7 @@ from repro import (
 )
 
 from ..conftest import tid_for
+from .helpers import with_first_root
 
 # under REPRO_SANITIZE=1 every unpin re-decodes the page to compare it
 # with the node — exactly the work these budgets exist to rule out
@@ -63,7 +67,8 @@ def count_calls(fn) -> tuple[int, int]:
 @pytest.fixture
 def loaded():
     engine = StorageEngine.create(page_size=PAGE, seed=3)
-    tree = ShadowBLinkTree.create(engine, "ix", codec="uint32")
+    tree = with_first_root(ShadowBLinkTree.create(engine, "ix",
+                                                  codec="uint32"))
     tree.insert_many((key, tid_for(key)) for key in range(N_KEYS))
     engine.sync()
     return engine, tree
@@ -119,11 +124,24 @@ def test_ascending_batch_calls_per_key():
     bisect) and written with one line-table shift, one header update and
     one dirty-mark."""
     engine = StorageEngine.create(page_size=PAGE, seed=3)
-    tree = ShadowBLinkTree.create(engine, "ix", codec="uint32")
+    tree = with_first_root(ShadowBLinkTree.create(engine, "ix",
+                                                  codec="uint32"))
     pairs = [(key, tid_for(key)) for key in range(N_KEYS)]
     calls, _unpacks = count_calls(lambda: tree.insert_many(pairs))
     assert tree.splits.value > 50
     assert calls / N_KEYS <= 25             # 17.5; 101.4 a key at a time
+
+
+def test_bottom_up_build_calls_per_key():
+    """The same batch into a tree with no root: built bottom-up, a key
+    costs its encode, one item pack and a place in a page's item list —
+    no search, no split."""
+    engine = StorageEngine.create(page_size=PAGE, seed=3)
+    tree = ShadowBLinkTree.create(engine, "ix", codec="uint32")
+    pairs = [(key, tid_for(key)) for key in range(N_KEYS)]
+    calls, _unpacks = count_calls(lambda: tree.insert_many(pairs))
+    assert tree.splits.value == 0 and tree.height == 2
+    assert calls / N_KEYS <= 12             # 10.1; 17.5 on the split path
 
 
 def test_a_batch_descends_once_per_leaf_run(loaded, monkeypatch):

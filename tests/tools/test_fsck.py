@@ -24,6 +24,25 @@ def test_clean_tree_reports_no_problems(tree):
     assert "errors: 0" in report.render()
 
 
+def test_leaf_fill_and_file_pages(tree):
+    """A batch into an empty tree is built on full leaves; the same keys
+    inserted one at a time leave the split path's half-full ones."""
+    keys = range(0, 1200, 3)
+    tree.insert_many((k, tid_for(k)) for k in keys)
+    built = fsck_tree(tree)
+    singles = TREE_CLASSES[tree.KIND].create(tree.engine, "singles",
+                                             codec="uint32")
+    fill_tree(singles, keys)
+    inserted = fsck_tree(singles)
+    assert built.keys == inserted.keys == len(keys)
+    assert 0.85 < built.leaf_fill <= 1
+    assert 0 < inserted.leaf_fill < built.leaf_fill
+    assert built.pages_scanned == tree.file.n_pages \
+        < inserted.pages_scanned == singles.file.n_pages
+    assert fsck_tree(TREE_CLASSES[tree.KIND].create(
+        tree.engine, "empty", codec="uint32")).leaf_fill == 0
+
+
 def test_empty_tree(tree):
     report = fsck_tree(tree)
     assert report.errors == 0
