@@ -22,10 +22,10 @@ Checks (each mapped to the paper section it guards):
   ``reclaim_backup()`` call time and again at the disk, where a durable
   backup may only be overwritten by a backup-free image if the split
   sibling is already durable.
-* **unsafe page frees** — the live root is never freed, the previous
-  root only via the deferred (post-sync) path, and a page referenced by a
-  cached prevPtr is never freed immediately without the key-range
-  protection of Section 3.3.3.
+* **unsafe page frees and reuse** (3.3.3) — the live root is never
+  freed, and a page reaches the allocator only with an all-zero stable
+  image and no frame holding its old bytes (every free is erased by the
+  drain after the sync that frees it).
 * **stale decoded nodes** (read path) — a frame's decoded node
   (``Buffer.node``) that carries the frame's current ``version`` must
   equal a fresh decode of the bytes.  Checked on every ``unpin``; it
@@ -48,7 +48,6 @@ from ..storage.buffer_pool import Buffer, BufferPool
 from ..storage.disk import SimulatedDisk
 from ..storage.page import try_read_header, valid_magic
 from ..storage.pagefile import PageFile
-from ..storage.freelist import KeyRange
 
 
 class SanitizerError(AssertionError):
@@ -65,11 +64,6 @@ class SanitizerError(AssertionError):
 #: the reclaim-time check, which only sees a NodeView, still requires a
 #: single live engine to arm.
 _ENGINES: WeakSet = WeakSet()
-
-# page files used by a VERIFIES tree — only these are held to the
-# recovery-protocol free rules (a plain no-recovery B-tree may recycle
-# its previous root immediately, by design)
-_VERIFYING_FILES: WeakSet = WeakSet()
 
 _installed = False
 _suspended = 0
@@ -213,7 +207,7 @@ class SanitizedBufferPool(BufferPool):
 # ---------------------------------------------------------------------------
 
 class SanitizedPageFile(PageFile):
-    """PageFile that vets every ``free`` / ``free_after_sync`` call."""
+    """PageFile that vets every ``free`` and every ``allocate``."""
 
     def __init__(self, name: str, disk: SimulatedDisk,
                  pool_capacity: int | None = None):
@@ -221,112 +215,67 @@ class SanitizedPageFile(PageFile):
         if not isinstance(self.pool, SanitizedBufferPool):
             self.pool = SanitizedBufferPool(disk, capacity=pool_capacity)
 
-    def free(self, page_no: int, key_range: KeyRange | None = None) -> None:
+    def free(self, page_no: int) -> None:
         if _checks_active():
-            self._check_free(page_no, key_range, deferred=False)
-        super().free(page_no, key_range)
+            self._check_free(page_no)
+        super().free(page_no)
 
-    def free_after_sync(self, page_no: int,
-                        key_range: KeyRange | None = None) -> None:
+    def allocate(self) -> int:
+        page_no = super().allocate()
         if _checks_active():
-            self._check_free(page_no, key_range, deferred=True)
-        super().free_after_sync(page_no, key_range)
+            self._check_erased(page_no)
+        return page_no
 
-    def _check_free(self, page_no: int, key_range: KeyRange | None,
-                    *, deferred: bool) -> None:
-        root, prev_root = self._cached_roots()
-        if self.pool.pin_count(0) > 0:
-            # a root transition holds the meta frame pinned and frees the
-            # outgoing root before repointing meta — the stale pointer is
-            # not evidence of a violation
-            root = prev_root = -1
-        if page_no == root:
+    def _check_free(self, page_no: int) -> None:
+        # a root transition holds the meta frame pinned and frees the
+        # outgoing root before repointing meta — the stale pointer is not
+        # evidence of a violation
+        if self.pool.pin_count(0) == 0 and page_no == self._cached_root():
             raise SanitizerError(
                 f"freeing page {page_no} of {self.name!r}: it is the live "
                 f"root"
             )
-        if self not in _VERIFYING_FILES:
-            return
-        if (page_no == prev_root and not deferred
-                and not self._durable_root_intact()):
+
+    def _check_erased(self, page_no: int) -> None:
+        """The freelist's one rule: a page reaches the allocator only with
+        an all-zero stable image and no frame holding its old bytes, so a
+        lost new image reads back as zeros (Section 3.3.3's reuse hazard,
+        closed)."""
+        # durable_image, not read_page(), so the check does not perturb
+        # the DiskStats the benches measure
+        durable = self.disk.durable_image(page_no)
+        if durable is not None and durable.count(0) != len(durable):
             raise SanitizerError(
-                f"immediately freeing page {page_no} of {self.name!r}: it "
-                f"is the previous root, and the durable root image is not "
-                f"intact — recovery may still need it; use free_after_sync"
+                f"page {page_no} of {self.name!r} was handed out with a "
+                f"non-zero stable image: a lost new version would read "
+                f"back as the old page (Section 3.3.3)"
             )
-        if not deferred and key_range is None:
-            referrer = self._prev_ptr_referrer(page_no)
-            if referrer is not None:
-                raise SanitizerError(
-                    f"immediately freeing page {page_no} of {self.name!r} "
-                    f"while page {referrer} still references it as a "
-                    f"prevPtr and no key range protects reallocation "
-                    f"(Section 3.3.3)"
-                )
+        buf = self.pool._frames.get(page_no)
+        if buf is not None and buf.data.count(0) != len(buf.data):
+            # a frame faulted in since the erase holds zeros; one that
+            # survived it holds the old image
+            raise SanitizerError(
+                f"page {page_no} of {self.name!r} was handed out with its "
+                f"old frame still cached"
+            )
 
-    def _durable_root_intact(self) -> bool:
-        """True when stable storage holds a valid root image at least as
-        new as the one the durable meta page names — the condition under
-        which the previous root is no longer a recovery source (a GC pass
-        right after a sync may then reclaim it immediately)."""
-        from ..core.meta import MetaView
-        from ..core.nodeview import NodeView
-        from ..storage.sync import token_older
-
-        raw_meta = self.disk._pages.get(0)
-        if raw_meta is None:
-            return False
-        try:
-            meta = MetaView(bytearray(raw_meta), self.page_size)
-            meta.check()
-            root, root_token = meta.root, meta.root_token
-        except (ReproError, struct.error, ValueError):
-            return False
-        raw_root = self.disk._pages.get(root)
-        if raw_root is None or not valid_magic(raw_root):
-            return False
-        try:
-            view = NodeView(bytearray(raw_root), self.page_size)
-            return (view.page_type in (PAGE_LEAF, PAGE_INTERNAL)
-                    and not token_older(view.sync_token, root_token))
-        except (ReproError, struct.error):
-            return False
-
-    def _cached_roots(self) -> tuple[int, int]:
-        """(root, prev_root) from the cached meta frame, or (-1, -1) when
-        page 0 is not cached or not an index meta page."""
+    def _cached_root(self) -> int:
+        """The root named by the cached meta frame, or -1 when page 0 is
+        not cached or not an index meta page."""
         from ..core.meta import MetaView
 
         buf = self.pool._frames.get(0)
         if buf is None:
-            return -1, -1
+            return -1
         header = try_read_header(buf.data)
         if header is None or header.page_type != PAGE_CONTROL:
-            return -1, -1
+            return -1
         try:
             meta = MetaView(buf.data, self.page_size)
             meta.check()
-            return meta.root, meta.prev_root
+            return meta.root
         except (ReproError, struct.error, ValueError):
-            return -1, -1
-
-    def _prev_ptr_referrer(self, page_no: int) -> int | None:
-        """A cached internal page holding a prevPtr to *page_no*, if any."""
-        from ..core.nodeview import NodeView
-
-        for cached_no, buf in list(self.pool._frames.items()):
-            if cached_no in (0, page_no) or not valid_magic(buf.data):
-                continue
-            try:
-                view = NodeView(buf.data, self.page_size)
-                if view.is_leaf or not view.shadow_items:
-                    continue
-                for i in range(view.n_keys):
-                    if view.prev_at(i) == page_no:
-                        return cached_no
-            except (ReproError, struct.error):
-                continue
-        return None
+            return -1
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +374,6 @@ def _balanced(method):
         global _active_ops, _overlap_gen
         depth = getattr(_tls, "depth", 0)
         outermost = depth == 0 and _checks_active()
-        if _checks_active() and getattr(self, "VERIFIES", False):
-            _VERIFYING_FILES.add(self.file)
         alone = True
         if outermost:
             with _op_lock:

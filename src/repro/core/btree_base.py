@@ -247,10 +247,10 @@ class BLinkTree:
     def _dirty(self, buf: Buffer) -> None:
         self.file.mark_dirty(buf)
 
-    def _alloc(self, page_type: int, level: int,
-               key_range=None) -> tuple[int, Buffer, NodeView]:
+    def _alloc(self, page_type: int, level: int
+               ) -> tuple[int, Buffer, NodeView]:
         """Allocate and format a page, pinned and dirty."""
-        page_no = self.file.allocate(key_range)
+        page_no = self.file.allocate()
         buf = self.file.pin(page_no)
         view = NodeView(buf.data, self.page_size)
         try:
@@ -291,7 +291,7 @@ class BLinkTree:
             self._unpin(mbuf)
 
     def _set_root(self, new_root: int, old_root: int, *,
-                  old_range=None, free_old: str = "never",
+                  free_old: str = "never",
                   height: int | None = None,
                   new_root_token: int | None = None,
                   old_durable: bool | None = None) -> None:
@@ -302,11 +302,10 @@ class BLinkTree:
         ``free_old``:
           * ``"never"`` — the old root remains live (normal in-place root
             growth; reorg remap keeps the slot);
-          * ``"shadow"`` — the old root page becomes the previous root and
-            is freed after the next sync if it was durable (*old_durable*,
-            the root analogue of split step 2); a never-durable old root
-            is recycled immediately and the existing previous root is kept
-            (step 3).
+          * ``"shadow"`` — the old root page is freed; it becomes the
+            previous root if it was durable (*old_durable*, the root
+            analogue of split step 2), otherwise the existing previous root
+            is kept (step 3).
 
         ``new_root_token`` records the new root page's own sync token in
         the meta page; lost-root detection compares the page found in the
@@ -324,14 +323,11 @@ class BLinkTree:
                 meta.first_sync_pending = True
                 self._arm_first_sync_hook()
             elif free_old == "shadow":
-                if not old_durable:
-                    # the old root never reached stable storage: keep the
-                    # existing previous root, recycle the page now
-                    prev = meta.prev_root
-                    self.file.free(old_root, old_range)
-                else:
-                    prev = old_root
-                    self.file.free_after_sync(old_root, old_range)
+                # a never-durable old root leaves the existing previous
+                # root in place: that one is durable and holds every
+                # committed key
+                prev = old_root if old_durable else meta.prev_root
+                self.file.free(old_root)
             else:
                 prev = old_root
             meta.set_root(new_root, prev,
@@ -555,6 +551,11 @@ class BLinkTree:
     def _before_page_update(self, path: list[PathEntry], idx: int) -> None:
         """Pre-update hook (the reorg reclamation check).  Default: none."""
 
+    def _release_backups_naming(self, page_no: int, *peers: int) -> None:
+        """Hook run before *page_no* leaves the tree or takes a new
+        neighbour: the reorg tree resolves any backup on *peers* that
+        names it.  Default: none."""
+
     def _split_and_insert(self, path: list[PathEntry], idx: int,
                           item: bytes, key: bytes) -> None:
         raise NotImplementedError
@@ -725,8 +726,7 @@ class BLinkTree:
                 used = 0
             used += need
         lows = [MIN_KEY] + [entries[i][0] for i in starts[1:]]
-        pages = [self.file.allocate((lo, hi))
-                 for lo, hi in zip(lows, lows[1:] + [None])]
+        pages = [self.file.allocate() for _low in lows]
         ends = starts[1:] + [len(entries)]
         token = self._token()
         page_type = PAGE_LEAF if level == 0 else PAGE_INTERNAL
@@ -1375,10 +1375,11 @@ class BLinkTree:
         empties; collapses the root when it is left with one child."""
         entry = path[idx]
         parent = path[idx - 1]
+        self._release_backups_naming(entry.page_no, entry.view.left_peer,
+                                     entry.view.right_peer)
         self._before_page_update(path, idx - 1)
         pview = parent.view
         slot = parent.slot
-        bounds = entry.bounds
         self._unlink_peers(entry)
         if slot == 0 and pview.n_keys > 1:
             # keep entry 0's sentinel/low separator: absorb entry 1's child
@@ -1391,12 +1392,7 @@ class BLinkTree:
             pview.delete_item(slot)
         self._dirty(parent.buffer)
         self.engine.sync_state.note_split()
-        durable = self.engine.sync_state.synced_since_init(entry.view.sync_token)
-        key_range = bounds.as_range()
-        if durable:
-            self.file.free_after_sync(entry.page_no, key_range)
-        else:
-            self.file.free(entry.page_no, key_range)
+        self.file.free(entry.page_no)
         if pview.n_keys == 0 and idx - 1 > 0:
             self._reclaim_empty_page(path, idx - 1)
         elif idx - 1 == 0 and pview.n_keys == 1 and pview.level > 0:
@@ -1448,7 +1444,6 @@ class BLinkTree:
         old_durable = self.engine.sync_state.synced_since_init(
             root_entry.view.sync_token)
         self._set_root(child, root_entry.page_no,
-                       old_range=root_entry.bounds.as_range(),
                        free_old=free_mode,
                        height=max(self.height - 1, 1),
                        new_root_token=child_token,

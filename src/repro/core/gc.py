@@ -7,8 +7,9 @@ system's archiving feature; adding index freelist regeneration to its
 current archiving tasks does not make garbage collection much more
 expensive."
 
-The collector here is that hook: after a sync (so that every reachable
-page is durable and no shadow/backup copy is still needed for recovery),
+The collector here is that hook: after driving pending repairs and a
+sync (so that every reachable page is durable and no shadow/backup copy
+is still needed for recovery),
 walk the index from its meta page and return every allocated-but-
 unreachable page to the freelist.  That reclaims the pages the recovery
 algorithms deliberately leak — abandoned split halves, orphaned dual-path
@@ -44,13 +45,16 @@ class GCReport:
 def collect_garbage(tree: BLinkTree, *, sync_first: bool = True) -> GCReport:
     """Regenerate *tree*'s freelist by reachability walk.
 
-    ``sync_first`` (default) runs an engine sync before collecting, which
-    is what makes freeing safe: once every reachable page is durable, no
+    ``sync_first`` (default) first drives every pending first-use repair
+    and then runs an engine sync, which is what makes freeing safe: once
+    every lost child is rebuilt and every reachable page is durable, no
     unreachable page can still be a recovery source (prevPtr targets and
-    reorg backups are only consulted when a child's image is missing, and
-    after a successful sync none is).
+    reorg backups are only consulted when a child's image is missing).
+    The freed pages are erased and become allocatable after the next
+    sync, like every other free.
     """
     if sync_first:
+        tree.drive_repairs()
         tree.engine.sync()
     report = GCReport()
     file = tree.file
@@ -81,38 +85,13 @@ def collect_garbage(tree: BLinkTree, *, sync_first: bool = True) -> GCReport:
         finally:
             file.unpin(buf)
 
-    already_free = {entry.page_no for entry in file.freelist.entries()}
-    report.already_free = len(already_free)
     for page_no in range(1, file.n_pages):
         report.scanned += 1
-        if page_no in reachable or page_no in already_free:
+        if page_no in reachable:
             continue
-        key_range = _page_key_span(file, page_no, tree.page_size)
-        file.free(page_no, key_range)
+        if page_no in file.freelist:
+            report.already_free += 1
+            continue
+        file.free(page_no)
         report.freed.append(page_no)
     return report
-
-
-def _page_key_span(file, page_no: int, page_size: int):
-    """Best-effort key range of a garbage page, recorded on the freelist
-    entry so the shadow allocator's reuse rule stays conservative."""
-    buf = file.pin(page_no)
-    try:
-        if is_zeroed(buf.data) or try_read_header(buf.data) is None:
-            return None
-        view = NodeView(buf.data, page_size)
-        total = view.n_keys + view.backup_count
-        if total == 0:
-            return None
-        keys = []
-        if view.n_keys:
-            keys.extend((view.min_key(), view.max_key()))
-        if view.backup_count:
-            from . import items as I
-            backups = view.backup_items()
-            keys.append(I.item_key(backups[0], 0))
-            keys.append(I.item_key(backups[-1], 0))
-        lo, hi = min(keys), max(keys)
-        return (lo, hi + b"\x00")
-    finally:
-        file.unpin(buf)

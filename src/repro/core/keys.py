@@ -140,9 +140,6 @@ class KeyBounds:
             new_hi = min(hi, self.hi)
         return KeyBounds(new_lo, new_hi)
 
-    def as_range(self) -> tuple[bytes, bytes | None]:
-        return (self.lo, self.hi)
-
 
 #: Bounds of the whole tree.
 FULL_BOUNDS = KeyBounds()

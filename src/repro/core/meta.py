@@ -30,14 +30,12 @@ import struct
 from ..constants import PAGE_CONTROL
 from ..errors import PageCorruptError, PageError
 from ..storage import page as P
-from ..storage.freelist import FreeEntry
 
 _META_STRUCT = struct.Struct("<BBHIIQH")  # kind, flags, height, root, prev, token, codec_len
 _META_OFF = P.HEADER_SIZE
 _CODEC_OFF = _META_OFF + _META_STRUCT.size
 _FREELIST_OFF = _CODEC_OFF + 32  # codec name capped at 32 bytes
 _COUNT = struct.Struct("<H")
-_ENTRY_HEAD = struct.Struct("<IH")
 
 TREE_KINDS = {"none": 0, "normal": 1, "shadow": 2, "reorg": 3, "hybrid": 4}
 TREE_KIND_NAMES = {v: k for k, v in TREE_KINDS.items()}
@@ -129,47 +127,20 @@ class MetaView:
 
     # -- clean-shutdown freelist snapshot (Section 3.3.3) ------------------
 
-    def store_freelist(self, entries: list[FreeEntry]) -> int:
-        """Serialize as many entries as fit; returns how many were kept."""
-        offset = _FREELIST_OFF + _COUNT.size
-        stored = 0
-        for entry in entries:
-            lo, hi = entry.key_range if entry.key_range else (b"", None)
-            hi_blob = b"" if hi is None else hi
-            hi_len = 0xFFFF if hi is None else len(hi_blob)
-            need = _ENTRY_HEAD.size + len(lo) + 2 + len(hi_blob)
-            if offset + need > self.page_size:
-                break
-            _ENTRY_HEAD.pack_into(self.buf, offset, entry.page_no, len(lo))
-            offset += _ENTRY_HEAD.size
-            self.buf[offset: offset + len(lo)] = lo
-            offset += len(lo)
-            struct.pack_into("<H", self.buf, offset, hi_len)
-            offset += 2
-            self.buf[offset: offset + len(hi_blob)] = hi_blob
-            offset += len(hi_blob)
-            stored += 1
-        _COUNT.pack_into(self.buf, _FREELIST_OFF, stored)
-        return stored
+    def store_freelist(self, page_nos: list[int]) -> int:
+        """Serialize as many page numbers as fit; returns how many were
+        kept.  Every listed page is erased on stable storage, so a number
+        is all a reopened allocator needs."""
+        room = (self.page_size - _FREELIST_OFF - _COUNT.size) // 4
+        kept = page_nos[:room]
+        struct.pack_into(f"<H{len(kept)}I", self.buf, _FREELIST_OFF,
+                         len(kept), *kept)
+        return len(kept)
 
-    def load_freelist(self) -> list[FreeEntry]:
+    def load_freelist(self) -> list[int]:
         (count,) = _COUNT.unpack_from(self.buf, _FREELIST_OFF)
-        offset = _FREELIST_OFF + _COUNT.size
-        entries = []
-        for _ in range(count):
-            page_no, lo_len = _ENTRY_HEAD.unpack_from(self.buf, offset)
-            offset += _ENTRY_HEAD.size
-            lo = bytes(self.buf[offset: offset + lo_len])
-            offset += lo_len
-            (hi_len,) = struct.unpack_from("<H", self.buf, offset)
-            offset += 2
-            if hi_len == 0xFFFF:
-                hi = None
-            else:
-                hi = bytes(self.buf[offset: offset + hi_len])
-                offset += hi_len
-            entries.append(FreeEntry(page_no, (lo, hi)))
-        return entries
+        return list(struct.unpack_from(f"<{count}I", self.buf,
+                                       _FREELIST_OFF + _COUNT.size))
 
     def erase_freelist(self) -> None:
         """Zero the stored snapshot (must reach stable storage before any

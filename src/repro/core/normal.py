@@ -53,8 +53,7 @@ class NormalBLinkTree(BLinkTree):
 
         old_right = view.right_peer
         page_type = PAGE_LEAF if view.is_leaf else PAGE_INTERNAL
-        right_no, rbuf, rview = self._alloc(
-            page_type, view.level, key_range=(sep, entry.bounds.hi))
+        right_no, rbuf, rview = self._alloc(page_type, view.level)
         try:
             rview.replace_items(right_blobs)
             rview.left_peer = entry.page_no

@@ -82,7 +82,7 @@ class ReorgBLinkTree(BLinkTree):
                                  entry.bounds)
 
     def _reclaim_or_recover(self, page_no: int, buf: Buffer, view: NodeView,
-                            bounds: KeyBounds) -> None:
+                            bounds: KeyBounds | None) -> None:
         """Resolve a page that still carries backup keys.
 
         Case 1 — token equals the global counter: no sync since the split,
@@ -90,7 +90,8 @@ class ReorgBLinkTree(BLinkTree):
         Case 2 — token within the current incarnation: a sync committed
         both halves; reclaim.
         Case 3 — token predates the last crash: inspect the sibling (and
-        the parent's expectations, carried in *bounds*) to decide between
+        the parent's expectations, carried in *bounds*; ``None`` when the
+        sibling was itself reached through its parent) to decide between
         recovering the sibling, undoing the split, or reclaiming.
         """
         state = self.engine.sync_state
@@ -112,7 +113,8 @@ class ReorgBLinkTree(BLinkTree):
         self._dirty(buf)
 
     def _resolve_stale_backup(self, page_no: int, buf: Buffer,
-                              view: NodeView, bounds: KeyBounds) -> None:
+                              view: NodeView,
+                              bounds: KeyBounds | None) -> None:
         """Decide the fate of a pre-crash backup (cases (a)–(d)).
 
         The parent's expected range tells us whether the split ever made
@@ -135,7 +137,9 @@ class ReorgBLinkTree(BLinkTree):
             self._dirty(buf)
             return
         backup_min = I.item_key(backup_blobs[0], 0)
-        if live_low:
+        if bounds is None:
+            parent_updated = True
+        elif live_low:
             parent_updated = bounds.hi is not None and bounds.hi <= backup_min
         else:
             parent_updated = view.n_keys > 0 and bounds.lo >= view.min_key()
@@ -229,6 +233,30 @@ class ReorgBLinkTree(BLinkTree):
         if rview.prev_n_keys:
             self._resolve_stale_backup(rbuf.page_no, rbuf, rview,
                                        FULL_BOUNDS)
+
+    def _release_backups_naming(self, page_no: int, *peers: int) -> None:
+        """Resolve the backup of any peer whose newPage names *page_no*.
+
+        A backup outlives its split until the page holding it is next
+        updated.  Reclaiming its sibling removes the sibling's parent
+        entry, which widens the holder's bounds over the backup half: a
+        crash then reads as case 3 with the parent not updated, and the
+        pre-split page comes back with every key deleted and synced since.
+        A split of the sibling that puts its new page between the two
+        would hide the holder from this search.  In both cases the
+        sibling was reached through its parent, so the split that made it
+        did reach the parent, and the backup can go.
+        """
+        for peer in peers:
+            if peer == INVALID_PAGE:
+                continue
+            buf = self.file.pin(peer)
+            try:
+                view = NodeView(buf.data, self.page_size)
+                if view.prev_n_keys and view.new_page == page_no:
+                    self._reclaim_or_recover(peer, buf, view, None)
+            finally:
+                self._unpin(buf)
 
     # ------------------------------------------------------------------
     # descent verification and repair (cases (c)/(d)/(e))
@@ -669,16 +697,15 @@ class ReorgBLinkTree(BLinkTree):
         self.splits.inc()
         page_type = PAGE_LEAF if view.is_leaf else PAGE_INTERNAL
         p_no = entry.page_no
-        p_bounds = entry.bounds
         old_left, old_right = view.left_peer, view.right_peer
         old_left_tok = view.left_peer_token
         old_right_tok = view.right_peer_token
+        # Pb goes between P and this neighbour
+        self._release_backups_naming(
+            p_no, old_right if live_is_low else old_left)
 
         # step (1b): Pb is allocated normally
-        pb_range = ((sep, p_bounds.hi) if new_in_high
-                    else (p_bounds.lo, sep))
-        pb_no, pb_buf, pb_view = self._alloc(page_type, view.level,
-                                             key_range=pb_range)
+        pb_no, pb_buf, pb_view = self._alloc(page_type, view.level)
         try:
             # step (2): half the keys to each page
             pb_view.replace_items(pb_blobs)

@@ -273,16 +273,13 @@ class ShadowBLinkTree(BLinkTree):
         self.splits.inc()
         page_type = PAGE_LEAF if view.is_leaf else PAGE_INTERNAL
         p_no = entry.page_no
-        p_bounds = entry.bounds
         # capture before the token restamp below: has a sync made P durable
         # since it was initialized? (split steps 2 vs 3)
         p_durable = self.engine.sync_state.synced_since_init(view.sync_token)
 
-        pa_no, pa_buf, pa_view = self._alloc(
-            page_type, view.level, key_range=(p_bounds.lo, sep))
+        pa_no, pa_buf, pa_view = self._alloc(page_type, view.level)
         try:
-            pb_no, pb_buf, pb_view = self._alloc(
-                page_type, view.level, key_range=(sep, p_bounds.hi))
+            pb_no, pb_buf, pb_view = self._alloc(page_type, view.level)
         except BaseException:
             # Pa is already pinned; a failed Pb allocation (pool
             # exhaustion) must not strand it
@@ -313,8 +310,7 @@ class ShadowBLinkTree(BLinkTree):
             self.engine.sync_state.note_split()
 
             if idx == 0:
-                self._shadow_split_root(entry, pa_no, pb_no, sep, p_bounds,
-                                        p_durable)
+                self._shadow_split_root(entry, pa_no, pb_no, sep, p_durable)
             else:
                 self._shadow_parent_update(path, idx - 1, entry, pa_no,
                                            pb_no, sep, p_durable)
@@ -331,16 +327,12 @@ class ShadowBLinkTree(BLinkTree):
         pview = parent.view
         k1 = parent.slot
         p_no = split_entry.page_no
-        if p_durable:
-            # step (2): P is on stable storage — it becomes the previous
-            # page for both keys and is recycled only after the next sync
-            new_prev = p_no
-            self.file.free_after_sync(p_no, split_entry.bounds.as_range())
-        else:
-            # step (3): P never reached the disk — reuse K1's previous
-            # page and recycle P immediately
-            new_prev = pview.prev_at(k1)
-            self.file.free(p_no, split_entry.bounds.as_range())
+        # step (2): a P on stable storage becomes the previous page for
+        # both keys; step (3): a P that never reached the disk leaves
+        # K1's previous page in place.  Either way P is erased and
+        # recycled only after the next sync.
+        new_prev = p_no if p_durable else pview.prev_at(k1)
+        self.file.free(p_no)
         k2_item = I.pack_internal_item(sep, pb_no, prev=new_prev)
         if self._page_can_fit(parent.node, len(k2_item)):
             # the whole update lands on one page, atomically at sync
@@ -358,7 +350,7 @@ class ShadowBLinkTree(BLinkTree):
                                    fixup=(k1, pa_no, new_prev))
 
     def _shadow_split_root(self, old_root: PathEntry, pa_no: int, pb_no: int,
-                    sep: bytes, bounds: KeyBounds, p_durable: bool) -> None:
+                    sep: bytes, p_durable: bool) -> None:
         """Root split: a new root holds two shadow triples and the meta
         page's root pointer moves (it has its own prev/current pair)."""
         self.root_splits.inc()
@@ -381,6 +373,5 @@ class ShadowBLinkTree(BLinkTree):
             rview.replace_items([left, right])
         finally:
             self._unpin(rbuf)
-        self._set_root(root_no, p_no, old_range=bounds.as_range(),
-                       free_old="shadow", height=new_level + 1,
+        self._set_root(root_no, p_no, free_old="shadow", height=new_level + 1,
                        old_durable=p_durable)

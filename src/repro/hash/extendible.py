@@ -22,8 +22,9 @@ The shadow-paging transfer is direct:
   key's role);
 * a bucket split never touches the old bucket: two fresh pages take its
   items, the directory slots are repointed, and the old bucket becomes
-  the ``prev`` for both (freed after the next sync) or is recycled
-  immediately if it was never durable — split steps (2)/(3) verbatim;
+  the ``prev`` for both if it was durable, or leaves each slot's existing
+  ``prev`` in place if it was not — split steps (2)/(3) verbatim — and is
+  freed either way (erased and recycled after the next sync);
 * detection on first use: a bucket must carry its own (prefix,
   local_depth) stamp consistent with the slot it was reached through;
   a zeroed or mismatched bucket is rebuilt by re-hashing the prev
@@ -159,21 +160,8 @@ class ExtendibleHashIndex:
         finally:
             self.file.unpin(mbuf)
 
-    @staticmethod
-    def _prefix_range(prefix: int, depth: int):
-        """The hash-value span a bucket covers, as a freelist key range.
-
-        The Section 3.3.3 rule transfers directly: a freed bucket must not
-        be reallocated for an overlapping hash-prefix region, or a lost
-        new image would read back as a plausible stale bucket."""
-        lo = (prefix << (HASH_BITS - depth)) if depth else 0
-        hi = ((prefix + 1) << (HASH_BITS - depth)) if depth else (1 << HASH_BITS)
-        lo_bytes = lo.to_bytes(4, "big")
-        hi_bytes = None if hi >= (1 << HASH_BITS) else hi.to_bytes(4, "big")
-        return (lo_bytes, hi_bytes)
-
     def _new_bucket(self, *, depth: int, prefix: int) -> int:
-        page_no = self.file.allocate(self._prefix_range(prefix, depth))
+        page_no = self.file.allocate()
         buf = self.file.pin(page_no)
         try:
             view = NodeView(buf.data, self.page_size)
@@ -569,11 +557,7 @@ class ExtendibleHashIndex:
                 _old_bucket, old_prev = self._dir_read(s)
                 prev = bucket if p_durable else old_prev
                 self._dir_write(s, target, prev)
-        old_range = self._prefix_range(old_prefix, local)
-        if p_durable:
-            self.file.free_after_sync(bucket, old_range)
-        else:
-            self.file.free(bucket, old_range)
+        self.file.free(bucket)
         self.bucket_splits.inc()
         self.engine.sync_state.note_split()
 
@@ -596,9 +580,9 @@ class ExtendibleHashIndex:
             next_page = self._new_directory_page(chunk, depth=new_depth,
                                                  next_page=next_page)
         # split steps (2)/(3) applied to the chain: a durable old chain
-        # becomes the previous directory (recycled after the next sync); a
-        # never-durable one is recycled now and the existing previous
-        # chain is kept as the recovery source
+        # becomes the previous directory; a never-durable one leaves the
+        # existing previous chain as the recovery source.  Either way the
+        # old chain is erased and recycled after the next sync
         rbuf = self.file.pin(root)
         try:
             old_durable = self.engine.sync_state.synced_since_init(
@@ -621,10 +605,7 @@ class ExtendibleHashIndex:
                 nxt = NodeView(buf.data, self.page_size).right_peer
             finally:
                 self.file.unpin(buf)
-            if old_durable:
-                self.file.free_after_sync(page_no)
-            else:
-                self.file.free(page_no)
+            self.file.free(page_no)
             page_no = nxt
         self.directory_doublings.inc()
         self.engine.sync_state.note_split()

@@ -241,14 +241,11 @@ class RTreeIndex:
     def _token(self) -> int:
         return self.engine.sync_state.token()
 
-    #: R-tree pages are freed with this pseudo-range and allocated with
-    #: it too: full-range entries overlap each other, so freed pages are
-    #: never recycled before a GC pass.  No 1-D key-range rule can encode
-    #: 2-D MBR disjointness, so reuse is simply forbidden (DESIGN.md).
-    _NO_REUSE = (b"", None)
-
     def _new_node(self, page_type: int, level: int) -> int:
-        page_no = self.file.allocate(self._NO_REUSE)
+        # a recycled page's stable image is all zeros, so a lost new image
+        # fails _check_child's magic test like a never-written one: no 2-D
+        # reuse rule is needed (DESIGN.md)
+        page_no = self.file.allocate()
         buf = self.file.pin(page_no)
         try:
             _RNode(buf.data, self.page_size).init(page_type, level,
@@ -320,8 +317,8 @@ class RTreeIndex:
             if not promised.contains(actual):
                 # Unlike B-tree key ranges, MBRs are *widened* by inserts,
                 # so a valid child legitimately escapes a parent whose
-                # widening was lost in a crash.  Freed R-tree pages are
-                # never recycled before GC, so a valid page of the right
+                # widening was lost in a crash.  A freed page is erased
+                # before it is recycled, so a valid page of the right
                 # level at this slot IS the child: heal the parent instead
                 # of clobbering the child.
                 started = perf_counter()
@@ -547,11 +544,7 @@ class RTreeIndex:
         parent_page, parent_buf, parent, slot = path[-1]
         _old_mbr, _old_child, old_prev = parent.int_entry(slot)
         new_prev = page_no if p_durable else old_prev
-        full = self._NO_REUSE
-        if p_durable:
-            self.file.free_after_sync(page_no, full)
-        else:
-            self.file.free(page_no, full)
+        self.file.free(page_no)
         if parent.n < parent.capacity():
             # K1 rewrite + K2 append land on one page: atomic at sync
             parent.set_int_entry(slot, mbr_a, pa_no, new_prev)
@@ -600,13 +593,8 @@ class RTreeIndex:
                 self.file.mark_dirty(rbuf)
             finally:
                 self.file.unpin(rbuf)
-            full = self._NO_REUSE
-            if p_durable:
-                prev = old_root
-                self.file.free_after_sync(old_root, full)
-            else:
-                prev = meta.prev_root
-                self.file.free(old_root, full)
+            prev = old_root if p_durable else meta.prev_root
+            self.file.free(old_root)
             meta.set_root(new_root, prev, self._token())
             meta.height = level + 2
             self.file.mark_dirty(mbuf)

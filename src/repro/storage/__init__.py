@@ -18,7 +18,7 @@ from .crash import (
 )
 from .disk import DiskStats, SimulatedDisk
 from .engine import EngineDeadError, StorageEngine
-from .freelist import FreeEntry, Freelist, KeyRange, ranges_overlap
+from .freelist import Freelist
 from .page import (
     HEADER_SIZE,
     LINE_ENTRY_SIZE,
@@ -48,10 +48,8 @@ __all__ = [
     "CrashPolicy",
     "DiskStats",
     "EngineDeadError",
-    "FreeEntry",
     "Freelist",
     "HEADER_SIZE",
-    "KeyRange",
     "LINE_ENTRY_SIZE",
     "NO_CRASH",
     "PageFile",
@@ -68,7 +66,6 @@ __all__ = [
     "is_zeroed",
     "line_offset",
     "new_page",
-    "ranges_overlap",
     "read_header",
     "set_line",
     "structural_check",

@@ -4,55 +4,33 @@ During normal operation, pages freed from an index sit on an **in-memory**
 freelist; because it is volatile it simply vanishes in a crash and the pages
 leak until a garbage-collection pass regenerates the list (POSTGRES already
 owes heap relations a garbage collector, so the paper piggybacks on it —
-see :func:`repro.core.gc.regenerate_freelist`).  When the list is empty a
-new page is always available by extending the file.
+see :func:`repro.core.gc.collect_garbage`).  When the list is empty a new
+page is always available by extending the file.
 
-Two paper-specific subtleties are implemented here:
+One rule covers every page that reaches the allocator: **its stable image
+is all zeros.**
 
-* **Deferred frees.**  A shadow split that replaces an already-durable page
-  ``P`` may not reuse ``P`` until the replacement halves are durable, so
-  ``P`` goes on a *to-be-freed* list drained into the freelist only after
-  the next successful sync.
-* **Key ranges.**  Each freelist entry records the key range the page last
-  held.  The allocator refuses to hand a page back out for an overlapping
-  key range: "if the same page were reallocated for the same key range,
-  there would be no way to tell if the new version of the page were lost in
-  a crash."
-* **Pin checks.**  A page whose buffer some other process still has pinned
-  is skipped by the allocator (Section 3.6's reader-safety rule).
+* **Deferred frees.**  Every free waits for the next *completed* sync: a
+  freed page may still be the durable source a recovery reads (a shadow
+  split's prevPtr target, a previous root) until the sync that makes its
+  replacement durable.  :meth:`Freelist.drain_after_sync` then erases each
+  deferred page on stable storage and only then lists it.
+* **Why zeros.**  The paper refuses to reallocate a page "for the same key
+  range", because "there would be no way to tell if the new version of the
+  page were lost in a crash".  A page whose old image is gone needs no
+  range: a lost new version reads back as zeros, exactly as a lost image of
+  a freshly extended page does, and every detector catches that.
+* **Pin checks.**  A page whose buffer some process still has pinned is
+  neither erased nor handed out (Section 3.6's reader-safety rule); it
+  waits for a later drain, or a later allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import FreelistError
 from ..obs import get_registry
-
-#: A key range is [lo, hi) over raw key bytes; ``None`` hi means +infinity.
-KeyRange = tuple[bytes, bytes | None]
-
-
-def ranges_overlap(a: KeyRange | None, b: KeyRange | None) -> bool:
-    """True if two key ranges intersect.  ``None`` means "no range recorded"
-    and is treated as overlapping nothing."""
-    if a is None or b is None:
-        return False
-    a_lo, a_hi = a
-    b_lo, b_hi = b
-    if (a_hi is not None and a_hi <= a_lo) or \
-            (b_hi is not None and b_hi <= b_lo):
-        return False  # empty range intersects nothing
-    below = a_hi is not None and a_hi <= b_lo
-    above = b_hi is not None and b_hi <= a_lo
-    return not (below or above)
-
-
-@dataclass
-class FreeEntry:
-    page_no: int
-    key_range: KeyRange | None
 
 
 class Freelist:
@@ -63,84 +41,91 @@ class Freelist:
     extend:
         Callback returning a brand-new page number by growing the file.
     pin_count:
-        Callback ``page_no -> int`` reporting how many pins other than the
-        allocator's caller hold the page's buffer; pinned pages are not
-        recycled.
+        Callback ``page_no -> int`` reporting how many pins the page's
+        buffer holds; pinned pages are neither erased nor recycled.
+    erase:
+        Callback ``page_no -> None`` zeroing the page on stable storage and
+        dropping its cached frame; called once per page, by the drain.
     """
 
     def __init__(self, extend: Callable[[], int],
-                 pin_count: Callable[[int], int] | None = None):
+                 pin_count: Callable[[int], int] | None = None,
+                 erase: Callable[[int], None] | None = None):
         self._extend = extend
         self._pin_count = pin_count or (lambda page_no: 0)
-        self._free: list[FreeEntry] = []
-        self._deferred: list[FreeEntry] = []
+        self._erase = erase or (lambda page_no: None)
+        self._free: list[int] = []
+        self._deferred: list[int] = []
+        #: every page on either list, for the double-free check
+        self._listed: set[int] = set()
         reg = get_registry()
         self.extended = reg.counter("freelist.extended")
         self.recycled = reg.counter("freelist.recycled")
 
     # -- allocation ------------------------------------------------------
 
-    def allocate(self, key_range: KeyRange | None = None) -> int:
-        """Allocate a page, avoiding freelist entries whose recorded key
-        range overlaps *key_range* and entries still pinned elsewhere."""
-        for i, entry in enumerate(self._free):
-            if ranges_overlap(entry.key_range, key_range):
-                continue
-            if self._pin_count(entry.page_no) > 0:
+    def allocate(self) -> int:
+        """The most recently erased page no one has pinned, else a new
+        page from the end of the file."""
+        for i in range(len(self._free) - 1, -1, -1):
+            page_no = self._free[i]
+            if self._pin_count(page_no) > 0:
                 continue
             del self._free[i]
+            self._listed.discard(page_no)
             self.recycled.inc()
-            return entry.page_no
+            return page_no
         self.extended.inc()
         return self._extend()
 
     # -- freeing ------------------------------------------------------------
 
-    def free(self, page_no: int, key_range: KeyRange | None = None) -> None:
-        """Immediately recyclable free (shadow split step 3: the freed page
-        never reached stable storage)."""
-        self._check_not_listed(page_no)
-        self._free.append(FreeEntry(page_no, key_range))
-
-    def free_after_sync(self, page_no: int,
-                        key_range: KeyRange | None = None) -> None:
-        """Deferred free: the page is the durable shadow of a split and may
-        be recycled only after the next successful sync."""
-        self._check_not_listed(page_no)
-        self._deferred.append(FreeEntry(page_no, key_range))
-
-    def drain_after_sync(self) -> None:
-        """Called by the engine after every successful sync: deferred pages
-        become allocatable."""
-        self._free.extend(self._deferred)
-        self._deferred.clear()
-
-    def _check_not_listed(self, page_no: int) -> None:
+    def free(self, page_no: int) -> None:
+        """Free a page; it becomes allocatable after the next completed
+        sync has erased it."""
         if page_no == 0:
             raise FreelistError("page 0 (control page) cannot be freed")
-        for entry in self._free:
-            if entry.page_no == page_no:
-                raise FreelistError(f"double free of page {page_no}")
-        for entry in self._deferred:
-            if entry.page_no == page_no:
-                raise FreelistError(f"double (deferred) free of page {page_no}")
+        if page_no in self._listed:
+            raise FreelistError(f"double free of page {page_no}")
+        self._listed.add(page_no)
+        self._deferred.append(page_no)
+
+    def drain_after_sync(self) -> None:
+        """Called by the engine after every completed sync: erase each
+        deferred page no one has pinned and list it; a pinned page waits
+        for a later drain."""
+        waiting = []
+        for page_no in self._deferred:
+            if self._pin_count(page_no) > 0:
+                waiting.append(page_no)
+            else:
+                self._erase(page_no)
+                self._free.append(page_no)
+        self._deferred = waiting
 
     # -- introspection / persistence -------------------------------------------
 
     def __len__(self) -> int:
         return len(self._free)
 
+    def __contains__(self, page_no: int) -> bool:
+        """Whether *page_no* is free: listed, or awaiting a sync."""
+        return page_no in self._listed
+
     @property
     def pending(self) -> int:
-        """Entries awaiting the next sync."""
+        """Pages awaiting a sync (and an erase)."""
         return len(self._deferred)
 
-    def entries(self) -> list[FreeEntry]:
+    def entries(self) -> list[int]:
+        """The allocatable pages, every one erased on stable storage."""
         return list(self._free)
 
-    def load_entries(self, entries: list[FreeEntry]) -> None:
-        """Install entries read from a clean-shutdown record.  The caller is
-        responsible for erasing the durable copy *before* any of these pages
-        is reallocated (Section 3.3.3)."""
-        self._free = list(entries)
+    def load_entries(self, page_nos: list[int]) -> None:
+        """Install pages read from a clean-shutdown record (erased before
+        they were recorded).  The caller is responsible for erasing the
+        durable record *before* any of these pages is reallocated
+        (Section 3.3.3)."""
+        self._free = list(page_nos)
         self._deferred = []
+        self._listed = set(page_nos)

@@ -12,6 +12,10 @@ covers it, so a post-crash reopen (which resumes extension at the durable
 file length) can never hand the same page number out twice.  Dangling
 references to the never-written page read back as zeroes and are caught by
 the inconsistency detectors.
+
+A freed page is erased the same way before it is handed out again (the
+freelist's one rule, :mod:`repro.storage.freelist`): a lost new image of a
+recycled page reads back as zeroes too.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterator
 from ..errors import PageError
 from .buffer_pool import Buffer, BufferPool
 from .disk import SimulatedDisk
-from .freelist import Freelist, KeyRange
+from .freelist import Freelist
 
 
 class PageFile:
@@ -34,23 +38,21 @@ class PageFile:
         self.disk = disk
         self.page_size = disk.page_size
         self.pool = BufferPool(disk, capacity=pool_capacity)
-        self.freelist = Freelist(self._extend, self._foreign_pins)
+        self.freelist = Freelist(self._extend, self._foreign_pins,
+                                 self._erase)
         # page 0 is always reserved; a brand-new file starts extension at 1
         self._next_page = max(disk.n_pages, 1)
-        self._allocating = 0  # page being handed out; see _foreign_pins
 
     # -- allocation --------------------------------------------------------
 
-    def allocate(self, key_range: KeyRange | None = None) -> int:
+    def allocate(self) -> int:
         """Allocate a page number (freelist first, extension as fallback)."""
-        return self.freelist.allocate(key_range)
+        return self.freelist.allocate()
 
-    def free(self, page_no: int, key_range: KeyRange | None = None) -> None:
-        self.freelist.free(page_no, key_range)
-
-    def free_after_sync(self, page_no: int,
-                        key_range: KeyRange | None = None) -> None:
-        self.freelist.free_after_sync(page_no, key_range)
+    def free(self, page_no: int) -> None:
+        """Free a page; it is erased and recycled after the next completed
+        sync."""
+        self.freelist.free(page_no)
 
     def _extend(self) -> int:
         page_no = self._next_page
@@ -58,6 +60,12 @@ class PageFile:
         # durably reserve the slot (see module docstring)
         self.disk.write_page(page_no, bytes(self.page_size))
         return page_no
+
+    def _erase(self, page_no: int) -> None:
+        """Zero a freed page on stable storage with the write extension
+        uses, and drop its frame so no one reads the old image again."""
+        self.disk.write_page(page_no, bytes(self.page_size))
+        self.pool.drop(page_no)
 
     def _foreign_pins(self, page_no: int) -> int:
         """Pins held on *page_no* by anyone at all.  The allocator calls

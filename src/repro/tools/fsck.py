@@ -63,6 +63,8 @@ class FsckReport:
     leaf_bytes: int = 0
     #: bytes those leaves could hold (page minus header)
     leaf_capacity: int = 0
+    #: pages on the freelist, erased and allocatable
+    free_pages: int = 0
     orphans: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     _counters: dict = field(default_factory=dict, repr=False)
@@ -97,7 +99,8 @@ class FsckReport:
             f"pages scanned: {self.pages_scanned}; reachable: "
             f"{len(self.reachable)} ({self.internals} internal, "
             f"{self.leaves} leaf, {self.leaf_fill:.0%} full); keys: "
-            f"{self.keys}; orphans: {len(self.orphans)}",
+            f"{self.keys}; free: {self.free_pages}; orphans: "
+            f"{len(self.orphans)}",
             f"errors: {self.errors}, warnings: {self.warnings}",
         ]
         lines.extend(str(f) for f in self.findings)
@@ -204,11 +207,21 @@ def fsck_tree(tree, *, check_peers: bool = True) -> FsckReport:
     if check_peers and leaves_in_order:
         _check_chain(tree, report, leaves_in_order)
 
+    # the freelist's one rule: every listed page is erased on stable
+    # storage, so a lost new image of it reads back as zeros
+    free = file.freelist.entries()
+    report.free_pages = len(free)
+    for page_no in free:
+        image = file.disk.durable_image(page_no)
+        if image is not None and image.count(0) != len(image):
+            report.add("error", page_no, "page on the freelist is not "
+                       "erased on stable storage (a lost new image would "
+                       "read back as the old page)")
+
     # orphan census
     report.pages_scanned = file.n_pages
-    on_freelist = {e.page_no for e in file.freelist.entries()}
     for page_no in range(1, file.n_pages):
-        if page_no in report.reachable or page_no in on_freelist:
+        if page_no in report.reachable or page_no in file.freelist:
             continue
         buf = file.pin(page_no)
         try:
@@ -310,6 +323,7 @@ class EngineFsckReport:
                     "warnings": r.warnings,
                     "keys": r.keys,
                     "file_pages": r.pages_scanned,
+                    "free_pages": r.free_pages,
                     "leaf_fill": round(r.leaf_fill, 4),
                     "orphans": len(r.orphans),
                     "findings": [str(f) for f in r.findings],

@@ -200,6 +200,20 @@ def test_freeing_the_live_root_is_caught():
             tree.file.free(root)
 
 
+def test_recycling_a_page_that_was_not_erased_is_caught():
+    """The freelist's one rule at runtime: a page is handed out only with
+    an all-zero stable image, or a lost new version would read back as
+    the old page."""
+    with sanitized():
+        engine, tree = make_tree()
+        free = tree.file.freelist.entries()
+        assert free, "shadow splits free a page each"
+        # the fault: an image lands on a listed page behind the drain
+        tree.file.disk.write_page(free[-1], b"\x01" * PAGE)
+        with pytest.raises(SanitizerError, match="non-zero stable image"):
+            tree.file.allocate()
+
+
 def test_normal_frees_pass():
     with sanitized():
         engine, tree = make_tree()

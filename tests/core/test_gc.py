@@ -80,13 +80,41 @@ def test_gc_after_crash_recovers_leaked_pages(recoverable_kind):
     assert leaked_total > 0  # crashes really do leak, GC really recovers
 
 
-def test_gc_records_key_ranges_for_shadow_reuse(engine):
-    tree = TREE_CLASSES["shadow"].create(engine, "ix")
-    fill_tree(tree, range(400), sync_every=400)
-    collect_garbage(tree)
-    entries = tree.file.freelist.entries()
-    assert entries, "expected some collected pages"
-    assert any(e.key_range is not None for e in entries)
+def test_gc_frees_are_erased_before_reuse(recoverable_kind):
+    """Collected pages follow the one reuse rule: they wait for the next
+    sync, which erases them on stable storage, and only then are listed.
+    A leaked pre-split image is exactly what a recycled page must not
+    read back as."""
+    cls = TREE_CLASSES[recoverable_kind]
+    engine = StorageEngine.create(page_size=512, seed=3)
+    tree = cls.create(engine, "ix")
+    fill_tree(tree, range(300), sync_every=50)
+    for key in range(300, 400):
+        tree.insert(key, tid_for(key))
+    with pytest.raises(CrashError):
+        # split halves persist without the parents naming them
+        engine.sync(RandomSubsetCrash(p=0.5, seed=4))
+    engine2 = StorageEngine.reopen_after_crash(engine)
+    tree2 = cls.open(engine2, "ix")
+    report = collect_garbage(tree2)
+    assert report.leaked > 0
+    file = tree2.file
+    assert len(file.freelist) == 0
+    assert file.freelist.pending == report.leaked
+    stale = [p for p in report.freed
+             if any(file.disk.durable_image(p) or b"")]
+    assert stale, "expected leaked pages with their old images"
+    engine2.sync()
+    assert sorted(file.freelist.entries()) == sorted(report.freed)
+    assert all(file.disk.durable_image(p) == bytes(512)
+               for p in report.freed)
+    for key in range(1000, 1100):
+        tree2.insert(key, tid_for(key))
+    engine2.sync()
+    assert file.freelist.recycled.value > 0
+    keys = {int.from_bytes(k, "big") for k, _ in
+            tree2.check(strict_tokens=False, require_peer_chain=False)}
+    assert set(range(300)) | set(range(1000, 1100)) <= keys
 
 
 def test_gc_without_sync_first(tree):

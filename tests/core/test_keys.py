@@ -114,7 +114,3 @@ def test_child_bounds_infinite_hi():
     parent = KeyBounds(b"\x10", None)
     assert parent.child(b"\x15", None) == KeyBounds(b"\x15", None)
     assert parent.child(b"\x15", b"\x20") == KeyBounds(b"\x15", b"\x20")
-
-
-def test_as_range():
-    assert KeyBounds(b"a", b"b").as_range() == (b"a", b"b")

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.meta import MetaView
 from repro.errors import PageCorruptError
-from repro.storage.freelist import FreeEntry
 
 PAGE = 512
 
@@ -55,31 +54,23 @@ def test_check_rejects_non_meta_page():
 
 
 def test_freelist_snapshot_roundtrip():
+    """The snapshot holds page numbers only: every listed page is erased,
+    so no key range need survive a restart."""
     meta = fresh_meta()
-    entries = [
-        FreeEntry(3, (b"\x01", b"\x02")),
-        FreeEntry(4, (b"", None)),          # unbounded range
-        FreeEntry(5, (b"abc", b"abd")),
-    ]
-    assert meta.store_freelist(entries) == 3
-    loaded = meta.load_freelist()
-    assert [e.page_no for e in loaded] == [3, 4, 5]
-    assert loaded[0].key_range == (b"\x01", b"\x02")
-    assert loaded[1].key_range == (b"", None)
-    assert loaded[2].key_range == (b"abc", b"abd")
+    assert meta.store_freelist([3, 4, 5]) == 3
+    assert meta.load_freelist() == [3, 4, 5]
 
 
 def test_freelist_snapshot_truncates_to_page_capacity():
     meta = fresh_meta()
-    entries = [FreeEntry(i, (bytes(40), bytes(40) + b"\x01"))
-               for i in range(1, 100)]
-    stored = meta.store_freelist(entries)
-    assert 0 < stored < 99
-    assert len(meta.load_freelist()) == stored
+    page_nos = list(range(1, 5000))
+    stored = meta.store_freelist(page_nos)
+    assert 0 < stored < len(page_nos)
+    assert meta.load_freelist() == page_nos[:stored]
 
 
 def test_erase_freelist():
     meta = fresh_meta()
-    meta.store_freelist([FreeEntry(3, None)])
+    meta.store_freelist([3])
     meta.erase_freelist()
     assert meta.load_freelist() == []

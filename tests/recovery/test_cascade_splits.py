@@ -66,7 +66,7 @@ def test_retired_pages_never_modified_after_retirement(kind):
     live recovery source), its item content must never change again —
     "the keys on P are neither modified nor overwritten"."""
     engine, tree, committed = build_cascade(kind)
-    deferred = [e.page_no for e in tree.file.freelist._deferred]
+    deferred = list(tree.file.freelist._deferred)
     assert deferred, "cascade should retire at least one page"
 
     def item_region(page_no):

@@ -18,9 +18,12 @@ and the repair log must show the matching action.
 
 import pytest
 
+from repro import StorageEngine, TREE_CLASSES
 from repro.core.detect import Action, Kind
+from repro.core.nodeview import NodeView
 
-from .helpers import build_to_split, crash_keeping, verify_recovered
+from .helpers import build_to_split, crash_keeping, tid_for, \
+    verify_recovered
 
 KIND = "reorg"
 
@@ -140,3 +143,91 @@ def test_repeated_crashes_across_epochs():
     crash_keeping(engine2, tree2, "ix",
                   [p for p in (split2["parent"],) if p])
     verify_recovered(KIND, engine2, committed)
+
+
+def _view(tree, page_no):
+    """A private copy of a page's bytes, for inspection."""
+    buf = tree.file.pin(page_no)
+    try:
+        return NodeView(bytearray(buf.data), tree.page_size)
+    finally:
+        tree.file.unpin(buf)
+
+
+def _leaf_keys(tree, page_no):
+    buf = tree.file.pin(page_no)
+    try:
+        view = NodeView(buf.data, tree.page_size)
+        return [int.from_bytes(view.key_at(i), "big")
+                for i in range(view.n_keys)]
+    finally:
+        tree.file.unpin(buf)
+
+
+def test_reclaimed_sibling_does_not_revive_its_deletes():
+    """Pa's backup outlives the split until Pa is next updated.  Deleting
+    every key on Pb reclaims Pb, whose parent entry goes, which widens
+    Pa's bounds over the backup half: a later crash used to read that as
+    case 3 with the parent not updated and restore the pre-split page,
+    bringing back keys whose deletes were committed."""
+    engine, tree, committed, uncommitted, split = build_to_split(KIND,
+                                                                 seed=1)
+    engine.sync()
+    pb_keys = _leaf_keys(tree, split["pb"])
+    for key in pb_keys:
+        tree.delete(key)
+    engine.sync()
+    tree.delete(1)
+    crash_keeping(engine, tree, "ix", [])
+
+    engine2 = StorageEngine.reopen_after_crash(engine)
+    tree2 = TREE_CLASSES[KIND].open(engine2, "ix")
+    assert [k for k in pb_keys if tree2.lookup(k) is not None] == []
+    assert not any(r.kind is Kind.RESTORED_ORIGINAL
+                   for r in tree2.repair_log)
+    expected = (committed | uncommitted) - set(pb_keys)
+    assert {v for v, _ in tree2.range_scan()} == expected
+
+
+def test_sibling_split_between_resolves_the_backup_naming_it():
+    """A split of Pb whose triggering key lands in Pb's low half puts its
+    new page between Pa and Pb, so a later reclaim of Pb could not find
+    Pa among Pb's peers: the split resolves Pa's backup first.  Without
+    that, Pb's page is erased and recycled while Pa's backup still names
+    it, and a crash that loses the recycled image has case 3 regenerate
+    Pa's backup half over it."""
+    engine, tree, committed, uncommitted, split = build_to_split(KIND,
+                                                                 seed=1)
+    engine.sync()
+    pa, pb = split["pa"], split["pb"]
+    pb_keys = _leaf_keys(tree, pb)
+    low = pb_keys[:3]
+    for key in low:
+        tree.delete(key)
+    engine.sync()
+    item_size = len(_view(tree, pb).items()[0])
+    key = max(committed | uncommitted) + 1
+    while tree._page_can_fit(_view(tree, pb), item_size):
+        tree.insert(key, tid_for(key))
+        key += 1
+    splits = tree.splits.value
+    tree.insert(low[0], tid_for(low[0]))
+    assert tree.splits.value == splits + 1
+    assert _view(tree, pa).prev_n_keys == 0
+
+    live = (committed | uncommitted | set(range(max(pb_keys) + 1, key))
+            | {low[0]}) - set(low[1:])
+    for k in _leaf_keys(tree, pb):
+        tree.delete(k)
+        live.discard(k)
+    engine.sync()                     # Pb reclaimed, erased, listed
+    splits = tree.splits.value
+    while tree.splits.value == splits:
+        tree.insert(key, tid_for(key))
+        key += 1
+    crash_keeping(engine, tree, "ix", [])
+
+    engine2 = StorageEngine.reopen_after_crash(engine)
+    tree2 = TREE_CLASSES[KIND].open(engine2, "ix")
+    assert all(tree2.lookup(k) is not None for k in live)
+    assert [v for v, _ in tree2.range_scan()] == sorted(live)

@@ -1,9 +1,10 @@
-"""Freelist: deferred frees, key-range reuse rule, pin protection."""
+"""Freelist: every free waits for a completed sync, is erased there, and
+only then is recycled; pinned pages wait (Section 3.3.3 / 3.6)."""
 
 import pytest
 
 from repro.errors import FreelistError
-from repro.storage import FreeEntry, Freelist, ranges_overlap
+from repro.storage import Freelist
 
 
 class Extender:
@@ -15,24 +16,10 @@ class Extender:
         return self.next - 1
 
 
-def make(pins=None):
-    pins = pins or {}
-    return Freelist(Extender(), lambda p: pins.get(p, 0))
-
-
-# -- ranges_overlap ---------------------------------------------------------
-
-@pytest.mark.parametrize("a,b,expect", [
-    ((b"a", b"c"), (b"b", b"d"), True),
-    ((b"a", b"b"), (b"b", b"c"), False),     # half-open: [a,b) vs [b,c)
-    ((b"a", None), (b"z", None), True),      # both unbounded above
-    ((b"a", b"b"), (b"c", None), False),
-    (None, (b"a", b"b"), False),             # no recorded range
-    ((b"a", b"b"), None, False),
-    ((b"m", b"m"), (b"a", b"z"), False),     # empty range
-])
-def test_ranges_overlap(a, b, expect):
-    assert ranges_overlap(a, b) is expect
+def make(pins=None, erased=None):
+    pins = {} if pins is None else pins
+    erased = [] if erased is None else erased
+    return Freelist(Extender(), lambda p: pins.get(p, 0), erased.append)
 
 
 # -- allocation -----------------------------------------------------------
@@ -44,41 +31,53 @@ def test_allocate_extends_when_empty():
     assert fl.extended.value == 2
 
 
-def test_free_then_allocate_recycles():
+def test_free_recycles_only_after_a_drain():
     fl = make()
     fl.free(5)
+    assert fl.allocate() == 10      # not yet: no sync has completed
+    fl.drain_after_sync()
     assert fl.allocate() == 5
     assert fl.recycled.value == 1
 
 
-def test_overlapping_range_not_recycled():
-    """Section 3.3.3: a page must not be reallocated for a key range
-    overlapping the one it held, or a lost new image would be
-    undetectable."""
-    fl = make()
-    fl.free(5, (b"\x10", b"\x20"))
-    # overlapping request: skip page 5, extend instead
-    assert fl.allocate((b"\x18", b"\x30")) == 10
-    # disjoint request: page 5 is fine
-    assert fl.allocate((b"\x30", b"\x40")) == 5
-
-
-def test_pinned_page_not_recycled():
-    pins = {5: 1}
-    fl = Freelist(Extender(), lambda p: pins.get(p, 0))
+def test_drain_erases_each_page_before_listing_it():
+    """The one reuse rule: a page reaches the allocator only erased, so a
+    lost new image reads back as zeros whatever range the page held."""
+    erased = []
+    fl = make(erased=erased)
     fl.free(5)
-    assert fl.allocate() == 10      # skipped while pinned
+    fl.free(6)
+    assert erased == [] and len(fl) == 0
+    fl.drain_after_sync()
+    assert erased == [5, 6]
+    assert sorted(fl.entries()) == [5, 6]
+    assert {fl.allocate(), fl.allocate()} == {5, 6}
+    fl.drain_after_sync()
+    assert erased == [5, 6]         # each page is erased once
+
+
+def test_pinned_page_stays_deferred_until_a_later_drain():
+    pins = {5: 1}
+    erased = []
+    fl = make(pins, erased)
+    fl.free(5)
+    fl.drain_after_sync()
+    assert erased == [] and fl.pending == 1
+    assert fl.allocate() == 10
     pins[5] = 0
+    fl.drain_after_sync()
+    assert erased == [5] and fl.pending == 0
     assert fl.allocate() == 5
 
 
-def test_deferred_free_requires_sync():
-    fl = make()
-    fl.free_after_sync(5, (b"a", b"b"))
-    assert fl.pending == 1
-    assert fl.allocate() == 10      # not yet available
+def test_allocation_skips_a_listed_page_pinned_since():
+    pins = {}
+    fl = make(pins)
+    fl.free(5)
     fl.drain_after_sync()
-    assert fl.pending == 0
+    pins[5] = 1                     # a reader followed a stale pointer
+    assert fl.allocate() == 10
+    pins[5] = 0
     assert fl.allocate() == 5
 
 
@@ -87,8 +86,11 @@ def test_double_free_detected():
     fl.free(5)
     with pytest.raises(FreelistError):
         fl.free(5)
+    fl.drain_after_sync()
     with pytest.raises(FreelistError):
-        fl.free_after_sync(5)
+        fl.free(5)
+    assert fl.allocate() == 5
+    fl.free(5)                      # reallocated, so free again
 
 
 def test_page_zero_never_freeable():
@@ -97,18 +99,23 @@ def test_page_zero_never_freeable():
         fl.free(0)
 
 
-def test_entries_roundtrip_through_load():
+def test_contains_covers_both_lists():
     fl = make()
-    fl.free(3, (b"a", b"b"))
-    fl.free(4, None)
-    entries = fl.entries()
+    fl.free(5)
+    fl.free(6)
+    fl.drain_after_sync()
+    fl.free(7)
+    assert 5 in fl and 6 in fl and 7 in fl and 8 not in fl
+    assert len(fl) == 2 and fl.pending == 1
+
+
+def test_page_numbers_roundtrip_through_load():
+    fl = make()
+    fl.free(3)
+    fl.free(4)
+    fl.drain_after_sync()
     fl2 = make()
-    fl2.load_entries(entries)
-    assert len(fl2) == 2
-    assert fl2.allocate((b"c", b"d")) in (3, 4)
-
-
-def test_free_entry_dataclass():
-    entry = FreeEntry(7, (b"a", None))
-    assert entry.page_no == 7
-    assert entry.key_range == (b"a", None)
+    fl2.load_entries(fl.entries())
+    assert len(fl2) == 2 and 3 in fl2 and 4 in fl2
+    assert {fl2.allocate(), fl2.allocate()} == {3, 4}
+    assert fl2.allocate() == 10

@@ -33,29 +33,51 @@ def test_extension_reserves_slot_durably():
     assert file.disk.durable_image(page) == bytes(256)
 
 
-def test_allocate_prefers_freelist():
+def written_page(file, fill=0x42):
+    """Allocate a page and give it a non-zero stable image."""
+    page_no = file.allocate()
+    file.disk.write_page(page_no, bytes([fill]) * file.page_size)
+    return page_no
+
+
+def test_freed_page_is_erased_on_stable_storage_before_reuse():
     file = make_file()
-    a = file.allocate()
+    a = written_page(file)
     file.free(a)
-    assert file.allocate() == a
-
-
-def test_deferred_free_needs_drain():
-    file = make_file()
-    a = file.allocate()
-    file.free_after_sync(a)
-    assert file.allocate() != a
+    assert file.allocate() != a             # no sync yet
     file.freelist.drain_after_sync()
+    assert file.disk.durable_image(a) == bytes(file.page_size)
     assert file.allocate() == a
 
 
-def test_pinned_page_not_recycled():
+def test_erase_drops_the_cached_frame():
     file = make_file()
-    a = file.allocate()
+    a = written_page(file)
+    buf = file.pin(a)
+    assert buf.data[0] == 0x42
+    file.unpin(buf)
+    file.free(a)
+    file.freelist.drain_after_sync()
+    assert a not in file.pool.cached_pages()
+    assert file.allocate() == a
+    buf = file.pin(a)
+    try:
+        assert bytes(buf.data) == bytes(file.page_size)
+    finally:
+        file.unpin(buf)
+
+
+def test_pinned_page_is_neither_erased_nor_recycled():
+    file = make_file()
+    a = written_page(file)
     buf = file.pin(a)
     file.free(a)
-    assert file.allocate() != a     # skipped while pinned
+    file.freelist.drain_after_sync()
+    assert file.disk.durable_image(a)[0] == 0x42   # still readable
+    assert file.allocate() != a
     file.unpin(buf)
+    file.freelist.drain_after_sync()
+    assert file.disk.durable_image(a) == bytes(file.page_size)
     assert file.allocate() == a
 
 

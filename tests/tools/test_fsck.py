@@ -43,6 +43,25 @@ def test_leaf_fill_and_file_pages(tree):
         tree.engine, "empty", codec="uint32")).leaf_fill == 0
 
 
+def test_free_pages_reported_and_checked_erased(tree):
+    """fsck counts the freelist and holds it to the one reuse rule: a
+    listed page whose stable image is not zero is an error."""
+    fill_tree(tree, range(300))
+    for key in range(50, 250):
+        tree.delete(key)
+    tree.engine.sync()
+    report = fsck_tree(tree)
+    free = tree.file.freelist.entries()
+    assert report.free_pages == len(free) > 0
+    assert report.errors == 0
+    stale = free[0]
+    tree.file.disk.write_page(stale, b"\x01" * tree.page_size)
+    report = fsck_tree(tree)
+    assert report.errors == 1
+    assert [f.page_no for f in report.findings
+            if f.severity == "error"] == [stale]
+
+
 def test_empty_tree(tree):
     report = fsck_tree(tree)
     assert report.errors == 0

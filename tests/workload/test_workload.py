@@ -44,7 +44,7 @@ def test_uniform_lookups_in_range():
 
 def test_skewed_respects_hotset():
     keys = skewed(400, hot_fraction=0.1, hot_probability=0.9,
-                  key_range=10_000, seed=1)
+                  key_space=10_000, seed=1)
     assert len(set(keys)) == 400
     hot = sum(1 for k in keys if k < 1000)
     assert hot > 200   # well over half land in the hot tenth
