@@ -1009,10 +1009,12 @@ class BLinkTree:
         This is the scan as recovery needs it — a leaf at a time.  Every
         link goes through :meth:`_next_leaf`, so the Section 3.5.1 token
         check runs and a broken link is healed exactly as under a scan,
-        but a leaf costs one bulk key decode (left on its frame for the
-        validator) instead of a decode, a TID and a generator resume per
-        key.  The count follows the scan's overlap rule: a leaf
-        contributes the keys strictly after the last one counted."""
+        but a leaf is counted off its bytes — the header's ``n_keys`` and
+        its two end keys — with no key list decoded, so the validator's
+        decode is the sweep's only one.  The count follows the scan's
+        overlap rule: a leaf contributes the keys strictly after the last
+        one counted, which only Figure 3's stale dual path makes fewer
+        than all of them; a byte search finds where they start."""
         path = self._descend(MIN_KEY)
         if not path:
             return 0
@@ -1023,11 +1025,19 @@ class BLinkTree:
         last_key = None
         try:
             while True:
-                keys = node_of(buf).all_keys()
-                if keys and (last_key is None or keys[-1] > last_key):
-                    seen += len(keys) - (0 if last_key is None
-                                         else bisect_right(keys, last_key))
-                    last_key = keys[-1]
+                node = node_of(buf)
+                n = node.n_keys
+                if n:
+                    if not node.keys_decodable():
+                        # raises what reading this page's keys always did
+                        node.all_keys()
+                    high = node.max_key()
+                    if last_key is None or high > last_key:
+                        if last_key is not None \
+                                and node.min_key() <= last_key:
+                            n -= node.lower_bound(last_key + b"\x00")
+                        seen += n
+                        last_key = high
                 nxt = self._next_leaf(page_no, buf)
                 if nxt is None:
                     return seen
@@ -1469,7 +1479,8 @@ class BLinkTree:
           names fires :meth:`_check_child` on every reachable child slot
           (one unit per separator, O(height) pages each);
         * :meth:`walk_leaf_chain` then fires the peer-link check of
-          Section 3.5.1 on every leaf link (one key decode per leaf).
+          Section 3.5.1 on every leaf link (no key decode: a leaf is
+          counted off its bytes).
 
         Repairs can restructure the tree, so passes repeat until one adds
         no repair report.  Nothing here costs a Python step per key.

@@ -76,6 +76,8 @@ _BACKUP_BLOCKS_DELETE = (
 _U16 = struct.Struct("<H").unpack_from
 _PUT16 = struct.Struct("<H").pack_into
 _TIDS = struct.Struct("<IH")
+#: every byte value in order: ``_BYTE_VALUES[:k]`` is the bytes below ``k``
+_BYTE_VALUES = bytes(range(256))
 #: The header fields a line-table mutation reads, in one unpack:
 #: ``n_keys``, ``prev_n_keys``, ``lower``, ``upper``, ``backup_count``.
 _WRITER_FIELDS = struct.Struct("<6xHH38xHHH").unpack_from
@@ -959,6 +961,28 @@ class DecodedNode:
             return None
         self.keys = keys
         return keys
+
+    def keys_decodable(self) -> bool:
+        """Whether a bulk decode of this page's keys would succeed, told
+        from its line table without building a key or an offset: every
+        entry must leave room for the 2-byte key length, ``offset <=
+        len(page) - 2``."""
+        if self.keys is not None:
+            return True
+        n, data = self.n_keys, self.data
+        table = data[P.HEADER_SIZE: P.HEADER_SIZE + 2 * n]
+        if len(table) < 2 * n:
+            return False
+        limit = len(data) - 2
+        if limit & 0xFF != 0xFE:
+            return max(struct.unpack("<%dH" % n, table), default=0) <= limit
+        # a whole number of 256-byte blocks, so two C-level byte tests:
+        # no entry's high byte past the last block's, and no entry the one
+        # offset of that block past ``limit`` (low byte 0xFF).  No high
+        # byte is 0xFF, so that pair can only match a whole entry.
+        top = limit >> 8
+        return (not table[1::2].translate(None, _BYTE_VALUES[:top + 1])
+                and bytes((0xFF, top)) not in table)
 
     def all_keys(self) -> list[bytes]:
         """Every live key in line-table order (whole-page readers)."""

@@ -1,4 +1,4 @@
-"""repro.shard — sharded engine groups with parallel crash recovery.
+"""repro.shard — sharded engine groups with per-shard crash recovery.
 
 The paper recovers one index by reopening its storage and repairing
 lazily on first use.  This package scales that story out: a
@@ -8,9 +8,10 @@ instances (own disks, buffer pool, freelist, sync-token domain), a
 :class:`ShardWorkerPool` runs batched operations with one owner thread
 per shard, a :class:`GroupSyncScheduler` syncs shards by dirty-frame
 pressure and group barriers, and a :class:`RecoveryOrchestrator`
-reopens crashed shards concurrently — because no state or token
-arithmetic crosses a shard boundary, the per-shard repairs are
-embarrassingly parallel.
+reopens crashed shards independently — because no state or token
+arithmetic crosses a shard boundary, the per-shard repairs need no
+cross-shard ordering, and overlap on a thread pool whenever a device
+wait gives them something to overlap.
 """
 
 from .engine import ShardedEngine, ShardedTree

@@ -77,7 +77,7 @@ class ShardedEngine:
     def reopen(cls, group: "ShardedEngine") -> "ShardedEngine":
         """Serial clean-restart of every shard (shutdown + reopen).  Crash
         recovery goes through the orchestrator instead — it reopens dead
-        shards concurrently and drives their repairs."""
+        shards and drives their repairs."""
         return cls([StorageEngine.reopen(shard) for shard in group.shards])
 
     # -- shape -------------------------------------------------------------

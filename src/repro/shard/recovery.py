@@ -1,10 +1,9 @@
-"""Parallel crash recovery for a shard group.
+"""Crash recovery for a shard group.
 
 The paper's restart story is "reopen, then repair lazily on first use".
-For a group, that story parallelizes perfectly: each shard's repairs
-depend only on its own durable state and its own sync tokens, so the
-orchestrator runs one **stage function** per dead shard, concurrently in
-a thread pool:
+For a group, that story splits per shard: each shard's repairs depend
+only on its own durable state and its own sync tokens, so the
+orchestrator runs one **stage function** per dead shard:
 
 1. ``StorageEngine.reopen`` over the shard's durable state (a crashed
    shard re-seeds its counter; a cleanly stopped one keeps it), then the
@@ -30,6 +29,14 @@ admit   ``HealQueue``, later    before any repair     the heal's last sync
 log     sweep, then log redo    after replay          replay's last sync
 ======  ======================  ====================  =====================
 
+The stages run one after another on the calling thread unless two or
+more shards are dead and a stage would sleep on the simulated device: a
+page read or write on any row, the sync barrier on the sweep row (the
+only row whose stage syncs).  Only such a wait releases the GIL, so only
+then does a thread pool, one worker per dead shard, overlap anything;
+for stages that are pure CPU it would add its spawn and join and nothing
+else.
+
 Step 2 is the stop-the-world sweep — and the paper's whole point is that
 it is optional.  With ``admit_immediately=True`` the shard rejoins the
 group *cold* (time-to-first-query is the reopen cost, independent of
@@ -45,12 +52,12 @@ threads, the sync-token redo test eliding records a completed sync
 already covered.
 
 A shard that fails during its own recovery — crashing again, a refused
-open, a raising hook — is isolated: its report carries the error, the
-orchestrator's pool finishes every sibling, and the returned group keeps
-a dead engine for it so a later pass can retry.  Per-shard sweep latency
-lands in the ``shard.recovery.*`` metrics (the ``python -m
-repro.tools.stats --shards N`` view) and each shard's outcome emits a
-``shard_recovery`` trace event.
+open, a raising hook — is isolated: its report carries the error, every
+sibling's stage still runs, and the returned group keeps a dead engine
+for it so a later pass can retry.  Per-shard sweep latency lands in the
+``shard.recovery.*`` metrics (the ``python -m repro.tools.stats
+--shards N`` view) and each shard's outcome emits a ``shard_recovery``
+trace event, which says how many threads its pass ran on.
 """
 
 from __future__ import annotations
@@ -92,6 +99,14 @@ _ADMIT = _Stage("admit", sweep=False, sync=False)
 _LOG = _Stage("log", sweep=True, sync=False)
 
 
+def _waits_on_device(engine: StorageEngine, stage: _Stage) -> bool:
+    """Whether *stage* over *engine* sleeps on the simulated device — the
+    only wait that releases the GIL for a sibling shard's stage: a page
+    read or write on any row, the sync barrier where the stage syncs."""
+    return bool(engine.read_latency or engine.write_latency
+                or (stage.sync and engine.sync_latency))
+
+
 @dataclass
 class ShardRecoveryReport:
     """What recovering one shard cost, and whether it survived."""
@@ -117,6 +132,7 @@ class GroupRecoveryReport:
 
     shards: list[ShardRecoveryReport]
     wall_seconds: float = 0.0
+    #: threads the stages ran on: 1 when they ran on the calling thread
     max_workers: int = 1
     #: background heal state when the pass ran with ``admit_immediately``
     #: (repairs still pending); None for stop-the-world passes.  Serve
@@ -142,23 +158,22 @@ class GroupRecoveryReport:
 
     @property
     def time_to_first_query(self) -> float:
-        """When the group could first serve: the whole pass for a
-        stop-the-world sweep, the slowest shard's cold reopen for an
-        admit pass (siblings reopen concurrently)."""
-        if self.heal is None:
-            return self.wall_seconds
-        return max((r.restart_seconds for r in self.shards), default=0.0)
+        """When the group could first serve: every row returns at its
+        admission point, so this is the pass's wall time — the whole
+        sweep on a stop-the-world pass, every crashed shard's cold reopen
+        on an admit pass (their sum when they ran one after another)."""
+        return self.wall_seconds
 
 
 class RecoveryOrchestrator:
-    """Reopens dead shards concurrently and drives per-shard repairs.
+    """Reopens dead shards and drives per-shard repairs.
 
     Parameters
     ----------
     max_workers:
-        Thread-pool width; ``1`` degenerates to serial recovery (the
-        baseline the scaling bench compares against), ``None`` uses one
-        worker per shard.
+        The widest thread pool a pass may use when its stages wait on a
+        device (module docstring); ``None`` allows one worker per dead
+        shard, ``1`` runs every stage on the calling thread.
     on_reopen:
         Optional ``(shard_index, engine) -> None`` hook called right
         after a shard's engine is reopened, before any repair work — the
@@ -230,7 +245,6 @@ class RecoveryOrchestrator:
         whose accesses feed the heal priorities.
         """
         stage = self._stage
-        workers = self.max_workers or max(len(group), 1)
         started = perf_counter()
         engines: list[StorageEngine] = list(group.shards)
         reports = [ShardRecoveryReport(shard=i, ok=True, mode=stage.mode)
@@ -238,14 +252,9 @@ class RecoveryOrchestrator:
         reopened: dict[int, object] = {}
 
         targets = [i for i, e in enumerate(group.shards) if e.dead]
-        futures: dict[int, Future] = {}
-        if len(targets) == 1:
-            # nothing to overlap: spawning and joining a pool for one
-            # shard costs more than the admit row's whole reopen
-            only = targets[0]
-            futures[only] = _run_inline(self._recover_shard, only,
-                                        group.shard(only), name)
-        elif targets:
+        workers = min(self.max_workers or len(targets), len(targets))
+        if workers > 1 and any(_waits_on_device(group.shard(i), stage)
+                               for i in targets):
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="shard-rec") as pool:
                 futures = {
@@ -253,6 +262,14 @@ class RecoveryOrchestrator:
                                    name)
                     for i in targets
                 }
+        else:
+            # nothing to overlap: under the GIL a pool would add only its
+            # spawn and join to stages that never wait on a device
+            workers = 1
+            futures = {
+                i: _run_inline(self._recover_shard, i, group.shard(i), name)
+                for i in targets
+            }
         for i, future in futures.items():
             engines[i], reports[i], reopened[i] = future.result()
 
@@ -264,13 +281,13 @@ class RecoveryOrchestrator:
                 _serving_tree(out_group, name, reopened), recovered,
                 reports, group)
         for i in targets:
-            self._publish(reports[i])
-        out.wall_seconds = perf_counter() - started
+            self._publish(reports[i], workers)
         if stage is _ADMIT:
             serving = _serving_tree(out_group, name, reopened)
             if serving is not None:
                 out.heal = HealQueue(out_group, serving, recovered,
                                      admitted_at=started)
+        out.wall_seconds = perf_counter() - started
         return out_group, out
 
     # -- one shard ---------------------------------------------------------
@@ -369,10 +386,10 @@ class RecoveryOrchestrator:
                 replay_seconds=sum(p.seconds for p in parts))
         return redo
 
-    def _publish(self, report: ShardRecoveryReport) -> None:
+    def _publish(self, report: ShardRecoveryReport, threads: int) -> None:
         (self._m_recovered if report.ok else self._m_failed).inc()
         get_trace().emit("shard_recovery", shard=report.shard,
-                         ok=report.ok,
+                         ok=report.ok, threads=threads,
                          duration=report.restart_seconds
                          + report.drive_seconds + report.replay_seconds,
                          verify_seconds=report.verify_seconds,
@@ -445,9 +462,10 @@ def recover_group(group: ShardedEngine, name: str, *,
                   wal=None, wal_mode: str = "parallel-logical",
                   wal_subparts: int = 1) \
         -> tuple[ShardedEngine, GroupRecoveryReport]:
-    """Convenience wrapper: parallel (or serial-baseline) recovery of a
-    crashed group in one call.  ``admit_immediately=True`` returns the
-    group serving cold with ``report.heal`` still draining repairs.
+    """Convenience wrapper: recovery of a crashed group in one call
+    (``parallel=False`` keeps every stage on the calling thread).
+    ``admit_immediately=True`` returns the group serving cold with
+    ``report.heal`` still draining repairs.
     Passing ``wal`` (the group's :class:`~repro.wal.log.StableLog`)
     switches to log-based recovery: sweep, then redo the committed tail
     (``report.redo`` carries the partition stats)."""

@@ -119,7 +119,7 @@ def run_sharded_demo_workload(kind: str, *, n_shards: int = 4,
                               keys: int = 192, page_size: int = 512,
                               seed: int = 13) -> None:
     """Group version of the demo: load a sharded index, crash half the
-    shards mid-batch, recover them in parallel, re-verify every key.
+    shards mid-batch, recover them, re-verify every key.
 
     This is what fills the shard-labelled series — per-shard repair
     latency under ``shard.recovery.seconds[shard=i]``, crash counts,
@@ -351,6 +351,17 @@ def _wal_summary(snapshot: dict, trace=None) -> dict | None:
     return out
 
 
+def _recovery_summary(trace) -> list[dict] | None:
+    """One row per ``shard_recovery`` event the trace still holds: how
+    the shard's recovery ended, what it repaired and the threads its pass
+    ran on (1: the calling thread, more: a pool that many wide)."""
+    rows = [{"shard": e.detail["shard"], "ok": e.detail["ok"],
+             "repairs": e.detail["repairs"], "threads": e.detail["threads"],
+             "seconds": e.duration}
+            for e in trace.events("shard_recovery")]
+    return rows or None
+
+
 def collect(recent: int = _RECENT_EVENTS) -> dict:
     """One JSON-ready document: metrics snapshot + trace summary."""
     trace = get_trace()
@@ -360,6 +371,7 @@ def collect(recent: int = _RECENT_EVENTS) -> dict:
         "fastpath": _fastpath_summary(metrics),
         "serving": _serving_summary(metrics),
         "wal": _wal_summary(metrics, trace),
+        "shard_recovery": _recovery_summary(trace),
         "trace": {
             "counts": trace.counts(),
             "recent": [e.to_dict() for e in trace.events()[-recent:]],
@@ -432,6 +444,19 @@ def render_report(doc: dict) -> str:
         if wal.get("slowest_partition_seconds") is not None:
             lines.append(f"  {'slowest partition':<22} "
                          f"{wal['slowest_partition_seconds'] * 1e3:.2f}ms")
+    recoveries = doc.get("shard_recovery")
+    if recoveries:
+        lines += ["", "shard recovery summary:"]
+        lines.append(f"  {'shard':<8} {'outcome':<8} {'repairs':>8} "
+                     f"{'time':>10}  ran on")
+        for row in recoveries:
+            threads = row["threads"]
+            ran_on = ("the calling thread" if threads == 1
+                      else f"a pool of {threads} threads")
+            lines.append(f"  {row['shard']:<8} "
+                         f"{'ok' if row['ok'] else 'failed':<8} "
+                         f"{row['repairs']:>8} "
+                         f"{row['seconds'] * 1e3:>8.2f}ms  {ran_on}")
     lines += ["", "trace event counts:"]
     counts = doc["trace"]["counts"]
     if counts:
@@ -497,7 +522,8 @@ def main(argv=None) -> int:
                         help="also run an N-shard crash/recovery "
                              "workload, populating the shard-labelled "
                              "metrics (per-shard repair latency, group "
-                             "sync windows)")
+                             "sync windows) and a recovery summary that "
+                             "says which threads each pass ran on")
     parser.add_argument("--serving", type=int, default=0, metavar="N",
                         help="also run an N-client concurrent serving "
                              "workload (group-commit mode), populating "

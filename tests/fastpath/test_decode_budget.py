@@ -22,6 +22,7 @@ import cProfile
 import os
 import pstats
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,8 @@ from repro import (
     ShadowBLinkTree,
     StorageEngine,
 )
+from repro.core.nodeview import DecodedNode
+from repro.shard.recovery import ShardRecoveryReport, _sweep
 
 from ..conftest import tid_for
 from .helpers import with_first_root
@@ -165,12 +168,30 @@ def test_a_batch_descends_once_per_leaf_run(loaded, monkeypatch):
     assert counts["_insert_run"] <= tree.splits.value - splits + 1
 
 
-def test_cold_lookup_unpacks(loaded):
-    engine, tree = loaded
+def reopen_cold(engine, tree):
+    """*tree* reopened clean over a buffer pool an eighth of its file."""
     tree.close_clean()
     engine.pool_capacity = tree.file.n_pages // 8
     engine.shutdown()
-    cold = ShadowBLinkTree.open(StorageEngine.reopen(engine), "ix")
+    return ShadowBLinkTree.open(StorageEngine.reopen(engine), "ix")
+
+
+def count_bulk_decodes(monkeypatch) -> Counter:
+    """Count every bulk key decode, per page: a page of a sound tree is
+    named by its level and its first key."""
+    decodes = Counter()
+    materialise = DecodedNode.materialise
+
+    def counting(node):
+        keys = materialise(node)
+        decodes[node.level, keys[0] if keys else None] += 1
+        return keys
+    monkeypatch.setattr(DecodedNode, "materialise", counting)
+    return decodes
+
+
+def test_cold_lookup_unpacks(loaded):
+    cold = reopen_cold(*loaded)
     lookups(cold, 1)()                      # steady state for the pool
     misses = cold.file.pool.stats.misses
     _calls, unpacks = count_calls(lookups(cold, 2))
@@ -236,3 +257,25 @@ def test_recovery_sweep_and_verify_cost_pages_not_keys(loaded, monkeypatch):
     # the collecting form still hands back every pair
     assert reopened.check(**relax) == [
         (tree.codec.encode(key), tid_for(key)) for key in range(N_KEYS)]
+
+
+def test_chain_walk_counts_a_cold_tree_without_a_decode(loaded, monkeypatch):
+    cold = reopen_cold(*loaded)
+    decodes = count_bulk_decodes(monkeypatch)
+    assert cold.walk_leaf_chain() == N_KEYS
+    assert not decodes                      # one per leaf before
+
+
+def test_cold_sweep_decodes_each_leaf_once(loaded, monkeypatch):
+    """With a pool an eighth of the index every leaf is evicted between
+    the chain walk and the validator; only the validator decodes it.  (An
+    internal page is decoded again by each phase that reads it after an
+    eviction: unit enumeration, the descents and the validator.)"""
+    cold = reopen_cold(*loaded)
+    decodes = count_bulk_decodes(monkeypatch)
+    report = ShardRecoveryReport(shard=0)
+    _sweep(cold, report, sync=True)
+    assert report.keys_seen == N_KEYS and not report.repairs
+    leaves = [count for (level, _), count in decodes.items() if level == 0]
+    assert len(leaves) > cold.engine.pool_capacity
+    assert set(leaves) == {1}               # 2 for every leaf before

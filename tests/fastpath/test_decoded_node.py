@@ -127,6 +127,27 @@ def test_garbage_is_undecodable_not_an_error():
     assert node.materialise() is None and node.keys is None
 
 
+@pytest.mark.parametrize("page_size", [256, 512, 600, 4096])
+def test_keys_decodable_is_whether_the_bulk_decode_succeeds(page_size):
+    """Every line-table entry from 200 below the last readable offset to
+    past the page end, and a line table longer than the page."""
+    from repro.storage import page as P
+
+    buf, view = make_leaf_buffer([b"k%02d" % i for i in range(6)],
+                                 page_size)
+    data = buf.data
+    assert DecodedNode(data, 1).keys_decodable()
+    for slot in (0, 3, 5):
+        for offset in range(page_size - 200, page_size + 300):
+            damaged = bytearray(data)
+            P.set_line(damaged, slot, offset)
+            node = DecodedNode(damaged, 1)
+            assert node.keys_decodable() == (node.materialise() is not None)
+    view.n_keys = page_size
+    node = DecodedNode(data, 1)
+    assert not node.keys_decodable() and node.materialise() is None
+
+
 def test_zeroed_page_decodes_to_nothing():
     node = node_of(Buffer(5, bytearray(PAGE)))
     assert node.materialise() == [] and node.magic != PAGE_MAGIC

@@ -152,3 +152,15 @@ def test_stats_cli_json_reports_nonzero_core_metrics(capsys):
     assert any(key.startswith("tree.repair.seconds[kind=shadow")
                for key in doc["metrics"]["histograms"])
     assert doc["trace"]["counts"]["crash"] > 0
+
+
+def test_stats_cli_says_where_each_shard_recovery_ran(capsys):
+    with scoped_registry(), scoped_trace():
+        rc = stats_main(["--json", "--kinds", "shadow", "--keys", "64",
+                         "--shards", "4"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["shard_recovery"]
+    # the demo crashes every other shard; nothing waits on a device, so
+    # the pass runs them on the calling thread
+    assert sorted(row["shard"] for row in rows) == [0, 2]
+    assert all(row["ok"] and row["threads"] == 1 for row in rows)

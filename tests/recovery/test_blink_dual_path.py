@@ -21,17 +21,22 @@ from repro import (
     TREE_CLASSES,
 )
 from repro.core.detect import Kind
-from repro.core.nodeview import NodeView
+from repro.core.nodeview import DecodedNode, NodeView
 
 from .helpers import PAGE, find_split, tid_for
 
 KINDS = ["shadow", "reorg", "hybrid"]
 
 
-def build_dual_path(kind: str, seed: int = 13):
+def build_dual_path(kind: str, seed: int = 13, *, overlap: bool = False):
     """Crash so that the split's products and the parent survive but the
     left neighbour's re-stamped peer pointer does not: the old chain then
-    bypasses the new pages while the tree routes through them."""
+    bypasses the new pages while the tree routes through them.
+
+    With *overlap*, only the neighbour and the split's low half survive
+    instead: the chain runs into that half while the tree still routes
+    through the pre-split page, so two leaves on the chain hold the same
+    keys."""
     engine = StorageEngine.create(page_size=PAGE, seed=seed)
     tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
     committed = set(range(96))
@@ -49,9 +54,12 @@ def build_dual_path(kind: str, seed: int = 13):
     pa = split["pa"]
     with tree.file.pinned(pa) as buf:
         neighbor = NodeView(buf.data, tree.page_size).left_peer
-    keep = {p for p in (split["parent"], split["pa"], split["pb"],
-                        split["old"]) if p}
-    keep.discard(neighbor)
+    if overlap:
+        keep = {neighbor, pa}
+    else:
+        keep = {p for p in (split["parent"], split["pa"], split["pb"],
+                            split["old"]) if p}
+        keep.discard(neighbor)
     policy = CrashOnceKeepingPages({("ix", p) for p in keep})
     with pytest.raises(CrashError):
         engine.sync(policy)
@@ -99,3 +107,33 @@ def test_peer_path_check_is_recorded_and_memoized(kind):
     tree.delete(lo)
     tree.insert(lo, tid_for(lo))
     assert tree.repair_log.count(Kind.PEER_PATH_CHECK) == checks
+
+
+@pytest.mark.parametrize("kind", ["shadow", "hybrid"])
+def test_chain_walk_counts_what_a_scan_yields_across_the_overlap(
+        kind, monkeypatch):
+    """The chain walk counts a leaf off its bytes; where a leaf overlaps
+    the last one counted it finds the overlap with a byte search, and no
+    leaf is decoded.  (No crash of the reorg split leaves a stale leaf on
+    the chain.)"""
+    walked, committed, _ = build_dual_path(kind, overlap=True)
+    scanned, _, _ = build_dual_path(kind, overlap=True)
+    searched, decoded = [], []
+    lower_bound = DecodedNode.lower_bound
+    materialise = DecodedNode.materialise
+
+    def searching(node, key):
+        searched.append(node.is_leaf)
+        return lower_bound(node, key)
+
+    def decoding(node):
+        decoded.append(node.is_leaf)
+        return materialise(node)
+    with monkeypatch.context() as patch:
+        patch.setattr(DecodedNode, "lower_bound", searching)
+        patch.setattr(DecodedNode, "materialise", decoding)
+        counted = walked.walk_leaf_chain()
+    scan = [key for key, _ in scanned.range_scan()]
+    assert counted == len(scan)
+    assert committed <= set(scan)
+    assert True in searched and True not in decoded

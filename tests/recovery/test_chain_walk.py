@@ -10,6 +10,8 @@ must agree on the count, on the repairs they fire and on every byte they
 leave behind.
 """
 
+from bisect import bisect_right
+
 import pytest
 
 from repro import (
@@ -20,8 +22,9 @@ from repro import (
 )
 from repro.constants import INVALID_PAGE
 from repro.core.keys import MIN_KEY
-from repro.core.nodeview import NodeView
+from repro.core.nodeview import NodeView, node_of
 from repro.storage import RecordingPolicy, SubsetEnumerator
+from repro.storage import page as P
 
 from .test_blink_dual_path import build_dual_path
 from .test_exhaustive_subsets import build_scenario
@@ -113,15 +116,108 @@ def test_figure_3_dual_path_counts_like_a_scan(kind):
     assert walked.walk_leaf_chain() >= len(committed)
 
 
+def build_undamaged(kind: str, page_size: int = 512):
+    engine = StorageEngine.create(page_size=page_size, seed=5)
+    tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
+    for i in range(700):
+        tree.insert(i * 7 % 1009, (i, 1))
+    engine.sync()
+    return tree
+
+
 @pytest.mark.parametrize("kind", KINDS + ["normal"])
 def test_undamaged_tree_counts_like_a_scan(kind):
-    def build():
-        engine = StorageEngine.create(page_size=512, seed=5)
-        tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
-        for i in range(700):
-            tree.insert(i * 7 % 1009, (i, 1))
-        engine.sync()
-        return tree
-    walked = build()
-    assert_walk_is_the_scan(walked, build())
+    walked = build_undamaged(kind)
+    assert_walk_is_the_scan(walked, build_undamaged(kind))
     assert walked.walk_leaf_chain() == 700 and not repairs(walked)
+
+
+def walk_decoding_every_leaf(tree) -> int:
+    """The chain walk as it was before it counted leaves off their bytes:
+    a bulk key decode per leaf, the per-item read where that fails."""
+    path = tree._descend(MIN_KEY)
+    tree._unpin_path(path[:-1])
+    page_no, buf = path[-1].page_no, path[-1].buffer
+    seen, last_key = 0, None
+    try:
+        while True:
+            keys = node_of(buf).all_keys()
+            if keys and (last_key is None or keys[-1] > last_key):
+                seen += len(keys) - (0 if last_key is None
+                                     else bisect_right(keys, last_key))
+                last_key = keys[-1]
+            nxt = tree._next_leaf(page_no, buf)
+            if nxt is None:
+                return seen
+            tree._unpin(buf)
+            buf = None
+            page_no = nxt
+            buf = tree.file.pin(page_no)
+    finally:
+        if buf is not None:
+            tree._unpin(buf)
+
+
+def outcome(fn):
+    try:
+        return "returned", fn()
+    # whatever reading a garbage page raises is the contract compared
+    except Exception as exc:  # lint: disable=R005
+        return type(exc), str(exc)
+
+
+def set_line(slot, past_the_limit):
+    """Point line-table entry ``slot(n_keys)`` *past_the_limit* bytes
+    beyond the last offset a key length can be read from."""
+    return lambda data, view: P.set_line(
+        data, slot(view.n_keys), len(data) - 2 + past_the_limit)
+
+
+#: name -> (damage, whether reading the page's keys raises)
+DAMAGE = {
+    "first-line-off-the-page": (set_line(lambda n: 0, 1), True),
+    "middle-line-off-the-page": (set_line(lambda n: n // 2, 1), True),
+    "last-line-off-the-page": (set_line(lambda n: n - 1, 1), True),
+    "middle-line-past-the-page": (set_line(lambda n: n // 2, 2), True),
+    "line-table-off-the-page":
+        (lambda data, view: setattr(view, "n_keys", 0xFFFF), True),
+    "middle-line-at-the-limit": (set_line(lambda n: n // 2, 0), False),
+    "last-line-at-the-limit": (set_line(lambda n: n - 1, 0), False),
+}
+
+
+def damage_second_leaf(tree, mutate) -> None:
+    """Apply *mutate* to the second leaf of the chain, through the pool."""
+    path = tree._descend(MIN_KEY)
+    second = NodeView(path[-1].buffer.data).right_peer
+    tree._unpin_path(path)
+    buf = tree.file.pin(second)
+    try:
+        mutate(buf.data, NodeView(buf.data))
+        tree.file.mark_dirty(buf)
+    finally:
+        tree.file.unpin(buf)
+
+
+@pytest.mark.parametrize("page_size", [512, 600])
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("kind", KINDS + ["normal"])
+def test_a_damaged_leaf_counts_or_raises_as_decoding_it_did(
+        kind, damage, page_size):
+    """Counting a leaf off its bytes reads two keys of it; a leaf whose
+    other keys cannot be read must still raise, and the same error.  One
+    whose keys can all be read is walked through: the garbled key leaves
+    it out of order, which is the validator's to reject.  (A page size
+    that is not a whole number of 256-byte blocks takes the other branch
+    of the line-table test.)"""
+    mutate, raises = DAMAGE[damage]
+    outcomes = []
+    for walk in (lambda tree: tree.walk_leaf_chain(),
+                 walk_decoding_every_leaf):
+        tree = build_undamaged(kind, page_size)
+        damage_second_leaf(tree, mutate)
+        outcomes.append(outcome(lambda: walk(tree)))
+    if raises:
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] != "returned"
+    else:
+        assert outcomes[0][0] == outcomes[1][0] == "returned"

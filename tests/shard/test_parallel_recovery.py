@@ -57,7 +57,7 @@ def test_parallel_recovery_restores_every_committed_key(kind):
     crash_shards(group, tree, [0, 2])
     group2, report = RecoveryOrchestrator().recover(group, "ix")
     assert report.ok
-    assert report.max_workers == len(group)
+    assert report.max_workers == 1      # no device wait to overlap
     tree2 = group2.open_tree("ix")
     scanned = {k for k, _ in tree2.range_scan()}
     missing = [k for k in range(KEYS) if k not in scanned]
@@ -82,9 +82,19 @@ def test_live_shards_pass_through_untouched():
         assert by_shard[i].ok and by_shard[i].keys_seen == 0
 
 
+def with_sync_latency(group, seconds=0.001):
+    """Give every engine of *group* the served engines' sync barrier, the
+    one device wait a sweep stage makes."""
+    for engine in group.shards:
+        engine.sync_latency = seconds
+    return group
+
+
 def test_serial_and_parallel_recover_identical_state():
     group, tree = build_group(seed=31)
     crash_shards(group, tree, [0, 1, 2, 3], seed=41)
+    # a sync to wait on, so the parallel leg runs on a pool
+    with_sync_latency(group)
     snaps = [{name: disk.snapshot()
               for name, disk in engine._disks.items()}
              for engine in group.shards]
@@ -144,6 +154,8 @@ def test_recovery_emits_per_shard_metrics_and_traces():
               if e.etype == "shard_recovery"]
     recovered = {e.detail["shard"] for e in events[-2:]}
     assert recovered == {1, 3}
+    # nothing to overlap: the pass says it ran on the calling thread
+    assert [e.detail["threads"] for e in events[-2:]] == [1, 1]
 
 
 def stage_case(stage):
@@ -269,12 +281,10 @@ def test_recovery_of_a_clean_group_is_a_no_op():
                for i in range(len(group)))
 
 
-# -- one dead shard: nothing to overlap, nothing to spawn ---------------------
+# -- a pool only where a device wait can overlap ------------------------------
 
-def test_a_lone_dead_shard_is_recovered_on_the_calling_thread(monkeypatch):
-    """``ttfq_ms`` was mostly a thread spawned and joined per recovery
-    (ROADMAP item 3(b)).  With one shard to recover the stage runs inline;
-    two or more still overlap on a pool."""
+def counted_pools(monkeypatch) -> list:
+    """Record the width of every pool a recovery spawns."""
     from repro.shard import recovery
 
     pools = []
@@ -284,6 +294,14 @@ def test_a_lone_dead_shard_is_recovered_on_the_calling_thread(monkeypatch):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(recovery, "ThreadPoolExecutor", CountedPool)
+    return pools
+
+
+def test_a_lone_dead_shard_is_recovered_on_the_calling_thread(monkeypatch):
+    """``ttfq_ms`` was mostly a thread spawned and joined per recovery
+    (ROADMAP item 3(b)).  With one shard to recover the stage runs
+    inline."""
+    pools = counted_pools(monkeypatch)
     ran_on = {}
 
     def note_thread(index, _engine):
@@ -302,14 +320,46 @@ def test_a_lone_dead_shard_is_recovered_on_the_calling_thread(monkeypatch):
     RecoveryOrchestrator(on_reopen=note_thread).recover(group2, "ix")
     assert not pools
 
+
+def test_dead_shards_share_a_pool_only_when_a_device_wait_can_overlap(
+        monkeypatch):
+    """Under the GIL only a device wait overlaps: N dead shards whose
+    stages never sleep run one after another on the calling thread; a
+    sweep over engines with a sync barrier spawns one pool; an admit pass
+    over the same engines never syncs, so it stays inline."""
+    pools = counted_pools(monkeypatch)
+    ran_on = {}
+
+    def note_thread(index, _engine):
+        ran_on[index] = threading.get_ident()
+
+    here = threading.get_ident()
     group, tree = build_group()
-    crash_shards(group, tree, [0, 3])
+    crash_shards(group, tree, [0, 1, 3])
+    group2, report = RecoveryOrchestrator(on_reopen=note_thread).recover(
+        group, "ix")
+    assert report.ok and not pools and report.max_workers == 1
+    assert ran_on == {0: here, 1: here, 3: here}
+    assert {k for k, _ in group2.open_tree("ix").range_scan()} \
+        >= set(range(KEYS))
+
+    def crashed_with_sync_latency():
+        group, tree = build_group()
+        crash_shards(group, tree, [0, 3])
+        return with_sync_latency(group)
+
     ran_on.clear()
     _, report = RecoveryOrchestrator(on_reopen=note_thread).recover(
-        group, "ix")
-    assert report.ok and len(pools) == 1
-    assert set(ran_on) == {0, 3}
-    assert threading.get_ident() not in ran_on.values()
+        crashed_with_sync_latency(), "ix")
+    assert report.ok and pools == [2] and report.max_workers == 2
+    assert set(ran_on) == {0, 3} and here not in ran_on.values()
+
+    ran_on.clear()
+    _, report = RecoveryOrchestrator(
+        on_reopen=note_thread, admit_immediately=True).recover(
+        crashed_with_sync_latency(), "ix")
+    assert report.ok and pools == [2] and report.max_workers == 1
+    assert ran_on == {0: here, 3: here}
 
 
 def test_inline_recovery_reports_and_raises_as_the_pool_did(monkeypatch):

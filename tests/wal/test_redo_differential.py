@@ -39,10 +39,11 @@ from .reference_redo import reference_plan, reference_replay_partition
 KINDS = ("shadow", "reorg", "hybrid")
 #: winner key range per page size: enough for several leaves per shard
 KEYS = {256: 300, 512: 500, 4096: 1500}
-#: seeds 12, 13 and 21 fail on small-page *repair* defects under redo —
-#: the reference shares them or dodges them by op order; ROADMAP item 1
-#: has the three repros
-SEEDS = [5, 7]
+SEEDS = [5, 7, 12, 13, 21]
+#: group cases that fail today, as strict xfails so tier-1 counts them:
+#: ROADMAP item 1's repair class under this seed's sync shuffle (it fails
+#: the same with page recycling and erasing both disabled)
+OPEN = {("shadow", 256, 2, 21)}
 #: ``visited`` is left out: it is where the two are meant to differ
 COUNTS = ("records", "applied", "elided", "out_of_order",
           "skipped_uncommitted")
@@ -186,10 +187,21 @@ def member_images(group):
             for member in group.open_tree("ix").trees]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
-@pytest.mark.parametrize("page_size", sorted(KEYS))
-@pytest.mark.parametrize("kind", KINDS)
+def group_cases():
+    for kind in KINDS:
+        for page_size in sorted(KEYS):
+            for n_shards in (1, 2, 4):
+                for seed in SEEDS:
+                    case = (kind, page_size, n_shards, seed)
+                    marks = ([pytest.mark.xfail(strict=True,
+                                                reason="ROADMAP item 1")]
+                             if case in OPEN else [])
+                    yield pytest.param(
+                        *case, marks=marks,
+                        id=f"{kind}-{page_size}-{n_shards}-{seed}")
+
+
+@pytest.mark.parametrize("kind,page_size,n_shards,seed", group_cases())
 def test_group_redo_matches_the_reference(kind, page_size, n_shards, seed,
                                           monkeypatch):
     group, redo, expected = recover(kind, page_size, n_shards, seed)
