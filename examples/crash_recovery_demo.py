@@ -7,7 +7,8 @@ first use — ending with the dual-path scenario of Figure 3, where the
 root-to-leaf path and the peer-pointer path disagree until the first
 insert splices the stale path out.
 
-Run:  python examples/crash_recovery_demo.py
+Run:    python examples/crash_recovery_demo.py
+Stats:  python -m repro.tools.stats examples/crash_recovery_demo.py
 """
 
 from repro import (
@@ -18,7 +19,6 @@ from repro import (
     TREE_CLASSES,
 )
 from repro.core.nodeview import NodeView
-from repro.obs import get_registry, get_trace, render_text
 
 PAGE = 512
 
@@ -129,16 +129,6 @@ def main() -> None:
     print("done; tree validates:",
           len(tree2.check(strict_tokens=False,
                           require_peer_chain=False)) >= len(committed))
-
-    print()
-    print("=" * 66)
-    print("observability registry after the demo "
-          "(see python -m repro.tools.stats)")
-    print("=" * 66)
-    print(render_text(get_registry().snapshot()))
-    counts = get_trace().counts()
-    print("trace events:", ", ".join(f"{k}: {v}"
-                                     for k, v in sorted(counts.items())))
 
 
 if __name__ == "__main__":

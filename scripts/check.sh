@@ -37,8 +37,8 @@ else
     echo "==> mypy not installed; skipping"
 fi
 
-echo "==> stats CLI smoke (python -m repro.tools.stats --json)"
-python -m repro.tools.stats --json --kinds shadow --keys 48 \
+echo "==> stats CLI smoke (python -m repro.tools.stats --json examples/crash_recovery_demo.py)"
+python -m repro.tools.stats --json examples/crash_recovery_demo.py \
     | python -c "
 import json, sys
 doc = json.load(sys.stdin)

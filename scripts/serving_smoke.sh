@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 export PYTHONPATH
 
-python -m repro.tools.stats --serving 4 --json --kinds shadow --keys 48 \
+python -m repro.tools.stats --json examples/shard_group_demo.py \
     | python -c "
 import json, sys
 serving = json.load(sys.stdin)['serving']

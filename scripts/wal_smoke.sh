@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 export PYTHONPATH
 
-python -m repro.tools.stats --wal 4 --json --kinds shadow --keys 48 \
+python -m repro.tools.stats --json examples/shard_group_demo.py \
     | python -c "
 import json, sys
 doc = json.load(sys.stdin)

@@ -228,9 +228,6 @@ class BLinkTree:
     def _token(self) -> int:
         return self.engine.sync_state.token()
 
-    def _last_crash_token(self) -> int:
-        return self.engine.sync_state.last_crash_token
-
     def _pin(self, page_no: int) -> tuple[Buffer, NodeView]:
         """Pin a page for byte-level work (writers, repairs)."""
         buf = self.file.pin(page_no)

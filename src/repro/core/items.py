@@ -57,10 +57,6 @@ def item_key(buf, offset: int) -> bytes:
     return bytes(buf[offset + 2: offset + 2 + klen])
 
 
-def item_key_len(buf, offset: int) -> int:
-    return _LEN.unpack_from(buf, offset)[0]
-
-
 def item_tid(buf, offset: int) -> TID:
     """TID of the leaf item at *offset*."""
     (klen,) = _LEN.unpack_from(buf, offset)

@@ -109,8 +109,3 @@ class CrashError(Exception):
         self.written = tuple(written or ())
         #: page ids whose writes were lost
         self.dropped = tuple(dropped or ())
-
-
-class MustSyncError(ReproError):
-    """A page-reorganization tree needed a sync before it could proceed and
-    no sync hook was configured (paper section 3.4, reclamation case 1)."""

@@ -31,10 +31,6 @@ class MeasuredTree:
     internal_fill: float
     model_height: int
 
-    @property
-    def total_pages(self) -> int:
-        return self.leaf_pages + self.internal_pages
-
 
 def measure_tree(kind: str, keys, *, page_size: int = 1024,
                  codec: str = "uint32", seed: int = 0,

@@ -2,7 +2,8 @@
 
 See :mod:`repro.obs.metrics` for the registry (counters, gauges,
 fixed-bucket histograms) and :mod:`repro.obs.trace` for the typed event
-stream.  ``python -m repro.tools.stats`` dumps both.
+stream.  ``python -m repro.tools.stats SCRIPT`` runs a script and
+renders both.
 """
 
 from .metrics import (
@@ -13,7 +14,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    diff_snapshots,
     get_registry,
     metric_key,
     render_text,
@@ -37,7 +37,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "diff_snapshots",
     "get_registry",
     "metric_key",
     "render_text",

@@ -10,7 +10,7 @@ engine, a tree) creates its **own** metric objects through the registry —
 — so per-instance views stay exact (``tree.splits.value`` is that tree's
 own count), while :meth:`MetricsRegistry.snapshot` aggregates every
 registered instance by ``(name, labels)`` into the process-wide totals
-the ``python -m repro.tools.stats`` CLI reports.
+the ``python -m repro.tools.stats SCRIPT`` renderer reports.
 
 Recording is deliberately cheap: a counter increment is one float add; a
 histogram observation is one :func:`bisect.bisect_left` into a fixed bucket
@@ -229,31 +229,6 @@ class MetricsRegistry:
         for section in ("counters", "gauges", "histograms"):
             snap[section] = dict(sorted(snap[section].items()))
         return snap
-
-
-def diff_snapshots(before: dict, after: dict) -> dict:
-    """Per-key deltas between two snapshots (zero deltas dropped).
-
-    Gauges report their *after* value, not a delta; histogram deltas carry
-    count/sum only (bucket deltas rarely matter for a watch display).
-    """
-    out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for key, val in after["counters"].items():
-        delta = val - before["counters"].get(key, 0)
-        if delta:
-            out["counters"][key] = delta
-    for key, val in after["gauges"].items():
-        if val != before["gauges"].get(key):
-            out["gauges"][key] = val
-    for key, summ in after["histograms"].items():
-        prev = before["histograms"].get(key)
-        dcount = summ["count"] - (prev["count"] if prev else 0)
-        if dcount:
-            out["histograms"][key] = {
-                "count": dcount,
-                "sum": summ["sum"] - (prev["sum"] if prev else 0.0),
-            }
-    return out
 
 
 def render_text(snap: dict) -> str:

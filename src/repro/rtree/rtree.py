@@ -143,11 +143,6 @@ class _RNode:
             self.buf, self._off(index))
         return Rect(x0, y0, x1, y1), TID(page, line)
 
-    def set_leaf_entry(self, index: int, rect: Rect, tid: TID) -> None:
-        _LEAF_ENTRY.pack_into(self.buf, self._off(index),
-                              rect.xmin, rect.ymin, rect.xmax, rect.ymax,
-                              tid.page_no, tid.line)
-
     # internal entries ----------------------------------------------------------
 
     def int_entry(self, index: int) -> tuple[Rect, int, int]:

@@ -55,9 +55,10 @@ A shard that fails during its own recovery — crashing again, a refused
 open, a raising hook — is isolated: its report carries the error, every
 sibling's stage still runs, and the returned group keeps a dead engine
 for it so a later pass can retry.  Per-shard sweep latency lands in the
-``shard.recovery.*`` metrics (the ``python -m repro.tools.stats
---shards N`` view) and each shard's outcome emits a ``shard_recovery``
-trace event, which says how many threads its pass ran on.
+``shard.recovery.*`` metrics and each shard's outcome emits a
+``shard_recovery`` trace event, which says how many threads its pass
+ran on; ``python -m repro.tools.stats examples/shard_group_demo.py``
+renders both.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ the two triggers the group actually needs:
   the window ordinal is the group-level analogue of the paper's sync
   counter, and the crash-window bookkeeping (which shards crashed inside
   which window) is what the recovery tests sweep over.
+  :meth:`~GroupSyncScheduler.sync_group_parallel` closes the same window
+  with the same per-shard body, run on each shard's owner thread.
 
 Each shard's own :class:`~repro.storage.sync.SyncState` stays the sole
 authority on its tokens — the scheduler never touches counters, it only
@@ -26,6 +28,7 @@ decides *when* ``engine.sync()`` runs.
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 from ..errors import CrashError
 from ..obs import COUNT_BUCKETS, get_registry, get_trace
@@ -62,7 +65,7 @@ class GroupSyncScheduler:
         self._h_dirty = reg.histogram("shard.sync.dirty_frames",
                                       bounds=COUNT_BUCKETS)
         # group-commit amortization: commits carried per barrier window
-        # (observable through ``python -m repro.tools.stats``)
+        # (the serving summary of ``python -m repro.tools.stats``)
         self._m_commits = reg.counter("shard.group.commits_coalesced")
         self._h_occupancy = reg.histogram("shard.group.window_occupancy",
                                           bounds=COUNT_BUCKETS)
@@ -110,52 +113,43 @@ class GroupSyncScheduler:
         barrier is the whole point of cross-client group commit — and
         is recorded so the serving stats can report it.
         """
-        with self._lock:
-            self.window += 1
-            window = self.window
-            if commits:
-                self.commits_coalesced += commits
-                self.commit_windows += 1
-        self._m_windows.inc()
-        if commits:
-            self._m_commits.inc(commits)
-            self._h_occupancy.observe(commits)
-        synced: list[int] = []
-        crashed: list[int] = []
-        for index in self.group.live_shards():
-            engine = self.group.shard(index)
-            dirty = engine.dirty_page_count()
-            if dirty == 0 and not engine.sync_state.split_since_sync:
-                continue
-            self._h_dirty.observe(dirty)
-            self._m_barrier.inc()
-            try:
-                self.group.sync_shard(index)
-                synced.append(index)
-            except CrashError:
-                crashed.append(index)
-                self._m_crashes.inc()
-                with self._lock:
-                    self.crash_windows[index] = window
-        get_trace().emit("group_sync", window=window, synced=synced,
-                         crashed=crashed, commits=commits)
-        return crashed
+        window = self._open_window(commits)
+        outcomes = {index: self._sync_in_window(index, window)
+                    for index in self.group.live_shards()}
+        return self._close_window(window, outcomes, commits)
 
     def sync_group_parallel(self, pool, commits: int = 0) -> list[int]:
         """Close one group sync window with each shard synced **on its
         own owner thread** (via *pool*, a
         :class:`~repro.shard.workers.ShardWorkerPool`).
 
-        Semantically identical to :meth:`sync_group` — same window
-        ordinal, same skip rule, same crash bookkeeping — but the
+        Semantically identical to :meth:`sync_group` — the same
+        per-shard body runs, only on the owner threads — but the
         per-shard syncs overlap: each owner writes its shard's dirty
         pages concurrently with its siblings, so the barrier costs one
         slowest-shard sync instead of the sum.  FIFO submission also
         means every operation admitted to a shard before the barrier is
         applied before the shard syncs — exactly the coverage a group
-        commit's acks need.  Raises whatever ``pool.submit`` raises
-        when the pool is closed.
+        commit's acks need.  A shard whose body raises counts as
+        crashed.  Raises whatever ``pool.submit`` raises when the pool
+        is closed.
         """
+        window = self._open_window(commits)
+        waits = []
+        for index in self.group.live_shards():
+            box: dict = {}
+            done, errbox = pool.submit(
+                index, partial(self._sync_into, box, index, window))
+            waits.append((index, box, done, errbox))
+        outcomes = {}
+        for index, box, done, errbox in waits:
+            done.wait()
+            outcomes[index] = ("crashed" if errbox.get("error")
+                               else box.get("outcome"))
+        return self._close_window(window, outcomes, commits)
+
+    def _open_window(self, commits: int) -> int:
+        """Bump the window ordinal and book the commits it carries."""
         with self._lock:
             self.window += 1
             window = self.window
@@ -166,50 +160,41 @@ class GroupSyncScheduler:
         if commits:
             self._m_commits.inc(commits)
             self._h_occupancy.observe(commits)
-        synced: list[int] = []
-        crashed: list[int] = []
-        boxes: dict[int, dict] = {}
-        waits = []
-        for index in self.group.live_shards():
-            box: dict = {}
-            boxes[index] = box
-            done, errbox = pool.submit(
-                index, self._window_sync_fn(index, window, box))
-            waits.append((index, done, errbox))
-        for index, done, errbox in waits:
-            done.wait()
-            if boxes[index].get("crashed") or errbox.get("error"):
-                crashed.append(index)
-            elif boxes[index].get("synced"):
-                synced.append(index)
+        return window
+
+    def _sync_in_window(self, index: int, window: int) -> str | None:
+        """The barrier's per-shard body: sync *index* if it has dirty
+        frames or an unsynced split.  Returns ``"synced"``, ``"crashed"``
+        (recorded against *window*) or None when skipped."""
+        engine = self.group.shard(index)
+        if engine.dead:
+            return "crashed"
+        dirty = engine.dirty_page_count()
+        if dirty == 0 and not engine.sync_state.split_since_sync:
+            return None
+        self._h_dirty.observe(dirty)
+        self._m_barrier.inc()
+        try:
+            self.group.sync_shard(index)
+        except CrashError:
+            self._m_crashes.inc()
+            with self._lock:
+                self.crash_windows[index] = window
+            return "crashed"
+        return "synced"
+
+    def _sync_into(self, box: dict, index: int, window: int) -> None:
+        """Owner-thread wrapper: leave the body's outcome in *box*."""
+        box["outcome"] = self._sync_in_window(index, window)
+
+    def _close_window(self, window: int, outcomes: dict[int, str | None],
+                      commits: int) -> list[int]:
+        """Trace the closed window; returns the shards that crashed."""
+        synced = [i for i, out in outcomes.items() if out == "synced"]
+        crashed = [i for i, out in outcomes.items() if out == "crashed"]
         get_trace().emit("group_sync", window=window, synced=synced,
                          crashed=crashed, commits=commits)
         return crashed
-
-    def _window_sync_fn(self, index: int, window: int, box: dict):
-        """The owner-thread half of :meth:`sync_group_parallel`."""
-        def sync_one() -> None:
-            engine = self.group.shard(index)
-            if engine.dead:
-                box["crashed"] = True
-                return
-            dirty = engine.dirty_page_count()
-            if dirty == 0 and not engine.sync_state.split_since_sync:
-                return
-            self._h_dirty.observe(dirty)
-            self._m_barrier.inc()
-            try:
-                self.group.sync_shard(index)
-                box["synced"] = True
-            except CrashError:
-                box["crashed"] = True
-                self._m_crashes.inc()
-                self._record_crash(index, window)
-        return sync_one
-
-    def _record_crash(self, index: int, window: int) -> None:
-        with self._lock:
-            self.crash_windows[index] = window
 
     @property
     def amortization(self) -> float:

@@ -200,10 +200,6 @@ class StorageEngine:
     def file_names(self) -> list[str]:
         return [n for n in self._disks if n != _CONTROL_FILE]
 
-    def open_files(self) -> list[PageFile]:
-        """The files opened (or created) so far in this incarnation."""
-        return list(self._files.values())
-
     def dirty_page_count(self) -> int:
         """Total dirty frames across every open file — the engine-wide
         sync-pressure reading the group-sync scheduler polls."""

@@ -1,9 +1,7 @@
-"""Operational tools: the offline index verifier and the stats dumper."""
+"""Operational tools: the offline index verifier, the stats renderer,
+the lint and race-detector CLIs.
 
-from .fsck import (EngineFsckReport, FsckReport, GroupFsckReport,
-                   fsck_engine, fsck_group, fsck_tree)
-from .stats import collect, render_report, run_demo_workload
-
-__all__ = ["EngineFsckReport", "FsckReport", "GroupFsckReport",
-           "fsck_engine", "fsck_group", "fsck_tree", "collect",
-           "render_report", "run_demo_workload"]
+The package imports nothing, so ``python -m repro.tools.X`` loads each
+tool once.  Import from the tool module: ``from repro.tools.fsck import
+fsck_tree``.
+"""

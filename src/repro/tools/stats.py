@@ -1,257 +1,37 @@
-"""Dump the observability registry: ``python -m repro.tools.stats``.
+"""Render the observability registry a script fills:
+``python -m repro.tools.stats [--json] SCRIPT [ARGS...]``.
 
-By default the tool runs a tiny built-in crash/recovery workload (a
-miniature of ``examples/crash_recovery_demo.py``) against each requested
-tree kind and then prints everything the instrumentation recorded:
-counters, gauges, latency histograms, and the recovery-event trace.  It
-is the quickest way to *see* the paper's machinery — splits advertising
-pages, a crash dropping them, first-use repairs healing the damage — as
-numbers rather than prose.
+The tool runs *SCRIPT* in this process as ``__main__`` (with
+``sys.argv = [SCRIPT, *ARGS]``), then prints everything the
+instrumentation recorded while it ran: counters, gauges, latency
+histograms, the derived fastpath / serving / WAL-replay / shard-recovery
+summaries, and the recovery-event trace.  It owns no workload of its
+own; the examples are the workloads::
 
-Usage::
+    python -m repro.tools.stats examples/crash_recovery_demo.py
+    python -m repro.tools.stats --json examples/shard_group_demo.py
 
-    python -m repro.tools.stats                 # text dump
-    python -m repro.tools.stats --json          # machine-readable
-    python -m repro.tools.stats --watch         # per-phase diffs
-    python -m repro.tools.stats --kinds shadow,reorg --keys 256
+``crash_recovery_demo.py`` crashes in-flight splits of every recoverable
+tree kind, so its report shows splits, crashes and first-use repairs;
+``shard_group_demo.py`` fills the shard, serving and WAL sections.
 
-The ``--watch`` flag reports a snapshot *diff* after every workload
-phase (build / crash / recover, per kind) instead of one final dump —
-the same information a live dashboard would poll for.
+Under ``--json`` the script's own stdout goes to stderr, so stdout holds
+one JSON document.  A script that raises makes the tool fail; one that
+exits with status 0 is rendered like one that returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import runpy
 import sys
 
-from ..core import TREE_CLASSES
-from ..core.keys import TID
-from ..core.nodeview import NodeView
-from ..errors import CrashError
-from ..obs import (
-    diff_snapshots,
-    get_registry,
-    get_trace,
-    render_text,
-)
-from ..storage import (
-    CrashOnceKeepingPages,
-    RandomSubsetCrash,
-    StorageEngine,
-    tokens_match,
-)
+from ..obs import get_registry, get_trace, render_text
 
-DEFAULT_KINDS = ("shadow", "reorg", "hybrid")
 _RECENT_EVENTS = 20
 
-
-# ----------------------------------------------------------------------
-# the built-in demo workload
-# ----------------------------------------------------------------------
-
-def _build(kind: str, keys: int, page_size: int, seed: int):
-    """Build an index, commit *keys* keys, then leave a split in flight."""
-    engine = StorageEngine.create(page_size=page_size, seed=seed)
-    tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
-    for i in range(keys):
-        tree.insert(i, TID(1, i % 100))
-        if (i + 1) % 32 == 0:
-            engine.sync()
-    engine.sync()
-    splits = tree.splits.value
-    i = keys
-    while tree.splits.value == splits:
-        tree.insert(i, TID(1, i % 100))
-        i += 1
-    return engine, tree
-
-
-def _fresh_pages(tree) -> dict[int, bool]:
-    """page_no -> is_leaf for pages written in the crashed window."""
-    token = tree.engine.sync_state.token()
-    out = {}
-    for page_no in range(1, tree.file.n_pages):
-        buf = tree.file.pin(page_no)
-        try:
-            view = NodeView(buf.data, tree.page_size)
-            if tokens_match(view.sync_token, token):
-                out[page_no] = view.is_leaf
-        finally:
-            tree.file.unpin(buf)
-    return out
-
-
-def run_demo_workload(kind: str, *, keys: int = 96,
-                      page_size: int = 512, seed: int = 13) -> None:
-    """Crash an in-flight split under several policies, recovering and
-    re-verifying every committed key after each.
-
-    One deterministic keep-nothing crash, one keeping only the fresh
-    leaves, then a few randomized subsets (the recovery campaign's
-    policy): different surviving page subsets exercise different repair
-    paths (rebuilt-from-prev, restored-backup, peer-path checks, ...).
-    """
-    policies = [lambda t: CrashOnceKeepingPages(set()),
-                lambda t: CrashOnceKeepingPages(
-                    {("ix", p) for p, leaf in _fresh_pages(t).items()
-                     if leaf})]
-    policies += [lambda t, i=i: RandomSubsetCrash(p=1.0,
-                                                  seed=seed * 7 + i)
-                 for i in range(3)]
-    for make_policy in policies:
-        engine, tree = _build(kind, keys, page_size, seed)
-        try:
-            engine.sync(make_policy(tree))
-        except CrashError:
-            pass
-        engine2 = StorageEngine.reopen_after_crash(engine)
-        tree2 = TREE_CLASSES[kind].open(engine2, "ix")
-        for k in range(keys):
-            if tree2.lookup(k) is None:  # pragma: no cover - guard
-                raise SystemExit(f"{kind}: committed key {k} lost")
-        tree2.insert(10_000 + keys, TID(9, 9))
-        engine2.sync()
-
-
-def run_sharded_demo_workload(kind: str, *, n_shards: int = 4,
-                              keys: int = 192, page_size: int = 512,
-                              seed: int = 13) -> None:
-    """Group version of the demo: load a sharded index, crash half the
-    shards mid-batch, recover them, re-verify every key.
-
-    This is what fills the shard-labelled series — per-shard repair
-    latency under ``shard.recovery.seconds[shard=i]``, crash counts,
-    group sync windows — that ``--shards`` exists to show.
-    """
-    from ..shard import (GroupSyncScheduler, RecoveryOrchestrator,
-                         ShardedEngine, ShardWorkerPool)
-
-    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed)
-    tree = group.create_tree(kind, "ix", codec="uint32")
-    scheduler = GroupSyncScheduler(group, dirty_threshold=24)
-    with ShardWorkerPool(tree, scheduler=scheduler) as pool:
-        report = pool.run_batch(
-            [("insert", k, TID(1, k % 100)) for k in range(keys)])
-        if not report.ok:  # pragma: no cover - guard
-            raise SystemExit(f"{kind}: sharded load failed: "
-                             f"{report.errors()[:3]}")
-        scheduler.sync_group()
-        # arm every other shard, then push uncommitted inserts at the
-        # whole group: armed shards die at the next pressure/barrier sync
-        for index in range(0, n_shards, 2):
-            group.shard(index).crash_policy = RandomSubsetCrash(
-                p=1.0, seed=seed * 5 + index)
-        pool.run_batch(
-            [("insert", keys + k, TID(2, k % 100)) for k in range(keys)])
-        scheduler.sync_group()
-    orchestrator = RecoveryOrchestrator()
-    group, recovery = orchestrator.recover(group, "ix")
-    if not recovery.ok:  # pragma: no cover - guard
-        raise SystemExit(f"{kind}: shard recovery failed: "
-                         f"{recovery.failed_shards()}")
-    tree = group.open_tree("ix")
-    for k in range(keys):
-        if tree.lookup(k) is None:  # pragma: no cover - guard
-            raise SystemExit(f"{kind}: committed key {k} lost")
-    group.shutdown()
-
-
-def run_serving_demo_workload(kind: str, *, n_clients: int = 4,
-                              n_shards: int = 4, keys: int = 400,
-                              page_size: int = 512,
-                              seed: int = 13) -> None:
-    """Serving-layer demo: *n_clients* concurrent sessions push a mixed
-    read/update workload through one :class:`~repro.serve.Server` in
-    group-commit mode.  Fills the ``serve.*`` metrics and the group
-    window-occupancy histogram that ``--serving`` exists to show."""
-    import threading
-
-    from ..serve import Server
-    from ..shard import GroupSyncScheduler, ShardedEngine
-    from ..workload.generators import mixed_ops
-
-    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed)
-    tree = group.create_tree(kind, "ix", codec="uint32")
-    for k in range(keys):
-        tree.insert(k, TID(1, k % 100))
-    group.sync_all()
-    scheduler = GroupSyncScheduler(group)
-    failures: list[str] = []
-    with Server(group.open_tree("ix"), scheduler=scheduler) as server:
-        def client(cid: int) -> None:
-            try:
-                session = server.session()
-                ops = mixed_ops(keys // n_clients, keys,
-                                seed=seed * 17 + cid)
-                for i, (op, key) in enumerate(ops):
-                    if op == "read":
-                        session.get(key)
-                    else:
-                        session.update(key, TID(7, key % 100))
-                    if (i + 1) % 8 == 0:
-                        session.commit()
-                session.commit()
-            except Exception as exc:  # lint: disable=R005
-                # collected below and turned into one loud exit — a
-                # daemon client must not kill the demo silently
-                failures.append(f"{type(exc).__name__}: {exc}")
-
-        threads = [threading.Thread(target=client, args=(cid,))
-                   for cid in range(n_clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    if failures:  # pragma: no cover - guard
-        raise SystemExit(f"{kind}: serving demo failed: {failures[:3]}")
-
-
-def run_wal_demo_workload(*, n_shards: int = 4, keys: int = 240,
-                          page_size: int = 512, seed: int = 13) -> None:
-    """WAL-replay demo: a group logs through one stable log, commits a
-    load phase (durably SYNC_MARKed), then a committed tail whose index
-    syncs all crash keep-nothing; parallel partitioned replay recovers
-    it.  Fills the ``wal.replay.*`` metrics and the ``wal_partition`` /
-    ``wal_replay`` trace events that ``--wal`` exists to show."""
-    from ..shard import RecoveryOrchestrator, ShardedEngine
-    from ..storage import CrashOnNthSync
-    from ..wal import GroupLogicalLoggingTree
-
-    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed)
-    wal = GroupLogicalLoggingTree.create(group, "ix", kind="shadow")
-    wal.current_xid = 1
-    for k in range(keys):
-        wal.insert(2 * k, TID(1, k % 100))
-    crashed = wal.commit()
-    if crashed:  # pragma: no cover - guard
-        raise SystemExit(f"wal demo load commit crashed shards {crashed}")
-    wal.current_xid = 2
-    for k in range(keys // 2):
-        wal.insert(2 * k + 1, TID(7, k % 100))
-    for index in range(n_shards):
-        group.shard(index).crash_policy = CrashOnNthSync(1, keep=0)
-    wal.commit()
-
-    group, recovery = RecoveryOrchestrator(wal=wal.log).recover(group, "ix")
-    if not recovery.ok:  # pragma: no cover - guard
-        raise SystemExit(
-            f"wal demo recovery failed: {recovery.failed_shards()}")
-    tree = group.open_tree("ix")
-    for k in range(keys):
-        if tree.lookup(2 * k) is None:  # pragma: no cover - guard
-            raise SystemExit(f"wal demo: committed key {2 * k} lost")
-    for k in range(keys // 2):
-        if tree.lookup(2 * k + 1) is None:  # pragma: no cover - guard
-            raise SystemExit(f"wal demo: replayed tail key "
-                             f"{2 * k + 1} lost")
-    group.shutdown()
-
-
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
 
 def _fastpath_summary(snapshot: dict) -> dict | None:
     """Aggregate the ``fastpath.*`` counter series (which are labelled
@@ -487,115 +267,40 @@ def render_report(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_diff(diff: dict) -> str:
-    lines = []
-    for section in ("counters", "gauges", "histograms"):
-        entries = diff.get(section, {})
-        if not entries:
-            continue
-        lines.append(f"{section}:")
-        for key, val in sorted(entries.items()):
-            lines.append(f"  {key:<52} {val}")
-    return "\n".join(lines) if lines else "(no change)"
+def run_script(script: str, args: list[str]) -> None:
+    """Run *script* as ``__main__`` with ``sys.argv = [script, *args]``."""
+    saved = sys.argv
+    sys.argv = [script, *args]
+    try:
+        runpy.run_path(script, run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            raise
+    finally:
+        sys.argv = saved
 
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.stats",
-        description="Run a tiny crash/recovery workload and dump the "
-                    "observability registry.")
+        description="Run a Python script in this process, then dump the "
+                    "observability registry and trace it filled.")
     parser.add_argument("--json", action="store_true",
-                        help="emit one JSON document instead of text")
-    parser.add_argument("--watch", action="store_true",
-                        help="print a metrics diff after every workload "
-                             "phase instead of one final dump")
-    parser.add_argument("--kinds", default=",".join(DEFAULT_KINDS),
-                        help="comma-separated tree kinds "
-                             f"(default: {','.join(DEFAULT_KINDS)})")
-    parser.add_argument("--keys", type=int, default=96,
-                        help="committed keys per tree (default: 96)")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="also run an N-shard crash/recovery "
-                             "workload, populating the shard-labelled "
-                             "metrics (per-shard repair latency, group "
-                             "sync windows) and a recovery summary that "
-                             "says which threads each pass ran on")
-    parser.add_argument("--serving", type=int, default=0, metavar="N",
-                        help="also run an N-client concurrent serving "
-                             "workload (group-commit mode), populating "
-                             "the serve.* metrics and the group commit "
-                             "window-occupancy summary")
-    parser.add_argument("--wal", type=int, default=0, metavar="N",
-                        nargs="?", const=4,
-                        help="also run an N-shard WAL-replay workload "
-                             "(default N: 4): group logging, a crashed "
-                             "commit, parallel partitioned redo — "
-                             "populating the wal.replay.* metrics and "
-                             "the per-partition replay summary")
-    parser.add_argument("--page-size", type=int, default=512)
-    parser.add_argument("--no-workload", action="store_true",
-                        help="skip the demo workload; dump whatever the "
-                             "current process already recorded")
+                        help="emit one JSON document instead of text; the "
+                             "script's own output goes to stderr")
+    parser.add_argument("script", help="the script to run as __main__")
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help="arguments passed to the script")
     args = parser.parse_args(argv)
 
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in TREE_CLASSES:
-            parser.error(f"unknown tree kind {kind!r}; choose from "
-                         f"{sorted(TREE_CLASSES)}")
-
-    if not args.no_workload:
-        for kind in kinds:
-            before = get_registry().snapshot()
-            run_demo_workload(kind, keys=args.keys,
-                              page_size=args.page_size)
-            if args.watch and not args.json:
-                after = get_registry().snapshot()
-                print(f"--- {kind} ---")
-                print(_render_diff(diff_snapshots(before, after)))
-                print()
-        if args.shards > 1:
-            before = get_registry().snapshot()
-            run_sharded_demo_workload(kinds[0], n_shards=args.shards,
-                                      keys=max(args.keys * 2, 64),
-                                      page_size=args.page_size)
-            if args.watch and not args.json:
-                after = get_registry().snapshot()
-                print(f"--- {kinds[0]} x{args.shards} shards ---")
-                print(_render_diff(diff_snapshots(before, after)))
-                print()
-        if args.serving > 0:
-            before = get_registry().snapshot()
-            run_serving_demo_workload(kinds[0],
-                                      n_clients=args.serving,
-                                      page_size=args.page_size)
-            if args.watch and not args.json:
-                after = get_registry().snapshot()
-                print(f"--- {kinds[0]} serving x{args.serving} "
-                      "clients ---")
-                print(_render_diff(diff_snapshots(before, after)))
-                print()
-        if args.wal and args.wal > 1:
-            before = get_registry().snapshot()
-            run_wal_demo_workload(n_shards=args.wal,
-                                  keys=max(args.keys * 2, 64),
-                                  page_size=args.page_size)
-            if args.watch and not args.json:
-                after = get_registry().snapshot()
-                print(f"--- wal replay x{args.wal} shards ---")
-                print(_render_diff(diff_snapshots(before, after)))
-                print()
-
-    doc = collect()
     if args.json:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        with contextlib.redirect_stdout(sys.stderr):
+            run_script(args.script, args.args)
+        json.dump(collect(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    elif not args.watch:
-        print(render_report(doc))
+    else:
+        run_script(args.script, args.args)
+        print(render_report(collect()))
     return 0
 
 

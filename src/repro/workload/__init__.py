@@ -21,11 +21,9 @@ from .report import (
 from .runner import (
     RunResult,
     Series,
-    build_sharded_tree,
     build_tree,
     repeat,
     run_lookups,
-    run_sharded_lookups,
 )
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "Series",
     "WISCONSIN_AM_FRACTION",
     "ascending",
-    "build_sharded_tree",
     "build_tree",
     "descending",
     "duplicate_values",
@@ -44,7 +41,6 @@ __all__ = [
     "random_permutation",
     "repeat",
     "run_lookups",
-    "run_sharded_lookups",
     "skewed",
     "uniform_lookups",
     "wisconsin_context",

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from ..core import TREE_CLASSES
 from ..core.keys import TID
-from ..errors import ReproError
 from ..storage.engine import StorageEngine
 
 
@@ -129,98 +128,6 @@ def run_lookups(tree, probes, *, kind: str | None = None) -> RunResult:
         splits=tree.splits.value, height=tree.height,
         file_pages=tree.file.n_pages,
         extra={"hits": hits, **_obs_extra(tree)},
-    )
-
-
-def build_sharded_tree(kind: str, keys, *, n_shards: int = 4,
-                       page_size: int = 8192, codec: str = "uint32",
-                       seed: int = 0, batch: int = 256,
-                       dirty_threshold: int | None = None,
-                       read_latency: float = 0.0,
-                       write_latency: float = 0.0):
-    """Sharded-mode build: route *keys* across an N-shard group through
-    the per-shard worker pool, syncing by dirty-frame pressure.
-
-    The measured window is the batch execution time (worker dispatch,
-    routing, access-method calls); group barriers between batches stay
-    outside it, mirroring :func:`build_tree`'s commit-exclusion rule.
-    Returns ``(RunResult, ShardedTree)`` — the group is reachable as
-    ``tree.group``.
-    """
-    from ..shard import (DEFAULT_DIRTY_THRESHOLD, GroupSyncScheduler,
-                         ShardedEngine, ShardWorkerPool)
-
-    group = ShardedEngine.create(n_shards, page_size=page_size, seed=seed,
-                                 read_latency=read_latency,
-                                 write_latency=write_latency)
-    tree = group.create_tree(kind, "bench", codec=codec)
-    scheduler = GroupSyncScheduler(
-        group, dirty_threshold=dirty_threshold or DEFAULT_DIRTY_THRESHOLD)
-    keys = list(keys)
-    am_time = 0.0
-    count = 0
-    with ShardWorkerPool(tree, scheduler=scheduler) as pool:
-        for start in range(0, len(keys), batch):
-            ops = []
-            for key in keys[start:start + batch]:
-                ops.append(("insert", key, TID(1 + (count >> 8),
-                                               count & 0xFF)))
-                count += 1
-            report = pool.run_batch(ops)
-            if not report.ok:
-                bad = report.errors()[0]
-                raise ReproError(
-                    f"sharded build failed at key {bad.value!r}: "
-                    f"{bad.error}")
-            am_time += report.seconds
-            scheduler.sync_group()  # commit barrier, outside the window
-    shard_pages = [t.file.n_pages for t in tree.trees]
-    result = RunResult(
-        kind=kind, operation="insert", n_ops=count, am_seconds=am_time,
-        syncs=sum(s.syncs_completed.value for s in group.shards),
-        splits=sum(t.splits.value for t in tree.trees),
-        height=max(t.height for t in tree.trees),
-        file_pages=sum(shard_pages),
-        extra={
-            "n_shards": n_shards,
-            "shard_pages": shard_pages,
-            "shard_keys": tree.key_distribution(keys),
-            "repairs": sum(len(t.repair_log) for t in tree.trees),
-            "sync_windows": scheduler.window,
-        },
-    )
-    return result, tree
-
-
-def run_sharded_lookups(tree, probes, *, batch: int = 256,
-                        kind: str | None = None) -> RunResult:
-    """Sharded-mode lookups through the worker pool, timed per batch."""
-    from ..shard import ShardWorkerPool
-
-    probes = list(probes)
-    am_time = 0.0
-    hits = 0
-    with ShardWorkerPool(tree) as pool:
-        for start in range(0, len(probes), batch):
-            ops = [("lookup", probe) for probe in probes[start:start + batch]]
-            report = pool.run_batch(ops)
-            if not report.ok:
-                bad = report.errors()[0]
-                raise ReproError(
-                    f"sharded lookup failed at key {bad.value!r}: "
-                    f"{bad.error}")
-            am_time += report.seconds
-            hits += sum(1 for r in report.results if r.result is not None)
-    group = tree.group
-    return RunResult(
-        kind=kind or tree.trees[0].KIND, operation="lookup",
-        n_ops=len(probes), am_seconds=am_time,
-        syncs=sum(s.syncs_completed.value for s in group.shards),
-        splits=sum(t.splits.value for t in tree.trees),
-        height=max(t.height for t in tree.trees),
-        file_pages=sum(t.file.n_pages for t in tree.trees),
-        extra={"hits": hits, "n_shards": len(group),
-               "repairs": sum(len(t.repair_log) for t in tree.trees)},
     )
 
 

@@ -108,11 +108,11 @@ def test_r018_catches_never_joined_workers(tmp_path):
 def test_r019_catches_racy_crash_window_update(tmp_path):
     target = mutate(
         tmp_path, "scheduler.py",
-        "                with self._lock:\n"
-        "                    self.crash_windows[index] = window",
-        "                if index not in self.crash_windows \\\n"
-        "                        or self.crash_windows[index] < window:\n"
-        "                    self.crash_windows[index] = window")
+        "            with self._lock:\n"
+        "                self.crash_windows[index] = window",
+        "            if index not in self.crash_windows \\\n"
+        "                    or self.crash_windows[index] < window:\n"
+        "                self.crash_windows[index] = window")
     v = the_finding(target, [CheckThenActRule()], "R019")
     assert "crash_windows" in v.message
     notes = [n for _, n in v.witness]

@@ -1,6 +1,7 @@
 """End-to-end instrumentation: the storage stack feeds the registry."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.obs import scoped_registry, scoped_trace
 from repro.storage import CrashOnceKeepingPages
 from repro.tools.fsck import FsckReport
 from repro.tools.stats import main as stats_main
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def build(kind="shadow", n=200, **engine_kw):
@@ -141,7 +144,8 @@ def test_fsck_findings_counted_and_traced():
 
 def test_stats_cli_json_reports_nonzero_core_metrics(capsys):
     with scoped_registry(), scoped_trace():
-        rc = stats_main(["--json", "--kinds", "shadow", "--keys", "64"])
+        rc = stats_main(["--json",
+                         str(EXAMPLES / "crash_recovery_demo.py")])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     counters = doc["metrics"]["counters"]
@@ -156,11 +160,10 @@ def test_stats_cli_json_reports_nonzero_core_metrics(capsys):
 
 def test_stats_cli_says_where_each_shard_recovery_ran(capsys):
     with scoped_registry(), scoped_trace():
-        rc = stats_main(["--json", "--kinds", "shadow", "--keys", "64",
-                         "--shards", "4"])
+        rc = stats_main(["--json", str(EXAMPLES / "shard_group_demo.py")])
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)["shard_recovery"]
-    # the demo crashes every other shard; nothing waits on a device, so
-    # the pass runs them on the calling thread
-    assert sorted(row["shard"] for row in rows) == [0, 2]
+    # the shard phase crashes every other shard, the WAL phase all four;
+    # nothing waits on a device, so each pass runs on the calling thread
+    assert [row["shard"] for row in rows] == [0, 2, 0, 1, 2, 3]
     assert all(row["ok"] and row["threads"] == 1 for row in rows)

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, snapshots, diffs."""
+"""Metrics registry: counters, gauges, histograms, snapshots."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.obs import (
     COUNT_BUCKETS,
     TIME_BUCKETS,
     MetricsRegistry,
-    diff_snapshots,
     get_registry,
     metric_key,
     render_text,
@@ -71,19 +70,6 @@ def test_snapshot_merges_histograms():
     merged = reg.snapshot()["histograms"]["lat"]
     assert merged["count"] == 2
     assert merged["buckets"] == [1, 1]
-
-
-def test_diff_snapshots_drops_zero_deltas():
-    reg = MetricsRegistry()
-    a = reg.counter("a")
-    b = reg.counter("b")
-    a.inc()
-    before = reg.snapshot()
-    a.inc(2)
-    diff = diff_snapshots(before, reg.snapshot())
-    assert diff["counters"] == {"a": 2}
-    assert "b" not in diff["counters"]
-    assert b.value == 0
 
 
 def test_scoped_registry_isolates():

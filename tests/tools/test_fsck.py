@@ -9,7 +9,7 @@ from repro import (
     TID,
     TREE_CLASSES,
 )
-from repro.tools import fsck_tree
+from repro.tools.fsck import fsck_tree
 
 from ..conftest import fill_tree, tid_for
 

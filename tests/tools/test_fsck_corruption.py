@@ -16,7 +16,7 @@ from repro.constants import PAGE_LEAF
 from repro.core.meta import MetaView
 from repro.core.nodeview import NodeView
 from repro.storage import page as P
-from repro.tools import fsck_tree
+from repro.tools.fsck import fsck_tree
 
 from ..conftest import tid_for
 

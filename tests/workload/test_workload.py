@@ -148,17 +148,3 @@ def test_zipfian_keys_distinct_and_scattered():
     # keys must not be a contiguous run
     head = sorted(keys[:10])
     assert head[-1] - head[0] > 10
-
-
-def test_build_sharded_tree_round_trips():
-    from repro.workload import (build_sharded_tree, run_sharded_lookups,
-                                zipfian_keys)
-    keys = zipfian_keys(150, seed=3)
-    result, tree = build_sharded_tree("shadow", keys, n_shards=3,
-                                      page_size=512, batch=64)
-    assert result.extra["n_shards"] == 3
-    assert sum(result.extra["shard_keys"]) == 150
-    probes = keys[:50] + [max(keys) + 1]
-    lookups = run_sharded_lookups(tree, probes, batch=32)
-    assert lookups.extra["hits"] == 50
-    tree.group.shutdown()
