@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Serving smoke: four concurrent sessions through one Server, then the
 # group-commit ledger must add up — windows closed, every one of them
-# for a counted reason, no commit failed.
+# for a counted reason, no commit failed — and so must the request
+# ledger: some synchronous calls ran on the caller, and every request
+# either ran there or was queued to the shard's owner.
 #
 # Usage: scripts/serving_smoke.sh  (or: make serving; a check.sh stage)
 set -eu
@@ -19,7 +21,14 @@ totals, closed_by = serving['totals'], serving['closed_by']
 assert serving['commit_windows'] > 0, serving
 assert sum(closed_by.values()) == totals['serve.commit.windows'], serving
 assert totals['serve.commit.failed'] == 0, serving
+# synchronous calls on an idle shard ran on the caller at least once,
+# and every request took exactly one of the two paths
+assert totals.get('serve.ran_here', 0) > 0, serving
+assert totals.get('serve.ran_here', 0) + totals.get('serve.queued', 0) \
+    == totals['serve.requests'], serving
 reasons = ', '.join(f'{k}={v}' for k, v in sorted(closed_by.items()) if v)
 print(f\"{serving['commit_windows']} group-commit windows \"
-      f\"({serving['amortization']:.2f}x amortized), closed by {reasons}\")
+      f\"({serving['amortization']:.2f}x amortized), closed by {reasons}; \"
+      f\"{totals['serve.ran_here']} of {totals['serve.requests']} \"
+      f\"requests ran on the caller\")
 "

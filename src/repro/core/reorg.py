@@ -206,11 +206,19 @@ class ReorgBLinkTree(BLinkTree):
          old_right, old_right_tok) = view.backup_record()
         if view.live_is_low:
             # sibling is the high half: between us and our old right peer
+            if self._relink_far_neighbor(old_right, right_side=False,
+                                         page_no=page_no, sibling=sibling,
+                                         level=view.level, token=token):
+                old_right_tok = token
             sview.left_peer, sview.left_peer_token = page_no, token
             sview.right_peer, sview.right_peer_token = (old_right,
                                                         old_right_tok)
             view.right_peer, view.right_peer_token = sibling, token
         else:
+            if self._relink_far_neighbor(old_left, right_side=True,
+                                         page_no=page_no, sibling=sibling,
+                                         level=view.level, token=token):
+                old_left_tok = token
             sview.right_peer, sview.right_peer_token = page_no, token
             sview.left_peer, sview.left_peer_token = old_left, old_left_tok
             view.left_peer, view.left_peer_token = sibling, token
@@ -224,6 +232,33 @@ class ReorgBLinkTree(BLinkTree):
             parent_page=None, detail=f"backup on page {page_no}"),
             duration=perf_counter() - started)
         self._verify_episode_around(sibling)
+
+    def _relink_far_neighbor(self, neighbor: int, *, right_side: bool,
+                             page_no: int, sibling: int, level: int,
+                             token: int) -> bool:
+        """Point the regenerated sibling's outer neighbour back at it.
+
+        The split restamped that neighbour's link to name the sibling; a
+        crash may have kept the split's page and lost the restamp, leaving
+        the neighbour naming *page_no*.  Left so, a later split of the
+        neighbour splices its new page in next to *page_no*, and the
+        sibling drops out of the peer chain that scans walk.  Only a link
+        that still names *page_no* or *sibling* is rewritten; returns
+        whether it was."""
+        if neighbor == INVALID_PAGE:
+            return False
+        nbuf, nview = self._pin(neighbor)
+        try:
+            if not valid_magic(nbuf.data) or nview.level != level:
+                return False
+            link = nview.right_peer if right_side else nview.left_peer
+            if link not in (page_no, sibling):
+                return False
+        finally:
+            self._unpin(nbuf)
+        self._restamp_neighbor(neighbor, right_side=right_side,
+                               peer=sibling, token=token)
+        return True
 
     def _after_root_repair(self, rbuf: Buffer, rview: NodeView) -> None:
         """A root rebuilt from the previous root may carry that page's

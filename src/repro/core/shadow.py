@@ -22,6 +22,7 @@ is repaired by re-copying the expected range out of the prevPtr page
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from time import perf_counter
 
 from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
@@ -114,12 +115,15 @@ class ShadowBLinkTree(BLinkTree):
             pbuf = self.file.pin(prev_no)
             try:
                 pview = NodeView(pbuf.data, self.page_size)
-                blobs = [
-                    pview.item_bytes_at(i) for i in range(pview.n_keys)
-                    if bounds.contains(pview.key_at(i))
-                    or (i == 0 and not pview.is_leaf
-                        and pview.key_at(0) <= bounds.lo)
-                ]
+                keys = [pview.key_at(i) for i in range(pview.n_keys)]
+                # an internal child also keeps the entry that covers lo:
+                # the *last* separator at or below it (an earlier one
+                # routes below lo, and its child belongs to a sibling)
+                cover = (-1 if pview.is_leaf
+                         else bisect_right(keys, bounds.lo) - 1)
+                blobs = [pview.item_bytes_at(i)
+                         for i, key in enumerate(keys)
+                         if i == cover or bounds.contains(key)]
             finally:
                 self._unpin(pbuf)
             child_view.init_page(PAGE_LEAF if level == 0 else PAGE_INTERNAL,

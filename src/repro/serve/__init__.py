@@ -1,10 +1,12 @@
 """repro.serve — the concurrent serving front-end.
 
 Client :class:`Session` objects submit operations to a shared
-:class:`Server`; requests route to per-shard bounded queues, drain on
-the shard owner threads (coalescing different clients' writes into the
-tree's batched fast paths), and commits funnel through a cross-client
-group-commit stage so one sync barrier acknowledges many commits.
+:class:`Server`; a synchronous call on an idle shard runs on the
+calling thread, other requests route to per-shard bounded queues and
+drain on the shard owner threads (coalescing different clients' writes
+into the tree's batched fast paths), and commits funnel through a
+cross-client group-commit stage so one sync barrier acknowledges many
+commits.
 See DESIGN.md §5k.
 """
 

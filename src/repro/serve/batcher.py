@@ -69,6 +69,16 @@ class ShardQueues:
             self._scheduled[shard] = True
             return True
 
+    def idle(self, shard: int) -> bool:
+        """True when *shard* has nothing buffered and no drain queued or
+        running — a synchronous call may then run on the calling thread
+        without overtaking anything.  Raises :class:`ServerClosed` after
+        :meth:`close`, as :meth:`offer` does."""
+        with self._lock:
+            if self._closed:
+                raise ServerClosed("server is closed")
+            return not self._scheduled[shard]
+
     def depth(self, shard: int) -> int:
         with self._lock:
             return len(self._buffers[shard])

@@ -24,14 +24,28 @@ the clients fall out of phase, each barrier carries one commit, and
 every sync then stalls the *other* client's operations queued behind it
 on the owner thread (DESIGN §5k has the numbers).
 
-Ownership discipline: shard engines may only be touched by their owner
-threads, so the barrier never syncs an engine itself — it goes through
+**Just-acked sessions are siblings too.**  A synchronous call on an
+idle shard runs on the client's own thread, so one client can hold the
+GIL for its whole run of operations and commit before its sibling has
+written again — the sibling is then not an open writer, and the window
+would close on one commit.  So a session the *previous* window acked
+also counts as a sibling, until it writes again (it is then an open
+writer) or ``window_delay`` has passed since its ack.  A session that
+stops writing delays its siblings by at most one ``window_delay``, once:
+the next window acks without it, and only that window's sessions are
+carried forward.
+
+Ownership discipline: one thread at a time runs on a shard — its owner
+thread, or a client that claimed the idle shard for a synchronous call —
+so the barrier never syncs an engine itself: it goes through
 :meth:`~repro.shard.scheduler.GroupSyncScheduler.sync_group_parallel`,
-which submits each shard's sync to that shard's own owner thread.  Two
-properties fall out for free: the per-shard syncs overlap (the barrier
-costs one slowest-shard sync, not the sum), and FIFO submission means
-every operation a client completed before committing is applied before
-its shard syncs, so the ack really covers the client's writes.
+which submits each shard's sync to that shard's own owner thread (the
+owner waits out a claim first).  Two properties fall out for free: the
+per-shard syncs overlap (the barrier costs one slowest-shard sync, not
+the sum), and every operation a client completed before committing —
+run on its own thread, or FIFO ahead of the sync on the owner's — is
+applied before its shard syncs, so the ack really covers the client's
+writes.
 
 A commit is acknowledged only if **none** of the shards it wrote to
 crashed inside (or were already dead at) its covering window; anything
@@ -84,6 +98,11 @@ class GroupCommitStage:
         #: sessions that wrote since their last commit() and have no
         #: commit pending — the siblings a pending commit waits for
         self._open_writers = 0
+        #: the sessions the last window acked that have neither written
+        #: nor committed since, and when (monotonic) it acked them —
+        #: siblings too, until ``window_delay`` after that
+        self._acked: set[int] = set()
+        self._acked_at = 0.0
         self._stopping = False
         self._thread: threading.Thread | None = None
         reg = get_registry()
@@ -124,13 +143,15 @@ class GroupCommitStage:
 
     # -- submission (any client thread) ----------------------------------
 
-    def writer_opened(self) -> None:
+    def writer_opened(self, session_id: int = -1) -> None:
         """A session made its first write since its last ``commit()``:
         until that session commits (``submit(..., closes_writer=True)``)
         pending commits wait for it, up to ``window_delay``.  Called
-        once per commit cycle, not per write."""
+        once per commit cycle, not per write.  A just-acked session
+        moves from acked to open in this one critical section."""
         with self._cv:
             self._open_writers += 1
+            self._acked.discard(session_id)
 
     def submit(self, commit: CommitRequest, *,
                closes_writer: bool = False) -> None:
@@ -143,6 +164,7 @@ class GroupCommitStage:
                 raise ServerClosed("server is closing; commit rejected")
             if closes_writer:
                 self._open_writers -= 1
+            self._acked.discard(commit.session_id)
             self._pending.append(commit)
             self._cv.notify()
 
@@ -165,16 +187,23 @@ class GroupCommitStage:
                     return
                 # the window is open: wait for the siblings that could
                 # still join it, never past the deadline
-                deadline = monotonic() + self.window_delay
+                now = monotonic()
+                deadline = now + self.window_delay
+                if self._acked_at + self.window_delay <= now:
+                    self._acked.clear()     # their acks are too old
                 while True:
                     if self._stopping:
                         reason = "stop"
                     elif len(self._pending) >= self.max_window:
                         reason = "full"
-                    elif self._open_writers <= 0:
+                    elif self._open_writers <= 0 and not self._acked:
                         reason = "siblings"
                     else:
-                        remaining = deadline - monotonic()
+                        # an open writer may take until the deadline, a
+                        # just-acked one until window_delay past its ack
+                        until = (deadline if self._open_writers > 0
+                                 else self._acked_at + self.window_delay)
+                        remaining = until - monotonic()
                         if remaining > 0:
                             self._cv.wait(timeout=remaining)
                             continue
@@ -225,6 +254,7 @@ class GroupCommitStage:
         dead = {i for i, shard in enumerate(self.group.shards)
                 if shard.dead}
         acked = 0
+        sessions = []
         for commit in batch:
             bad = sorted(set(commit.shards) & (crashed | dead))
             if bad:
@@ -232,7 +262,14 @@ class GroupCommitStage:
                 commit.future.set_error(CommitFailed(bad, window))
             else:
                 acked += 1
+                if commit.session_id >= 0:
+                    sessions.append(commit.session_id)
                 commit.future.set_result(window)
+        # carried into the next window as siblings (module docstring);
+        # only this window's: an older ack never holds a window again
+        with self._cv:
+            self._acked = set(sessions)
+            self._acked_at = monotonic()
         self._m_windows.inc()
         self._m_closed_by[reason].inc()
         self._m_acked.inc(acked)

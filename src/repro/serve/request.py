@@ -1,8 +1,9 @@
 """Request and future primitives shared by the serving pipeline.
 
 A client's operation travels as a :class:`Request` — op name, value,
-routed shard, and an :class:`OpFuture` the shard's owner thread resolves
-exactly once.  Commits travel separately as :class:`CommitRequest`
+routed shard, and an :class:`OpFuture` resolved exactly once by the
+thread that runs it (the shard's owner, or a caller running on the idle
+shard).  Commits travel separately as :class:`CommitRequest`
 objects carrying the set of shards whose durability the ack must cover.
 """
 
@@ -91,17 +92,27 @@ class OpFuture:
         return self._error
 
 
-@dataclass
 class Request:
-    """One routed operation in flight through the dispatch pipeline."""
+    """One routed operation in flight through the dispatch pipeline.
 
-    op: str                     # one of OPS
-    value: object
-    tid: object = None          # insert/update payload
-    shard: int = -1             # routed shard index
-    session_id: int = -1
-    future: OpFuture = field(default_factory=OpFuture)
-    submitted_at: float = field(default_factory=perf_counter)
+    Slotted: one is built per served call.  ``submitted_at`` and
+    ``perf_rid`` are for a span recorder: when the request was built,
+    and the request id it tags the request with (None when nothing
+    traces)."""
+
+    __slots__ = ("op", "value", "tid", "shard", "session_id", "future",
+                 "submitted_at", "perf_rid")
+
+    def __init__(self, op: str, value: object, tid: object = None,
+                 shard: int = -1, session_id: int = -1) -> None:
+        self.op = op                # one of OPS
+        self.value = value
+        self.tid = tid              # insert/update payload
+        self.shard = shard          # routed shard index
+        self.session_id = session_id
+        self.future = OpFuture()
+        self.submitted_at = perf_counter()
+        self.perf_rid: int | None = None
 
 
 @dataclass

@@ -4,13 +4,24 @@
 its :class:`~repro.shard.workers.ShardWorkerPool` /
 :class:`~repro.shard.scheduler.GroupSyncScheduler`) behind a
 thread-safe front door.  Any number of client threads hold
-:class:`~repro.serve.session.Session` handles; each submitted operation
-is routed to its shard, admitted into that shard's bounded buffer
-(:class:`~repro.serve.batcher.ShardQueues`), and executed by the
-shard's one owner thread during a *drain pass* — so the single-threaded
-engine machinery is never shared, yet different clients' requests for
-the same shard coalesce into one batch and ride the tree's
-``insert_many``/``delete_many`` fast paths.
+:class:`~repro.serve.session.Session` handles, and one thread at a time
+runs on a shard, so the single-threaded engine machinery is never
+shared.  Who runs an operation:
+
+* a **synchronous** call (:meth:`Server.call`, behind ``Session.get`` /
+  ``insert`` / ``delete`` / ``update``) whose shard is idle — nothing
+  queued or running in the pool, no drain scheduled — claims the shard
+  and runs on the calling thread, through the same :meth:`_execute` a
+  drain uses; it pays no thread hand-off;
+* everything else (pipelined ``Session.submit``, or a synchronous call
+  that finds its shard busy) is routed to its shard, admitted into that
+  shard's bounded buffer (:class:`~repro.serve.batcher.ShardQueues`),
+  and executed by the shard's owner thread during a *drain pass* — so
+  different clients' requests for the same shard coalesce into one
+  batch and ride the tree's ``insert_many``/``delete_many`` fast paths.
+
+A claim is taken only on an empty buffer, so a synchronous call never
+overtakes a request its session (or any other) buffered earlier.
 
 Commits funnel through the
 :class:`~repro.serve.commit.GroupCommitStage`, so one sync barrier
@@ -32,7 +43,7 @@ import threading
 from time import perf_counter
 
 from ..errors import CrashError, KeyRejectedError, ReproError
-from ..obs import COUNT_BUCKETS, get_registry
+from ..obs import get_registry
 from ..shard.engine import ShardedTree
 from ..shard.scheduler import GroupSyncScheduler
 from ..shard.workers import ShardWorkerPool
@@ -73,13 +84,13 @@ class Server:
         reg = get_registry()
         self._m_requests = {op: reg.counter("serve.requests", op=op)
                             for op in OPS}
+        # every admitted request is exactly one of these two
+        self._m_ran_here = reg.counter("serve.ran_here")
+        self._m_queued = reg.counter("serve.queued")
         self._m_overloaded = reg.counter("serve.overloaded")
         self._m_batches = reg.counter("serve.batches")
         self._m_coalesced = reg.counter("serve.coalesced_ops")
         self._m_commits = reg.counter("serve.commits")
-        self._h_batch = reg.histogram("serve.batch_size",
-                                      bounds=COUNT_BUCKETS)
-        self._h_op = reg.histogram("serve.op_seconds")
         self._h_commit = reg.histogram("serve.commit_seconds")
 
     # -- lifecycle ---------------------------------------------------------
@@ -124,6 +135,33 @@ class Server:
 
     # -- submission (any client thread) ------------------------------------
 
+    def call(self, op: str, value: object, tid: object = None,
+             session_id: int = -1) -> Request:
+        """Route one operation for a caller that will wait on it (the
+        synchronous path); returns its :class:`Request`.  When the
+        routed shard is idle the operation runs right here, on the
+        calling thread, under a claim on the shard, and the request
+        comes back resolved; otherwise it is admitted as by
+        :meth:`submit` and resolves on the owner thread.  Raises like
+        :meth:`submit`."""
+        if op not in OPS:
+            raise ReproError(f"unknown op {op!r}; expected one of {OPS}")
+        shard = self.tree.shard_of(value)
+        request = Request(op, value, tid, shard, session_id)
+        if self.pool.claim(shard):
+            try:
+                ran_here = self.queues.idle(shard)
+                if ran_here:
+                    self._m_requests[op].inc()
+                    self._m_ran_here.inc()
+                    self._execute(shard, [request])
+            finally:
+                self.pool.release(shard)
+            if ran_here:
+                return request
+        self._admit(request)
+        return request
+
     def submit(self, op: str, value: object, tid: object = None,
                session_id: int = -1) -> Request:
         """Route, admit, and (if needed) schedule a drain for one
@@ -135,23 +173,27 @@ class Server:
         """
         if op not in OPS:
             raise ReproError(f"unknown op {op!r}; expected one of {OPS}")
-        shard = self.tree.shard_of(value)
-        request = Request(op=op, value=value, tid=tid, shard=shard,
-                          session_id=session_id)
+        request = Request(op, value, tid, self.tree.shard_of(value),
+                          session_id)
+        self._admit(request)
+        return request
+
+    def _admit(self, request: Request) -> None:
+        shard = request.shard
         try:
             must_schedule = self.queues.offer(shard, request)
         except ServeError as exc:
             if not isinstance(exc, ServerClosed):
                 self._m_overloaded.inc()
             raise
-        self._m_requests[op].inc()
+        self._m_requests[request.op].inc()
+        self._m_queued.inc()
         if must_schedule:
             self._schedule_drain(shard)
-        return request
 
     def _schedule_drain(self, shard: int) -> None:
         try:
-            self.pool.submit(shard, lambda: self._drain(shard))
+            self.pool.post(shard, lambda: self._drain(shard))
         except ReproError:
             # the pool closed between admission and scheduling: the
             # buffered requests will never be drained, so fail them now
@@ -164,16 +206,33 @@ class Server:
     def _drain(self, shard: int) -> None:
         """Take one chunk, execute it, and requeue ourselves if more
         arrived meanwhile.  Chunked so a busy shard's drain never
-        starves FIFO items (commit barriers, heals) queued behind it."""
+        starves FIFO items (commit barriers, heals) queued behind it.
+
+        A drain is posted fire-and-forget, so nobody reads what escapes
+        it: an error :meth:`_execute` does not handle fails the chunk's
+        still-unresolved requests with a :class:`ServeError` naming the
+        cause, and the shard is rescheduled all the same — its later
+        requests are still served."""
         batch = self.queues.take(shard, self.batch_max)
-        if batch:
-            self._execute(shard, batch)
-        if self.queues.reschedule(shard):
-            self._schedule_drain(shard)
+        try:
+            if batch:
+                self._execute(shard, batch)
+        except BaseException as exc:
+            error = ServeError(f"drain pass on shard {shard} failed: "
+                               f"{type(exc).__name__}: {exc}")
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_error(error)
+            raise
+        finally:
+            if self.queues.reschedule(shard):
+                self._schedule_drain(shard)
 
     def _execute(self, shard: int, batch: list[Request]) -> None:
+        """Run *batch* on *shard* and resolve every request's future.
+        The caller is the one thread on the shard: its owner (a drain
+        pass) or a client holding the shard's claim (:meth:`call`)."""
         self._m_batches.inc()
-        self._h_batch.observe(len(batch))
         plan = coalesce(batch)
         dead_reason: str | None = None
         if (self.tree.trees[shard] is None
@@ -202,13 +261,10 @@ class Server:
                 self.scheduler.note_op(shard)
             except CrashError:
                 pass  # the shard died syncing; later requests will see it
-        for request in batch:
-            self._h_op.observe(
-                max(0.0, _now() - request.submitted_at))
 
     def _run_one(self, request: Request) -> None:
-        """Execute a single request on the owner thread; resolve its
-        future exactly once (errors land on the future, not the worker)."""
+        """Execute a single request; resolve its future exactly once
+        (errors land on the future, not the running thread)."""
         tree = self.tree
         try:
             if request.op == "lookup":

@@ -4,8 +4,11 @@ A :class:`Session` is the serving layer's unit of commitment.  It
 pipelines operations through :meth:`submit` (futures resolve on shard
 owner threads), tracks which shards its writes dirtied, and at
 :meth:`commit` asks the server to prove exactly those shards durable.
-The synchronous wrappers (:meth:`get`, :meth:`insert`, ...) are the
-one-op-at-a-time convenience layer over the same pipeline.
+The synchronous wrappers (:meth:`get`, :meth:`insert`, ...) go through
+:meth:`Server.call <repro.serve.server.Server.call>` instead: on an
+idle shard the operation runs on this thread, otherwise it queues
+behind whatever is buffered there — so it never overtakes this
+session's own pipelined requests.
 
 Sessions are deliberately **not** thread-safe — a client thread owns its
 session the way a shard owner owns its engine.  Two threads sharing a
@@ -44,30 +47,41 @@ class Session:
         request = self.server.submit(op, value, tid,
                                      session_id=self.session_id)
         if op in WRITE_OPS:
-            self._dirty.add(request.shard)
-            if not self._open:
-                self._open = True
-                self.server.commit_stage.writer_opened()
+            self._wrote(request.shard)
         self._pending.append(request.future)
         if len(self._pending) > _REAP_THRESHOLD:
             self._pending = [f for f in self._pending if not f.done()]
         return request
 
+    def _wrote(self, shard: int) -> None:
+        self._dirty.add(shard)
+        if not self._open:
+            self._open = True
+            self.server.commit_stage.writer_opened(self.session_id)
+
     # -- synchronous convenience wrappers ----------------------------------
+
+    def _call(self, op: str, value: object, tid: object = None):
+        # answered before this returns, so it never joins ``_pending``
+        request = self.server.call(op, value, tid,
+                                   session_id=self.session_id)
+        if op in WRITE_OPS:
+            self._wrote(request.shard)
+        return request.future.result()
 
     def get(self, value: object):
         """The TID stored for *value*, or None."""
-        return self.submit("lookup", value).future.result()
+        return self._call("lookup", value)
 
     def insert(self, value: object, tid: object) -> None:
-        self.submit("insert", value, tid).future.result()
+        self._call("insert", value, tid)
 
     def delete(self, value: object) -> None:
-        self.submit("delete", value).future.result()
+        self._call("delete", value)
 
     def update(self, value: object, tid: object) -> bool:
         """Upsert; True when an existing entry was replaced."""
-        return bool(self.submit("update", value, tid).future.result())
+        return bool(self._call("update", value, tid))
 
     def range(self, lo=None, hi=None) -> list[tuple[object, object]]:
         """Globally ordered scan (runs on the owner threads, FIFO with

@@ -6,7 +6,8 @@ lazily on first use.  This package scales that story out: a
 completely independent :class:`~repro.storage.engine.StorageEngine`
 instances (own disks, buffer pool, freelist, sync-token domain), a
 :class:`ShardWorkerPool` runs batched operations with one owner thread
-per shard, a :class:`GroupSyncScheduler` syncs shards by dirty-frame
+per shard (and lets a caller claim an idle shard: one thread at a time
+per shard), a :class:`GroupSyncScheduler` syncs shards by dirty-frame
 pressure and group barriers, and a :class:`RecoveryOrchestrator`
 reopens crashed shards independently — because no state or token
 arithmetic crosses a shard boundary, the per-shard repairs need no

@@ -222,8 +222,8 @@ class ShardedTree:
         (the pgbench-style mixed workload's write op).  Returns True
         when an entry was replaced, False when this was a fresh insert.
         Atomic per shard — both steps run against one shard's tree, so
-        under the one-thread-per-shard discipline no reader can observe
-        the gap between delete and insert."""
+        with one thread at a time per shard no reader can observe the
+        gap between delete and insert."""
         tree = self._tree_for(value)
         try:
             tree.delete(value)

@@ -6,10 +6,10 @@ slowest shard and multiply the crash windows.  The scheduler implements
 the two triggers the group actually needs:
 
 * **dirty-frame pressure** (:meth:`GroupSyncScheduler.note_op`): after
-  every operation the owning worker polls its shard's dirty-frame count;
-  crossing the threshold syncs *that shard only*.  Pressure syncs are
-  independent per shard — one shard splitting like mad syncs often, an
-  idle sibling not at all.
+  every operation the thread running on the shard polls its dirty-frame
+  count; crossing the threshold syncs *that shard only*.  Pressure syncs
+  are independent per shard — one shard splitting like mad syncs often,
+  an idle sibling not at all.
 * **group barrier** (:meth:`GroupSyncScheduler.sync_group`): a commit
   point for the logical index.  Every live shard with dirty frames syncs;
   shards that crash doing so are recorded and *skipped*, never allowed to
@@ -70,14 +70,16 @@ class GroupSyncScheduler:
         self._h_occupancy = reg.histogram("shard.group.window_occupancy",
                                           bounds=COUNT_BUCKETS)
 
-    # -- pressure path (called by the owning worker thread) ----------------
+    # -- pressure path (called by the thread running on the shard) --------
 
     def note_op(self, shard_index: int) -> bool:
         """Poll one shard's pressure after an operation; sync if over the
         threshold.  Returns True when a sync ran.  Must only be called by
-        the thread that owns *shard_index* — the whole point of the
-        shard-per-worker discipline is that engine internals are never
-        shared, so the scheduler takes no lock here.
+        the one thread running on *shard_index* — its owner thread, or a
+        caller holding the shard's claim
+        (:meth:`~repro.shard.workers.ShardWorkerPool.claim`).  The whole
+        point of one thread at a time per shard is that engine internals
+        are never shared, so the scheduler takes no lock here.
         """
         engine = self.group.shard(shard_index)
         if engine.dead:
@@ -96,7 +98,7 @@ class GroupSyncScheduler:
             self._m_crashes.inc()
             with self._lock:
                 self.crash_windows[shard_index] = self.window + 1
-            raise               # the owner must learn its shard died
+            raise               # the running thread must see it died
         self._m_pressure.inc()  # only completed syncs count
         return True
 

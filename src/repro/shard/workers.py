@@ -1,10 +1,22 @@
-"""Per-shard worker pool: batched operations, one owner thread per shard.
+"""Per-shard worker pool: batched operations, one thread at a time per shard.
 
 The concurrency model is deliberately boring: shard *i*'s engine, trees,
-buffer pools and freelists are touched by exactly one thread — the shard's
-worker — so none of the single-engine machinery needs latching and the
+buffer pools and freelists are touched by one thread at a time — the
+shard's owner thread, or a caller that claimed the shard while it was
+idle — so none of the single-engine machinery needs latching and the
 latch-protocol invariants hold per shard by construction.  Parallelism
 comes from shards being independent, not from threads sharing a tree.
+
+**Who runs on a shard.**  Every queued item (batch partition, submitted
+callable, heal budget) runs on the shard's owner thread, FIFO.  Under
+the pool's one lock (``_lifecycle``) the pool counts each shard's queued
+or running items; when that count is zero, a caller may
+:meth:`~ShardWorkerPool.claim` the shard and run on it directly — the
+uncontended half of flat combining (Hendler et al., SPAA 2010), which
+saves the two thread hand-offs a queued call pays.  The owner waits out
+a claim before it runs its next item, and no lock is ever held across
+tree work or a sync: the lock guards the count and the claimed flag
+only.
 
 A batch is a list of ``("insert", value, tid)`` / ``("lookup", value)`` /
 ``("delete", value)`` tuples in client order.  The pool partitions it by
@@ -68,7 +80,9 @@ class BatchReport:
 
 
 class ShardWorkerPool:
-    """N worker threads, each owning one shard of a :class:`ShardedTree`.
+    """N worker threads, each owning one shard of a :class:`ShardedTree`
+    (see the module docstring for the claim that lets a caller run on an
+    idle shard).
 
     Use as a context manager (or call :meth:`close`); workers are
     long-lived so consecutive batches reuse warm threads.
@@ -92,11 +106,17 @@ class ShardWorkerPool:
                                                  for _ in range(self._n)]
         self._threads: list[threading.Thread] = []
         self._closed = False
+        #: per shard: items queued or running on the owner thread
+        self._busy = [0] * self._n
+        #: per shard: a caller claimed the idle shard and runs on it
+        self._claimed = [False] * self._n
         # guards the closed flag and the submission/sentinel ordering:
         # checking `_closed` and enqueueing must be one atomic step, or
         # a submission racing `close` can land behind the shutdown
-        # sentinel and strand its caller on an event no worker will set
-        self._lifecycle = threading.Lock()
+        # sentinel and strand its caller on an event no worker will set.
+        # It also guards `_busy` / `_claimed`; waiting on it is how an
+        # owner waits out a claim
+        self._lifecycle = threading.Condition()
         for i in range(self._n):
             thread = threading.Thread(target=self._worker_loop, args=(i,),
                                       name=f"shard-worker-{i}", daemon=True)
@@ -157,6 +177,7 @@ class ShardWorkerPool:
             if self._closed:
                 raise ReproError("worker pool is closed")
             for shard_index in range(self._n):
+                self._busy[shard_index] += 1
                 self._queues[shard_index].put(
                     ("batch", partitions[shard_index], results,
                      done[shard_index], crashed, crashed_lock))
@@ -178,9 +199,8 @@ class ShardWorkerPool:
             -> tuple[threading.Event, dict]:
         """Run the zero-argument callable *fn* on *shard_index*'s owner
         thread, FIFO-ordered with batch and heal items — the serving
-        layer's building block (its dispatcher feeds drain passes and
-        group-commit barriers through here so every touch of a shard's
-        engine stays on the shard's one owner thread).
+        layer's building block (group-commit barriers and range scans
+        come through here; drain passes through :meth:`post`).
 
         Returns ``(done_event, errbox)``.  *fn* is expected to handle
         its own errors; anything that escapes is captured into
@@ -189,14 +209,47 @@ class ShardWorkerPool:
         """
         done = threading.Event()
         errbox: dict = {}
+        self._enqueue(shard_index, ("call", fn, done, errbox))
+        return done, errbox
+
+    def post(self, shard_index: int, fn) -> None:
+        """Queue *fn* on *shard_index*'s owner thread like :meth:`submit`,
+        fire-and-forget: no event to wait on and no error box.  *fn*
+        reports its own outcome (the serving layer's drain passes
+        resolve their requests' futures); an error that still escapes
+        it is dropped so the owner thread survives.  Raises
+        :class:`ReproError` when the pool is closed."""
+        self._enqueue(shard_index, ("call", fn, None, None))
+
+    def _enqueue(self, shard_index: int, item: tuple) -> None:
         with self._lifecycle:
             # closed-check and enqueue are one atomic step, same as
             # run_batch: a submission racing close() must raise, never
             # land behind the shutdown sentinel
             if self._closed:
                 raise ReproError("worker pool is closed")
-            self._queues[shard_index].put(("call", fn, done, errbox))
-        return done, errbox
+            self._busy[shard_index] += 1
+            self._queues[shard_index].put(item)
+
+    # -- running on an idle shard from the calling thread -------------------
+
+    def claim(self, shard_index: int) -> bool:
+        """Claim *shard_index* for the calling thread if nothing is
+        queued or running on it; True when claimed.  Until
+        :meth:`release`, the caller is the one thread on the shard: the
+        owner waits out the claim before its next item.  Never blocks."""
+        with self._lifecycle:
+            if (self._closed or self._busy[shard_index]
+                    or self._claimed[shard_index]):
+                return False
+            self._claimed[shard_index] = True
+            return True
+
+    def release(self, shard_index: int) -> None:
+        """End a :meth:`claim`; the owner runs whatever queued meanwhile."""
+        with self._lifecycle:
+            self._claimed[shard_index] = False
+            self._lifecycle.notify_all()
 
     def run_heal(self, max_units_per_shard: int | None = None) \
             -> list[int]:
@@ -222,6 +275,7 @@ class ShardWorkerPool:
             if self._closed:
                 raise ReproError("worker pool is closed")
             for shard_index in targets:
+                self._busy[shard_index] += 1
                 self._queues[shard_index].put(
                     ("heal", max_units_per_shard, done[shard_index],
                      crashed, crashed_lock))
@@ -235,6 +289,11 @@ class ShardWorkerPool:
         q = self._queues[shard_index]
         while True:
             item = q.get()
+            with self._lifecycle:
+                # one thread at a time per shard: a caller that claimed
+                # the shard while it was idle finishes first
+                while self._claimed[shard_index]:
+                    self._lifecycle.wait()
             if item is None:
                 return
             if item[0] == "batch":
@@ -250,11 +309,14 @@ class ShardWorkerPool:
                     fn()
                 except Exception as exc:  # lint: disable=R005
                     # a submitted closure let an error escape its own
-                    # handling: record it for the submitter — the owner
-                    # thread must survive for its shard's later work
-                    errbox["error"] = exc
+                    # handling: record it for the submitter (a posted
+                    # one has none) — the owner thread must survive for
+                    # its shard's later work
+                    if errbox is not None:
+                        errbox["error"] = exc
                 finally:
-                    done.set()
+                    if done is not None:
+                        done.set()
             else:
                 _, budget, done, crashed, crashed_lock = item
                 try:
@@ -262,6 +324,8 @@ class ShardWorkerPool:
                                    crashed_lock)
                 finally:
                     done.set()
+            with self._lifecycle:
+                self._busy[shard_index] -= 1
 
     def _run_heal(self, shard_index: int, budget: int | None,
                   crashed, crashed_lock) -> None:

@@ -178,7 +178,9 @@ def render_report(doc: dict) -> str:
             lines.append(f"  {'requests':<22} "
                          f"{serving['totals'].get('serve.requests', 0)} "
                          f"({ops})")
-        for label, key in (("overload rejections", "serve.overloaded"),
+        for label, key in (("ran on the caller", "serve.ran_here"),
+                           ("queued to the owner", "serve.queued"),
+                           ("overload rejections", "serve.overloaded"),
                            ("drain batches", "serve.batches"),
                            ("coalesced writes", "serve.coalesced_ops"),
                            ("commits acked", "serve.commit.acked"),

@@ -22,7 +22,7 @@ from repro import StorageEngine, TREE_CLASSES
 from repro.core.detect import Action, Kind
 from repro.core.nodeview import NodeView
 
-from .helpers import build_to_split, crash_keeping, tid_for, \
+from .helpers import build_to_split, crash_keeping, find_split, tid_for, \
     verify_recovered
 
 KIND = "reorg"
@@ -231,3 +231,34 @@ def test_sibling_split_between_resolves_the_backup_naming_it():
     tree2 = TREE_CLASSES[KIND].open(engine2, "ix")
     assert all(tree2.lookup(k) is not None for k in live)
     assert [v for v, _ in tree2.range_scan()] == sorted(live)
+
+
+def test_regenerated_sibling_relinks_its_far_neighbour():
+    """Case (c) where the split's restamp of Pb's right neighbour was
+    lost too: that neighbour still names Pa as its left peer.  The
+    regeneration must point it at Pb, or a later split of the neighbour
+    that puts its new page to its left splices that page in right after
+    Pa, and Pb's keys drop out of every scan (lookups still find them)."""
+    engine = StorageEngine.create(page_size=512, seed=23)
+    tree = TREE_CLASSES[KIND].create(engine, "ix", codec="uint32")
+    committed = set(range(0, 800, 2))
+    tree.insert_many((k, tid_for(k)) for k in sorted(committed))
+    engine.sync()
+    tree.insert(211, tid_for(211))      # splits the leaf holding 210
+    split = find_split(tree)
+    pa = _view(tree, split["pa"])
+    assert pa.live_is_low and pa.right_peer == split["pb"]
+    crash_keeping(engine, tree, "ix", [split["parent"], split["pa"]])
+
+    engine2 = StorageEngine.reopen_after_crash(engine)
+    tree2 = TREE_CLASSES[KIND].open(engine2, "ix")
+    tree2.drive_repairs()
+    engine2.sync()
+    assert any(r.kind is Kind.LOST_SIBLING for r in tree2.repair_log)
+    far = _view(tree2, split["pb"]).right_peer
+    assert _view(tree2, far).left_peer == split["pb"]
+    splits = tree2.splits.value
+    tree2.insert(241, tid_for(241))     # low half of the far neighbour
+    assert tree2.splits.value == splits + 1
+    assert ([v for v, _ in tree2.range_scan(200, 300)]
+            == sorted({k for k in committed if 200 <= k < 300} | {241}))

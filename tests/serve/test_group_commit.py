@@ -433,3 +433,66 @@ def test_committer_survives_an_unexpected_barrier_error():
         assert counters["serve.commit.failed"] == 1
         assert counters["serve.commit.acked"] == 1
         assert closed_by(reg)["siblings"] == 1     # the failed one: none
+
+
+def commit_together(sessions):
+    """Commit every session from its own thread; returns the acks."""
+    acks = []
+    threads = [threading.Thread(target=committing(s, acks))
+               for s in sessions]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=PROMPT)
+        assert not t.is_alive()
+    return acks
+
+
+def test_sessions_acked_together_share_the_next_window_too():
+    # a synchronous call on an idle shard runs on the client's thread,
+    # so one client can write and commit before its sibling writes
+    # again; the window waits for the sibling the last window acked
+    with scoped_registry() as reg:
+        with served(window_delay=LONG_DELAY) as server:
+            stage, scheduler = server.commit_stage, server.scheduler
+            a, b = server.session(), server.session()
+            a.insert(1, tid_for(1))
+            b.insert(2, tid_for(2))
+            first = commit_together([a, b])
+            assert first == [first[0]] * 2
+            a.insert(3, tid_for(3))          # b has not written yet
+            acks = []
+            thread = threading.Thread(target=committing(a, acks))
+            thread.start()
+            wait_until(lambda: stage.pending_count() == 1)
+            sleep(0.05)
+            assert not acks and scheduler.commit_windows == 1
+            b.insert(4, tid_for(4))
+            assert stage.open_writers() == 1    # b: acked -> open
+            acks.append(b.commit())
+            thread.join(timeout=PROMPT)
+            assert not thread.is_alive()
+            assert acks == [first[0] + 1] * 2
+            assert scheduler.commit_windows == 2
+        assert closed_by(reg)["siblings"] == 2
+
+
+def test_a_session_gone_idle_after_its_ack_costs_one_delay_once():
+    delay = 0.5
+    with scoped_registry() as reg:
+        with served(window_delay=delay) as server:
+            a, idler = server.session(), server.session()
+            a.insert(1, tid_for(1))
+            idler.insert(2, tid_for(2))
+            commit_together([a, idler])     # idler never writes again
+            a.insert(3, tid_for(3))
+            started = monotonic()
+            assert a.commit() >= 2
+            assert delay * 0.9 <= monotonic() - started < PROMPT
+            for key in (4, 5):              # and never again after that
+                a.insert(key, tid_for(key))
+                started = monotonic()
+                assert a.commit() >= 3
+                assert monotonic() - started < delay / 2
+        assert closed_by(reg) == {"siblings": 3, "timer": 1,
+                                  "full": 0, "stop": 0}

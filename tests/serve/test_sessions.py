@@ -1,9 +1,10 @@
 """Session semantics through the serving front door.
 
-Every operation here crosses a thread boundary — client thread to shard
-owner thread — so these tests are the contract that the dispatch
-pipeline preserves single-client semantics: per-key errors land on the
-right futures, FIFO order per shard holds, and coalesced batches are
+A pipelined operation crosses a thread boundary — client thread to shard
+owner thread — and a synchronous one may run on the client's own thread
+when its shard is idle, so these tests are the contract that both paths
+preserve single-client semantics: per-key errors land on the right
+futures, FIFO order per shard holds, and coalesced batches are
 indistinguishable from one-at-a-time execution.
 """
 
@@ -13,9 +14,9 @@ import pytest
 
 from repro import TID
 from repro.errors import (CrashError, DuplicateKeyError, KeyNotFoundError,
-                          ReproError)
+                          ReproError, TreeError)
 from repro.obs import scoped_registry
-from repro.serve import OpFuture, RequestTimeout, Server
+from repro.serve import OpFuture, RequestTimeout, ServeError, Server
 from repro.shard import ShardedEngine
 from repro.storage.engine import EngineDeadError
 
@@ -168,6 +169,34 @@ def test_coalesced_run_fails_only_the_duplicate(monkeypatch):
         assert lookups == []
         monkeypatch.undo()
         assert all(s.get(k) == tid_for(k) for k in keys)
+
+
+def test_an_error_escaping_a_drain_fails_its_batch_and_keeps_the_shard():
+    # an error the drain pass does not handle (here a TreeError out of
+    # insert_many) used to vanish into an error box nobody read: the
+    # batch's futures hung and the shard's drain flag stayed set, so no
+    # later request to the shard was ever served
+    group, tree, server = make()
+    with server:
+        s = server.session()
+        keys = keys_on_shard(tree, 0, 5)
+        shard_tree = tree.trees[0]
+        real = shard_tree.insert_many
+
+        def broken_once(pairs):
+            shard_tree.insert_many = real
+            raise TreeError("injected insert_many failure")
+        shard_tree.insert_many = broken_once
+        gate = threading.Event()
+        server.pool.submit(0, lambda: gate.wait(10))
+        requests = [s.submit("insert", k, tid_for(k)) for k in keys[:4]]
+        gate.set()
+        for r in requests:
+            with pytest.raises(ServeError, match="TreeError"):
+                r.future.result(timeout=2)
+        follow = s.submit("insert", keys[4], tid_for(keys[4]))
+        assert follow.future.result(timeout=2) is None
+        assert s.get(keys[4]) == tid_for(keys[4])
 
 
 def test_coalesced_run_of_one_key_twice_fails_the_later_request():
