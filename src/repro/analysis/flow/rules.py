@@ -31,7 +31,8 @@ R014      a latch is held across a blocking call on some path, a latch
           is acquired under a read latch (readers never couple), or a
           latch is still held when a path — normal or exceptional —
           leaves the function (3.6)
-R015      ``note_insert`` / ``note_delete`` runs on a path that has not
+R015      a ``note_*`` restamp (``note_insert`` / ``note_delete`` /
+          ``note_update`` and the run forms) runs on a path that has not
           yet marked the buffer dirty, in ``core/`` and ``storage/``:
           the restamped decoded node captures the stale version
 ========  ==================================================================

@@ -69,7 +69,7 @@ BLOCKING_CALLEES = {"sync", "fsync", "sleep", "join", "wait", "acquire",
 #: Tree operations that may split a page (directly or transitively) ...
 SPLIT_CAPABLE = {"_split_and_insert", "_split_bucket", "_double_directory"}
 #: ... and the public mutators, when invoked on a tree-named receiver.
-TREE_MUTATORS = {"insert", "delete"}
+TREE_MUTATORS = {"insert", "delete", "update"}
 
 #: Files that *are* the page-mutation layer.
 PAGE_LAYER_FILES = ("storage/page.py", "core/nodeview.py", "core/meta.py")
@@ -77,7 +77,8 @@ PAGE_LAYER_FILES = ("storage/page.py", "core/nodeview.py", "core/meta.py")
 MUTATOR_METHODS = {
     "init_page", "init_meta", "insert_item", "delete_item", "replace_items",
     "write_backup", "restore_backup", "reclaim_backup", "compact",
-    "repair_intra_page", "set_child_at", "set_prev_at", "set_root",
+    "repair_intra_page", "set_child_at", "set_prev_at", "set_tid_at",
+    "set_root",
     "store_freelist", "erase_freelist", "overwrite_region", "set_line",
     "write_header", "copy_page",
 }
@@ -98,7 +99,7 @@ DIRTY_EVIDENCE_CALLEES = {
 }
 #: Incremental decoded-node maintenance: restamps the node to
 #: ``buf.version``, so it must follow the dirty-mark that bumps it (R015).
-NOTE_CALLEES = {"note_insert", "note_delete",
+NOTE_CALLEES = {"note_insert", "note_delete", "note_update",
                 "note_insert_run", "note_delete_run"}
 
 #: Call targets that produce a derived view sharing the buffer's fact.

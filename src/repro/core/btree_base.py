@@ -597,6 +597,27 @@ class BLinkTree:
         finally:
             self._unpin_path(path)
 
+    def update(self, value, tid: TID | tuple[int, int]) -> bool:
+        """Point *value* at *tid*, inserting it when it is absent; returns
+        True when an existing entry was replaced.
+
+        One descent and one leaf write, through the insert path's steps
+        (:meth:`_insert_run`).  A present key has its item's six TID
+        bytes rewritten in place (:meth:`NodeView.set_tid_at`): the leaf
+        keeps its header, line table and keys, so every image a sync can
+        persist holds the key — with the old TID or the new one — and
+        recovery, which reasons about keys and ranges and never TIDs,
+        sees the key set an insert of a present key would have left.
+        Deleting and re-inserting instead would expose a state holding
+        neither, which a sync forced in between (Section 3.4's case 1)
+        can make durable.  An absent key is inserted."""
+        if not isinstance(tid, TID):
+            tid = TID(*tid)
+        replaced: list[int] = []
+        self._insert_run([(self.codec.encode(value), tid, 0)], 0, replaced,
+                         replace=True)
+        return bool(replaced)
+
     def delete(self, value) -> None:
         """Remove *value* from the index; empty pages are reclaimed the
         Lanin-Shasha way (the page is recycled once its last key goes)."""
@@ -746,11 +767,13 @@ class BLinkTree:
         return list(zip(lows, pages))
 
     def _insert_run(self, batch: list[tuple[bytes, TID, int]], i: int,
-                    rejected: list[int]) -> int:
+                    rejected: list[int], *, replace: bool = False) -> int:
         """Insert ``batch[i]`` and each following entry its leaf is
         provably responsible for; returns the index of the first entry
         not consumed.  This is the only code that inserts into a leaf:
-        :meth:`insert` is the run of one.
+        :meth:`insert` is the run of one, and so is :meth:`update`, which
+        passes *replace* to have a key already present take the entry's
+        TID in place (its position still goes to *rejected*).
 
         *batch* holds ``(key, tid, position)`` in key order.  One
         descent, one peer-path check and one reclamation check serve the
@@ -780,6 +803,10 @@ class BLinkTree:
                 key, tid, pos = batch[i]
                 slot, found = node.search(key, fp)
                 if found:
+                    if replace:
+                        view.set_tid_at(slot, tid)
+                        self._dirty(buf)
+                        node.note_update(buf)
                     rejected.append(pos)
                     i += 1
                 else:

@@ -86,6 +86,13 @@ def set_item_prev(buf: bytearray, offset: int, prev: int) -> None:
     _U32.pack_into(buf, offset + 2 + klen + 4, prev)
 
 
+def set_item_tid(buf: bytearray, offset: int, tid: TID) -> None:
+    """Overwrite the TID of the leaf item at *offset*: its last six bytes,
+    nothing else."""
+    (klen,) = _LEN.unpack_from(buf, offset)
+    _TIDP.pack_into(buf, offset + 2 + klen, tid.page_no, tid.line)
+
+
 def leaf_item_bytes(buf, offset: int) -> bytes:
     """The full serialized leaf item at *offset*."""
     (klen,) = _LEN.unpack_from(buf, offset)

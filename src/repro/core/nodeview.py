@@ -292,6 +292,13 @@ class NodeView:
     def set_prev_at(self, index: int, prev: int) -> None:
         I.set_item_prev(self.buf, P.get_line(self.buf, index), prev)
 
+    def set_tid_at(self, index: int, tid: TID) -> None:
+        """Rewrite the TID of leaf entry *index* in place: the item's six
+        TID bytes change and nothing else on the page does — the header,
+        the line table and every key stay as they were.  The leaf writer
+        uses it for ``update``; the caller marks the buffer dirty."""
+        I.set_item_tid(self.buf, P.get_line(self.buf, index), tid)
+
     def item_bytes_at(self, index: int) -> bytes:
         off = P.get_line(self.buf, index)
         if self.is_leaf:
@@ -900,8 +907,9 @@ class DecodedNode:
       comprehension per list, no per-item calls.  Leaf writers keep
       the node current across their own version bump — the mutator they
       hand it to assigns the header fields it changed, :meth:`note_insert`
-      / :meth:`note_delete` restamp it and update the list; any other
-      bump drops the list and the next reader decodes it again in bulk.
+      / :meth:`note_delete` / :meth:`note_update` restamp it and update
+      the list; any other bump drops the list and the next reader
+      decodes it again in bulk.
 
     A page whose bytes cannot be bulk-decoded (garbage ahead of a
     first-use repair) never gets lists: every reader falls back to the
@@ -940,8 +948,9 @@ class DecodedNode:
     def for_writer(self) -> None:
         """A writer is about to search and modify this leaf: its next
         search decodes the key list however few searches the frame has
-        served, and :meth:`note_insert` / :meth:`note_delete` keep it
-        across the writer's own version bump."""
+        served, and :meth:`note_insert` / :meth:`note_delete` /
+        :meth:`note_update` keep it across the writer's own version
+        bump."""
         self.searches = self.n_keys
 
     # -- bulk decode -----------------------------------------------------
@@ -1114,6 +1123,12 @@ class DecodedNode:
         self.version = buf.version
         if self.keys is not None:
             del self.keys[slot]
+
+    def note_update(self, buf) -> None:
+        """The caller just ran ``set_tid_at`` — which moves no header
+        field and no key — and ``mark_dirty`` on the leaf: take the new
+        version and keep the key list as it is."""
+        self.version = buf.version
 
     def note_insert_run(self, buf, slots: list[int],
                         keys: list[bytes]) -> None:

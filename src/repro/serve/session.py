@@ -80,7 +80,10 @@ class Session:
         self._call("delete", value)
 
     def update(self, value: object, tid: object) -> bool:
-        """Upsert; True when an existing entry was replaced."""
+        """Upsert; True when an existing entry was replaced.  Runs on the
+        server as one tree call that rewrites a present key's TID in
+        place, so a crash leaves the key with its committed TID or this
+        one, never missing."""
         return bool(self._call("update", value, tid))
 
     def range(self, lo=None, hi=None) -> list[tuple[object, object]]:

@@ -27,8 +27,7 @@ from typing import Iterator, Sequence
 
 from ..core import TREE_CLASSES, open_tree
 from ..core.keys import CODECS, KeyCodec
-from ..errors import (CrashError, KeyNotFoundError, KeyRejectedError,
-                      ReproError)
+from ..errors import CrashError, KeyRejectedError, ReproError
 from ..obs import get_registry, get_trace
 from ..storage.engine import EngineDeadError, StorageEngine
 from .router import ShardRouter
@@ -221,17 +220,10 @@ class ShardedTree:
         """Upsert: point *value* at *tid*, replacing any existing entry
         (the pgbench-style mixed workload's write op).  Returns True
         when an entry was replaced, False when this was a fresh insert.
-        Atomic per shard — both steps run against one shard's tree, so
-        with one thread at a time per shard no reader can observe the
-        gap between delete and insert."""
-        tree = self._tree_for(value)
-        try:
-            tree.delete(value)
-            existed = True
-        except KeyNotFoundError:
-            existed = False
-        tree.insert(value, tid)
-        return existed
+        One call into the owning shard's tree (:meth:`BLinkTree.update`),
+        which rewrites a present key's TID in place: no reader and no
+        sync ever sees the key missing."""
+        return self._tree_for(value).update(value, tid)
 
     def insert_many(self, pairs) -> int:
         """Batched insert: group by target shard, then let each shard's

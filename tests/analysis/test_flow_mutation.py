@@ -115,6 +115,35 @@ def test_reordered_note_before_dirty_is_caught_as_r015(tmp_path):
     assert any("note_insert" in n for n in witness_notes(v))
 
 
+def test_dropped_dirty_before_note_update_is_caught(tmp_path):
+    """Drop the dirty-mark between ``update``'s in-place TID rewrite and
+    its ``note_update`` restamp in ``_insert_run``: the restamp now runs
+    on a clean buffer (R015), and the rewritten page reaches the exit
+    with no dirty evidence (R012).  Linted in extraction, as above."""
+    source = extract_method(BTREE_SRC.read_text(), "_insert_run")
+    rules = [NoteBeforeDirtyOnPathRule(), WriteWithoutDirtyOnPathRule()]
+    mutant = source.replace(
+        """                        view.set_tid_at(slot, tid)
+                        self._dirty(buf)
+                        node.note_update(buf)""",
+        """                        view.set_tid_at(slot, tid)
+                        node.note_update(buf)""")
+    assert mutant != source, "mutation site moved; update the self-test"
+    path = tmp_path / "core" / "mutant.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(source)
+    assert lint_paths([path], rules).ok
+    path.write_text(mutant)
+    report = lint_paths([path], rules)
+    r015 = [v for v in report.violations if v.rule_id == "R015"]
+    assert r015, report.render_text()
+    assert "note_update" in r015[0].message
+    assert any("note_update" in n for n in witness_notes(r015[0]))
+    r012 = [v for v in report.violations if v.rule_id == "R012"]
+    assert r012, report.render_text()
+    assert any("set_tid_at" in n for n in witness_notes(r012[0]))
+
+
 def test_swallowed_latch_release_is_caught_as_r014(tmp_path):
     """Replace ConcurrentTree.lookup's finally-release with a swallowing
     handler: the read latch leaks on both the normal return and the

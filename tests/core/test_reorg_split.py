@@ -134,6 +134,33 @@ def test_reclaim_case2_after_sync_is_free(tree):
         assert NodeView(buf.data, PAGE).prev_n_keys == 0
 
 
+@pytest.mark.parametrize("synced", [False, True])
+def test_update_resolves_backup_keys_before_the_write(tree, synced):
+    """An update of a key on Pa runs the same reclamation check as an
+    insert or a delete: the backup is resolved — by a forced sync in the
+    window of the split (case 1), for free after one (case 2) — before
+    the TID is rewritten, and no key moves."""
+    split_once(tree)
+    if synced:
+        tree.engine.sync()
+    pa_no = find_backed_up_leaf(tree)
+    with tree.file.pinned(pa_no) as buf:
+        pa = NodeView(buf.data, PAGE)
+        keys = list(pa.keys())
+    key = int.from_bytes(keys[len(keys) // 2], "big")
+    syncs_before = tree.engine.syncs_completed.value
+    assert tree.update(key, TID(99, 9)) is True
+    stalls = 0 if synced else 1
+    assert tree.sync_stalls.value == stalls
+    assert tree.engine.syncs_completed.value == syncs_before + stalls
+    with tree.file.pinned(pa_no) as buf:
+        pa = NodeView(buf.data, PAGE)
+        assert pa.prev_n_keys == 0 and pa.backup_count == 0
+        assert list(pa.keys()) == keys
+    assert tree.lookup(key) == TID(99, 9)
+    tree.check()
+
+
 def test_descending_split_puts_new_key_in_low_half(engine):
     """'Pb is the page that will contain the new key ... Pa may be either
     the left or the right child': descending inserts make the live half

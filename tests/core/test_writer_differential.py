@@ -7,7 +7,9 @@ tree uses — header fields taken from the frame's node, one slice move, one
 a sorted run at once, ``items()`` / ``replace_items`` move a split's
 halves in bulk.  Each must leave exactly the bytes of its reference: the
 stepped protocol for the single writer, the single writer for a run, and
-the per-item forms (kept below) for the split.
+the per-item forms (kept below) for the split.  ``update`` is the third
+leaf writer: it must leave an ``insert``'s bytes for an absent key and
+move only the six TID bytes of a present one.
 """
 
 # page-layer differentials work on raw NodeViews over bytearrays: there is
@@ -31,7 +33,7 @@ from repro.errors import PageError, PageFullError
 from repro.storage import page as P
 from repro.storage.buffer_pool import Buffer
 
-from ..fastpath.helpers import all_page_bytes
+from ..fastpath.helpers import all_page_bytes, leaf_page_of
 
 ALL_KINDS = ("normal", "shadow", "reorg", "hybrid")
 
@@ -434,3 +436,63 @@ def test_items_on_an_undecodable_page_falls_back_to_the_per_item_read(damage):
         assert str(err.value) == str(exc)
     else:
         assert view.items() == expected
+
+
+# ---------------------------------------------------------------------------
+# (d) update: six TID bytes in place, or exactly an insert
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("codec", ["uint32", "bytes"])
+@pytest.mark.parametrize("page_size", [256, 512, 8192])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_update_rewrites_six_tid_bytes_or_leaves_an_inserts_bytes(
+        kind, page_size, codec):
+    """Two trees built alike.  An update of an absent key leaves every
+    page as ``insert`` of it leaves the twin, splits included.  An update
+    of a present key changes exactly its item's six TID bytes: the
+    header, the line table, the key bytes, every other item and every
+    other page stay as they were."""
+    trees = []
+    for _ in range(2):
+        engine = StorageEngine.create(page_size=page_size, seed=17)
+        trees.append((engine, TREE_CLASSES[kind].create(engine, "ix",
+                                                        codec=codec)))
+    (engine_u, updated), (engine_i, inserted) = trees
+    rng = random.Random(f"update-{kind}-{page_size}-{codec}")
+    live = {}
+    n_ops = 2600 if page_size == 8192 else 400      # a split at either
+    for n in range(n_ops):
+        key = random_key(rng, codec)
+        if key in live:
+            continue
+        live[key] = TID(1 + n // 200, n % 200)
+        assert updated.update(key, live[key]) is False
+        inserted.insert(key, live[key])
+        assert all_page_bytes(updated) == all_page_bytes(inserted), n
+        if n % 37 == 36:
+            engine_u.sync()
+            engine_i.sync()
+    assert updated.splits.value == inserted.splits.value > 0
+    engine_u.sync()
+    for n, key in enumerate(rng.sample(sorted(live), 40)):
+        # settle the leaf first: rewriting the TID it holds resolves any
+        # backup keys a reorganised leaf still carries, and moves no byte
+        # of a leaf that has none
+        assert updated.update(key, live[key]) is True
+        before = all_page_bytes(updated)
+        live[key] = TID(0xA0B0C0 + n, 0xD0E + n)
+        assert updated.update(key, live[key]) is True
+        after = all_page_bytes(updated)
+        page_no = leaf_page_of(updated, key)
+        view = NodeView(bytearray(before[page_no]), page_size)
+        slot, found = view.search(updated.codec.encode(key))
+        assert found
+        at = view.item_off(slot) + 2 + len(view.key_at(slot))
+        assert after[page_no][at:at + 6] == struct.pack(
+            "<IH", live[key].page_no, live[key].line)
+        assert after[page_no][:at] == before[page_no][:at]
+        assert after[page_no][at + 6:] == before[page_no][at + 6:]
+        assert [page for i, page in enumerate(after) if i != page_no] \
+            == [page for i, page in enumerate(before) if i != page_no]
+    assert updated.check() == sorted(
+        (updated.codec.encode(key), tid) for key, tid in live.items())

@@ -8,11 +8,12 @@ instead of the whole page, and a scan pays a handful of calls per key.
 They hold recovery to a cost per page: its sweep and its validator make
 well under one call per key and build no TID.  And they hold every leaf
 operation to one descent and one header read: a warm lookup, a
-churn-shaped write pair and an ascending batch have call budgets, and a
-batch makes one ``_descend`` per leaf-run.  A change that re-introduces
-per-key decoding on a miss, a per-key loop in recovery, a per-op bypass
-in front of the descent, a second descent behind it or a per-field
-header read in the writer fails here, not in a wall-clock gate.  The
+churn-shaped write pair, an in-place update and an ascending batch have
+call budgets, and a batch makes one ``_descend`` per leaf-run.  A change
+that re-introduces per-key decoding on a miss, a per-key loop in
+recovery, a per-op bypass in front of the descent, a second descent
+behind it or a per-field header read in the writer fails here, not in a
+wall-clock gate.  The
 trees loaded here get their first root before the batch, so it takes
 the split path; a batch into a tree with no root is built bottom-up and
 has its own budget.
@@ -119,6 +120,26 @@ def test_churn_pair_calls(loaded):
     # by field; 131 behind the finger)
     assert calls / (2 * SLICE) <= 85
     assert unpacks / (2 * SLICE) <= 4
+
+
+def test_in_place_update_calls(loaded):
+    """``served_mixed``'s write: an update of a present key, on the tree
+    the churn pair runs on.  One descent, the leaf's reclamation check and
+    one search, then six TID bytes, one dirty-mark and one restamp — no
+    second descent, no line-table shift, no split."""
+    _engine, tree = loaded
+    keys = random.Random(6).sample(range(N_KEYS), SLICE)
+    splits = tree.splits.value
+
+    def update():
+        for i, key in enumerate(keys):
+            tree.update(key, tid_for(N_KEYS + i))
+    calls, unpacks = count_calls(update)
+    assert tree.splits.value == splits
+    # 78.0 and 2.27, two of the unpacks the line entry and key length
+    # ``set_tid_at`` reads (149 and 0.30 as a delete and an insert)
+    assert calls / SLICE <= 80
+    assert unpacks / SLICE <= 2.5
 
 
 def test_ascending_batch_calls_per_key():

@@ -119,16 +119,26 @@ def crash_keeping(engine, tree, file_name: str, keep_pages) -> None:
 
 def verify_recovered(kind: str, engine, committed, *,
                      insert_from: int = 10_000,
-                     inserts: int = 60) -> None:
+                     inserts: int = 60, tids=None) -> None:
     """The recovery contract: reopen, find every committed key, accept new
-    work, and end structurally sound."""
+    work, and end structurally sound.  With *tids* (committed key -> the
+    set of TIDs it may hold) each committed key must also come back
+    holding one of them, through both ``lookup`` and ``range_scan``."""
     engine2 = StorageEngine.reopen_after_crash(engine)
     tree2 = TREE_CLASSES[kind].open(engine2, "ix")
-    missing = [k for k in committed if tree2.lookup(k) is None]
+    found = {k: tree2.lookup(k) for k in committed}
+    missing = [k for k, tid in found.items() if tid is None]
     assert not missing, f"committed keys lost: {sorted(missing)[:10]}"
-    values = [v for v, _ in tree2.range_scan()]
+    scanned = list(tree2.range_scan())
+    values = [v for v, _ in scanned]
     assert values == sorted(set(values)), "scan unsorted or duplicated"
     assert committed <= set(values), "scan lost committed keys"
+    if tids is not None:
+        in_scan = dict(scanned)
+        wrong = sorted(k for k in committed
+                       if found[k] not in tids[k] or in_scan[k] not in tids[k])
+        assert not wrong, \
+            f"committed keys hold a TID no write gave them: {wrong[:10]}"
     for key in range(insert_from, insert_from + inserts):
         tree2.insert(key, tid_for(key))
     engine2.sync()

@@ -23,7 +23,7 @@ from repro.shard import ShardedEngine
 PAGE = 512
 
 #: the per-shard entry points the exclusivity guard wraps
-TREE_ENTRIES = ("lookup", "insert", "delete", "insert_many",
+TREE_ENTRIES = ("lookup", "insert", "delete", "update", "insert_many",
                 "delete_many", "range_scan")
 
 
