@@ -2,8 +2,9 @@
 # Serving smoke: four concurrent sessions through one Server, then the
 # group-commit ledger must add up — windows closed, every one of them
 # for a counted reason, no commit failed — and so must the request
-# ledger: some synchronous calls ran on the caller, and every request
-# either ran there or was queued to the shard's owner.
+# ledger: some synchronous calls ran on the caller, every request
+# either ran there or was queued to the shard's owner, and the queued
+# requests a waiter ran itself are a subset of the queued ones.
 #
 # Usage: scripts/serving_smoke.sh  (or: make serving; a check.sh stage)
 set -eu
@@ -26,6 +27,10 @@ assert totals['serve.commit.failed'] == 0, serving
 assert totals.get('serve.ran_here', 0) > 0, serving
 assert totals.get('serve.ran_here', 0) + totals.get('serve.queued', 0) \
     == totals['serve.requests'], serving
+# a waiter runs only queued requests (the demo makes synchronous calls
+# only, so it need not have run any)
+assert totals.get('serve.helped', 0) <= totals.get('serve.queued', 0), \
+    serving
 reasons = ', '.join(f'{k}={v}' for k, v in sorted(closed_by.items()) if v)
 print(f\"{serving['commit_windows']} group-commit windows \"
       f\"({serving['amortization']:.2f}x amortized), closed by {reasons}; \"

@@ -675,6 +675,12 @@ class NodeView:
             # the table runs off the page: walk it entry by entry, which
             # still finds a duplicate that precedes the overrun
             offsets = (P.get_line(self.buf, i) for i in range(n))
+        else:
+            # every offset distinct: no entry can match its neighbour.
+            # One C-level test clears a clean page; the loop below only
+            # locates a duplicate
+            if len(set(offsets)) == n:
+                return None
         prev = None
         for i, off in enumerate(offsets):
             if off == prev:

@@ -3,7 +3,8 @@
 A client's operation travels as a :class:`Request` — op name, value,
 routed shard, and an :class:`OpFuture` resolved exactly once by the
 thread that runs it (the shard's owner, or a caller running on the idle
-shard).  Commits travel separately as :class:`CommitRequest`
+shard — a synchronous caller, or a client that waited on the request
+and drained the shard itself).  Commits travel separately as :class:`CommitRequest`
 objects carrying the set of shards whose durability the ack must cover.
 """
 
@@ -36,9 +37,14 @@ class OpFuture:
     straight back, so any number of waiters, and repeated waits, all
     get through; ``done()`` reads the flag, not the lock, so it never
     flickers while a waiter holds the lock for that instant.
+
+    A future may carry a *helper*: a one-shot callable, given the
+    future, that the first wait finding it unresolved runs before it
+    blocks — the serving layer's way to let a waiter run its own
+    request when the shard is idle (``Server._help``).
     """
 
-    __slots__ = ("_lock", "_resolved", "_result", "_error")
+    __slots__ = ("_lock", "_resolved", "_result", "_error", "helper")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -46,6 +52,8 @@ class OpFuture:
         self._resolved = False
         self._result: object = None
         self._error: BaseException | None = None
+        #: run once, on the waiting thread, by the first unresolved wait
+        self.helper = None
 
     # -- producer side (resolved exactly once) -------------------------
     #
@@ -70,9 +78,15 @@ class OpFuture:
         return self._resolved
 
     def wait(self, timeout: float = DEFAULT_WAIT_SECONDS) -> bool:
-        """Block until resolved (errors included); True when resolved."""
+        """Block until resolved (errors included); True when resolved.
+        Runs the helper first, if one is still installed."""
         if self._resolved:
             return True
+        helper, self.helper = self.helper, None
+        if helper is not None:
+            helper(self)
+            if self._resolved:
+                return True
         if not self._lock.acquire(timeout=timeout):
             return False
         self._lock.release()

@@ -16,12 +16,23 @@ shared.  Who runs an operation:
 * everything else (pipelined ``Session.submit``, or a synchronous call
   that finds its shard busy) is routed to its shard, admitted into that
   shard's bounded buffer (:class:`~repro.serve.batcher.ShardQueues`),
-  and executed by the shard's owner thread during a *drain pass* — so
-  different clients' requests for the same shard coalesce into one
-  batch and ride the tree's ``insert_many``/``delete_many`` fast paths.
+  and executed a chunk at a time by a *drain pass* — so different
+  clients' requests for the same shard coalesce into one batch and ride
+  the tree's ``insert_many``/``delete_many`` fast paths.  The shard's
+  owner thread runs the pass it was posted, unless a client gets there
+  first: a client about to block on an admitted request's future runs
+  the helper :meth:`_admit` installed on it (:meth:`_help`), which
+  claims the shard when the owner runs nothing and only drains are
+  queued, and runs the buffered requests on the waiting thread, through
+  the owner's chunk body, until its own resolves.
 
-A claim is taken only on an empty buffer, so a synchronous call never
-overtakes a request its session (or any other) buffered earlier.
+These are the two halves of flat combining (Hendler et al., SPAA 2010):
+an uncontended caller runs its own operation, and a waiter becomes the
+combiner for whatever piled up ahead of it.  The synchronous claim is
+taken only on an empty buffer, so a synchronous call never overtakes a
+request its session (or any other) buffered earlier; the waiter's claim
+is refused while a barrier, scan, batch or heal is queued, and its
+chunks are taken FIFO, so it overtakes nothing either.
 
 Commits funnel through the
 :class:`~repro.serve.commit.GroupCommitStage`, so one sync barrier
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from functools import partial
 from time import perf_counter
 
 from ..errors import CrashError, KeyRejectedError, ReproError
@@ -81,12 +93,17 @@ class Server:
         self._closed = False
         self._close_lock = threading.Lock()
         self._next_session = 0
+        #: per shard: the helper an admitted request's future carries
+        self._helpers = [partial(self._help, shard)
+                         for shard in range(len(tree.trees))]
         reg = get_registry()
         self._m_requests = {op: reg.counter("serve.requests", op=op)
                             for op in OPS}
         # every admitted request is exactly one of these two
         self._m_ran_here = reg.counter("serve.ran_here")
         self._m_queued = reg.counter("serve.queued")
+        # the queued requests a waiter ran (see _help)
+        self._m_helped = reg.counter("serve.helped")
         self._m_overloaded = reg.counter("serve.overloaded")
         self._m_batches = reg.counter("serve.batches")
         self._m_coalesced = reg.counter("serve.coalesced_ops")
@@ -166,7 +183,8 @@ class Server:
                session_id: int = -1) -> Request:
         """Route, admit, and (if needed) schedule a drain for one
         operation.  Returns the in-flight :class:`Request`; its future
-        resolves on the shard's owner thread.
+        resolves on the shard's owner thread, or on a client thread
+        waiting on it (:meth:`_help`).
 
         Raises :class:`ServerClosed` / :class:`Overloaded` synchronously
         — admission failures never consume queue space.
@@ -180,6 +198,7 @@ class Server:
 
     def _admit(self, request: Request) -> None:
         shard = request.shard
+        request.future.helper = self._helpers[shard]
         try:
             must_schedule = self.queues.offer(shard, request)
         except ServeError as exc:
@@ -209,10 +228,21 @@ class Server:
         starves FIFO items (commit barriers, heals) queued behind it.
 
         A drain is posted fire-and-forget, so nobody reads what escapes
-        it: an error :meth:`_execute` does not handle fails the chunk's
-        still-unresolved requests with a :class:`ServeError` naming the
-        cause, and the shard is rescheduled all the same — its later
-        requests are still served."""
+        it; the shard is rescheduled all the same — its later requests
+        are still served."""
+        try:
+            self._drain_chunk(shard)
+        finally:
+            if self.queues.reschedule(shard):
+                self._schedule_drain(shard)
+
+    def _drain_chunk(self, shard: int) -> int:
+        """Take one chunk of *shard*'s buffer, FIFO, and execute it;
+        returns how many requests it took.  The caller is the one thread
+        on the shard: its owner (:meth:`_drain`) or a waiter holding the
+        shard's claim (:meth:`_help`).  An error :meth:`_execute` does
+        not handle fails the chunk's still-unresolved requests with a
+        :class:`ServeError` naming the cause, then propagates."""
         batch = self.queues.take(shard, self.batch_max)
         try:
             if batch:
@@ -224,9 +254,33 @@ class Server:
                 if not request.future.done():
                     request.future.set_error(error)
             raise
+        return len(batch)
+
+    # -- a waiter drains its own shard (client thread) ---------------------
+
+    def _help(self, shard: int, future) -> None:
+        """A client is about to block on *future*, a request admitted to
+        *shard*: when the shard is idle but for posted drains, claim it
+        and run its buffered requests here, chunk by chunk, until the
+        future resolves — the waiter becomes the combiner.  Refused
+        (the owner is running, or a barrier, scan, batch or heal is
+        queued), the waiter blocks as before.  The owner's posted drain
+        later finds what is left, or nothing, and clears the scheduled
+        flag; so admission, FIFO order and liveness are the drain's."""
+        if not self.pool.claim(shard, behind_drains=True):
+            return
+        try:
+            while not future.done():
+                taken = self._drain_chunk(shard)
+                if not taken:
+                    break
+                self._m_helped.inc(taken)
+        except Exception:  # lint: disable=R005
+            # the chunk's requests carry the error; the waiter blocks
+            # and the owner's posted drain serves the rest
+            pass
         finally:
-            if self.queues.reschedule(shard):
-                self._schedule_drain(shard)
+            self.pool.release(shard)
 
     def _execute(self, shard: int, batch: list[Request]) -> None:
         """Run *batch* on *shard* and resolve every request's future.

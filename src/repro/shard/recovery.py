@@ -35,7 +35,8 @@ page read or write on any row, the sync barrier on the sweep row (the
 only row whose stage syncs).  Only such a wait releases the GIL, so only
 then does a thread pool, one worker per dead shard, overlap anything;
 for stages that are pure CPU it would add its spawn and join and nothing
-else.
+else.  The log row's redo follows the same rule, counting its
+completion sync.
 
 Step 2 is the stop-the-world sweep — and the paper's whole point is that
 it is optional.  With ``admit_immediately=True`` the shard rejoins the
@@ -47,9 +48,9 @@ operations, hottest subtrees first.
 A group that logged through ``repro.wal.group`` passes its
 :class:`~repro.wal.log.StableLog` as ``wal``: each dead shard is swept
 without syncing, then :func:`repro.wal.parallel.replay_group` redoes the
-committed tail over exactly the reopened shards on the shard owner
-threads, the sync-token redo test eliding records a completed sync
-already covered.
+committed tail over exactly the reopened shards — on shard owner
+threads when a device wait can overlap, else inline — the sync-token
+redo test eliding records a completed sync already covered.
 
 A shard that fails during its own recovery — crashing again, a refused
 open, a raising hook — is isolated: its report carries the error, every
@@ -100,12 +101,12 @@ _ADMIT = _Stage("admit", sweep=False, sync=False)
 _LOG = _Stage("log", sweep=True, sync=False)
 
 
-def _waits_on_device(engine: StorageEngine, stage: _Stage) -> bool:
-    """Whether *stage* over *engine* sleeps on the simulated device — the
+def _waits_on_device(engine: StorageEngine, syncs: bool) -> bool:
+    """Whether a stage over *engine* sleeps on the simulated device — the
     only wait that releases the GIL for a sibling shard's stage: a page
-    read or write on any row, the sync barrier where the stage syncs."""
+    read or write always, the sync barrier when the stage *syncs*."""
     return bool(engine.read_latency or engine.write_latency
-                or (stage.sync and engine.sync_latency))
+                or (syncs and engine.sync_latency))
 
 
 @dataclass
@@ -253,9 +254,9 @@ class RecoveryOrchestrator:
         reopened: dict[int, object] = {}
 
         targets = [i for i, e in enumerate(group.shards) if e.dead]
-        workers = min(self.max_workers or len(targets), len(targets))
-        if workers > 1 and any(_waits_on_device(group.shard(i), stage)
-                               for i in targets):
+        workers = self._threads_for([group.shard(i) for i in targets],
+                                    syncs=stage.sync)
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="shard-rec") as pool:
                 futures = {
@@ -264,9 +265,6 @@ class RecoveryOrchestrator:
                     for i in targets
                 }
         else:
-            # nothing to overlap: under the GIL a pool would add only its
-            # spawn and join to stages that never wait on a device
-            workers = 1
             futures = {
                 i: _run_inline(self._recover_shard, i, group.shard(i), name)
                 for i in targets
@@ -290,6 +288,19 @@ class RecoveryOrchestrator:
                                      admitted_at=started)
         out.wall_seconds = perf_counter() - started
         return out_group, out
+
+    def _threads_for(self, engines: list[StorageEngine], *,
+                     syncs: bool) -> int:
+        """How many threads a stage over *engines* runs on: one per
+        engine (at most ``max_workers``) when two or more would run and
+        one of them sleeps on the device; else 1, the calling thread —
+        under the GIL a pool would add only its spawn and join to stages
+        that never wait on a device."""
+        workers = min(self.max_workers or len(engines), len(engines))
+        if workers > 1 and any(_waits_on_device(engine, syncs)
+                               for engine in engines):
+            return workers
+        return 1
 
     # -- one shard ---------------------------------------------------------
 
@@ -371,7 +382,11 @@ class RecoveryOrchestrator:
         # package, and span recorders patch ``replay_group`` there
         from ..wal import parallel
 
-        redo = parallel.replay_group(self.wal, serving, shards=recovered)
+        # each shard's redo ends with its completion sync
+        pooled = self._threads_for(
+            [serving.group.shard(i) for i in recovered], syncs=True) > 1
+        redo = parallel.replay_group(self.wal, serving, shards=recovered,
+                                     parallel=pooled)
         for i in recovered:
             parts = redo.for_shard(i)
             errors = [p.error for p in parts if p.error is not None]

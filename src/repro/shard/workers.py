@@ -8,15 +8,26 @@ latch-protocol invariants hold per shard by construction.  Parallelism
 comes from shards being independent, not from threads sharing a tree.
 
 **Who runs on a shard.**  Every queued item (batch partition, submitted
-callable, heal budget) runs on the shard's owner thread, FIFO.  Under
-the pool's one lock (``_lifecycle``) the pool counts each shard's queued
-or running items; when that count is zero, a caller may
-:meth:`~ShardWorkerPool.claim` the shard and run on it directly — the
-uncontended half of flat combining (Hendler et al., SPAA 2010), which
-saves the two thread hand-offs a queued call pays.  The owner waits out
-a claim before it runs its next item, and no lock is ever held across
-tree work or a sync: the lock guards the count and the claimed flag
-only.
+callable, posted callable, heal budget) runs on the shard's owner
+thread, FIFO.  Under the pool's one lock (``_lifecycle``) the pool
+counts each shard's queued or running items, and of those the posted
+items the owner has not started.  A caller may
+:meth:`~ShardWorkerPool.claim` the shard and run on it directly in two
+cases — the two halves of flat combining (Hendler et al., SPAA 2010),
+each saving the thread hand-offs a queued call pays:
+
+* nothing is queued or running: a synchronous call runs its own
+  operation (the uncontended half);
+* ``behind_drains=True``: the owner runs nothing and every queued item
+  is a posted, not-yet-started drain: a client waiting on a pipelined
+  request drains the serving buffer itself (the waiter becomes the
+  combiner).  A queued :meth:`~ShardWorkerPool.submit` job, batch or
+  heal refuses it, so the waiter never overtakes one; the owner runs
+  the posted drain later and finds what is left, or nothing.
+
+The owner waits out a claim before it runs its next item, and no lock is
+ever held across tree work or a sync: the lock guards the counts and the
+claimed flag only.
 
 A batch is a list of ``("insert", value, tid)`` / ``("lookup", value)`` /
 ``("delete", value)`` tuples in client order.  The pool partitions it by
@@ -108,14 +119,16 @@ class ShardWorkerPool:
         self._closed = False
         #: per shard: items queued or running on the owner thread
         self._busy = [0] * self._n
+        #: per shard: of those, posted items the owner has not started
+        self._posted = [0] * self._n
         #: per shard: a caller claimed the idle shard and runs on it
         self._claimed = [False] * self._n
         # guards the closed flag and the submission/sentinel ordering:
         # checking `_closed` and enqueueing must be one atomic step, or
         # a submission racing `close` can land behind the shutdown
         # sentinel and strand its caller on an event no worker will set.
-        # It also guards `_busy` / `_claimed`; waiting on it is how an
-        # owner waits out a claim
+        # It also guards `_busy` / `_posted` / `_claimed`; waiting on it
+        # is how an owner waits out a claim
         self._lifecycle = threading.Condition()
         for i in range(self._n):
             thread = threading.Thread(target=self._worker_loop, args=(i,),
@@ -217,9 +230,11 @@ class ShardWorkerPool:
         fire-and-forget: no event to wait on and no error box.  *fn*
         reports its own outcome (the serving layer's drain passes
         resolve their requests' futures); an error that still escapes
-        it is dropped so the owner thread survives.  Raises
+        it is dropped so the owner thread survives.  Until the owner
+        starts it, a posted item does not keep a
+        ``claim(..., behind_drains=True)`` out.  Raises
         :class:`ReproError` when the pool is closed."""
-        self._enqueue(shard_index, ("call", fn, None, None))
+        self._enqueue(shard_index, ("post", fn, None, None))
 
     def _enqueue(self, shard_index: int, item: tuple) -> None:
         with self._lifecycle:
@@ -229,18 +244,29 @@ class ShardWorkerPool:
             if self._closed:
                 raise ReproError("worker pool is closed")
             self._busy[shard_index] += 1
+            if item[0] == "post":
+                self._posted[shard_index] += 1
             self._queues[shard_index].put(item)
 
     # -- running on an idle shard from the calling thread -------------------
 
-    def claim(self, shard_index: int) -> bool:
+    def claim(self, shard_index: int, *,
+              behind_drains: bool = False) -> bool:
         """Claim *shard_index* for the calling thread if nothing is
-        queued or running on it; True when claimed.  Until
+        queued or running on it; True when claimed.  With
+        *behind_drains*, queued :meth:`post` items the owner has not
+        started do not count: the claim is then refused only while the
+        owner runs an item or a :meth:`submit` job, batch or heal is
+        queued, so the claimant never overtakes one.  Until
         :meth:`release`, the caller is the one thread on the shard: the
         owner waits out the claim before its next item.  Never blocks."""
         with self._lifecycle:
-            if (self._closed or self._busy[shard_index]
-                    or self._claimed[shard_index]):
+            # _busy counts the running item too, and that one is never
+            # a not-yet-started post
+            ahead = self._busy[shard_index]
+            if behind_drains:
+                ahead -= self._posted[shard_index]
+            if self._closed or ahead or self._claimed[shard_index]:
                 return False
             self._claimed[shard_index] = True
             return True
@@ -294,6 +320,8 @@ class ShardWorkerPool:
                 # the shard while it was idle finishes first
                 while self._claimed[shard_index]:
                     self._lifecycle.wait()
+                if item is not None and item[0] == "post":
+                    self._posted[shard_index] -= 1
             if item is None:
                 return
             if item[0] == "batch":
@@ -303,7 +331,7 @@ class ShardWorkerPool:
                                         crashed, crashed_lock)
                 finally:
                     done.set()
-            elif item[0] == "call":
+            elif item[0] in ("call", "post"):
                 _, fn, done, errbox = item
                 try:
                     fn()

@@ -321,11 +321,15 @@ class BufferPool:
         return list(self._frames)
 
     def _maybe_evict(self) -> None:
-        if self._capacity is None or len(self._frames) <= self._capacity:
+        if self._capacity is None:
             return
-        for page_no, buf in list(self._frames.items()):
-            if len(self._frames) <= self._capacity:
-                return
+        excess = len(self._frames) - self._capacity
+        if excess <= 0:
+            return
+        # walk from the LRU end and stop once the excess is found: a
+        # miss visits the frames it evicts or skips, not the whole pool
+        victims = []
+        for page_no, buf in self._frames.items():
             if buf.pin_count or buf.dirty:
                 continue
             if page_no in self._volatile:
@@ -334,8 +338,14 @@ class BufferPool:
                 # discard the only copy — exempt until a sync retires it
                 self.stats.volatile_exempt += 1
                 continue
+            victims.append(page_no)
+            excess -= 1
+            if not excess:
+                break
+        else:
+            # the walk ran out of evictable frames: the pool stays over
+            self.stats.overflows += 1
+        for page_no in victims:
             del self._frames[page_no]
             self.stats.evictions += 1
             get_trace().emit("evict", file=self._disk.name, page=page_no)
-        if len(self._frames) > self._capacity:
-            self.stats.overflows += 1

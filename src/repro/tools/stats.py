@@ -180,6 +180,7 @@ def render_report(doc: dict) -> str:
                          f"({ops})")
         for label, key in (("ran on the caller", "serve.ran_here"),
                            ("queued to the owner", "serve.queued"),
+                           ("  run by a waiter", "serve.helped"),
                            ("overload rejections", "serve.overloaded"),
                            ("drain batches", "serve.batches"),
                            ("coalesced writes", "serve.coalesced_ops"),

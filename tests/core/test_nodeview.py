@@ -5,6 +5,9 @@
 # (R012 is the per-path form of the same dirty discipline)
 # lint: disable=R004,R012
 
+import random
+import struct
+
 import pytest
 
 from repro.constants import PAGE_INTERNAL, PAGE_LEAF
@@ -111,6 +114,51 @@ def test_intra_page_repair_restores_old_page():
         snap.repair_intra_page()
         assert snap.find_intra_page_inconsistency() is None
         assert list(snap.keys()) == keys_before
+
+
+def first_adjacent_duplicate(view):
+    """The vet as one Python step per entry: the reference the C-level
+    clean test must agree with."""
+    prev = None
+    for i in range(view.n_keys):
+        off = struct.unpack_from("<H", view.buf, 64 + 2 * i)[0]
+        if off == prev:
+            return i
+        prev = off
+    return None
+
+
+def vet_outcome(vet, view):
+    try:
+        return vet(view)
+    except struct.error:
+        return "overrun"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intra_page_vet_agrees_with_a_loop_over_every_entry(seed):
+    rng = random.Random(seed)
+    lines = (PAGE - 64) // 2
+    shapes = {"clean": 0, "adjacent": 0, "apart": 0, "overrun": 0}
+    for _ in range(400):
+        view = NodeView(bytearray(PAGE), PAGE)
+        shape = rng.choice(sorted(shapes))
+        n = rng.randrange(lines + 1, lines + 40) if shape == "overrun" \
+            else rng.randrange(2, lines + 1)
+        offsets = rng.sample(range(64, PAGE), min(n, lines))
+        if shape == "adjacent" or (shape == "overrun" and rng.random() < .5):
+            at = rng.randrange(1, len(offsets))
+            offsets[at] = offsets[at - 1]
+        elif shape == "apart" and n > 2:
+            at = rng.randrange(2, n)
+            offsets[at] = offsets[rng.randrange(at - 1)]
+        view.n_keys = n
+        struct.pack_into("<%dH" % len(offsets), view.buf, 64, *offsets)
+        expected = vet_outcome(first_adjacent_duplicate, view)
+        assert vet_outcome(NodeView.find_intra_page_inconsistency,
+                           view) == expected, (shape, offsets)
+        shapes[shape] += 1
+    assert all(shapes.values())
 
 
 def test_delete_item_shifts_left():

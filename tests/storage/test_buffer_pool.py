@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.sanitizer import suspended
 from repro.errors import BufferError_
-from repro.obs import get_registry, metric_key
+from repro.obs import get_registry, metric_key, scoped_trace
 from repro.storage import BufferPool, RecordingPolicy, SimulatedDisk, \
     StorageEngine
 
@@ -187,6 +187,89 @@ def test_all_volatile_counts_overflow():
     pool.unpin(pool.pin(2))                 # nothing evictable
     assert set(pool.cached_pages()) == {1, 2}
     assert pool.stats.overflows == 1
+
+
+# -- a miss costs what it evicts ------------------------------------------------
+
+class VisitCountingFrames(OrderedDict):
+    """The pool's frame table, counting the frames a walk visits."""
+
+    visited = 0
+
+    def items(self):
+        for item in super().items():
+            self.visited += 1
+            yield item
+
+
+def test_a_miss_on_a_full_pool_visits_only_what_it_evicts_or_skips():
+    _, pool = make_pool(capacity=1000)
+    held = pool.pin(1)                      # pinned, LRU
+    buf = pool.pin(2)                       # dirty
+    pool.mark_dirty(buf)
+    pool.unpin(buf)
+    _note_volatile_page(pool, 3)            # volatile
+    for page_no in range(4, 1001):
+        pool.unpin(pool.pin(page_no))
+    counting = pool._frames = VisitCountingFrames(pool._frames)
+    exempt = pool.stats.volatile_exempt
+    with scoped_trace() as trace:
+        pool.unpin(pool.pin(1001))
+    assert counting.visited == 4            # three skipped, one evicted
+    assert 4 not in pool.cached_pages() and len(pool.cached_pages()) == 1000
+    assert pool.stats.evictions == 1 and pool.stats.overflows == 0
+    assert pool.stats.volatile_exempt == exempt + 1
+    assert [e.page for e in trace.events("evict")] == [4]
+    pool.unpin(held)
+
+
+def victims_of_a_full_walk(pool, capacity):
+    """What a miss's eviction must drop, as a walk over every frame
+    picks it: the fresh frame joins pinned at the MRU end, then clean,
+    unpinned, non-volatile frames go LRU first until the pool fits.
+    Also whether the pool stays over its capacity (an overflow)."""
+    excess = len(pool.cached_pages()) + 1 - capacity
+    victims = [page_no for page_no, buf in pool._frames.items()
+               if not (buf.pin_count or buf.dirty
+                       or pool.is_volatile(page_no))]
+    return victims[:max(0, excess)], len(victims) < excess
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_eviction_drops_the_victims_of_a_full_walk(seed):
+    rng = random.Random(seed)
+    capacity = 8
+    _, pool = make_pool(capacity=capacity)
+    held = []
+    for _ in range(800):
+        page_no = rng.randrange(1, 20)
+        if page_no not in pool.cached_pages():
+            expected, overflows = victims_of_a_full_walk(pool, capacity)
+            before = pool.stats.overflows
+            with scoped_trace() as trace:
+                pool.unpin(pool.pin(page_no))
+            assert [e.page for e in trace.events("evict")] == expected
+            assert not set(expected) & set(pool.cached_pages())
+            assert pool.stats.overflows == before + overflows
+            continue
+        # a hit changes what the next walk may skip
+        roll = rng.random()
+        if roll < 0.08:
+            held.append(pool.pin(page_no))
+        elif roll < 0.2 and held:
+            pool.unpin(held.pop(rng.randrange(len(held))))
+        elif roll < 0.5:
+            buf = pool.pin(page_no)
+            pool.mark_dirty(buf)
+            pool.unpin(buf)
+        elif roll < 0.53 and not pool._frames[page_no].dirty:
+            _note_volatile_page(pool, page_no)
+        elif roll < 0.55:
+            pool.clear_dirty()              # a sync: clean, notes retired
+        else:
+            pool.unpin(pool.pin(page_no))
+    for buf in held:
+        pool.unpin(buf)
 
 
 def test_sync_retires_volatile_notes():

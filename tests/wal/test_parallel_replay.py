@@ -183,6 +183,55 @@ def test_orchestrator_log_replay_recovers_the_committed_tail():
     assert fsck_group(recovered).errors == 0
 
 
+def started_threads(monkeypatch) -> list:
+    """Record the name of every thread started from here on."""
+    import threading
+
+    names = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        names.append(thread.name)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
+
+
+def test_a_log_pass_with_no_device_wait_replays_inline(monkeypatch):
+    """Under the GIL the owner threads of a redo overlap only device
+    sleeps: with none to overlap, the log row's reopen, sweep and
+    replay all run on the calling thread."""
+    group, wal, committed, tail = build_wal_group(
+        4, committed_keys=160, tail_keys=60, page_size=PAGE, seed=21)
+    threads = started_threads(monkeypatch)
+    recovered, report = RecoveryOrchestrator(wal=wal.log).recover(
+        group, "ix")
+    assert report.ok and report.redo.applied > 0
+    assert threads == [] and report.redo.mode == "serial"
+    assert report.max_workers == 1
+    values = {v for v, _ in recovered.open_tree("ix").range_scan()}
+    assert set(committed) <= values and set(tail) <= values
+
+
+def test_a_log_pass_whose_completion_syncs_wait_replays_pooled(
+        monkeypatch):
+    """Replay ends each shard with its completion sync, so a sync
+    latency is a device wait the owner threads overlap — although the
+    log row's sweep stage, which does not sync, stays inline."""
+    group, wal, committed, tail = build_wal_group(
+        4, committed_keys=160, tail_keys=60, page_size=PAGE, seed=21)
+    for engine in group.shards:
+        engine.sync_latency = 0.001
+    threads = started_threads(monkeypatch)
+    recovered, report = RecoveryOrchestrator(wal=wal.log).recover(
+        group, "ix")
+    assert report.ok and report.redo.mode == "parallel"
+    assert report.max_workers == 1
+    assert sorted(threads) == [f"shard-worker-{i}" for i in range(4)]
+    values = {v for v, _ in recovered.open_tree("ix").range_scan()}
+    assert set(committed) <= values and set(tail) <= values
+
+
 def test_orchestrator_rejects_wal_with_instant_restart():
     from repro.wal import StableLog
     with pytest.raises(ValueError):
