@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Full pre-merge gate: crash-safety lint, external linters (when
-# installed), the CLI smokes, the counted call budgets, and the tier-1
-# suite under the runtime sanitizer.  Each test runs once: the subsystem
+# installed), the CLI smokes, the counted call budgets, the tier-1
+# suite under the runtime sanitizer, and a seeded soak of the stateful
+# model test.  Each test runs once, but for the stateful model test,
+# which tier-1 runs derandomized and the soak explores: the subsystem
 # suites (tests/obs, tests/shard, tests/wal, tests/serve, ...) are part
 # of the sanitized tier-1 run, and only what that run skips or does not
 # collect (perf/tests, the budgets) has a stage of its own.
@@ -70,5 +72,15 @@ python -m pytest -q tests/fastpath/test_decode_budget.py
 
 echo "==> tier-1 suite under the runtime sanitizer (REPRO_SANITIZE=1)"
 REPRO_SANITIZE=1 python -m pytest -x -q
+
+# tier-1 runs the stateful model test derandomized (the same cases every
+# run); exploration happens here, on a fresh seed each time, printed so a
+# failing draw can be replayed
+SOAK_SEED=$(python -c 'import random; print(random.randrange(2**32))')
+echo "==> stateful model soak: 300 random examples per tree kind, seed $SOAK_SEED"
+echo "    (replay: REPRO_MODEL_SOAK=1 python -m pytest" \
+     "tests/fastpath/test_model_stateful.py --hypothesis-seed=$SOAK_SEED)"
+REPRO_MODEL_SOAK=1 python -m pytest -q tests/fastpath/test_model_stateful.py \
+    --hypothesis-seed="$SOAK_SEED"
 
 echo "==> all checks passed"

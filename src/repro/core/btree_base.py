@@ -557,6 +557,18 @@ class BLinkTree:
                           item: bytes, key: bytes) -> None:
         raise NotImplementedError
 
+    @staticmethod
+    def _split_point(view: NodeView, n: int, appends: bool) -> int:
+        """How many of the *n* items a split of the page under *view*
+        leaves on its left page: half of them, except when the item that
+        overflowed it goes after every one (*appends*) and the page is the
+        rightmost of its level — a right-edge load, whose left page will
+        take no more keys, so it keeps four fifths (DESIGN §5o).  The
+        right page keeps a fifth's room for a later out-of-order key."""
+        if appends and view.right_peer == INVALID_PAGE:
+            return max(1, n * 4 // 5)
+        return n // 2
+
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -1074,9 +1086,10 @@ class BLinkTree:
                 self._unpin(buf)
 
     def _next_leaf(self, page_no: int, buf: Buffer) -> int | None:
-        """The next leaf in the scan.  Verifying trees compare the sync
-        tokens on the two sides of the link (Section 3.5.1) and heal a
-        broken link through the root-to-leaf path."""
+        """The next leaf in the scan.  Verifying trees check that the
+        next page links back, with the same sync token on both sides of
+        the link (Section 3.5.1), and heal a broken link through the
+        root-to-leaf path."""
         node = node_of(buf)
         nxt = node.right_peer
         if nxt == INVALID_PAGE:
@@ -1085,7 +1098,11 @@ class BLinkTree:
             return nxt
         nbuf, nnode = self._pin_node(nxt)
         try:
+            # a link holds when the page it names links back, with the
+            # same token: two repairs of adjacent pages can each leave a
+            # matching token on a link the other one moved
             broken = (nnode.magic != PAGE_MAGIC
+                      or nnode.left_peer != page_no
                       or not tokens_match(nnode.left_peer_token,
                                           node.right_peer_token))
             if not broken:
@@ -1107,26 +1124,10 @@ class BLinkTree:
         try:
             leaf = path[-1]
             past = leaf.page_no != page_no
-            if past:
-                target = leaf.page_no
-            else:
-                # the probe still routes here; the true right neighbour is
-                # the next child along the internal path, followed down
-                # its leftmost spine to leaf level
-                target = INVALID_PAGE
-                for entry in reversed(path[:-1]):
-                    if entry.slot + 1 < entry.view.n_keys:
-                        target = entry.view.child_at(entry.slot + 1)
-                        break
-                while target != INVALID_PAGE:
-                    tbuf = self.file.pin(target)
-                    try:
-                        tview = NodeView(tbuf.data, self.page_size)
-                        if tview.is_leaf or tview.n_keys == 0:
-                            break
-                        target = tview.child_at(0)
-                    finally:
-                        self._unpin(tbuf)
+            # the probe still routes here: the true right neighbour is
+            # found along the internal path
+            target = (leaf.page_no if past
+                      else self._neighbor_leaf(path, left=False))
         finally:
             self._unpin_path(path)
         if past and not self._routes_here(page_no, view):
@@ -1152,24 +1153,22 @@ class BLinkTree:
             self._unpin_path(path)
 
     def _finish_heal(self, page_no: int, buf: Buffer, view: NodeView,
-                     target: int, *, started: float | None = None) -> None:
+                     target: int, *, left: bool = False,
+                     started: float | None = None) -> None:
+        """Link leaf *page_no* to *target* on its left or right side, with
+        a current token on both ends of the link, and log the relink."""
         token = self._token()
-        view.right_peer = target
-        view.right_peer_token = token
+        if left:
+            view.left_peer, view.left_peer_token = target, token
+        else:
+            view.right_peer, view.right_peer_token = target, token
         self._dirty(buf)
-        if target != INVALID_PAGE:
-            tbuf = self.file.pin(target)
-            try:
-                tview = NodeView(tbuf.data, self.page_size)
-                tview.left_peer = page_no
-                tview.left_peer_token = token
-                self._dirty(tbuf)
-            finally:
-                self._unpin(tbuf)
+        self._restamp_neighbor(target, right_side=left, peer=page_no,
+                               token=token)
         self.engine.sync_state.note_split()
         self.repair_log.add(DetectionReport(
             Kind.PEER_TOKEN_MISMATCH, page_no, Action.RELINKED_PEER,
-            detail=f"right -> {target}"),
+            detail=f"{'left' if left else 'right'} -> {target}"),
             duration=None if started is None
             else perf_counter() - started)
 
@@ -1316,41 +1315,72 @@ class BLinkTree:
             if path[-1].page_no != page_no:
                 # an orphan (see _routes_here): leave the live page alone
                 return None
-            target = INVALID_PAGE
-            for entry in reversed(path[:-1]):
-                if entry.slot > 0:
-                    target = entry.view.child_at(entry.slot - 1)
-                    break
-            while target != INVALID_PAGE:
-                tbuf = self.file.pin(target)
-                try:
-                    tview = NodeView(tbuf.data, self.page_size)
-                    if tview.is_leaf or tview.n_keys == 0:
-                        break
-                    target = tview.child_at(tview.n_keys - 1)
-                finally:
-                    self._unpin(tbuf)
+            target = self._neighbor_leaf(path, left=True)
         finally:
             self._unpin_path(path)
-        token = self._token()
-        view.left_peer = target
-        view.left_peer_token = token
-        self._dirty(buf)
-        if target != INVALID_PAGE:
-            tbuf = self.file.pin(target)
-            try:
-                tview = NodeView(tbuf.data, self.page_size)
-                tview.right_peer = page_no
-                tview.right_peer_token = token
-                self._dirty(tbuf)
-            finally:
-                self._unpin(tbuf)
-        self.engine.sync_state.note_split()
-        self.repair_log.add(DetectionReport(
-            Kind.PEER_TOKEN_MISMATCH, page_no, Action.RELINKED_PEER,
-            detail=f"left -> {target}"),
-            duration=perf_counter() - started)
+        self._finish_heal(page_no, buf, view, target, left=True,
+                          started=started)
         return target if target != INVALID_PAGE else None
+
+    def _neighbor_leaf(self, path: list[PathEntry], *, left: bool) -> int:
+        """The leaf beside the one a descent *path* reached: the child of
+        the adjacent routing slot on that side at the lowest level that has
+        one, followed down its facing spine to leaf level.  Each step is
+        checked as a descent's is (:meth:`_check_child`), so a lost page on
+        the way is rebuilt before a link is made to it.  INVALID_PAGE at
+        the edge of the tree, or where the spine ends on an empty internal
+        page."""
+        for entry in reversed(path[:-1]):
+            slot = entry.slot - 1 if left else entry.slot + 1
+            if 0 <= slot < entry.view.n_keys:
+                break
+        else:
+            return INVALID_PAGE
+        step = PathEntry(entry.page_no, entry.buffer, entry.bounds, slot)
+        pinned: list[Buffer] = []
+        try:
+            while True:
+                node = step.node
+                child_no = node.child_at(step.slot)
+                bounds = self._child_bounds(node, step.slot, step.bounds)
+                cbuf = self.file.pin(child_no)
+                pinned.append(cbuf)
+                self._check_child(step, child_no, cbuf, bounds,
+                                  node.level - 1)
+                child = node_of(cbuf)
+                if child.is_leaf:
+                    return child_no
+                if child.n_keys == 0:
+                    return INVALID_PAGE
+                step = PathEntry(child_no, cbuf, bounds,
+                                 child.n_keys - 1 if left else 0)
+        finally:
+            for buf in pinned:
+                self._unpin(buf)
+
+    def _link_into_chain(self, page_no: int, low: bytes) -> None:
+        """Splice a leaf that a repair built on a fresh page between its
+        true neighbours, found through the root-to-leaf path toward *low*,
+        the low key of its range.  Its token is current, so no
+        first-modification walk (:meth:`_ensure_peer_path`) would ever
+        link it, and the neighbours' links still lead past it."""
+        started = perf_counter()
+        path = self._descend(low)
+        try:
+            if path[-1].page_no != page_no:
+                return
+            sides = [(self._neighbor_leaf(path, left=True), True),
+                     (self._neighbor_leaf(path, left=False), False)]
+        finally:
+            self._unpin_path(path)
+        buf, view = self._pin(page_no)
+        try:
+            for target, left in sides:
+                if target != INVALID_PAGE:
+                    self._finish_heal(page_no, buf, view, target, left=left,
+                                      started=started)
+        finally:
+            self._unpin(buf)
 
     def _restamp_neighbor(self, neighbor: int, *, right_side: bool,
                           peer: int, token: int) -> None:

@@ -45,7 +45,7 @@ class NormalBLinkTree(BLinkTree):
         blobs.insert(slot, item)
         if len(blobs) < 2:
             raise TreeError("key too large to split a page around")
-        h = len(blobs) // 2
+        h = self._split_point(view, len(blobs), slot == len(blobs) - 1)
         left_blobs, right_blobs = blobs[:h], blobs[h:]
         sep = I.item_key(right_blobs[0], 0)
         token = self._token()

@@ -174,6 +174,7 @@ class ReorgBLinkTree(BLinkTree):
         # the backup is dropped ("if the sibling is zero or has an older
         # sync token, the sibling is out of date and must be recovered")
         sibling = view.new_page
+        relink = None
         if sibling != INVALID_PAGE:
             sbuf = self.file.pin(sibling)
             try:
@@ -183,12 +184,19 @@ class ReorgBLinkTree(BLinkTree):
                 if lost:
                     self._regenerate_sibling(page_no, buf, view, sibling,
                                              sbuf, sview)
+                    if sview.is_leaf and bounds is not None:
+                        relink = sview.min_key()
             finally:
                 self._unpin(sbuf)
         view.reclaim_backup()
         view.sync_token = self._token()
         self._dirty(buf)
         self.engine.sync_state.note_split()
+        if relink is not None:
+            # the backup's record names the neighbours of the split's
+            # time; a page the window added beyond them is found
+            # through the root-to-leaf path
+            self._link_into_chain(sibling, relink)
 
     def _regenerate_sibling(self, page_no: int, buf: Buffer,
                             view: NodeView, sibling: int, sbuf: Buffer,
@@ -721,7 +729,7 @@ class ReorgBLinkTree(BLinkTree):
         n = len(blobs)
         if n < 2:
             raise TreeError("key too large to split a page around")
-        h = n // 2
+        h = self._split_point(view, n, view.search(key)[0] == n)
         low, high = blobs[:h], blobs[h:]
         sep = I.item_key(high[0], 0)
         new_in_high = key >= sep

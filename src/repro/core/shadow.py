@@ -22,11 +22,11 @@ is repaired by re-copying the expected range out of the prevPtr page
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from time import perf_counter
 
 from ..constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
-from ..errors import RecoveryError, TreeError
+from ..errors import TreeError
 from ..storage import is_zeroed, valid_magic
 from ..storage.buffer_pool import Buffer
 from .btree_base import BLinkTree, PathEntry
@@ -91,7 +91,10 @@ class ShadowBLinkTree(BLinkTree):
                           child_buf: Buffer, bounds: KeyBounds,
                           level: int) -> None:
         """Re-execute the interrupted split (Section 3.3.2): rebuild the
-        child from the keys the prevPtr page holds in the expected range."""
+        child from the keys the prevPtr page holds in the expected range
+        (:meth:`_items_in_range`).  With no prevPtr recorded, no durable
+        page ever held the range, so it is rebuilt as an empty subtree of
+        the child's height."""
         started = perf_counter()
         child_view = NodeView(child_buf.data, self.page_size)
         parent_view = parent.view
@@ -100,36 +103,12 @@ class ShadowBLinkTree(BLinkTree):
         prev_no = parent_view.prev_at(slot)
         kind = (Kind.ZEROED_CHILD if is_zeroed(child_buf.data)
                 else Kind.RANGE_MISMATCH)
-        shadow = self._level_uses_shadow_items(level)
-        if prev_no == INVALID_PAGE:
-            if level != 0:
-                raise RecoveryError(
-                    f"page {child_no}: no previous page recorded and the "
-                    "lost child is internal"
-                )
-            # every key this child ever held belonged to uncommitted work
-            child_view.init_page(PAGE_LEAF, level=0,
-                                 sync_token=self._token(),
-                                 shadow_items=False)
-        else:
-            pbuf = self.file.pin(prev_no)
-            try:
-                pview = NodeView(pbuf.data, self.page_size)
-                keys = [pview.key_at(i) for i in range(pview.n_keys)]
-                # an internal child also keeps the entry that covers lo:
-                # the *last* separator at or below it (an earlier one
-                # routes below lo, and its child belongs to a sibling)
-                cover = (-1 if pview.is_leaf
-                         else bisect_right(keys, bounds.lo) - 1)
-                blobs = [pview.item_bytes_at(i)
-                         for i, key in enumerate(keys)
-                         if i == cover or bounds.contains(key)]
-            finally:
-                self._unpin(pbuf)
-            child_view.init_page(PAGE_LEAF if level == 0 else PAGE_INTERNAL,
-                                 level=level, sync_token=self._token(),
-                                 shadow_items=shadow)
-            child_view.replace_items(blobs)
+        to_link: list[tuple[int, bytes]] = []
+        blobs = self._items_in_range(prev_no, bounds, level, to_link)
+        child_view.init_page(PAGE_LEAF if level == 0 else PAGE_INTERNAL,
+                             level=level, sync_token=self._token(),
+                             shadow_items=self._level_uses_shadow_items(level))
+        child_view.replace_items(blobs)
         self._relink_repaired(parent, slot, child_no, child_view)
         self._dirty(child_buf)
         self.engine.sync_state.note_split()
@@ -138,7 +117,119 @@ class ShadowBLinkTree(BLinkTree):
             parent_page=parent.page_no, slot=slot,
             detail=f"prev={prev_no}"),
             duration=perf_counter() - started)
+        if level == 0:
+            # the links above reach only the parent's other children
+            to_link.append((child_no, bounds.lo))
+        for leaf_no, low in to_link:
+            self._link_into_chain(leaf_no, low)
         self._verify_episode_around(child_no)
+        self._rebuild_lost_neighbors(parent, slot, level)
+
+    def _rebuild_lost_neighbors(self, parent: PathEntry, slot: int,
+                                level: int) -> None:
+        """Rebuild the children beside *slot* whose images were lost too:
+        most often the other half of the split just redone.  A lost page
+        whose range held only uncommitted keys is otherwise reached by no
+        lookup of a committed key, nor by a scan — the rebuilt page's link
+        stops short of it — and would stay reachable from its parent as a
+        zeroed page.  Each rebuild looks at its own neighbours in turn."""
+        pview = parent.view
+        for side in (slot - 1, slot + 1):
+            if not 0 <= side < pview.n_keys:
+                continue
+            sib_no = pview.child_at(side)
+            sbuf = self.file.pin(sib_no)
+            try:
+                if not valid_magic(sbuf.data):
+                    self._repair_from_prev(
+                        PathEntry(parent.page_no, parent.buffer,
+                                  parent.bounds, side),
+                        sib_no, sbuf,
+                        self._child_bounds(pview, side, parent.bounds),
+                        level)
+            finally:
+                self._unpin(sbuf)
+
+    def _items_in_range(self, source_no: int, bounds: KeyBounds, level: int,
+                        to_link: list[tuple[int, bytes]]) -> list[bytes]:
+        """The items of a page at *level* that holds *bounds*, rebuilt
+        from the durable page *source_no* (DESIGN §5b.10).
+
+        A leaf source gives its keys in range.  An internal source gives
+        the entries whose children route into the range — from the last
+        separator at or below ``lo`` (an earlier one routes below it) to
+        the last below ``hi``.  An entry whose child's range in the source
+        lies inside *bounds* is copied as it is.  A child whose range
+        crosses a bound also serves a sibling's range, so it is never
+        named here: a repair that later found it too wide for this page
+        would narrow it in place, under the sibling.  That child is
+        rebuilt instead, the same way, into a fresh page for the part of
+        its range inside *bounds*, which the entry names with the child as
+        its prevPtr.  The source's image may name a page the window made
+        and the crash lost, so a child that fails the descent's test for
+        its range in the source gives way to the entry's own prevPtr, as
+        the source and as the fresh entry's prevPtr.  With no source, every key in range was uncommitted:
+        an empty subtree of the right height.  Fresh leaves are added to
+        *to_link* with their low keys, for the caller to link into the
+        peer chain once the pages above them are in place."""
+        routes = [(bounds.lo, None, INVALID_PAGE, b"")]
+        if source_no != INVALID_PAGE:
+            sbuf = self.file.pin(source_no)
+            try:
+                sview = NodeView(sbuf.data, self.page_size)
+                keys = [sview.key_at(i) for i in range(sview.n_keys)]
+                if level == 0:
+                    return [sview.item_bytes_at(i)
+                            for i, key in enumerate(keys)
+                            if bounds.contains(key)]
+                if keys:
+                    first = max(bisect_right(keys, bounds.lo) - 1, 0)
+                    stop = (len(keys) if bounds.hi is None
+                            else bisect_left(keys, bounds.hi, first + 1))
+                    routes = [(keys[i], keys[i + 1] if i + 1 < len(keys)
+                               else None, sview.child_at(i),
+                               sview.item_bytes_at(i))
+                              for i in range(first, stop)]
+            finally:
+                self._unpin(sbuf)
+        elif level == 0:
+            return []
+        blobs = []
+        shadow = self._level_uses_shadow_items(level)
+        for key, nxt, child, blob in routes:
+            if key >= bounds.lo and child != INVALID_PAGE and (
+                    bounds.hi is None
+                    or (nxt is not None and nxt <= bounds.hi)):
+                blobs.append(blob)
+                continue
+            if child != INVALID_PAGE and not self._holds_range(
+                    child, KeyBounds(key, nxt), level - 1):
+                # the source's image can name a page the window made
+                # and lost: its entry's prevPtr holds what it held
+                child = I.item_prev(blob, 0) if shadow else INVALID_PAGE
+            part = bounds.child(key, nxt)
+            page_type = PAGE_LEAF if level == 1 else PAGE_INTERNAL
+            items = self._items_in_range(child, part, level - 1, to_link)
+            page_no, buf, view = self._alloc(page_type, level - 1)
+            try:
+                view.replace_items(items)
+            finally:
+                self._unpin(buf)
+            if level == 1:
+                to_link.append((page_no, part.lo))
+            blobs.append(I.pack_internal_item(
+                part.lo, page_no, prev=child if shadow else None))
+        return blobs
+
+    def _holds_range(self, page_no: int, bounds: KeyBounds,
+                     level: int) -> bool:
+        """Whether *page_no* passes the descent's test
+        (:meth:`_child_consistent`) for *bounds* at *level*."""
+        buf = self.file.pin(page_no)
+        try:
+            return self._child_consistent(node_of(buf), bounds, level)
+        finally:
+            self._unpin(buf)
 
     def _relink_repaired(self, parent: PathEntry, slot: int,
                          child_no: int, child_view: NodeView) -> None:
@@ -270,7 +361,7 @@ class ShadowBLinkTree(BLinkTree):
         blobs.insert(slot, item)
         if len(blobs) < 2:
             raise TreeError("key too large to split a page around")
-        h = len(blobs) // 2
+        h = self._split_point(view, len(blobs), slot == len(blobs) - 1)
         left_blobs, right_blobs = blobs[:h], blobs[h:]
         sep = I.item_key(right_blobs[0], 0)
         token = self._token()

@@ -102,7 +102,9 @@ def measure_tree(kind: str, keys, *, page_size: int = 1024,
 
 #: Canonical fill factors per insertion order, for the analytic model.
 FILL_FACTORS = {
-    "ascending": 0.5,   # every split leaves the old page half full
+    # Section 5's worst case: every split leaves the old page half full
+    # (the implementation's right-edge split keeps 4/5, DESIGN §5o)
+    "ascending": 0.5,
     "random": 0.69,     # the classic ln 2 steady state
     "packed": 1.0,      # bulk-loaded, no splits
 }

@@ -30,11 +30,14 @@ N_KEYS = 1500          # three levels at 512-byte pages, every kind
 
 
 def build(kind: str, n_keys: int = N_KEYS, seed: int = 7):
+    """Keys go in descending, so every split cuts its page in the middle
+    (an ascending load fills its pages to four fifths, DESIGN §5o) and
+    each internal level has pages enough to damage one in the middle."""
     engine = StorageEngine.create(page_size=PAGE, seed=seed)
     tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
-    for i in range(n_keys):
+    for n, i in enumerate(reversed(range(n_keys)), 1):
         tree.insert(3 * i, tid_for(i))
-        if (i + 1) % 64 == 0:
+        if n % 64 == 0:
             engine.sync()
     engine.sync()
     return tree

@@ -89,7 +89,9 @@ def test_gc_frees_are_erased_before_reuse(recoverable_kind):
     engine = StorageEngine.create(page_size=512, seed=3)
     tree = cls.create(engine, "ix")
     fill_tree(tree, range(300), sync_every=50)
-    for key in range(300, 400):
+    # descending, so the window's splits cut their pages in the middle
+    # and leave halves for the crash to strand
+    for key in reversed(range(300, 400)):
         tree.insert(key, tid_for(key))
     with pytest.raises(CrashError):
         # split halves persist without the parents naming them

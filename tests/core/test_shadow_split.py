@@ -208,10 +208,11 @@ def test_advertisement_survives_capacity_pressure_reads():
     survive an arbitrary amount of reading before the next sync."""
     engine = StorageEngine.create(page_size=PAGE, seed=7, pool_capacity=4)
     tree = ShadowBLinkTree.create(engine, "ix", codec="uint32")
-    keys = fill_tree(tree, range(64))
+    # 136 ascending keys leave the last leaf full at the closing sync
+    keys = fill_tree(tree, range(136))
     # in-flight window: split without syncing, so the advertisement is
     # buffer-only and its frame is clean
-    n = 64
+    n = 136
     splits = tree.splits.value
     while tree.splits.value == splits:
         tree.insert(n, tid_for(n))

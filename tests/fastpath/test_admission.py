@@ -218,7 +218,8 @@ def test_crash_reopen_starts_without_nodes_and_rebuilds_them(kind):
 # ---------------------------------------------------------------------------
 
 def test_decoded_state_leaves_with_its_frame_and_the_root_stays():
-    engine, tree = reopened(n=4000, pool_capacity=8)
+    # enough keys for 200 leaves at an ascending load's 4/5 fill
+    engine, tree = reopened(n=7000, pool_capacity=8)
     pool = tree.file.pool
     root_no = tree._root_page()
     seen: dict[int, weakref.ref] = {}

@@ -146,8 +146,9 @@ def test_ascending_batch_calls_per_key():
     """Every ``perf`` setup, and PR 20's redo: an ascending
     ``insert_many``.  A leaf's run is planned key by key (encode, pack,
     bisect) and written with one line-table shift, one header update and
-    one dirty-mark."""
-    engine = StorageEngine.create(page_size=PAGE, seed=3)
+    one dirty-mark.  Half-size pages keep the split count of full pages
+    cut in the middle: a right-edge split keeps 4/5 (DESIGN §5o)."""
+    engine = StorageEngine.create(page_size=PAGE // 2, seed=3)
     tree = with_first_root(ShadowBLinkTree.create(engine, "ix",
                                                   codec="uint32"))
     pairs = [(key, tid_for(key)) for key in range(N_KEYS)]

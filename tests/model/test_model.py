@@ -1,5 +1,7 @@
 """The Section 5 analytic model and its validation against built trees."""
 
+import random
+
 import pytest
 
 from repro.constants import UNIX_FILE_SIZE_LIMIT
@@ -15,6 +17,9 @@ from repro.model import (
     measure_tree,
     tree_height,
 )
+from repro.core.items import pack_leaf_item
+from repro.core.keys import TID
+from repro.storage.page import HEADER_SIZE, LINE_ENTRY_SIZE
 from repro.workload import ascending, random_permutation
 
 
@@ -105,8 +110,30 @@ def test_model_matches_built_tree_ascending(kind):
     measured = measure_tree(kind, ascending(3000), page_size=1024)
     assert measured.n_keys == 3000
     assert abs(measured.height - measured.model_height) <= 1
-    # ascending loads leave pages about half full
+    # the model assumes half-full pages (Section 5's worst case); the
+    # right-edge split leaves an ascending load's pages 4/5 full
     assert 0.4 < measured.leaf_fill < 1.01
+
+
+@pytest.mark.parametrize("kind", ["normal", "shadow", "reorg", "hybrid"])
+def test_ascending_load_fills_leaves_to_four_fifths(kind):
+    """A split that appends to its level's rightmost page keeps four
+    fifths of it on the left (DESIGN §5o), so an ascending load leaves
+    its leaves about 80% full instead of half.  The fifth left free is
+    what a later out-of-order key needs: a 10% random tail grows the
+    leaf count by at most 15% (a 9/10 cut splits nearly every page it
+    touches)."""
+    n = 10_000
+    loaded_keys = list(ascending(n, step=2))
+    loaded = measure_tree(kind, loaded_keys, page_size=4096)
+    assert loaded.leaf_fill >= 0.75
+    # the same in pages, which a reorg leaf's unreclaimed backup keys
+    # (counted as used bytes) cannot mask
+    per_key = len(pack_leaf_item(bytes(4), TID(1, 0))) + LINE_ENTRY_SIZE
+    assert loaded.leaf_pages <= n / (0.75 * ((4096 - HEADER_SIZE) // per_key))
+    tail = random.Random(7).sample(range(1, 2 * n, 2), n // 10)
+    grown = measure_tree(kind, loaded_keys + tail, page_size=4096)
+    assert grown.leaf_pages <= 1.15 * loaded.leaf_pages
 
 
 @pytest.mark.parametrize("kind", ["normal", "shadow"])
@@ -125,7 +152,8 @@ def test_fill_factor_constants():
 
 
 def test_measured_shadow_same_height_as_normal():
-    normal = measure_tree("normal", ascending(4000), page_size=1024)
-    shadow = measure_tree("shadow", ascending(4000), page_size=1024)
+    # enough keys for three levels at an ascending load's 4/5 fill
+    normal = measure_tree("normal", ascending(8000), page_size=1024)
+    shadow = measure_tree("shadow", ascending(8000), page_size=1024)
     assert shadow.height == normal.height
     assert shadow.leaf_pages == pytest.approx(normal.leaf_pages, rel=0.1)

@@ -25,9 +25,13 @@ def tid_for(i: int) -> TID:
 
 
 def build_to_split(kind: str, *, seed: int = 11, committed_keys: int = 96,
-                   page_size: int = PAGE):
+                   page_size: int = PAGE, descending: bool = False):
     """Build a tree with *committed_keys* synced keys, then keep inserting
-    (no sync) until exactly one more leaf split happens.
+    (no sync) until exactly one more leaf split happens.  With
+    *descending* the uncommitted keys count down from ``3 *
+    committed_keys``, so the split cuts its page in the middle, among the
+    committed keys, instead of keeping four fifths on the left as an
+    appending split does (DESIGN §5o).
 
     Returns ``(engine, tree, committed, uncommitted, split_info)`` where
     ``split_info`` identifies the pages of the in-flight split: the
@@ -45,11 +49,12 @@ def build_to_split(kind: str, *, seed: int = 11, committed_keys: int = 96,
 
     uncommitted = []
     splits_before = tree.splits.value
-    i = committed_keys
+    i, step = ((3 * committed_keys, -1) if descending
+               else (committed_keys, 1))
     while tree.splits.value == splits_before:
         tree.insert(i, tid_for(i))
         uncommitted.append(i)
-        i += 1
+        i += step
     return engine, tree, committed_set, set(uncommitted), find_split(tree)
 
 

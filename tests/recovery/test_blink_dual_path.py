@@ -46,10 +46,13 @@ def build_dual_path(kind: str, seed: int = 13, *, overlap: bool = False):
             engine.sync()
     engine.sync()
     splits = tree.splits.value
-    i = 96
+    # the window's keys go in descending, so its split cuts the page in
+    # the middle and the low half ends below the page's last committed
+    # key (an appending split keeps 4/5 on the left, DESIGN §5o)
+    i = 300
     while tree.splits.value == splits:
         tree.insert(i, tid_for(i))
-        i += 1
+        i -= 1
     split = find_split(tree)
     pa = split["pa"]
     with tree.file.pinned(pa) as buf:

@@ -25,8 +25,8 @@ from .helpers import PAGE, tid_for
 
 def build_cascade(kind: str, seed: int = 5):
     """Committed base, then keep inserting (no sync) until a split
-    cascades into the parent level (root split count moves or the parent
-    page count grows)."""
+    cascades into the parent level: one insert splits a leaf and its
+    parent."""
     engine = StorageEngine.create(page_size=PAGE, seed=seed)
     tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
     committed = set()
@@ -40,21 +40,14 @@ def build_cascade(kind: str, seed: int = 5):
             engine.sync()
     engine.sync()
 
-    # count level-1 pages, then insert until one of them splits
-    def level1_count():
-        count = 0
-        for page_no in range(1, tree.file.n_pages):
-            with tree.file.pinned(page_no) as buf:
-                view = NodeView(buf.data, PAGE)
-                if view.page_type == 2 and view.level == 1:
-                    count += 1
-        return count
-
-    base = level1_count()
-    while level1_count() == base:
+    # insert until one insert splits a leaf and, through it, a level-1
+    # page (the first cascade comes well before the root splits again)
+    while True:
+        splits = tree.splits.value
         tree.insert(i, tid_for(i))
         i += 1
-    return engine, tree, committed
+        if tree.splits.value - splits >= 2:
+            return engine, tree, committed
 
 
 @pytest.mark.parametrize("kind", ["shadow", "hybrid"])

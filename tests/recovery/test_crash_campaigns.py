@@ -14,7 +14,12 @@ from repro import (
 from .helpers import tid_for
 
 
-def run_build(kind, seed, *, n=350, batch=25, page_size=512, crash_p=0.3):
+def run_build(kind, seed, *, n=350, batch=25, page_size=512, crash_p=0.3,
+              descending=False):
+    """Insert ``0..n-1`` — ascending, or with *descending* from the top,
+    where every split cuts its page in the middle instead of keeping four
+    fifths on the left (DESIGN §5o) — syncing every *batch* keys under a
+    random crash policy."""
     engine = StorageEngine.create(page_size=page_size, seed=seed)
     tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
     engine.crash_policy = RandomSubsetCrash(p=crash_p, seed=seed * 13 + 7)
@@ -22,12 +27,13 @@ def run_build(kind, seed, *, n=350, batch=25, page_size=512, crash_p=0.3):
     crashed = False
     i = 0
     while i < n and not crashed:
+        key = n - 1 - i if descending else i
         try:
-            tree.insert(i, tid_for(i))
+            tree.insert(key, tid_for(key))
         except CrashError:
             crashed = True
             break
-        pending.append(i)
+        pending.append(key)
         i += 1
         if i % batch == 0:
             try:
@@ -67,7 +73,9 @@ def test_baseline_loses_data_or_corrupts():
     failures = 0
     crashes = 0
     for seed in range(25):
-        engine, committed, crashed = run_build("normal", seed)
+        # in place, a middle split moves committed keys to the new page
+        engine, committed, crashed = run_build("normal", seed,
+                                               descending=True)
         if not crashed:
             continue
         crashes += 1

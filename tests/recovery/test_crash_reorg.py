@@ -18,7 +18,8 @@ and the repair log must show the matching action.
 
 import pytest
 
-from repro import StorageEngine, TREE_CLASSES
+from repro import CrashError, CrashOnNthSync, StorageEngine, TID, \
+    TREE_CLASSES
 from repro.core.detect import Action, Kind
 from repro.core.nodeview import NodeView
 
@@ -29,7 +30,8 @@ KIND = "reorg"
 
 
 def scenario():
-    engine, tree, committed, uncommitted, split = build_to_split(KIND)
+    engine, tree, committed, uncommitted, split = build_to_split(
+        KIND, descending=True)
     assert split["pa"] and split["pb"] and split["parent"]
     return engine, tree, committed, split
 
@@ -262,3 +264,56 @@ def test_regenerated_sibling_relinks_its_far_neighbour():
     assert tree2.splits.value == splits + 1
     assert ([v for v, _ in tree2.range_scan(200, 300)]
             == sorted({k for k in committed if 200 <= k < 300} | {241}))
+
+
+def _window_losing(page_size, committed, window, lost):
+    """Insert *committed* keys (a sync every 50) and sync, then *window*
+    uncommitted ones; crash the window's sync keeping every page but
+    *lost*.  Returns the engine and the pages the sync wrote."""
+    engine = StorageEngine.create(page_size=page_size, seed=1)
+    tree = TREE_CLASSES[KIND].create(engine, "ix", codec="uint32")
+    for count, key in enumerate(committed, 1):
+        tree.insert(key, tid_for(key))
+        if count % 50 == 0:
+            engine.sync()
+    engine.sync()
+    for key in window:
+        tree.insert(key, TID(7, key % 100))
+    written = []
+
+    def all_but_lost(pages):
+        written.extend(pages)
+        return [pid for pid in pages if pid != ("ix", lost)]
+
+    with pytest.raises(CrashError):
+        engine.sync(CrashOnNthSync(1, keep=all_but_lost))
+    return engine, sorted(page for _file, page in written)
+
+
+def test_a_regenerated_leaf_links_to_the_pages_the_window_added():
+    """256 bytes, keys 0-199 committed, 200-219 in the window; the sync
+    loses page 27, the right half of a leaf split whose later sibling,
+    28, survives.  27 is regenerated from page 26's backup, whose record
+    names the neighbours of the split's time: no right neighbour.  Left
+    so, 28 dropped out of the chain, and keys inserted after recovery
+    went into a leaf no scan reached.  The repair links 27 through the
+    root-to-leaf path."""
+    engine, written = _window_losing(256, range(200), range(200, 220), 27)
+    assert written == [17, 25, 26, 27, 28]
+    tree2 = verify_recovered(KIND, engine, set(range(200)),
+                             insert_from=100_000)
+    scanned = {key for key, _ in tree2.range_scan()}
+    assert set(range(100_000, 100_060)) <= scanned
+
+
+def test_a_heal_never_links_to_a_lost_leaf():
+    """512 bytes, keys 179 down to 80 committed, 79 down to 0 in the
+    window; the sync loses page 10, a leaf split's lost half.  The first
+    scan finds 11's link broken and heals it through the root-to-leaf
+    path, which names 10: the heal must rebuild 10 (from page 9's backup)
+    before linking to it — linked to 10's zeroed image, the scan stopped
+    there and lost keys 80 and up."""
+    engine, written = _window_losing(512, range(179, 79, -1),
+                                     range(79, -1, -1), 10)
+    assert written == [3, 7, 8, 9, 10, 11, 12]
+    verify_recovered(KIND, engine, set(range(80, 180)))

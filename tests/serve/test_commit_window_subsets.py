@@ -19,7 +19,9 @@ from repro.storage import CrashOnNthSync, RecordingPolicy, SubsetEnumerator
 from repro.tools.fsck import fsck_group
 
 PAGE = 512
-PRELOAD = 80
+#: enough preloaded keys that the second window splits the victim's last
+#: leaf, which an ascending preload leaves four fifths full (DESIGN §5o)
+PRELOAD = 100
 VICTIM = 0
 N_SHARDS = 2
 

@@ -40,10 +40,6 @@ KINDS = ("shadow", "reorg", "hybrid")
 #: winner key range per page size: enough for several leaves per shard
 KEYS = {256: 300, 512: 500, 4096: 1500}
 SEEDS = [5, 7, 12, 13, 21]
-#: group cases that fail today, as strict xfails so tier-1 counts them:
-#: ROADMAP item 1's repair class under this seed's sync shuffle (it fails
-#: the same with page recycling and erasing both disabled)
-OPEN = {("shadow", 256, 2, 21)}
 #: ``visited`` is left out: it is where the two are meant to differ
 COUNTS = ("records", "applied", "elided", "out_of_order",
           "skipped_uncommitted")
@@ -192,12 +188,8 @@ def group_cases():
         for page_size in sorted(KEYS):
             for n_shards in (1, 2, 4):
                 for seed in SEEDS:
-                    case = (kind, page_size, n_shards, seed)
-                    marks = ([pytest.mark.xfail(strict=True,
-                                                reason="ROADMAP item 1")]
-                             if case in OPEN else [])
                     yield pytest.param(
-                        *case, marks=marks,
+                        kind, page_size, n_shards, seed,
                         id=f"{kind}-{page_size}-{n_shards}-{seed}")
 
 
