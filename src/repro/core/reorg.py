@@ -646,6 +646,10 @@ class ReorgBLinkTree(BLinkTree):
                 "the expected range")
         live_is_low = (not live
                        or I.item_key(backup[0], 0) > I.item_key(live[-1], 0))
+        if (child_view.shadow_items and live_is_low and live
+                and bounds.hi is not None
+                and I.item_key(backup[0], 0) > bounds.hi):
+            live[-1] = self._narrowed_entry(live[-1], child_view.level - 1)
         old_left, old_right = child_view.left_peer, child_view.right_peer
         old_left_tok = child_view.left_peer_token
         old_right_tok = child_view.right_peer_token
@@ -698,6 +702,27 @@ class ReorgBLinkTree(BLinkTree):
                 self._unpin(sbuf)
         self._verify_episode_around(child_no)
 
+    def _narrowed_entry(self, blob: bytes, child_level: int) -> bytes:
+        """The last live entry of a redone split of a page with prevPtrs,
+        whose child's range the split cut at the parent's bound: the
+        child now holds keys past it, which the sibling's children hold
+        too, so the descent rebuilds the child for its narrowed range.
+        Its own image is the source for that when it is intact — it held
+        the whole range when the page's image was written — while the
+        entry's prevPtr can name a page recycled since.  A lost child
+        keeps the prevPtr."""
+        child = I.item_child(blob, 0)
+        cbuf = self.file.pin(child)
+        try:
+            intact = (valid_magic(cbuf.data)
+                      and NodeView(cbuf.data, self.page_size).level
+                      == child_level)
+        finally:
+            self._unpin(cbuf)
+        if not intact:
+            return blob
+        return I.pack_internal_item(I.item_key(blob, 0), child, prev=child)
+
     # ------------------------------------------------------------------
     # the two-phase split (Section 3.4 steps (1)-(6))
     # ------------------------------------------------------------------
@@ -710,12 +735,14 @@ class ReorgBLinkTree(BLinkTree):
         if view.prev_n_keys:
             # the caller's reclamation check should have cleared this
             raise TreeError("split of a page still holding backup keys")
-        blobs = view.items()
+        original = view.items()
+        blobs = list(original)
         if fixup is not None:
             # pending child redirection from the split below: applied to
-            # the item list only, never to this page's buffer — the
-            # original items become the backup, and the backup must be
-            # the true pre-split image for restore to be sound
+            # the new halves only, never to this page's buffer or its
+            # backup — the original items become the backup, and the
+            # backup must be the true pre-split image for restore and
+            # regeneration to be sound
             k1_slot, k1_child, *rest = fixup
             k1_key = I.item_key(blobs[k1_slot], 0)
             shadow = self._level_uses_shadow_items(view.level)
@@ -734,8 +761,13 @@ class ReorgBLinkTree(BLinkTree):
         sep = I.item_key(high[0], 0)
         new_in_high = key >= sep
         live_is_low = new_in_high
-        live_blobs, backup_blobs = (low, high) if new_in_high else (high, low)
-        pb_blobs = high if new_in_high else low
+        live_blobs, pb_blobs = (low, high) if new_in_high else (high, low)
+        # Pb's half as it stood before this split: with a redirection
+        # applied, Pb's copy names the lower split's new page without
+        # its new sibling, which only Pb's triggering entry names; a
+        # page rebuilt from that copy would leave the sibling's keys
+        # where only a move right reaches them
+        backup_blobs = original[h:] if new_in_high else original[:h]
         token = self._token()
         self.splits.inc()
         page_type = PAGE_LEAF if view.is_leaf else PAGE_INTERNAL

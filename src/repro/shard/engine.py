@@ -35,6 +35,17 @@ from .router import ShardRouter
 from ..constants import DEFAULT_PAGE_SIZE, SYNC_COUNTER_BATCH
 
 
+def waits_on_device(engine: StorageEngine, *, syncs: bool) -> bool:
+    """Whether work over *engine* can sleep on the simulated device — the
+    only wait that releases the GIL, so the only one that work on a
+    sibling shard, run on another thread, can overlap: a page read or
+    write always, the sync barrier when the work *syncs*.  Recovery
+    stages and the worker pool's batch and heal shares run on extra
+    threads only when some shard's work can."""
+    return bool(engine.read_latency or engine.write_latency
+                or (syncs and engine.sync_latency))
+
+
 class ShardedEngine:
     """A group of N independent storage engines addressed by shard index."""
 

@@ -13,8 +13,8 @@ splits the two concerns:
 * **healing** (this module) drives the same separator-key/descent sweep
   the stop-the-world pass ran, but asynchronously: each admitted shard
   carries a resumable :class:`~repro.core.btree_base.RepairSweep` whose
-  units are stepped between foreground operations (by the shard's worker
-  thread, preserving the one-thread-per-shard ownership discipline) and
+  units are stepped between foreground operations (by the one thread
+  running on the shard, preserving the one-thread-per-shard discipline) and
   prioritized by access frequency — under zipfian traffic the hot
   subtrees heal first, shrinking the unverified window fastest where
   queries actually land.
@@ -120,9 +120,16 @@ class HealQueue:
     def failed_shards(self) -> list[int]:
         return sorted(i for i in self._shards if self._status(i)[1])
 
+    def healing(self, shard_index: int) -> bool:
+        """True while *shard_index* was admitted here and has neither
+        healed nor failed.  Both are terminal, so once this reads False
+        it stays False: a caller may check it once and skip the
+        priority feed and the heal step from then on."""
+        return shard_index in self._shards and \
+            not any(self._status(shard_index)[:2])
+
     def pending_shards(self) -> list[int]:
-        return sorted(i for i in self._shards
-                      if not any(self._status(i)[:2]))
+        return sorted(filter(self.healing, self._shards))
 
     def time_to_full_heal(self) -> float | None:
         """Max per-shard heal latency, once every shard healed."""
@@ -171,7 +178,8 @@ class HealQueue:
         """Run up to *max_units* heal units on *shard_index*; returns
         the units run (0 when the shard is not healing here).
 
-        Must be called from the thread that owns the shard — heal units
+        Must be called from the one thread running on the shard (its
+        owner thread, or a caller holding its claim) — heal units
         descend the shard's tree.  A :class:`CrashError` marks the shard
         failed (pending units discarded; a later orchestrator pass
         re-seeds from durable state) and propagates, matching the

@@ -72,7 +72,7 @@ from typing import Callable, NamedTuple
 from ..errors import CrashError
 from ..obs import get_registry, get_trace
 from ..storage.engine import StorageEngine
-from .engine import ShardedEngine, ShardedTree
+from .engine import ShardedEngine, ShardedTree, waits_on_device
 from .heal import HealQueue
 
 
@@ -99,14 +99,6 @@ def _run_inline(fn, *args) -> Future:
 _SWEEP = _Stage("sweep", sweep=True, sync=True)
 _ADMIT = _Stage("admit", sweep=False, sync=False)
 _LOG = _Stage("log", sweep=True, sync=False)
-
-
-def _waits_on_device(engine: StorageEngine, syncs: bool) -> bool:
-    """Whether a stage over *engine* sleeps on the simulated device — the
-    only wait that releases the GIL for a sibling shard's stage: a page
-    read or write always, the sync barrier when the stage *syncs*."""
-    return bool(engine.read_latency or engine.write_latency
-                or (syncs and engine.sync_latency))
 
 
 @dataclass
@@ -297,7 +289,7 @@ class RecoveryOrchestrator:
         under the GIL a pool would add only its spawn and join to stages
         that never wait on a device."""
         workers = min(self.max_workers or len(engines), len(engines))
-        if workers > 1 and any(_waits_on_device(engine, syncs)
+        if workers > 1 and any(waits_on_device(engine, syncs=syncs)
                                for engine in engines):
             return workers
         return 1

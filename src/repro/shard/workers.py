@@ -7,8 +7,8 @@ idle — so none of the single-engine machinery needs latching and the
 latch-protocol invariants hold per shard by construction.  Parallelism
 comes from shards being independent, not from threads sharing a tree.
 
-**Who runs on a shard.**  Every queued item (batch partition, submitted
-callable, posted callable, heal budget) runs on the shard's owner
+**Who runs on a shard.**  Every queued item (batch share, submitted
+callable, posted callable, heal share) runs on the shard's owner
 thread, FIFO.  Under the pool's one lock (``_lifecycle``) the pool
 counts each shard's queued or running items, and of those the posted
 items the owner has not started.  A caller may
@@ -29,11 +29,25 @@ The owner waits out a claim before it runs its next item, and no lock is
 ever held across tree work or a sync: the lock guards the counts and the
 claimed flag only.
 
+:meth:`~ShardWorkerPool.run_batch` and :meth:`~ShardWorkerPool.run_heal`
+split their work into one share per shard.  Owner threads running the
+shares side by side gain something only when a share can sleep on the
+device, the one wait that releases the GIL
+(:func:`~repro.shard.engine.waits_on_device`, the predicate recovery's
+stages use too).  So when two or more shares run and one of them can,
+every share is queued on its owner; otherwise the caller claims each
+idle shard and runs its share itself, one shard after another, and
+queues only the shares of shards that are busy or claimed, behind
+whatever is ahead of them there.  Either way the batch's shares are
+claimed or queued in one step under the lock, so a batch lands whole
+or, on a closed pool, not at all.
+
 A batch is a list of ``("insert", value, tid)`` / ``("lookup", value)`` /
 ``("delete", value)`` tuples in client order.  The pool partitions it by
 the routed shard of each value (preserving per-shard arrival order, which
 is all a hash-partitioned store can promise), runs the partitions
-concurrently, and reassembles results into the original order.
+(concurrently when they can overlap a device wait), and reassembles
+results into the original order.
 
 Failure semantics mirror the group's: a shard that crashes mid-batch
 stops executing *its* remaining operations (each reported as an error)
@@ -44,13 +58,13 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from ..errors import CrashError, ReproError
 from ..obs import get_registry
 from ..storage.engine import EngineDeadError
-from .engine import ShardedTree
+from .engine import ShardedTree, waits_on_device
 from .heal import HealQueue
 from .scheduler import GroupSyncScheduler
 
@@ -59,7 +73,8 @@ _OPS = ("insert", "lookup", "delete")
 
 @dataclass
 class OpResult:
-    """Outcome of one batched operation."""
+    """Outcome of one batched operation, built once by the thread that
+    ran it."""
 
     index: int                  # position in the submitted batch
     shard: int
@@ -137,6 +152,9 @@ class ShardWorkerPool:
             self._threads.append(thread)
         reg = get_registry()
         self._m_batches = reg.counter("shard.worker.batches")
+        # batch and heal shares by the thread that ran them
+        self._m_here = reg.counter("shard.worker.shares", ran="caller")
+        self._m_owner = reg.counter("shard.worker.shares", ran="owner")
         self._m_ops = reg.counter("shard.worker.ops")
         self._m_op_errors = reg.counter("shard.worker.op_errors")
 
@@ -168,40 +186,43 @@ class ShardWorkerPool:
 
     def run_batch(self, ops) -> BatchReport:
         """Execute *ops* across the shards; block until every partition
-        finished (or died)."""
-        with self._lifecycle:
-            if self._closed:
-                raise ReproError("worker pool is closed")
+        finished (or died).  Each shard's partition runs on the calling
+        thread or on its owner (module docstring)."""
         started = perf_counter()
         partitions: list[list[tuple[int, tuple]]] = [[] for _ in
                                                      range(self._n)]
-        results: list[OpResult | None] = [None] * len(ops)
         for index, op in enumerate(ops):
             if not op or op[0] not in _OPS:
                 raise ReproError(f"bad batch op at {index}: {op!r}")
             partitions[self.tree.shard_of(op[1])].append((index, op))
-
-        done = [threading.Event() for _ in range(self._n)]
-        crashed: list[int] = []
-        crashed_lock = threading.Lock()
+        shards = [i for i, part in enumerate(partitions) if part]
+        inline = not self._overlaps(shards, heals=False)
+        results: list[OpResult | None] = [None] * len(ops)
+        crashed = [False] * self._n
+        done: dict[int, threading.Event] = {}
         with self._lifecycle:
-            # re-checked: a close() racing the partitioning above must
-            # not let batch items land behind the shutdown sentinel
+            # closed-check, claims and enqueues are one atomic step: a
+            # batch racing close() never lands behind the shutdown
+            # sentinel, and never runs in part before it raises
             if self._closed:
                 raise ReproError("worker pool is closed")
-            for shard_index in range(self._n):
-                self._busy[shard_index] += 1
-                self._queues[shard_index].put(
-                    ("batch", partitions[shard_index], results,
-                     done[shard_index], crashed, crashed_lock))
-        for event in done:
+            here = self._claim_idle(shards, inline)
+            for shard_index in shards:
+                if shard_index not in here:
+                    done[shard_index] = threading.Event()
+                    self._busy[shard_index] += 1
+                    self._queues[shard_index].put(
+                        ("batch", partitions[shard_index], results,
+                         crashed, done[shard_index]))
+        self._run_here(here, "batch", partitions, results, crashed)
+        for event in done.values():
             event.wait()
 
         self._m_batches.inc()
         self._m_ops.inc(len(ops))
         report = BatchReport(
             results=[r for r in results if r is not None],
-            crashed_shards=sorted(crashed),
+            crashed_shards=[i for i in range(self._n) if crashed[i]],
             per_shard_ops=[len(p) for p in partitions],
             seconds=perf_counter() - started,
         )
@@ -279,35 +300,89 @@ class ShardWorkerPool:
 
     def run_heal(self, max_units_per_shard: int | None = None) \
             -> list[int]:
-        """Drain the background heal queue on the owner threads — the
-        idle-time counterpart of the per-op interleaving.  Blocks until
+        """Drain the background heal queue — the idle-time counterpart
+        of the per-op interleaving — each healing shard's share on the
+        calling thread or on its owner (module docstring).  Blocks until
         every healing shard ran its budget (or healed, or died); returns
         the shards that crashed doing so."""
+        targets = [] if self.heal is None else \
+            [i for i in self.heal.pending_shards() if i < self._n]
+        inline = not self._overlaps(targets, heals=True)
+        budgets = [max_units_per_shard] * self._n
+        crashed = [False] * self._n
+        done: dict[int, threading.Event] = {}
         with self._lifecycle:
+            # checked under the lock, as in run_batch: a close() racing
+            # the pending_shards() probe above must not let heal items
+            # land behind the shutdown sentinel
             if self._closed:
                 raise ReproError("worker pool is closed")
-        if self.heal is None:
-            return []
-        targets = [i for i in self.heal.pending_shards() if i < self._n]
-        if not targets:
-            return []
-        done = {i: threading.Event() for i in targets}
-        crashed: list[int] = []
-        crashed_lock = threading.Lock()
-        with self._lifecycle:
-            # re-checked under the lock: a close() racing the
-            # pending_shards() probe above must not let heal items land
-            # behind the shutdown sentinel
-            if self._closed:
-                raise ReproError("worker pool is closed")
+            here = self._claim_idle(targets, inline)
             for shard_index in targets:
-                self._busy[shard_index] += 1
-                self._queues[shard_index].put(
-                    ("heal", max_units_per_shard, done[shard_index],
-                     crashed, crashed_lock))
+                if shard_index not in here:
+                    done[shard_index] = threading.Event()
+                    self._busy[shard_index] += 1
+                    self._queues[shard_index].put(
+                        ("heal", budgets[shard_index], None, crashed,
+                         done[shard_index]))
+        self._run_here(here, "heal", budgets, None, crashed)
         for event in done.values():
             event.wait()
-        return sorted(crashed)
+        return [i for i in range(self._n) if crashed[i]]
+
+    # -- batch and heal shares ---------------------------------------------
+
+    def _overlaps(self, shards: list[int], *, heals: bool) -> bool:
+        """Whether owner threads running *shards*' shares side by side
+        can overlap a device wait: two or more shares, and one of them
+        can sleep on its engine.  A share can sync when a scheduler is
+        attached (a pressure sync), or when it heals — a heal share
+        (*heals*), or a batch share on a shard still healing — since a
+        heal syncs at its fixpoint."""
+        if len(shards) < 2:
+            return False
+        group = self.tree.group
+        for shard_index in shards:
+            syncs = heals or self.scheduler is not None or (
+                self.heal is not None and self.heal.healing(shard_index))
+            if waits_on_device(group.shard(shard_index), syncs=syncs):
+                return True
+        return False
+
+    def _claim_idle(self, shards: list[int], inline: bool) -> list[int]:
+        """With *inline*, claim each of *shards* that nothing is queued
+        on, running on or claiming, for the calling thread; returns
+        those claimed, whose shares the caller runs (the rest go to
+        their owners).  The caller holds ``_lifecycle``."""
+        here = [i for i in shards
+                if inline and not self._busy[i] and not self._claimed[i]]
+        for shard_index in here:
+            self._claimed[shard_index] = True
+        self._m_here.inc(len(here))
+        self._m_owner.inc(len(shards) - len(here))
+        return here
+
+    def _run_here(self, claimed: list[int], kind: str, args: list,
+                  results, crashed: list[bool]) -> None:
+        """Run each *claimed* shard's share of a batch (its partition
+        in *args*) or of a heal pass (its unit budget) on the calling
+        thread, one after another, storing whether the shard crashed in
+        *crashed*.  Each claim is released as its share ends, and the
+        claims of shares not reached when one raises."""
+        pending = iter(claimed)
+        try:
+            for shard_index in pending:
+                arg = args[shard_index]
+                try:
+                    crashed[shard_index] = (
+                        self._run_partition(shard_index, arg, results)
+                        if kind == "batch"
+                        else self._run_heal(shard_index, arg))
+                finally:
+                    self.release(shard_index)
+        finally:
+            for shard_index in pending:
+                self.release(shard_index)
 
     # -- the worker --------------------------------------------------------
 
@@ -324,14 +399,16 @@ class ShardWorkerPool:
                     self._posted[shard_index] -= 1
             if item is None:
                 return
-            if item[0] == "batch":
-                _, partition, results, done, crashed, crashed_lock = item
+            if item[0] in ("batch", "heal"):
+                kind, arg, results, crashed, done = item
                 try:
-                    self._run_partition(shard_index, partition, results,
-                                        crashed, crashed_lock)
+                    crashed[shard_index] = (
+                        self._run_partition(shard_index, arg, results)
+                        if kind == "batch"
+                        else self._run_heal(shard_index, arg))
                 finally:
                     done.set()
-            elif item[0] in ("call", "post"):
+            else:
                 _, fn, done, errbox = item
                 try:
                     fn()
@@ -345,18 +422,10 @@ class ShardWorkerPool:
                 finally:
                     if done is not None:
                         done.set()
-            else:
-                _, budget, done, crashed, crashed_lock = item
-                try:
-                    self._run_heal(shard_index, budget, crashed,
-                                   crashed_lock)
-                finally:
-                    done.set()
             with self._lifecycle:
                 self._busy[shard_index] -= 1
 
-    def _run_heal(self, shard_index: int, budget: int | None,
-                  crashed, crashed_lock) -> None:
+    def _run_heal(self, shard_index: int, budget: int | None) -> bool:
         chunk = 32
         remaining = budget
         try:
@@ -364,58 +433,65 @@ class ShardWorkerPool:
                 step = chunk if remaining is None else min(chunk, remaining)
                 if step <= 0 or not self.heal.step(shard_index,
                                                    max_units=step):
-                    return
+                    return False
                 if remaining is not None:
                     remaining -= step
         except CrashError:
-            with crashed_lock:
-                crashed.append(shard_index)
+            return True
         except ReproError:
             # recorded by the queue against the shard; the owner thread
             # must survive for foreground work on its siblings' behalf
-            pass
+            return False
 
-    def _run_partition(self, shard_index: int, partition, results,
-                       crashed, crashed_lock) -> None:
+    def _run_partition(self, shard_index: int, partition,
+                       results: list) -> bool:
+        """Run one shard's partition of a batch, storing each op's
+        :class:`OpResult` at its batch index; True when the shard
+        crashed doing so."""
         tree = self.tree.trees[shard_index]
         dead_reason: str | None = None
         if tree is None or self.tree.group.shard(shard_index).dead:
             dead_reason = f"shard {shard_index} is dead (unrecovered)"
+        # asked once per partition: a shard that healed (or failed to)
+        # never heals again, so its ops skip the priority feed and the
+        # heal step, and their locks, for the rest of the run
+        heal = self.heal if self.heal is not None and \
+            self.heal.healing(shard_index) else None
+        crashed = False
         for index, op in partition:
             name, value = op[0], op[1]
-            entry = OpResult(index=index, shard=shard_index, op=name,
-                             value=value)
-            results[index] = entry
-            if dead_reason is not None:
-                entry.error = dead_reason
-                continue
-            try:
-                if self.heal is not None:
-                    # promote the touched subtree, then pay a few units
-                    # of background heal between foreground ops — the
-                    # instant-restart interleaving
-                    self.heal.note_access(shard_index,
-                                          self.tree.codec.encode(value))
-                if name == "insert":
-                    tree.insert(value, op[2])
-                elif name == "lookup":
-                    entry.result = tree.lookup(value)
-                else:
-                    tree.delete(value)
-                if self.scheduler is not None:
-                    self.scheduler.note_op(shard_index)
-                if self.heal is not None:
-                    self.heal.step(shard_index,
-                                   max_units=self.heal_units_per_op)
-            except CrashError as exc:
-                entry.error = f"shard crashed: {exc}"
-                dead_reason = f"shard {shard_index} crashed mid-batch"
-                with crashed_lock:
-                    crashed.append(shard_index)
-            except EngineDeadError as exc:
-                entry.error = str(exc)
-                dead_reason = entry.error
-            except ReproError as exc:
-                # per-op failure (duplicate key, missing key): the shard
-                # is fine, keep going
-                entry.error = f"{type(exc).__name__}: {exc}"
+            result = None
+            error = dead_reason
+            if error is None:
+                try:
+                    if heal is not None:
+                        # promote the touched subtree, then pay a few
+                        # units of background heal between foreground
+                        # ops — the instant-restart interleaving
+                        heal.note_access(shard_index,
+                                         self.tree.codec.encode(value))
+                    if name == "insert":
+                        tree.insert(value, op[2])
+                    elif name == "lookup":
+                        result = tree.lookup(value)
+                    else:
+                        tree.delete(value)
+                    if self.scheduler is not None:
+                        self.scheduler.note_op(shard_index)
+                    if heal is not None:
+                        heal.step(shard_index,
+                                  max_units=self.heal_units_per_op)
+                except CrashError as exc:
+                    error = f"shard crashed: {exc}"
+                    dead_reason = f"shard {shard_index} crashed mid-batch"
+                    crashed = True
+                except EngineDeadError as exc:
+                    error = dead_reason = str(exc)
+                except ReproError as exc:
+                    # per-op failure (duplicate key, missing key): the
+                    # shard is fine, keep going
+                    error = f"{type(exc).__name__}: {exc}"
+            results[index] = OpResult(index=index, shard=shard_index,
+                                      op=name, value=value, result=result,
+                                      error=error)
+        return crashed

@@ -26,8 +26,10 @@ def shard_model():
 def test_worker_loop_runs_as_shard_worker():
     roles = infer_roles(shard_model())
     assert roles.of("ShardWorkerPool._worker_loop") == {"shard-worker"}
-    # the partition runner is only reachable from the worker loop
-    assert roles.of("ShardWorkerPool._run_partition") == {"shard-worker"}
+    # the partition runner is reachable from the worker loop (a queued
+    # share) and from run_batch (a share the caller runs itself)
+    assert roles.of("ShardWorkerPool._run_partition") \
+        == {"caller", "shard-worker"}
 
 
 def test_heal_step_reachable_from_both_roles():

@@ -231,6 +231,53 @@ def test_worker_pool_interleaves_heal_units_with_foreground_ops():
     assert fsck_group(group2).errors == 0
 
 
+def test_a_healed_shard_skips_the_heal_bookkeeping():
+    group, tree = build_group()
+    crash_shards(group, tree, [0, 2])
+    group2, report = admit(group)
+    heal = report.heal
+    heal.drain(0)
+    assert heal.pending_shards() == [2]
+    calls = {"note_access": [], "step": []}
+    for name, shards in calls.items():
+        def counted(shard_index, *args, _raw=getattr(heal, name),
+                    _shards=shards, **kwargs):
+            _shards.append(shard_index)
+            return _raw(shard_index, *args, **kwargs)
+        setattr(heal, name, counted)
+    with ShardWorkerPool(heal.tree) as pool:
+        result = pool.run_batch([("lookup", k) for k in range(KEYS)])
+    assert result.ok
+    for shards in calls.values():
+        # shard 0 healed before the batch; 1 and 3 never crashed
+        assert set(shards) == {2}
+
+
+def test_a_heal_that_syncs_keeps_the_batch_on_the_owner_threads():
+    from repro.obs import scoped_registry
+
+    group, tree = build_group()
+    crash_shards(group, tree, [0, 2])
+    group2, report = admit(group)
+    heal = report.heal
+    for engine in group2.shards:
+        engine.sync_latency = 1e-5
+    batch = [("lookup", k) for k in range(KEYS)]
+    with scoped_registry() as reg, ShardWorkerPool(heal.tree) as pool:
+        # shards 0 and 2 heal, and a heal syncs at its fixpoint
+        assert pool.run_batch(batch).ok
+        counters = reg.snapshot()["counters"]
+        assert counters[metric_key("shard.worker.shares",
+                                   {"ran": "owner"})] == 4
+        assert pool.run_heal() == []
+        assert heal.healed
+        # healed: nothing in the batch syncs, so the caller runs it
+        assert pool.run_batch(batch).ok
+        counters = reg.snapshot()["counters"]
+        assert counters[metric_key("shard.worker.shares",
+                                   {"ran": "caller"})] == 4
+
+
 def test_run_heal_without_a_queue_is_a_no_op():
     group, tree = build_group()
     with ShardWorkerPool(tree) as pool:

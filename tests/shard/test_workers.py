@@ -166,3 +166,137 @@ def test_submit_after_close_raises():
     pool.close()
     with pytest.raises(ReproError):
         pool.submit(0, lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# which thread runs a batch's share
+# ---------------------------------------------------------------------------
+
+def record_threads(tree, *ops):
+    """Wrap each member tree's *ops* to note, per shard, the names of
+    the threads that ran them."""
+    import threading
+
+    seen = {i: [] for i in range(len(tree.trees))}
+    for index, member in enumerate(tree.trees):
+        for op in ops:
+            def traced(*args, _raw=getattr(member, op), _index=index):
+                seen[_index].append(threading.current_thread().name)
+                return _raw(*args)
+            setattr(member, op, traced)
+    return seen
+
+
+def shares(reg) -> tuple[int, int]:
+    """(shares run on the caller, shares queued on an owner) so far."""
+    from repro.obs import metric_key
+
+    counters = reg.snapshot()["counters"]
+    return tuple(counters.get(metric_key("shard.worker.shares",
+                                         {"ran": ran}), 0)
+                 for ran in ("caller", "owner"))
+
+
+def test_zero_latency_batch_runs_on_the_calling_thread():
+    import threading
+
+    from repro.obs import scoped_registry
+
+    group, tree = make()
+    keys = range(80)
+    tree.insert_many([(k, TID(1, k)) for k in keys])
+    seen = record_threads(tree, "lookup")
+    with scoped_registry() as reg, ShardWorkerPool(tree) as pool:
+        report = pool.run_batch([("lookup", k) for k in keys])
+        assert shares(reg) == (4, 0), "no share may go to an owner"
+    assert report.ok and all(r.result is not None for r in report.results)
+    me = threading.current_thread().name
+    assert all(names and set(names) == {me} for names in seen.values())
+
+
+def test_batch_waits_behind_a_submit_queued_or_running_on_its_shard():
+    import threading
+    import time
+
+    from repro.obs import scoped_registry
+
+    group, tree = make()
+    tree.insert_many([(k, TID(1, k)) for k in range(80)])
+    busy = tree.shard_of(0)
+    order = []
+    seen = record_threads(tree, "lookup")
+    original = tree.trees[busy].lookup
+
+    def lookup(value):
+        order.append("batch")
+        return original(value)
+    tree.trees[busy].lookup = lookup
+    gate, entered = threading.Event(), threading.Event()
+
+    def running():
+        entered.set()
+        assert gate.wait(timeout=10)
+        order.append("running")
+
+    with scoped_registry() as reg, ShardWorkerPool(tree) as pool:
+        pool.submit(busy, running)
+        assert entered.wait(timeout=10)
+        queued, _ = pool.submit(busy, lambda: order.append("queued"))
+        box = {}
+        batch = threading.Thread(
+            target=lambda: box.update(
+                report=pool.run_batch([("lookup", k) for k in range(80)])),
+            name="batch-caller")
+        batch.start()
+        deadline = time.monotonic() + 10
+        while shares(reg) != (3, 1):      # the busy shard's share queued
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert "batch" not in order
+        gate.set()
+        batch.join(timeout=10)
+        assert not batch.is_alive()
+    assert box["report"].ok
+    # FIFO on the busy shard: both jobs ahead of the batch ran first
+    assert order[:2] == ["running", "queued"] and "batch" in order[2:]
+    assert set(seen[busy]) == {f"shard-worker-{busy}"}
+    assert all(set(names) == {"batch-caller"}
+               for index, names in seen.items() if index != busy)
+
+
+def test_device_latency_keeps_the_batch_on_the_owner_threads():
+    from repro.obs import scoped_registry
+
+    group = ShardedEngine.create(4, page_size=PAGE, seed=9,
+                                 read_latency=1e-5)
+    tree = group.create_tree("shadow", "ix", codec="uint32")
+    tree.insert_many([(k, TID(1, k)) for k in range(80)])
+    seen = record_threads(tree, "lookup")
+    with scoped_registry() as reg, ShardWorkerPool(tree) as pool:
+        report = pool.run_batch([("lookup", k) for k in range(80)])
+        assert shares(reg) == (0, 4)
+        # one share has nothing to overlap with: it runs on the caller
+        single = [k for k in range(80) if tree.shard_of(k) == 0]
+        assert pool.run_batch([("lookup", k) for k in single]).ok
+        assert shares(reg) == (1, 4)
+    assert report.ok
+    for index, names in seen.items():
+        assert f"shard-worker-{index}" in names
+
+
+def test_a_sync_counts_only_where_the_batch_can_sync():
+    from repro.obs import scoped_registry
+
+    group, tree = make()
+    tree.insert_many([(k, TID(1, k)) for k in range(80)])
+    for engine in group.shards:
+        engine.sync_latency = 1e-5
+    lookups = [("lookup", k) for k in range(80)]
+    with scoped_registry() as reg:
+        with ShardWorkerPool(tree) as pool:
+            assert pool.run_batch(lookups).ok
+            assert shares(reg) == (4, 0), "nothing here syncs"
+        scheduler = GroupSyncScheduler(group)
+        with ShardWorkerPool(tree, scheduler=scheduler) as pool:
+            assert pool.run_batch(lookups).ok
+            assert shares(reg) == (4, 4), "pressure syncs can overlap"
