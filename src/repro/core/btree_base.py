@@ -60,7 +60,15 @@ from ..storage.page import HEADER_SIZE, LINE_ENTRY_SIZE
 from ..storage.pagefile import PageFile
 from . import items as I
 from .concurrency import schedule_point
-from .detect import Action, DetectionReport, Kind, RepairLog
+from .detect import (
+    SEVERITY,
+    Action,
+    DetectionReport,
+    Finding,
+    Findings,
+    Kind,
+    RepairLog,
+)
 from .keys import CODECS, FULL_BOUNDS, MIN_KEY, TID, KeyBounds, KeyCodec
 from .meta import MetaView
 from .nodeview import DecodedNode, NodeView, node_of
@@ -1594,9 +1602,12 @@ class BLinkTree:
               require_peer_chain: bool = True) -> list[tuple[bytes, TID]]:
         """Validate the whole tree; returns ``(key, tid)`` pairs in order.
 
-        Checks: header sanity, sorted keys, separator containment,
-        uniform leaf depth, peer-chain agreement with the in-order leaf
-        sequence, and (optionally) matching sync tokens across peer links.
+        Checks: page magic and type, each page reached once, header
+        sanity, sorted keys, separator containment, uniform leaf depth,
+        peer-chain agreement with the in-order leaf sequence, and
+        (optionally) matching sync tokens across peer links.  Raises
+        :class:`TreeError` with the text of the first ``warn`` or
+        ``error`` finding (:data:`~repro.core.detect.SEVERITY`).
 
         ``require_peer_chain=False`` relaxes the chain==leaves equality:
         after a crash, a stale-but-internally-consistent dual path
@@ -1605,7 +1616,7 @@ class BLinkTree:
         insert or delete nearby (Section 3.5.1).
         """
         pairs: list[tuple[bytes, TID]] = []
-        self._validate(pairs, strict_tokens, require_peer_chain)
+        self._validate(_Walk(pairs, None), strict_tokens, require_peer_chain)
         return pairs
 
     def verify(self, *, strict_tokens: bool = True,
@@ -1614,94 +1625,145 @@ class BLinkTree:
         pairs (recovery): the same walk, every same test and error, but no
         TID is decoded — so TID bytes that run off a page go unread — and
         no pair built.  Returns the number of keys."""
-        return self._validate(None, strict_tokens, require_peer_chain)
+        return self._validate(_Walk(None, None), strict_tokens,
+                              require_peer_chain)
 
-    def _validate(self, pairs: list[tuple[bytes, TID]] | None,
-                  strict_tokens: bool, require_peer_chain: bool) -> int:
+    def findings(self, *, check_peers: bool = True) -> Findings:
+        """The walk :meth:`check` makes, collecting every finding where
+        ``check`` raises on the first; ``check_peers=False`` is the
+        post-crash relaxation (``strict_tokens=False,
+        require_peer_chain=False``).  Nothing is written.  A page whose
+        items cannot be decoded raises as it does in ``check``."""
+        found = Findings()
+        walk = _Walk(None, found)
+        found.keys = self._validate(walk, check_peers, check_peers)
+        found.pages, found.leaves = walk.seen, walk.leaves
+        found.internals = walk.internals
+        return found
+
+    def _validate(self, walk: "_Walk", strict_tokens: bool,
+                  require_peer_chain: bool) -> int:
         root = self._root_page()
         if root == INVALID_PAGE:
             return 0
-        leaves: list[int] = []
-        ends: list[bytes] = []
-        root_buf, root_node = self._pin_node(root)
+        root_buf = self.file.pin(root)
         try:
-            n_keys = self._check_subtree(root, root_node, FULL_BOUNDS,
-                                         root_node.level, leaves, ends,
-                                         pairs)
+            n_keys = self._check_subtree(root, root_buf, FULL_BOUNDS, None,
+                                         INVALID_PAGE, walk)
         finally:
             self._unpin(root_buf)
         if require_peer_chain:
-            self._check_peer_chain(leaves, strict_tokens=strict_tokens)
+            self._check_peer_chain(walk.leaves, strict_tokens=strict_tokens,
+                                   report=walk.report)
         # every leaf ascends strictly, so the whole key sequence can only
         # fall or repeat where one leaf's last key meets the next's first
+        ends = walk.ends
         lasts, firsts = ends[1::2], ends[2::2]
-        if any(map(gt, lasts, firsts)):
-            raise TreeError("keys not globally sorted")
-        if any(map(eq, lasts, firsts)):
-            raise TreeError("duplicate keys present")
+        for cls, fault, text in (
+                ("global-order", gt, "keys not globally sorted"),
+                ("duplicate-key", eq, "duplicate keys present")):
+            faults = list(map(fault, lasts, firsts))
+            if True in faults:
+                walk.report(cls, walk.keyed[faults.index(True) + 1], text)
         return n_keys
 
-    def _check_subtree(self, page_no: int, node: DecodedNode,
-                       bounds: KeyBounds, level: int, leaves: list[int],
-                       ends: list[bytes],
-                       pairs: list[tuple[bytes, TID]] | None) -> int:
-        """Validate the subtree under *page_no* and return its key count.
+    def _check_subtree(self, page_no: int, buf: Buffer, bounds: KeyBounds,
+                       level: int | None, parent: int, walk: "_Walk") -> int:
+        """Validate the subtree under *page_no* (pinned in *buf*, reached
+        from *parent*, expected at *level*: ``None`` for the root) and
+        return its key count.
 
         The cost is per page, not per key: one bulk key decode (the
         frame's own list when a reader already paid for it) and one
         C-level pass over it.  Leaves append their page number to
-        *leaves*, their first and last key to *ends*, and — only when the
-        caller collects — their pairs to *pairs*."""
-        if node.level != level:
-            raise TreeError(
-                f"page {page_no}: level {node.level}, expected {level}")
+        ``walk.leaves``, their first and last key to ``walk.ends``, and —
+        only when the caller collects — their pairs to ``walk.pairs``."""
+        report = walk.report
+        if page_no in walk.seen:
+            report("reached-twice", page_no,
+                   f"page {page_no}: reached twice (second parent {parent})")
+            return 0
+        walk.seen.add(page_no)
+        node = node_of(buf)
+        if node.magic != PAGE_MAGIC or node.page_type not in _TREE_PAGES:
+            report("unreadable", page_no,
+                   f"page {page_no}: unreadable (magic {node.magic:#06x}, "
+                   f"type {node.page_type}), reached from page {parent}")
+            return 0
+        if level is None:
+            level = node.level
+        elif node.level != level:
+            report("level", page_no,
+                   f"page {page_no}: level {node.level}, expected {level}")
         is_leaf = node.is_leaf
         keys = node.all_keys()
+        if (page_no not in self._vetted
+                and self.engine.sync_state.predates_last_crash(
+                    node.sync_token)
+                and NodeView(buf.data, self.page_size)
+                .find_intra_page_inconsistency() is not None):
+            # the probe :meth:`_vet_intra_page` runs on first use; judge
+            # the keys as its repair, which drops the duplicate, leaves them
+            report("line-table", page_no,
+                   f"page {page_no}: duplicate line-table offsets (an "
+                   "interrupted insert)")
+            keys = [key for i, key in enumerate(keys)
+                    if not i or key != keys[i - 1]]
         # entry 0 of an internal page carries the low separator;
         # containment is implied
         exempt = 0 if is_leaf else 1
         if exempt and keys and keys[0] != MIN_KEY \
                 and keys[0] < bounds.lo:
-            raise TreeError(
-                f"page {page_no}: entry-0 separator below bounds")
+            report("entry-0", page_no,
+                   f"page {page_no}: entry-0 separator below bounds")
         # strict ascent makes the two end keys bound every key between
         # them; which slot is at fault is worked out once one is
         ascending = all(map(lt, keys, keys[1:]))
         contained = len(keys) <= exempt or (
             bounds.contains(keys[exempt]) and bounds.contains(keys[-1]))
         if not (ascending and contained):
-            _raise_key_fault(page_no, keys, exempt, bounds)
+            for cls, text in _key_faults(page_no, keys, exempt, bounds):
+                report(cls, page_no, text)
+        if node.prev_n_keys and walk.found is not None:
+            report("backup", page_no,
+                   f"page {page_no}: holds {node.backup_count} backup keys "
+                   "(reorg split awaiting reclamation)")
         if is_leaf:
-            if pairs is not None:
-                pairs.extend(zip(keys, node.all_tids()))
-            leaves.append(page_no)
+            if walk.pairs is not None:
+                walk.pairs.extend(zip(keys, node.all_tids()))
+            walk.leaves.append(page_no)
             if keys:
-                ends += (keys[0], keys[-1])
+                walk.ends += (keys[0], keys[-1])
+                walk.keyed.append(page_no)
             return len(keys)
+        walk.internals += 1
         # the child walk pins other frames but writes none, so the lists
         # taken here stay this page's content throughout
         n_keys = 0
         for i, child_no in enumerate(node.all_children()):
             child_bounds = self._child_bounds(node, i, bounds)
-            cbuf, cnode = self._pin_node(child_no)
+            cbuf = self.file.pin(child_no)
             try:
-                n_keys += self._check_subtree(child_no, cnode, child_bounds,
-                                              level - 1, leaves, ends, pairs)
+                n_keys += self._check_subtree(child_no, cbuf, child_bounds,
+                                              level - 1, page_no, walk)
             finally:
                 self._unpin(cbuf)
         return n_keys
 
-    def _check_peer_chain(self, leaves: list[int], *,
-                          strict_tokens: bool) -> None:
+    def _check_peer_chain(self, leaves: list[int], *, strict_tokens: bool,
+                          report) -> None:
+        """The forward walk must visit exactly the in-order *leaves*;
+        each fault goes to *report* (``_Walk.report``)."""
         if not leaves:
             return
-        # forward walk must visit exactly the in-order leaves
         chain = []
         page_no = leaves[0]
         seen = set()
         while page_no != INVALID_PAGE:
             if page_no in seen:
-                raise TreeError(f"peer chain cycles at page {page_no}")
+                report("chain-cycle", page_no,
+                       f"peer chain cycles at page {page_no}")
+                break
             seen.add(page_no)
             chain.append(page_no)
             buf, node = self._pin_node(page_no)
@@ -1712,21 +1774,22 @@ class BLinkTree:
                     try:
                         if not tokens_match(nnode.left_peer_token,
                                             node.right_peer_token):
-                            raise TreeError(
-                                f"peer tokens disagree on link "
-                                f"{page_no}->{nxt}")
-                        if nnode.left_peer != page_no:
-                            raise TreeError(
-                                f"peer chain asymmetric: {page_no}->{nxt} "
-                                f"but {nxt}<-{nnode.left_peer}")
+                            report("peer-token", page_no,
+                                   f"peer tokens disagree on link "
+                                   f"{page_no}->{nxt}")
+                        elif nnode.left_peer != page_no:
+                            report("peer-asymmetric", page_no,
+                                   f"peer chain asymmetric: {page_no}->{nxt} "
+                                   f"but {nxt}<-{nnode.left_peer}")
                     finally:
                         self._unpin(nbuf)
             finally:
                 self._unpin(buf)
             page_no = nxt
         if chain != leaves:
-            raise TreeError(
-                f"peer chain {chain} disagrees with in-order leaves {leaves}")
+            report("chain", chain[0],
+                   f"peer chain {chain} disagrees with in-order leaves "
+                   f"{leaves}")
 
     # ------------------------------------------------------------------
     # debugging
@@ -1755,20 +1818,58 @@ class BLinkTree:
         return "\n".join(lines)
 
 
-def _raise_key_fault(page_no: int, keys: list[bytes], exempt: int,
-                     bounds: KeyBounds) -> None:
-    """Name the first offending key of a page that failed
-    :meth:`BLinkTree._check_subtree`'s whole-page test.  Slot by slot,
-    order is tested before containment, which the first *exempt* slots
-    are spared."""
+_TREE_PAGES = (PAGE_LEAF, PAGE_INTERNAL)
+
+
+def _raise_finding(cls: str, page_no: int, message: str) -> None:
+    """The sink of :meth:`BLinkTree.check` and ``verify``: raise on the
+    first warn or error."""
+    if SEVERITY[cls] != "info":
+        raise TreeError(message)
+
+
+class _Walk:
+    """The state of one validator walk (:meth:`BLinkTree._validate`).
+    With *found* ``None`` its :meth:`report` raises on the first warn or
+    error; otherwise it collects every finding in *found*."""
+
+    __slots__ = ("pairs", "found", "report", "seen", "leaves", "ends",
+                 "keyed", "internals")
+
+    def __init__(self, pairs: list | None, found: Findings | None):
+        self.pairs = pairs
+        self.found = found
+        self.report = _raise_finding if found is None else self._collect
+        self.seen: set[int] = set()
+        self.leaves: list[int] = []
+        #: the first and last key of each leaf that has keys, and its page
+        self.ends: list[bytes] = []
+        self.keyed: list[int] = []
+        self.internals = 0
+
+    def _collect(self, cls: str, page_no: int, message: str) -> None:
+        self.found.append(Finding(SEVERITY[cls], page_no, message))
+
+
+def _key_faults(page_no: int, keys: list[bytes], exempt: int,
+                bounds: KeyBounds) -> Iterator[tuple[str, str]]:
+    """The first order fault and the first containment fault of a page
+    that failed :meth:`BLinkTree._check_subtree`'s whole-page test, as
+    ``(class, text)`` in slot order.  Slot by slot, order is tested
+    before containment, which the first *exempt* slots are spared."""
     lo, hi = bounds.lo, bounds.hi
+    ordered = contained = True
     for i, key in enumerate(keys):
-        if i and key <= keys[i - 1]:
-            raise TreeError(f"page {page_no}: keys out of order at {i}")
-        if i >= exempt and not bounds.contains(key):
-            raise TreeError(
-                f"page {page_no}: key {key.hex()} outside "
-                f"[{lo.hex()}, {'inf' if hi is None else hi.hex()})")
+        if ordered and i and key <= keys[i - 1]:
+            ordered = False
+            yield "order", f"page {page_no}: keys out of order at {i}"
+        if contained and i >= exempt and not bounds.contains(key):
+            contained = False
+            yield "range", (f"page {page_no}: key {key.hex()} outside "
+                            f"[{lo.hex()}, "
+                            f"{'inf' if hi is None else hi.hex()})")
+        if not (ordered or contained):
+            return
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Inconsistency taxonomy and detection reports.
+"""Inconsistency taxonomy, detection reports and validator findings.
 
 Every inconsistency the recoverable trees detect and repair is recorded as
 a :class:`DetectionReport` on the tree's ``repair_log``, so tests and the
 recovery benchmark can assert not just *that* the tree healed but *what* it
-healed (which of the paper's failure cases actually occurred).
+healed (which of the paper's failure cases actually occurred).  What the
+validator walk (``BLinkTree.check`` / ``verify`` / ``findings``) sees is a
+:class:`Finding`, graded by the one :data:`SEVERITY` table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..obs import TIME_BUCKETS, get_registry, get_trace
 from ..obs.metrics import Counter, Histogram
@@ -146,3 +148,50 @@ class RepairLog:
 
     def clear(self) -> None:
         self.reports.clear()
+
+
+#: The grade of each class of finding the validator walk reports.  An
+#: ``error`` is damage no first-use check repairs; a ``warn`` is what a
+#: crash may leave and a first-use check repairs, or the post-crash
+#: relaxations allow (a stale pre-split image, a stale peer link); an
+#: ``info`` finding is no damage.  ``check()`` and ``verify()`` raise on
+#: the first warn or error.
+SEVERITY = {
+    "unreadable": "error",        # bad magic or page type: zeroed, garbage
+    "reached-twice": "error",
+    "level": "error",
+    "order": "error",             # keys out of order on one page
+    "chain-cycle": "error",
+    "global-order": "error",      # keys out of order across leaves
+    "duplicate-key": "error",
+    "range": "warn",              # a key outside its promised range
+    "entry-0": "warn",            # an entry-0 separator below its bounds
+    "peer-token": "warn",
+    "peer-asymmetric": "warn",
+    "chain": "warn",              # chain differs from the in-order leaves
+    "line-table": "warn",         # duplicate line-table offsets
+    "backup": "info",             # reorg backup keys awaiting reclamation
+}
+
+
+class Finding(NamedTuple):
+    """One thing a validator saw: its severity, the page, and the text
+    ``check()`` raises for it (page-level texts name their page)."""
+
+    severity: str
+    page_no: int
+    message: str
+
+    def __str__(self) -> str:
+        return f"[{self.severity:<5}] {self.message}"
+
+
+class Findings(list):
+    """Every :class:`Finding` of one validator walk, in walk order, and
+    what the walk reached: ``pages`` (every page, unreadable ones too),
+    ``leaves`` (in key order), ``internals`` and ``keys`` (counts)."""
+
+    pages: set[int]
+    leaves: list[int]
+    internals: int = 0
+    keys: int = 0

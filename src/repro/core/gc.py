@@ -9,22 +9,19 @@ expensive."
 
 The collector here is that hook: after driving pending repairs and a
 sync (so that every reachable page is durable and no shadow/backup copy
-is still needed for recovery),
-walk the index from its meta page and return every allocated-but-
-unreachable page to the freelist.  That reclaims the pages the recovery
-algorithms deliberately leak — abandoned split halves, orphaned dual-path
-pages, pre-split shadows whose deferred free died with the crash.
+is still needed for recovery), it takes the pages the tree's validator
+walk reaches from the meta page (``BLinkTree.findings``) and returns
+every other allocated page to the freelist.  That reclaims the pages the
+recovery algorithms deliberately leak — abandoned split halves, orphaned
+dual-path pages, pre-split shadows whose deferred free died with the
+crash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..constants import INVALID_PAGE
-from ..storage import is_zeroed, try_read_header
 from .btree_base import BLinkTree
-from .meta import MetaView
-from .nodeview import NodeView
 
 
 @dataclass
@@ -56,38 +53,12 @@ def collect_garbage(tree: BLinkTree, *, sync_first: bool = True) -> GCReport:
     if sync_first:
         tree.drive_repairs()
         tree.engine.sync()
-    report = GCReport()
+    report = GCReport(
+        reachable={0, *tree.findings(check_peers=False).pages})
     file = tree.file
-    reachable = report.reachable
-    reachable.add(0)
-
-    mbuf = file.pin_meta()
-    try:
-        meta = MetaView(mbuf.data, tree.page_size)
-        root = meta.root
-    finally:
-        file.unpin(mbuf)
-
-    stack = [root] if root != INVALID_PAGE else []
-    while stack:
-        page_no = stack.pop()
-        if page_no in reachable or page_no == INVALID_PAGE:
-            continue
-        reachable.add(page_no)
-        buf = file.pin(page_no)
-        try:
-            if is_zeroed(buf.data) or try_read_header(buf.data) is None:
-                continue
-            view = NodeView(buf.data, tree.page_size)
-            if not view.is_leaf:
-                for i in range(view.n_keys):
-                    stack.append(view.child_at(i))
-        finally:
-            file.unpin(buf)
-
     for page_no in range(1, file.n_pages):
         report.scanned += 1
-        if page_no in reachable:
+        if page_no in report.reachable:
             continue
         if page_no in file.freelist:
             report.already_free += 1

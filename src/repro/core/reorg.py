@@ -167,6 +167,11 @@ class ReorgBLinkTree(BLinkTree):
                 Kind.RESTORED_ORIGINAL, page_no, Action.RESTORED_BACKUP,
                 detail=f"abandoned sibling {abandoned}"),
                 duration=perf_counter() - started)
+            if view.is_leaf and view.n_keys:
+                # the record names the neighbours of the split's time; a
+                # leaf the window added beyond them is found through the
+                # root-to-leaf path, as for a regenerated sibling
+                self._link_into_chain(page_no, view.min_key())
             self._verify_episode_around(page_no)
             return
 
@@ -381,7 +386,10 @@ class ReorgBLinkTree(BLinkTree):
             too_wide_right = (bounds.hi is not None
                               and child.max_key() >= bounds.hi)
             lo = child.min_key()
-            too_wide_left = lo != MIN_KEY and lo < bounds.lo
+            # under an entry past MIN, a MIN entry 0 with entries after
+            # it is the leftmost page's stale pre-split image
+            too_wide_left = lo < bounds.lo and (lo != MIN_KEY
+                                                or child.n_keys > 1)
             if too_wide_right or too_wide_left:
                 sibling = self._sibling_across(
                     parent, right=too_wide_right)
@@ -449,7 +457,8 @@ class ReorgBLinkTree(BLinkTree):
             # no page to the left at all: the leftmost child of the tree
             # was lost, so everything it held was uncommitted
             self._rebuild_empty_subtree(child_no, child_buf, child_view,
-                                        level, INVALID_PAGE, None)
+                                        level, INVALID_PAGE, None,
+                                        low=bounds.lo)
             return
         sbuf = self.file.pin(source_no)
         try:
@@ -482,7 +491,8 @@ class ReorgBLinkTree(BLinkTree):
                 # the source is consistent and our range is untouched by
                 # any durable page: the child held only uncommitted keys
                 self._rebuild_empty_subtree(child_no, child_buf, child_view,
-                                            level, source_no, sview)
+                                            level, source_no, sview,
+                                            low=bounds.lo)
                 self._dirty(sbuf)
         finally:
             self._unpin(sbuf)
@@ -559,9 +569,14 @@ class ReorgBLinkTree(BLinkTree):
 
     def _rebuild_empty_subtree(self, child_no: int, child_buf: Buffer,
                                child_view: NodeView, level: int,
-                               source_no: int, sview: NodeView | None) -> None:
+                               source_no: int, sview: NodeView | None, *,
+                               low: bytes) -> None:
         """Rebuild a lost child whose keys were all uncommitted: an empty
-        leaf, or a minimal internal spine over an empty leaf."""
+        leaf, or a minimal internal spine over an empty leaf.  The spine's
+        entries carry *low*, the low bound of the child's range, not the
+        minimum key: linked as its left neighbour's right peer, a page
+        whose first key is the minimum would draw every key past that
+        neighbour's last separator into a move right."""
         started = perf_counter()
         token = self._token()
         if level == 0:
@@ -578,7 +593,7 @@ class ReorgBLinkTree(BLinkTree):
                     if lvl > 0:
                         shadow = self._level_uses_shadow_items(lvl)
                         new_view.replace_items([I.pack_internal_item(
-                            MIN_KEY, spine[-1], prev=0 if shadow else None)])
+                            low, spine[-1], prev=0 if shadow else None)])
                     spine.append(new_no)
                 finally:
                     self._unpin(new_buf)
@@ -587,7 +602,7 @@ class ReorgBLinkTree(BLinkTree):
                 shadow_items=self._level_uses_shadow_items(level))
             shadow = self._level_uses_shadow_items(level)
             child_view.replace_items([I.pack_internal_item(
-                MIN_KEY, spine[-1], prev=0 if shadow else None)])
+                low, spine[-1], prev=0 if shadow else None)])
         if source_no != INVALID_PAGE and sview is not None:
             child_view.left_peer = source_no
             child_view.left_peer_token = token

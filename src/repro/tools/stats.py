@@ -270,24 +270,29 @@ def render_report(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def run_script(script: str, args: list[str]) -> None:
-    """Run *script* as ``__main__`` with ``sys.argv = [script, *args]``."""
+def run_script(script: str, args: list[str]) -> dict:
+    """Run *script* as ``__main__`` with ``sys.argv = [script, *args]``
+    and return the globals it finished with (none when it exited with
+    status 0: an exit takes them with it)."""
     saved = sys.argv
     sys.argv = [script, *args]
     try:
-        runpy.run_path(script, run_name="__main__")
+        return runpy.run_path(script, run_name="__main__")
     except SystemExit as exc:
         if exc.code not in (None, 0):
             raise
+        return {}
     finally:
         sys.argv = saved
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.stats",
-        description="Run a Python script in this process, then dump the "
-                    "observability registry and trace it filled.")
+def run_cli(prog: str, description: str, argv, report) -> int:
+    """The command line of the script-running tools,
+    ``prog [--json] SCRIPT [ARGS...]``: run SCRIPT (its own stdout goes
+    to stderr under ``--json``), then print the ``(document, render,
+    status)`` that ``report(globals)`` returns — the document as JSON,
+    or what ``render()`` returns — and return the status."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON document instead of text; the "
                              "script's own output goes to stderr")
@@ -296,15 +301,27 @@ def main(argv=None) -> int:
                         help="arguments passed to the script")
     args = parser.parse_args(argv)
 
+    with contextlib.redirect_stdout(sys.stderr if args.json
+                                    else sys.stdout):
+        scope = run_script(args.script, args.args)
+    document, render, status = report(scope)
     if args.json:
-        with contextlib.redirect_stdout(sys.stderr):
-            run_script(args.script, args.args)
-        json.dump(collect(), sys.stdout, indent=2, sort_keys=True)
+        json.dump(document, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
-        run_script(args.script, args.args)
-        print(render_report(collect()))
-    return 0
+        print(render())
+    return status
+
+
+def main(argv=None) -> int:
+    def report(_scope):
+        snapshot = collect()
+        return snapshot, lambda: render_report(snapshot), 0
+
+    return run_cli("python -m repro.tools.stats",
+                   "Run a Python script in this process, then dump the "
+                   "observability registry and trace it filled.",
+                   argv, report)
 
 
 if __name__ == "__main__":

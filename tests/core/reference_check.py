@@ -6,11 +6,14 @@ pair per key, then ``sorted`` and ``set`` over every key of the index —
 slow and obviously right.  It reads the tree exactly as the product's
 walker does (same pins, same decoded nodes, same peer-chain check), so on
 any state the two must return the same pairs or raise the same error.
+Like the walker, it refuses a page reached a second time and one whose
+magic or page type is not a tree page's.
 """
 
 from __future__ import annotations
 
-from repro.constants import INVALID_PAGE
+from repro.constants import INVALID_PAGE, PAGE_INTERNAL, PAGE_LEAF, PAGE_MAGIC
+from repro.core.btree_base import _raise_finding as raise_finding
 from repro.core.keys import FULL_BOUNDS, MIN_KEY
 from repro.errors import TreeError
 
@@ -24,12 +27,13 @@ def reference_check(tree, *, strict_tokens: bool = True,
     pairs: list = []
     root_buf, root_node = tree._pin_node(root)
     try:
-        _check_subtree(tree, root, root_node, FULL_BOUNDS, root_node.level,
-                       leaves, pairs)
+        _check_subtree(tree, root, root_node, FULL_BOUNDS, None,
+                       INVALID_PAGE, leaves, pairs, set())
     finally:
         tree._unpin(root_buf)
     if require_peer_chain:
-        tree._check_peer_chain(leaves, strict_tokens=strict_tokens)
+        tree._check_peer_chain(leaves, strict_tokens=strict_tokens,
+                               report=raise_finding)
     keys = [k for k, _ in pairs]
     if keys != sorted(keys):
         raise TreeError("keys not globally sorted")
@@ -38,7 +42,19 @@ def reference_check(tree, *, strict_tokens: bool = True,
     return pairs
 
 
-def _check_subtree(tree, page_no, node, bounds, level, leaves, pairs):
+def _check_subtree(tree, page_no, node, bounds, level, parent, leaves, pairs,
+                   seen):
+    if page_no in seen:
+        raise TreeError(
+            f"page {page_no}: reached twice (second parent {parent})")
+    seen.add(page_no)
+    if node.magic != PAGE_MAGIC or node.page_type not in (PAGE_LEAF,
+                                                          PAGE_INTERNAL):
+        raise TreeError(
+            f"page {page_no}: unreadable (magic {node.magic:#06x}, "
+            f"type {node.page_type}), reached from page {parent}")
+    if level is None:
+        level = node.level
     if node.level != level:
         raise TreeError(
             f"page {page_no}: level {node.level}, expected {level}")
@@ -70,6 +86,6 @@ def _check_subtree(tree, page_no, node, bounds, level, leaves, pairs):
         cbuf, cnode = tree._pin_node(child_no)
         try:
             _check_subtree(tree, child_no, cnode, child_bounds, level - 1,
-                           leaves, pairs)
+                           page_no, leaves, pairs, seen)
         finally:
             tree._unpin(cbuf)

@@ -151,6 +151,34 @@ def undecodable(tree, pages):
         data, view.n_keys // 2, PAGE - 1))
 
 
+def child_twice(tree, pages):
+    page_no, _ = _mid(pages)
+    corrupt(tree, page_no, lambda data, view: view.set_child_at(
+        1, view.child_at(0)))
+
+
+def _first(pages):
+    return pages[0]
+
+
+def zeroed(pick):
+    """A page whose image reads back as zeros: it decodes as a level-0
+    page with no keys, so only its magic gives it away."""
+    def plant(tree, pages):
+        page_no, _ = pick(pages)
+        corrupt(tree, page_no, lambda data, view: data.__setitem__(
+            slice(None), bytes(len(data))))
+    return plant
+
+
+def bad_magic(pick):
+    def plant(tree, pages):
+        page_no, _ = pick(pages)
+        corrupt(tree, page_no, lambda data, view: P.set_u16(
+            data, P.OFF_MAGIC, 0xBEEF))
+    return plant
+
+
 LEAF, INTERNAL = 0, 1
 CASES = {
     "leaf-swap-in-the-middle": (LEAF, swap_in_the_middle, "out of order"),
@@ -171,6 +199,13 @@ CASES = {
     "leaves-out-of-order": (LEAF, leaves_out_of_order, "outside ["),
     "leaf-undecodable": (LEAF, undecodable, None),
     "internal-undecodable": (INTERNAL, undecodable, None),
+    "internal-child-twice": (INTERNAL, child_twice, "reached twice"),
+    "leaf-zeroed-leftmost": (LEAF, zeroed(_first), "unreadable (magic 0x0000"),
+    "leaf-zeroed-middle": (LEAF, zeroed(_mid), "unreadable (magic 0x0000"),
+    "leaf-bad-magic-leftmost":
+        (LEAF, bad_magic(_first), "unreadable (magic 0xbeef"),
+    "leaf-bad-magic-middle":
+        (LEAF, bad_magic(_mid), "unreadable (magic 0xbeef"),
 }
 
 

@@ -10,6 +10,7 @@ from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizedBufferPool, sanitized
 from repro.constants import INVALID_PAGE, PAGE_LEAF
 from repro.core.concurrency import set_schedule_hook
+from repro.core.keys import MIN_KEY
 from repro.core.nodeview import DecodedNode, NodeView
 from repro.hash import ExtendibleHashIndex
 
@@ -120,7 +121,7 @@ def test_rebuilt_spine_fault_releases_its_pins(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="injected fault"):
             tree._rebuild_empty_subtree(child_no, child_buf, child_view,
-                                        2, INVALID_PAGE, None)
+                                        2, INVALID_PAGE, None, low=MIN_KEY)
     finally:
         tree._unpin(child_buf)
     assert tree.file.pool.total_pins() == 0

@@ -18,13 +18,13 @@ from repro.storage.crash import CrashOnNthSync
 from .helpers import tid_for, verify_recovered
 
 
-def crash_window(committed, window, lost, *, final_sync):
-    """A hybrid tree at 256 bytes: *committed* inserted with a sync
+def crash_window(committed, window, *lost, final_sync, kind="hybrid"):
+    """A tree of *kind* at 256 bytes: *committed* inserted with a sync
     every 50 (and one more with *final_sync*), then *window* inserted
-    and synced with every page but *lost* persisting.  Returns the
-    crashed engine and the pages the failed sync wrote."""
+    and synced with every page but the *lost* ones persisting.  Returns
+    the crashed engine and the pages the failed sync wrote."""
     engine = StorageEngine.create(page_size=256, seed=0)
-    tree = TREE_CLASSES["hybrid"].create(engine, "ix", codec="uint32")
+    tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
     for count, key in enumerate(committed, 1):
         tree.insert(key, tid_for(key))
         if count % 50 == 0:
@@ -37,7 +37,7 @@ def crash_window(committed, window, lost, *, final_sync):
 
     def all_but_lost(pages):
         written.extend(pages)
-        return [pid for pid in pages if pid != ("ix", lost)]
+        return [pid for pid in pages if pid[1] not in lost]
 
     engine.crash_policy = CrashOnNthSync(1, keep=all_but_lost)
     with pytest.raises(CrashError):

@@ -68,7 +68,12 @@ def test_empty_tree(tree):
     assert report.keys == 0
 
 
-def test_crashed_tree_findings_then_healed():
+def crashed_shadow_tree(inspect_first_restart):
+    """A shadow tree committed at 96 keys, crashed losing a whole split
+    window, and once more keeping only that split's parent.  The tree
+    after the first restart goes to *inspect_first_restart* before
+    the second window; returns the tree after the second restart and
+    the committed keys."""
     engine = StorageEngine.create(page_size=512, seed=11)
     tree = TREE_CLASSES["shadow"].create(engine, "ix")
     committed = set(range(96))
@@ -87,10 +92,7 @@ def test_crashed_tree_findings_then_healed():
 
     engine2 = StorageEngine.reopen_after_crash(engine)
     tree2 = TREE_CLASSES["shadow"].open(engine2, "ix")
-    before = fsck_tree(tree2)
-    # the durable state is the pre-window tree: consistent, maybe orphans
-    assert before.errors == 0
-    assert before.keys >= len(committed)
+    inspect_first_restart(tree2)
 
     # now a crash that leaves real damage: parent durable, children lost
     splits = tree2.splits.value
@@ -103,7 +105,18 @@ def test_crashed_tree_findings_then_healed():
     with pytest.raises(CrashError):
         engine2.sync(CrashOnceKeepingPages(keep))
     engine3 = StorageEngine.reopen_after_crash(engine2)
-    tree3 = TREE_CLASSES["shadow"].open(engine3, "ix")
+    return TREE_CLASSES["shadow"].open(engine3, "ix"), committed
+
+
+def test_crashed_tree_findings_then_healed():
+    def before(tree2):
+        # the durable state is the pre-window tree: consistent, maybe
+        # orphans
+        report = fsck_tree(tree2)
+        assert report.errors == 0
+        assert report.keys >= 96
+
+    tree3, committed = crashed_shadow_tree(before)
     damaged = fsck_tree(tree3)
     assert damaged.errors + damaged.warnings > 0
 
